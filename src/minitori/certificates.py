@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .lattices import canonical_class
 from .optimize import (Columns, HullPoint, as_columns, caratheodory_reduce,
                        column_rank)
 from .scalars import AlgebraicScalar, exact_scalar, scalar_to_float
@@ -224,13 +225,6 @@ class EtaSystem:
         return sum(len(v) for v in self.entries.values())
 
 
-def _canon_eta(v: tuple[int, ...]) -> tuple[int, ...]:
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
 def eta_sets(y) -> EtaSystem:
     """Group every sum/difference Y_r +/- Y_s (r < s) by the +/- class of its value."""
     cols = as_columns(y)
@@ -244,7 +238,7 @@ def eta_sets(y) -> EtaSystem:
         for s in range(r + 1, nn):
             for sigma in (1, -1):
                 v = tuple(a + sigma * b for a, b in zip(cols[r], cols[s]))
-                key = _canon_eta(v)
+                key = canonical_class(v)
                 out.setdefault(key, []).append((r, s, sigma))
     entries = {k: tuple(v) for k, v in sorted(out.items())}
     return EtaSystem(entries=entries, y=cols)
@@ -513,18 +507,12 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     if not witnesses:
         return EmbeddednessResult("embedded", None, "exhaustive")
 
-    def canon(u):
-        for x in u:
-            if x != 0:
-                return u if x > 0 else tuple(-v for v in u)
-        return u
-
     def simplicity(u):
         support = tuple(i for i, x in enumerate(u) if x != 0)
         negatives = sum(1 for x in u if x < 0)
         return (len(support), support, negatives, u)
 
-    cands = sorted({canon(u) for u in witnesses}, key=simplicity)
+    cands = sorted({canonical_class(u) for u in witnesses}, key=simplicity)
     return EmbeddednessResult("not_embedded", cands[0], "exhaustive")
 
 

@@ -95,6 +95,8 @@ def _print_report(report, fmt: str) -> None:
 
 
 def _eigenfunction_index_if_cheap(data: MatrixData):
+    if data.q.regime == "algebraic":  # lattice enumeration needs a rational or float Gram
+        return None
     try:
         det = float(determinant(data.q))
         est = 4.0 / 3.0 * math.pi / math.sqrt(det)

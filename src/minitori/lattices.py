@@ -1,13 +1,29 @@
 """Lattices: Gram matrices, duals, torus spectra and exhaustive norm enumeration.
 
-Enumeration of integer vectors with a prescribed quadratic-form value uses the
-Fincke-Pohst recursion on an exact LDL^t completion of squares, so the
-completeness claim is certified whenever the form is rational.  Floating
-inputs are lifted exactly to rationals (binary floats are rationals) and the
-target is inflated to an interval.
+Norm enumeration is the Fincke-Pohst recursion (Math. Comp. 1985) run on
+Python integers only.  The Gram Q is scaled to the integer matrix
+M = den * Q (float entries are lifted exactly: binary floats are dyadic
+rationals).  Bareiss's fraction-free elimination (Math. Comp. 1968), taken
+from the last coordinate to the first, gives the positive minors
+D_0 = 1, D_1, ..., D_n = det M of M's trailing principal blocks and integer
+row numerators b_kj (j < k) with
+
+    v^t M v = sum_k (D_{n-k} v_k + S_k)^2 / (D_{n-1-k} D_{n-k}),
+    S_k = sum_{j<k} b_kj v_j.
+
+So coordinate 0 is fixed first and each level's range is an integer
+inequality |D_{n-k} v_k + S_k| <= isqrt(r_k) whose right side r_k is an
+integer too: the share of v^t M v fixed by v_0..v_{k-1}, times D_{n-k}, is
+the integer value of a Bareiss Schur complement.  `math.isqrt` and floor
+division decide every range exactly, so no float enters and completeness is
+certified for every rational or float Gram.  A lower bound on v^t M v cuts
+the innermost level down to at most two short intervals (one more isqrt),
+so a shell lower <= v^t Q v <= upper costs no more than its outer levels.
 
 Vectors are reported one representative per +/- pair, the representative
-having a positive leading nonzero entry, sorted lexicographically.
+having a positive leading nonzero entry, sorted lexicographically: while
+v_0..v_{k-1} are all zero, v_k is kept >= 0 (> 0 at the innermost level),
+and every level runs upwards, so no class is visited twice.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .scalars import Rat
 from .symmetric import SymMatrix, inverse, is_positive_definite
@@ -23,6 +39,8 @@ from .symmetric import SymMatrix, inverse, is_positive_definite
 FOUR_PI_SQ = 4 * math.pi * math.pi
 
 DEFAULT_BOX_BOUND = 10**6
+
+_CLUSTER = 10**9  # float Grams: values within relative 1/_CLUSTER share a spectrum line
 
 
 class EnumerationIncomplete(RuntimeError):
@@ -96,7 +114,7 @@ class NormClassList:
         return iter(self.classes)
 
 
-def canonical_class(v: Sequence[int]) -> tuple[int, ...]:
+def canonical_class(v: Sequence[Rat]) -> tuple[Rat, ...]:
     """Representative of the +/- class: first nonzero entry positive."""
     for x in v:
         if x != 0:
@@ -104,78 +122,120 @@ def canonical_class(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _exact_gram(q: SymMatrix) -> list[list[Fraction]]:
-    if q.regime == "rational":
-        return [[Fraction(x) for x in row] for row in q.entries]
-    if q.regime == "float":
-        return [[Fraction(float(x)) for x in row] for row in q.entries]
-    raise TypeError("enumeration over algebraic Gram matrices is not supported; "
-                    "verify certificates instead")
+def _integer_gram(q: SymMatrix) -> tuple[list[list[int]], int]:
+    """(M, den): the integer matrix M = den * Q, den the lcm of Q's denominators.
 
-
-def _ldl(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Completion of squares: Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = len(q)
-    a = [row[:] for row in q]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for cidx in range(r, n):
-                val = a[r][cidx] - d[i] * u[i][r] * u[i][cidx]
-                a[r][cidx] = val
-                a[cidx][r] = val
-    return d, u
-
-
-def _floor_sum_sqrt(x: Fraction, y: Fraction) -> int:
-    """floor(x + sqrt(y)) for rationals, y >= 0, computed exactly."""
-    a, c = x.numerator, x.denominator
-    p, q = y.numerator, y.denominator
-    t = math.isqrt(c * c * p * q)
-    return (a * q + t) // (c * q)
-
-
-def _enumerate_box(q: list[list[Fraction]], bound: Fraction, box_bound: int):
-    """All integer vectors (up to sign) with 0 < v^t Q v <= bound.
-
-    Yields (vector, value).  Raises EnumerationIncomplete if a coordinate
-    range exceeds box_bound before the ellipsoid certifies completeness.
+    Float entries are lifted exactly (binary floats are dyadic rationals).
     """
-    n = len(q)
-    d, u = _ldl(q)
-    vec = [0] * n
+    if q.regime == "rational":
+        grid = [[Fraction(x) for x in row] for row in q.entries]
+    elif q.regime == "float":
+        grid = [[Fraction(float(x)) for x in row] for row in q.entries]
+    else:
+        raise TypeError("enumeration over algebraic Gram matrices is not supported; "
+                        "verify certificates instead")
+    den = math.lcm(*(x.denominator for row in grid for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in grid], den
 
-    def levels(i: int, remaining: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        # level i fixes coordinate i, given coordinates i+1..n-1
-        center = -sum(u[i][j] * vec[j] for j in range(i + 1, n))
-        if remaining < 0:
-            return
-        radius2 = remaining / d[i]
-        hi = _floor_sum_sqrt(center, radius2)
-        lo = -_floor_sum_sqrt(-center, radius2)
-        if hi - lo > 2 * box_bound + 1:
+
+def _levels(m: list[list[int]]) -> list[tuple[int, int, list[int]]]:
+    """Bareiss elimination of M from its last coordinate to its first.
+
+    Entry k is (lo, hi, b): the minors D_{n-1-k} and D_{n-k} of M's trailing
+    principal blocks and the integer numerators b_kj (j < k), so that
+    v^t M v = sum_k (hi_k v_k + sum_{j<k} b_kj v_j)^2 / (lo_k hi_k).  A
+    nonpositive minor means M is not positive definite (Sylvester).
+    """
+    n = len(m)
+    a = [row[:] for row in m]
+    levels: list = [None] * n
+    prev = 1
+    for k in range(n - 1, -1, -1):
+        piv = a[k][k]
+        if piv <= 0:
+            raise ValueError("matrix is not positive definite")
+        row = a[k][:k]
+        levels[k] = (prev, piv, row)
+        for i in range(k):
+            ai, aik = a[i], a[i][k]
+            for j in range(k):
+                ai[j] = (piv * ai[j] - aik * row[j]) // prev
+        prev = piv
+    return levels
+
+
+def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
+                  out: Union[list, dict]) -> Union[list, dict]:
+    """One vector per +/- class with lower <= v^t M v <= upper, M integral PD.
+
+    A list `out` receives the canonical vectors in lexicographic order; a dict
+    `out` receives, per value v^t M v, the number of classes attaining it.
+    Results found before EnumerationIncomplete is raised stay in `out`.
+    """
+    levels = _levels(m)
+    last = len(m) - 1
+    vec = [0] * len(m)
+    as_vectors = isinstance(out, list)
+    lower = max(lower, 1)
+    widest = 2 * box_bound + 1
+
+    def level(k: int, done: int, free: bool) -> None:
+        # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
+        lo, hi, row = levels[k]
+        shift = 0
+        for j in range(k):
+            shift += row[j] * vec[j]
+        s = math.isqrt(lo * (hi * upper - done))  # |hi x + shift| <= s
+        xlo, xhi = -((s + shift) // hi), (s - shift) // hi
+        if xhi - xlo > widest:
             raise EnumerationIncomplete(
-                f"coordinate range at level {i} exceeds the box bound {box_bound}")
-        for x in range(lo, hi + 1):
-            vec[i] = x
-            used = d[i] * (x - center) * (x - center)
-            if used > remaining:
-                continue
-            if i == 0:
-                v = tuple(vec)
-                if any(v):
-                    yield v, bound - (remaining - used)
-            else:
-                yield from levels(i - 1, remaining - used)
-        vec[i] = 0
+                f"coordinate range at level {k} exceeds the box bound {box_bound}")
+        if not free:  # all earlier coordinates are 0: keep the first nonzero one positive
+            xlo = max(xlo, 0 if k < last else 1)
+        if k < last:
+            for x in range(xlo, xhi + 1):
+                vec[k] = x
+                t = hi * x + shift
+                level(k + 1, (lo * done + t * t) // hi, free or x != 0)
+            vec[k] = 0
+            return
+        # innermost level (lo = 1): v^t M v = (done + t^2) / hi >= lower needs |t| >= tmin
+        spans = ((xlo, xhi),)
+        need = hi * lower - done
+        if need > 0:
+            tmin = math.isqrt(need - 1) + 1
+            spans = ((xlo, (-tmin - shift) // hi), (max(xlo, -((shift - tmin) // hi)), xhi))
+        if as_vectors:
+            prefix = tuple(vec[:last])
+            for a, b in spans:
+                out.extend([prefix + (x,) for x in range(a, b + 1)])
+        else:
+            for a, b in spans:
+                t = hi * a + shift
+                for _ in range(a, b + 1):
+                    val = (done + t * t) // hi
+                    out[val] = out.get(val, 0) + 1
+                    t += hi
 
-    yield from levels(n - 1, bound)
+    if upper >= lower:
+        level(0, 0, False)
+    return out
+
+
+def _lines(counts: dict[int, int], den: int, cluster: bool) -> list[tuple[Fraction, int]]:
+    """Distinct values counts-key/den, ascending, with their class counts.
+
+    With `cluster`, a value within relative 1/_CLUSTER of a line's first value
+    joins that line (exact lifting of binary floats would otherwise split
+    equal eigenvalues).
+    """
+    lines: list[list[int]] = []
+    for v in sorted(counts):
+        if cluster and lines and _CLUSTER * (v - lines[-1][0]) <= max(den, lines[-1][0]):
+            lines[-1][1] += counts[v]
+        else:
+            lines.append([v, counts[v]])
+    return [(Fraction(v, den), c) for v, c in lines]
 
 
 def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND,
@@ -187,36 +247,28 @@ def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND
     """
     if is_positive_definite(q) is not True:
         raise ValueError("Gram matrix must be positive definite")
-    target = Fraction(target) if not isinstance(target, float) else Fraction(target)
+    target = Fraction(target)
     if target <= 0:
         raise ValueError("target must be positive")
-    grid = _exact_gram(q)
-    slack = Fraction(0)
-    if q.regime == "float":
-        slack = Fraction(float_tol) * max(Fraction(1), target)
-    found = set()
+    m, den = _integer_gram(q)
+    slack = Fraction(float_tol) * max(1, target) if q.regime == "float" else 0
+    found: list[tuple[int, ...]] = []
     complete = True
     try:
-        for v, val in _enumerate_box(grid, target + slack, box_bound):
-            if abs(val - target) <= slack:
-                found.add(canonical_class(v))
+        _fincke_pohst(m, math.ceil((target - slack) * den), math.floor((target + slack) * den),
+                      box_bound, found)
     except EnumerationIncomplete:
         complete = False
-    classes = tuple(sorted(found))
-    return NormClassList(target=target, classes=classes, complete=complete)
+    return NormClassList(target=target, classes=tuple(found), complete=complete)
 
 
 def shortest_vectors(q: SymMatrix, box_bound: int = DEFAULT_BOX_BOUND) -> tuple[Fraction, NormClassList]:
     """(lambda_1, classes attaining it): the minimal nonzero value of v^t Q v."""
     if is_positive_definite(q) is not True:
         raise ValueError("Gram matrix must be positive definite")
-    grid = _exact_gram(q)
-    upper = min(grid[i][i] for i in range(q.n))  # value at e_i
-    best = None
-    for v, val in _enumerate_box(grid, upper, box_bound):
-        if best is None or val < best:
-            best = val
-    assert best is not None
+    m, den = _integer_gram(q)
+    upper = min(m[i][i] for i in range(q.n))  # value at e_i
+    best = Fraction(min(_fincke_pohst(m, 1, upper, box_bound, {})), den)
     classes = enumerate_norm(q, best, box_bound)
     return best, classes
 
@@ -230,30 +282,24 @@ class SpectrumLine(NamedTuple):
 def _distinct_norms(q: SymMatrix, count: int, box_bound: int) -> list[tuple[Fraction, int]]:
     """First `count` distinct nonzero values of v^t Q v with class counts.
 
-    For float Grams, values within relative 1e-9 are clustered into one line
-    (exact lifting of binary floats would otherwise split equal eigenvalues).
+    The search radius doubles from the shortest diagonal entry; each round
+    enumerates only the new shell and keeps the values already found.  For
+    float Grams values are clustered as in `_lines`, and a line is returned
+    only once the search covers its whole cluster.
     """
-    grid = _exact_gram(q)
-    cluster = Fraction(1, 10**9) if q.regime == "float" else Fraction(0)
-    bound = min(grid[i][i] for i in range(q.n))
+    m, den = _integer_gram(q)
+    cluster = q.regime == "float"
+    bound = Fraction(min(m[i][i] for i in range(q.n)), den)
+    counts: dict[int, int] = {}
+    searched = 0
     while True:
-        values: dict[Fraction, int] = {}
-        seen = set()
-        search_bound = bound + cluster * max(Fraction(1), bound)
-        for v, val in _enumerate_box(grid, search_bound, box_bound):
-            c = canonical_class(v)
-            if c in seen:
-                continue
-            seen.add(c)
-            values[val] = values.get(val, 0) + 1
-        merged: list[tuple[Fraction, int]] = []
-        for nv in sorted(values):
-            if merged and nv - merged[-1][0] <= cluster * max(Fraction(1), merged[-1][0]):
-                merged[-1] = (merged[-1][0], merged[-1][1] + values[nv])
-            else:
-                merged.append((nv, values[nv]))
-        if len(merged) >= count:
-            return merged[:count]
+        reach = bound + Fraction(max(1, bound), _CLUSTER) if cluster else bound
+        upper = math.floor(reach * den)
+        _fincke_pohst(m, searched + 1, upper, box_bound, counts)
+        searched = upper
+        lines = [line for line in _lines(counts, den, cluster) if line[0] <= bound]
+        if len(lines) >= count:
+            return lines[:count]
         bound = bound * 2
 
 
@@ -282,21 +328,22 @@ def eigenfunction_index(q_dual: SymMatrix, target: Union[Rat, float],
 
     A Fraction target is interpreted as the exact squared norm |xi|^2 and
     compared exactly; a float target is interpreted as the eigenvalue
-    4 pi^2 |xi|^2 and compared within tol.
+    4 pi^2 |xi|^2 and compared within tol.  Lines are those of `spectrum`;
+    one enumeration up to the goal (plus twice the tolerance for a float
+    target) decides every line up to it, since a line's first value
+    depends only on the smaller values.
     """
     exact = not isinstance(target, float)
     goal = Fraction(target) if exact else Fraction(target / FOUR_PI_SQ)
-    count = 1
-    while True:
-        norms = _distinct_norms(q_dual, count, box_bound)
-        for k, (nv, _) in enumerate(norms, start=1):
-            if exact and nv == goal:
-                return k
-            if not exact and abs(float(nv) - float(goal)) <= tol * max(1.0, float(goal)):
-                return k
-        if norms and norms[-1][0] > goal:
-            raise ValueError("target is not an eigenvalue of this torus")
-        count += 4
+    reach = goal if exact else goal + 2 * Fraction(tol) * max(1, goal)
+    m, den = _integer_gram(q_dual)
+    counts = _fincke_pohst(m, 1, math.floor(reach * den), box_bound, {})
+    for k, (nv, _) in enumerate(_lines(counts, den, q_dual.regime == "float"), start=1):
+        if exact and nv == goal:
+            return k
+        if not exact and abs(float(nv) - float(goal)) <= tol * max(1.0, float(goal)):
+            return k
+    raise ValueError("target is not an eigenvalue of this torus")
 
 
 def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,

@@ -1,5 +1,6 @@
 """Shared helpers: independent oracles and seeded random data generators."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -36,6 +37,31 @@ def box_enumerate_norm(q: SymMatrix, target: Fraction):
 
     rec(0, [])
     return tuple(sorted(found))
+
+
+def box_ranges(q: SymMatrix, bound: Fraction) -> list:
+    """Per coordinate, the range |y_i| <= sqrt(bound * (Q^{-1})_ii) (rounded up)."""
+    qinv = inverse(q)
+    ranges = []
+    for i in range(q.n):
+        b2 = Fraction(bound) * Fraction(qinv.entries[i][i])
+        b = math.isqrt(b2.numerator // b2.denominator) + 1
+        ranges.append(range(-b, b + 1))
+    return ranges
+
+
+def box_norm_counts(q: SymMatrix, bound: Fraction) -> dict:
+    """Brute-force oracle: {value: number of +/- classes} over 0 < v^t Q v <= bound.
+
+    Scans the same analytic box as box_enumerate_norm, counts every nonzero
+    vector and halves the counts (v and -v share a value)."""
+    counts = {}
+    for v in itertools.product(*box_ranges(q, bound)):
+        if any(v):
+            val = q.quad_form(v)
+            if val <= bound:
+                counts[val] = counts.get(val, 0) + 1
+    return {val: c // 2 for val, c in counts.items()}
 
 
 def random_rational_pd(rng: random.Random, n: int, num_max: int = 5, den_max: int = 4,

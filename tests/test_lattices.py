@@ -1,13 +1,43 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minitori.lattices import (FOUR_PI_SQ, Lattice, dual, eigenfunction_index,
                                enumerate_norm, rational_points_on_ellipsoid,
                                shortest_vectors, spectrum)
 from minitori.symmetric import SymMatrix
-from conftest import box_enumerate_norm, random_rational_pd
+from conftest import box_enumerate_norm, box_norm_counts, box_ranges, random_rational_pd
+
+SEEDS = st.integers(0, 2**32 - 1).map(random.Random)  # seeded data generators
+BOX_CAP = 4000  # most integer points the brute-force oracles may scan
+
+
+def _box_size(q, bound):
+    return math.prod(len(r) for r in box_ranges(q, bound))
+
+
+def _gram(rnd, n, den_max=4):
+    return random_rational_pd(rnd, n, den_max=den_max, box_cap=30 if n <= 3 else 1)
+
+
+def _to_float(q):
+    return SymMatrix([[float(x) for x in row] for row in q.entries])
+
+
+def _attained_target(q, rnd):
+    """v^t Q v for a random small v (else a basis vector) in a box the oracle can scan."""
+    v = [0] * q.n
+    while not any(v):
+        v = [rnd.randint(-1, 1) for _ in range(q.n)]
+    target = q.quad_form(v)
+    if _box_size(q, target) > BOX_CAP:
+        target = min(q.entries[i][i] for i in range(q.n))
+    assume(_box_size(q, target) <= BOX_CAP)
+    return target
 
 
 class TestDual:
@@ -121,6 +151,13 @@ class TestSpectrum:
         assert all(l.multiplicity % 2 == 0 for l in lines[1:])
         assert all(l.multiplicity > 0 for l in lines)
 
+    def test_float_cluster_not_cut_by_search_radius(self):
+        # 2+5e-10 and 2+2.2e-9 form one line; the first search shell past 2
+        # ends at 2+2e-9, between them
+        q = SymMatrix([[1.0, 0.0, 0.0], [0.0, 2 + 5e-10, 0.0], [0.0, 0.0, 2 + 2.2e-9]])
+        assert [l.multiplicity for l in spectrum(q, 3)] == [1, 2, 4]
+        assert [l.multiplicity for l in spectrum(q, 4)] == [1, 2, 4, 8]
+
     def test_quadratic_catalog_norm_one_multiplicity(self):
         from minitori.constructions import catalog
         q = catalog("quadratic-s9").q.to_float()
@@ -152,6 +189,60 @@ class TestEigenfunctionIndex:
     def test_missing_value(self):
         with pytest.raises(ValueError):
             eigenfunction_index(SymMatrix.identity(2), Fraction(3))
+
+
+class TestKernelProperties:
+    """The integer half-space kernel against brute-force box scans."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), SEEDS)
+    def test_enumerate_matches_box_oracle(self, n, rnd):
+        q = _gram(rnd, n)
+        target = _attained_target(q, rnd)
+        got = enumerate_norm(q, target)
+        assert got.complete
+        assert got.classes == box_enumerate_norm(q, target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), SEEDS)
+    def test_float_gram_matches_rational_oracle(self, n, rnd):
+        # denominators 3, 5, 6, 7 make the float entries non-dyadic roundings;
+        # distinct rational values differ by far more than the float slack
+        q = _gram(rnd, n, den_max=7)
+        target = _attained_target(q, rnd)
+        got = enumerate_norm(_to_float(q), target)
+        assert got.complete
+        assert got.classes == box_enumerate_norm(q, target)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 8), SEEDS)
+    def test_classes_canonical_and_unique(self, n, k, rnd):
+        q = _gram(rnd, n)
+        for line in spectrum(q, k)[1:]:
+            classes = enumerate_norm(q, line.norm).classes
+            assert len(set(classes)) == len(classes) == line.multiplicity // 2
+            assert list(classes) == sorted(classes)
+            assert all(next(x for x in c if x) > 0 for c in classes)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 5), SEEDS)
+    def test_spectrum_matches_box_counts(self, n, k, rnd):
+        q = _gram(rnd, n)
+        lines = spectrum(q, k)
+        assume(_box_size(q, lines[-1].norm) <= BOX_CAP)
+        want = sorted(box_norm_counts(q, lines[-1].norm).items())
+        assert [(l.norm, l.multiplicity) for l in lines[1:]] == [(v, 2 * c) for v, c in want]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 6), st.booleans(), SEEDS)
+    def test_eigenfunction_index_is_spectrum_position(self, n, k, as_float, rnd):
+        q = _gram(rnd, n, den_max=7)
+        if as_float:
+            q = _to_float(q)
+        lines = spectrum(q, k)
+        for pos, line in enumerate(lines[1:], start=1):
+            assert eigenfunction_index(q, line.norm) == pos
+            assert eigenfunction_index(q, line.eigenvalue) == pos
 
 
 class TestRationalPoints:
