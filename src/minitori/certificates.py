@@ -22,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import AbstractSet, Optional, Sequence, Union
 
 import numpy as np
 
 from .lattices import canonical_class
-from .optimize import (Columns, HullPoint, as_columns, caratheodory_reduce,
-                       column_rank)
-from .scalars import AlgebraicScalar, exact_scalar, scalar_to_float
-from .symmetric import SymMatrix, inverse, is_positive_definite, psd_sqrt
+from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
+from .scalars import exact_scalar
+from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite, psd_sqrt,
+                        rank, solve)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-10
@@ -70,7 +70,7 @@ class MatrixData:
         return 2 * len(self.y) - 1
 
     def weights_float(self) -> list[float]:
-        return [scalar_to_float(w) for w in self.weights]
+        return [float(w) for w in self.weights]
 
     def is_exact(self) -> bool:
         return self.q.is_exact() and all(exact_scalar(w) for w in self.weights)
@@ -104,23 +104,18 @@ class VerificationReport:
         }
 
 
-def _abs_float(x) -> float:
-    if isinstance(x, AlgebraicScalar):
-        return abs(float(x))
-    return abs(float(x))
-
-
 def _assemble_report(residuals: dict[str, float], psd_margin: Optional[float],
                      tol: float, structural: Optional[str],
-                     borderline: Optional[str]) -> VerificationReport:
+                     borderline: Optional[str], nonzero: AbstractSet[str] = frozenset()
+                     ) -> VerificationReport:
+    """Verdict from the residuals: those above tol and the exact ones in
+    `nonzero` (exact residuals that are not exactly zero) fail; the largest
+    failing residual names the reason."""
     if structural is not None:
         return VerificationReport("falsified", structural, residuals, psd_margin, tol)
-    worst_key = None
-    worst = 0.0
-    for k, v in residuals.items():
-        if v > worst:
-            worst, worst_key = v, k
-    if worst > tol:
+    failing = {k: v for k, v in residuals.items() if v > tol or k in nonzero}
+    if failing:
+        worst_key = max(failing, key=failing.get)
         return VerificationReport("falsified", worst_key, residuals, psd_margin, tol)
     if psd_margin is not None and psd_margin < -tol:
         return VerificationReport("falsified", "psd", residuals, psd_margin, tol)
@@ -132,13 +127,22 @@ def _assemble_report(residuals: dict[str, float], psd_margin: Optional[float],
 def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check the two certificate equations, weight positivity and normalization.
 
-    Exact scalars are compared exactly (residual 0 or a hard failure recorded
-    with its float magnitude); float certificates compare within tol.
+    Exact certificates are compared exactly: any residual that is not exactly
+    zero falsifies, and its float magnitude is recorded.  Float certificates
+    compare within tol.
     """
     n = data.n
+    exact = data.is_exact()
     residuals: dict[str, float] = {}
+    nonzero: set[str] = set()
+
+    def record(key, diff):
+        residuals[key] = max(residuals.get(key, 0.0), abs(float(diff)))
+        if exact and diff:
+            nonzero.add(key)
+
     structural = None
-    if column_rank(data.y) != n:
+    if rank(data.y) != n:
         structural = "rank"
     cols = list(data.y)
     for i in range(len(cols)):
@@ -148,14 +152,10 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
                 structural = structural or "proportional_columns"
 
     # unit-norm equation for every column
-    aqa = 0.0
     for c in data.y:
-        val = data.q.quad_form(c)
-        aqa = max(aqa, _abs_float(val - 1))
-    residuals["unit_norm"] = aqa
+        record("unit_norm", data.q.quad_form(c) - 1)
 
     # convex-combination equation: sum w_j Y_j Y_j^t = Q^{-1}/n
-    flat = 0.0
     try:
         qinv = inverse(data.q)
     except ValueError:
@@ -168,22 +168,20 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
     for i in range(n):
         for j in range(n):
-            flat = max(flat, _abs_float(acc.entries[i][j] - target.entries[i][j]))
-    residuals["flat"] = flat
+            record("flat", acc.entries[i][j] - target.entries[i][j])
 
     wsum = None
     for w in data.weights:
         wsum = w if wsum is None else wsum + w
-    residuals["weight_sum"] = _abs_float(wsum - 1)
+    record("weight_sum", wsum - 1)
 
     borderline = None
     wmin_f = None
     for w in data.weights:
-        wf = scalar_to_float(w)
+        wf = float(w)
         wmin_f = wf if wmin_f is None else min(wmin_f, wf)
         if exact_scalar(w):
-            sign = w.sign() if isinstance(w, AlgebraicScalar) else (0 if w == 0 else (1 if w > 0 else -1))
-            if sign <= 0:
+            if not w > 0:
                 structural = structural or "weight_positivity"
         elif wf <= tol:
             if wf < -tol:
@@ -197,7 +195,7 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
         structural = structural or "gram_not_pd"
     elif pd is None:
         borderline = borderline or "gram_pd"
-    return _assemble_report(residuals, None, tol, structural, borderline)
+    return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +407,6 @@ class EmbeddednessResult:
     witness: Optional[tuple[Fraction, ...]]
     certificate: Optional[str]
 
-    def __bool__(self):
-        return self.status == "embedded"
-
-
-def _minor_det(cols: Columns, picks: tuple[int, ...]) -> int:
-    n = len(cols[0])
-    sub = [[cols[p][i] for p in picks] for i in range(n)]
-    # integer determinant by fraction-free expansion (n <= 4 in practice)
-    def det(m):
-        k = len(m)
-        if k == 1:
-            return m[0][0]
-        total = 0
-        for j in range(k):
-            if m[0][j] == 0:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(minor)
-        return total
-    return det(sub)
-
 
 def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     """Decide injectivity of the immersion determined by the columns of Y.
@@ -446,11 +423,11 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     cols = as_columns(y)
     n = len(cols[0])
     nn = len(cols)
-    if column_rank(cols) != n:
+    if rank(cols) != n:
         raise ValueError("rank(Y) must equal n")
     basis_picks = None
     for picks in combinations(range(nn), n):
-        d = _minor_det(cols, picks)
+        d = determinant([cols[p] for p in picks])
         if d != 0 and basis_picks is None:
             basis_picks = picks
         if abs(d) == 1:
@@ -464,25 +441,10 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
 
     # exhaustive search: solve the angles on an invertible subset
     assert basis_picks is not None
-    b_cols = [cols[p] for p in basis_picks]
     # angle system: m_i = <Y_{basis_i}, u>, i.e. rows of the matrix are the basis columns
-    bt = [[Fraction(b_cols[i][j]) for j in range(n)] for i in range(n)]
+    bt = [cols[p] for p in basis_picks]
     rest = [j for j in range(nn) if j not in basis_picks]
     bounds = [sum(abs(x) for x in cols[p]) for p in basis_picks]
-
-    def solve_u(mvec):
-        # B^t u = mvec
-        aug = [row[:] + [Fraction(mvec[i])] for i, row in enumerate(bt)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col]
-            aug[col] = [x / inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * yy for x, yy in zip(aug[r], aug[col])]
-        return tuple(aug[i][n] for i in range(n))
 
     witnesses = []
     ranges = [range(-(b - 1), b) for b in bounds]
@@ -491,7 +453,7 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
         if idx == n:
             if all(v == 0 for v in mvec):
                 return
-            u = solve_u(mvec)
+            u = tuple(solve(bt, mvec))
             if any(abs(x) >= 1 for x in u):
                 return
             for j in rest:

@@ -14,23 +14,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .certificates import (GramOperator, MatrixData, eta_sets, verify_full,
-                           verify_matrix_data)
+from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
 from .exactlp import feasible_point
 from .lattices import rational_points_on_ellipsoid
-from .optimize import (AffineSliceW, Columns, InfeasibleRegion, as_columns,
-                       build_slice, column_rank, exact_hull_weights,
-                       pencil_maximize, rank4_lagrange)
-from .scalars import (AlgebraicField, AlgebraicScalar, Rat, factor_min_poly,
-                      isolate_real_roots, poly_content_primitive, refine_root)
-from .symmetric import SymMatrix, inverse, is_positive_definite
+from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
+                       exact_hull_weights, pencil_maximize, rank4_lagrange)
+from .scalars import (AlgebraicField, Rat, factor_min_poly, isolate_real_roots,
+                      poly_content_primitive, refine_root, sqrt_field)
+from .symmetric import SymMatrix, inverse, is_positive_definite, rank, solve
 
 
 class ConstructionError(RuntimeError):
@@ -99,17 +97,16 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
         seen.add(canon)
         kept.append(pt)
 
-    ms = [SymMatrix.rank_one_rational(pt) if hasattr(SymMatrix, "rank_one_rational")
-          else _rank_one_rational(pt) for pt in kept]
-    span_rank = _span_rank(ms)
+    ms = [SymMatrix.rank_one(pt) for pt in kept]
+    idx_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = [[m.entries[i][j] for m in ms] for (i, j) in idx_pairs]
+    span_rank = rank(rows)
     if span_rank < n * (n + 1) // 2:
         raise ConstructionError(
             f"sampled points span only {span_rank}/{n*(n+1)//2} of Sym_n; "
             "retry with more samples or a different seed")
 
-    idx_pairs = [(i, j) for i in range(n) for j in range(i, n)]
     target = inverse(qs).scale(Fraction(1, n))
-    rows = [[Fraction(m.entries[i][j]) for m in ms] for (i, j) in idx_pairs]
     rhs = [Fraction(target.entries[i][j]) for (i, j) in idx_pairs]
     lam = feasible_point(rows, rhs)
     if lam is None:
@@ -132,20 +129,6 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     if not report.verified:
         raise ConstructionError(f"pipeline output failed verification: {report.reason}")
     return data
-
-
-def _rank_one_rational(pt: Sequence[Fraction]) -> SymMatrix:
-    n = len(pt)
-    return SymMatrix([[pt[i] * pt[j] for j in range(n)] for i in range(n)])
-
-
-def _span_rank(ms: Sequence[SymMatrix]) -> int:
-    if not ms:
-        return 0
-    n = ms[0].n
-    rows = [[Fraction(m.entries[i][j]) for i in range(n) for j in range(i, n)] for m in ms]
-    from .optimize import _row_rank
-    return _row_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +159,7 @@ def construct_pencil_3torus(y, require: Optional[str] = None
     n = len(cols[0])
     if n != 3:
         raise ValueError("this construction is specific to 3-tori")
-    ms = [SymMatrix.rank_one(c) for c in cols]
-    k = _span_rank(ms)
+    k = rank([[c[i] * c[j] for i in range(3) for j in range(i, 3)] for c in cols])
     if require == "rank5" and k != 5:
         raise ValueError(f"rank{{Y_j Y_j^t}} = {k}, expected 5")
     if require == "rank4" and k != 4:
@@ -221,16 +203,14 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
     # choose an invertible column triple and normalize the fourth vector
     picks = None
     for cand in combinations(range(4), 3):
-        if column_rank(tuple(cols[j] for j in cand)) == 3:
+        if rank([cols[j] for j in cand]) == 3:
             picks = cand
             break
     if picks is None:
         raise ValueError("rank(Y) < 3")
     rest = next(j for j in range(4) if j not in picks)
-    p_cols = [cols[j] for j in picks]
-    p_mat = [[Fraction(p_cols[j][i]) for j in range(3)] for i in range(3)]
-    p_inv = _invert3(p_mat)
-    r = tuple(sum(p_inv[i][k] * cols[rest][k] for k in range(3)) for i in range(3))
+    p_mat = [[cols[j][i] for j in picks] for i in range(3)]  # columns Y_j, j in picks
+    r = tuple(solve(p_mat, cols[rest]))
     nz = [i for i in range(3) if r[i] != 0]
     if len(nz) < 2:
         raise ValueError("degenerate fourth vector; rank condition violated")
@@ -287,11 +267,8 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
     qt, report = candidates[0]
 
     # undo the coordinate permutation and the column-triple normalization
-    perm_mat = [[Fraction(1) if perm[j] == i else Fraction(0) for j in range(3)]
-                for i in range(3)]
-    p_total = _matmul3(p_mat, perm_mat)
-    p_total_inv = _invert3(p_total)
-    qstar = _congruence(qt, p_total_inv)
+    p_total = [[row[perm[j]] for j in range(3)] for row in p_mat]
+    qstar = _congruence(qt, inverse(p_total))
     weights = exact_hull_weights(cols, _scale_inverse(qstar, 3))
     if weights is None or not _strictly_positive(weights):
         raise ConstructionError(
@@ -305,11 +282,7 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
 
 
 def _strictly_positive(weights) -> bool:
-    for w in weights:
-        sign = w.sign() if isinstance(w, AlgebraicScalar) else (1 if w > 0 else (0 if w == 0 else -1))
-        if sign <= 0:
-            return False
-    return True
+    return all(w > 0 for w in weights)
 
 
 def _scale_inverse(q: SymMatrix, n: int) -> SymMatrix:
@@ -319,23 +292,6 @@ def _scale_inverse(q: SymMatrix, n: int) -> SymMatrix:
         third = f.from_rational(Fraction(1, n))
         return qinv.scale(third)
     return qinv.scale(Fraction(1, n))
-
-
-def _invert3(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        raise ValueError("singular matrix")
-    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
-           [f * g - d * i, a * i - c * g, c * d - a * f],
-           [d * h - e * g, b * g - a * h, a * e - b * d]]
-    return [[x / det for x in row] for row in adj]
-
-
-def _matmul3(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
 def _congruence(qt: SymMatrix, a: list[list[Fraction]]) -> SymMatrix:
@@ -455,26 +411,13 @@ def feasible_diagonal_centroid(p: int, q: int, r: int) -> tuple[Fraction, ...]:
     rows, rhs = _diagonal_constraints(p, q, r)
     m, nvar = 5, 12
     vertices = set()
+    # A vertex is a nonnegative solution supported on linearly independent
+    # columns.  A singular subsystem's solution (free variables 0) is also one
+    # of a nonsingular subsystem, since the five rows have rank 5 (a_1..a_4
+    # each occur in one row only), so the vertex set is the same.
     for picks in combinations(range(nvar), m):
-        sub = [[rows[i][j] for j in picks] for i in range(m)]
-        aug = [sub[i] + [rhs[i]] for i in range(m)]
-        ok = True
-        for col in range(m):
-            piv = next((rr for rr in range(col, m) if aug[rr][col] != 0), None)
-            if piv is None:
-                ok = False
-                break
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col]
-            aug[col] = [x / inv for x in aug[col]]
-            for rr in range(m):
-                if rr != col and aug[rr][col] != 0:
-                    f = aug[rr][col]
-                    aug[rr] = [x - f * yv for x, yv in zip(aug[rr], aug[col])]
-        if not ok:
-            continue
-        sol = [aug[i][m] for i in range(m)]
-        if any(x < 0 for x in sol):
+        sol = solve([[row[j] for j in picks] for row in rows], rhs)
+        if sol is None or any(x < 0 for x in sol):
             continue
         full = [Fraction(0)] * nvar
         for j, v in zip(picks, sol):
@@ -640,10 +583,6 @@ def bryant_equation_residuals(params: Bryant2TorusParams) -> tuple[float, float,
 # ---------------------------------------------------------------------------
 # catalog
 
-def _quadratic_field(d: int, lo: int, hi: int) -> AlgebraicField:
-    return AlgebraicField((-d, 0, 1), (Fraction(lo), Fraction(hi)))
-
-
 def _catalog_clifford3() -> MatrixData:
     third = Fraction(1, 3)
     return MatrixData(q=SymMatrix.identity(3),
@@ -655,7 +594,7 @@ def _catalog_clifford3() -> MatrixData:
 
 
 def _catalog_quadratic_s9() -> MatrixData:
-    f = _quadratic_field(10801, 103, 104)
+    f = sqrt_field(10801)
     w = f.generator()
     t0 = (Fraction(39337) - 137 * w) / 443880
     q0 = SymMatrix([[1, Fraction(-343, 1233), Fraction(397, 1233)],
@@ -682,7 +621,7 @@ def _catalog_quadratic_s9() -> MatrixData:
 
 
 def _catalog_quadratic_s7() -> MatrixData:
-    f = _quadratic_field(553, 23, 24)
+    f = sqrt_field(553)
     w = f.generator()
     q12 = (115 - w) / 144
     q13 = (16 - w) / 54

@@ -40,6 +40,8 @@ FOUR_PI_SQ = 4 * math.pi * math.pi
 
 DEFAULT_BOX_BOUND = 10**6
 
+FLOAT_TOL = 1e-9  # float Grams: a norm shell's default slack is FLOAT_TOL * max(1, target)
+
 _CLUSTER = 10**9  # float Grams: values within relative 1/_CLUSTER share a spectrum line
 
 
@@ -78,25 +80,12 @@ class DualLattice:
 
 
 def dual(lat: Lattice) -> DualLattice:
+    # Q = L L^t, so the dual generator (L^{-1})^t = (L^t)^{-1} equals Q^{-1} L
     n = lat.n
-    gen = [[lat.generator[i][j] for j in range(n)] for i in range(n)]
-    # invert the generator exactly
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(gen)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular generator")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    linv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    dual_gen = tuple(tuple(linv[j][i] for j in range(n)) for i in range(n))  # transpose
-    return DualLattice(dual_gen, inverse(lat.gram))
+    gram = inverse(lat.gram)
+    gen = tuple(tuple(sum(gram.entries[i][k] * lat.generator[k][j] for k in range(n))
+                      for j in range(n)) for i in range(n))
+    return DualLattice(gen, gram)
 
 
 @dataclass(frozen=True)
@@ -238,8 +227,18 @@ def _lines(counts: dict[int, int], den: int, cluster: bool) -> list[tuple[Fracti
     return [(Fraction(v, den), c) for v, c in lines]
 
 
+def _shell(q: SymMatrix, target: Fraction, den: int, float_tol: float) -> tuple[int, int]:
+    """Bounds on v^t M v (M = den * Q) for v^t Q v = target.
+
+    Exact for rational Q; for float Q the comparison allows an absolute
+    slack of float_tol * max(1, target).
+    """
+    slack = Fraction(float_tol) * max(1, target) if q.regime == "float" else 0
+    return math.ceil((target - slack) * den), math.floor((target + slack) * den)
+
+
 def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND,
-                   float_tol: float = 1e-9) -> NormClassList:
+                   float_tol: float = FLOAT_TOL) -> NormClassList:
     """All +/- classes of integer vectors with v^t Q v = target.
 
     Exact for rational Q.  For float Q the comparison allows an absolute
@@ -251,26 +250,34 @@ def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND
     if target <= 0:
         raise ValueError("target must be positive")
     m, den = _integer_gram(q)
-    slack = Fraction(float_tol) * max(1, target) if q.regime == "float" else 0
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        _fincke_pohst(m, math.ceil((target - slack) * den), math.floor((target + slack) * den),
-                      box_bound, found)
+        _fincke_pohst(m, *_shell(q, target, den, float_tol), box_bound, found)
     except EnumerationIncomplete:
         complete = False
     return NormClassList(target=target, classes=tuple(found), complete=complete)
 
 
 def shortest_vectors(q: SymMatrix, box_bound: int = DEFAULT_BOX_BOUND) -> tuple[Fraction, NormClassList]:
-    """(lambda_1, classes attaining it): the minimal nonzero value of v^t Q v."""
+    """(lambda_1, classes attaining it): the minimal nonzero value of v^t Q v.
+
+    One enumeration up to the smallest diagonal entry (lambda_1 is at most
+    the value at some e_i) plus the float slack of `enumerate_norm`; the
+    classes are those `enumerate_norm(q, lambda_1)` returns, in the same
+    lexicographic order.  Hitting the box bound raises EnumerationIncomplete.
+    """
     if is_positive_definite(q) is not True:
         raise ValueError("Gram matrix must be positive definite")
     m, den = _integer_gram(q)
-    upper = min(m[i][i] for i in range(q.n))  # value at e_i
-    best = Fraction(min(_fincke_pohst(m, 1, upper, box_bound, {})), den)
-    classes = enumerate_norm(q, best, box_bound)
-    return best, classes
+    upper = _shell(q, Fraction(min(m[i][i] for i in range(q.n)), den), den, FLOAT_TOL)[1]
+    found = _fincke_pohst(m, 1, upper, box_bound, [])
+    values = [sum(v[i] * sum(m[i][j] * v[j] for j in range(q.n)) for i in range(q.n))
+              for v in found]
+    best = Fraction(min(values), den)
+    lower, upper = _shell(q, best, den, FLOAT_TOL)
+    classes = tuple(v for v, val in zip(found, values) if lower <= val <= upper)
+    return best, NormClassList(target=best, classes=classes)
 
 
 class SpectrumLine(NamedTuple):

@@ -24,11 +24,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exactlp import feasible_point
-from .scalars import (AlgebraicField, AlgebraicScalar, Rat, is_rational_square,
-                      isolate_real_roots, poly_add, poly_mul, poly_neg,
-                      poly_trim, rational_sqrt, refine_root, squarefree_part)
+from .scalars import (AlgebraicScalar, Rat, is_rational_square, isolate_real_roots,
+                      poly_add, poly_mul, poly_neg, rational_sqrt, refine_root,
+                      sqrt_field, squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
-                        trace_inner)
+                        kernel_vector, rank, solve, trace_inner)
 
 Columns = tuple[tuple[int, ...], ...]
 
@@ -61,30 +61,6 @@ def columns_from_matrix(rows: Sequence[Sequence[int]]) -> Columns:
     n = len(rows)
     nn = len(rows[0])
     return tuple(tuple(int(rows[i][j]) for i in range(n)) for j in range(nn))
-
-
-def column_rank(cols: Columns) -> int:
-    mat = [[Fraction(c[i]) for c in cols] for i in range(len(cols[0]))]
-    return _row_rank(mat)
-
-
-def _row_rank(mat: list[list[Fraction]]) -> int:
-    m = [row[:] for row in mat]
-    rank = 0
-    rows, colsn = len(m), len(m[0]) if m else 0
-    for col in range(colsn):
-        piv = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def _vec(s: SymMatrix) -> list[Fraction]:
@@ -149,35 +125,16 @@ def build_slice(y) -> AffineSliceW:
     """Construct the affine slice W_Y for a spanning integer vector set."""
     cols = as_columns(y)
     n = len(cols[0])
-    if column_rank(cols) != n:
-        raise ValueError(f"rank(Y) = {column_rank(cols)} < n = {n}")
+    if rank(cols) != n:
+        raise ValueError(f"rank(Y) = {rank(cols)} < n = {n}")
     ms = [SymMatrix.rank_one(c) for c in cols]
     nn = len(ms)
     gram = [[Fraction(trace_inner(ms[i], ms[j])) for j in range(nn)] for i in range(nn)]
 
     # particular solution c of Gram c = 1; Q0 = sum c_k M_k is unique even if c is not
-    aug = [gram[i] + [Fraction(1)] for i in range(nn)]
-    rank = 0
-    pivots = []
-    for col in range(nn):
-        piv = next((r for r in range(rank, nn) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for r in range(nn):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y_ for x, y_ in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nn):
-        if aug[r][nn] != 0:
-            raise NoCommonEllipsoid("no hyper-ellipsoid passes through all the vectors")
-    c = [Fraction(0)] * nn
-    for r, col in enumerate(pivots):
-        c[col] = aug[r][nn]
+    c = solve(gram, [1] * nn)
+    if c is None:
+        raise NoCommonEllipsoid("no hyper-ellipsoid passes through all the vectors")
     q0 = SymMatrix([[Fraction(0)] * n for _ in range(n)])
     for ck, mk in zip(c, ms):
         if ck:
@@ -322,12 +279,7 @@ class HullPoint:
 
     @property
     def support(self) -> tuple[int, ...]:
-        out = []
-        for j, w in enumerate(self.weights):
-            zero = w.is_zero() if isinstance(w, AlgebraicScalar) else w == 0
-            if not zero:
-                out.append(j)
-        return tuple(out)
+        return tuple(j for j, w in enumerate(self.weights) if w)
 
 
 def kkt_gap(point: HullPoint) -> float:
@@ -347,7 +299,7 @@ def maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
     cols = as_columns(y)
     n = len(cols[0])
     nn = len(cols)
-    if column_rank(cols) != n:
+    if rank(cols) != n:
         raise InfeasibleRegion("the hull contains no positive definite point")
     ms = [np.outer(c, c).astype(float) for c in cols]
     lam = np.full(nn, 1.0 / nn)
@@ -501,27 +453,10 @@ def _exact_newton_step(cols: Columns, support: list[int],
     g = [bilinear(v, v) for v in vecs]
     h = [[-(bilinear(vecs[i], vecs[j]) ** 2) for j in range(k)] for i in range(k)]
     # bordered system: H d + nu 1 = -(g - n 1), 1^t d = 0
-    nvar = k + 1
-    aug = [[Fraction(0)] * (nvar + 1) for _ in range(nvar)]
-    for i in range(k):
-        for j in range(k):
-            aug[i][j] = h[i][j]
-        aug[i][k] = Fraction(1)
-        aug[i][nvar] = -(g[i] - n)
-    for j in range(k):
-        aug[k][j] = Fraction(1)
-    for col in range(nvar):
-        piv = next((r for r in range(col, nvar) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(nvar):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    delta = [aug[i][nvar] for i in range(k)]
+    bordered = [h[i] + [1] for i in range(k)] + [[1] * k + [0]]
+    if rank(bordered) <= k:  # singular: no unique step
+        return None
+    delta = solve(bordered, [-(gi - n) for gi in g] + [0])  # d, then nu
     return [w + d for w, d in zip(ws, delta)]
 
 
@@ -563,9 +498,9 @@ def pencil_maximize(slice_w: AffineSliceW) -> PencilResult:
             raise InfeasibleRegion("the pencil is everywhere singular")
         q0 = q0 + q1.scale(shift)
 
-    m = _matprod(inverse(q0), q1)
-    c1 = _trace(m)
-    c2 = (c1 * c1 - _trace(_matprod_ll(m, m))) / 2
+    m = inverse(q0).matmul(q1)
+    c1 = sum(m[i][i] for i in range(3))
+    c2 = (c1 * c1 - sum(m[i][j] * m[j][i] for i in range(3) for j in range(3))) / 2
     c3 = Fraction(determinant(q1)) / Fraction(determinant(q0))
     disc = (2 * c2) ** 2 - 12 * c3 * c1
 
@@ -580,7 +515,7 @@ def pencil_maximize(slice_w: AffineSliceW) -> PencilResult:
         else:
             degree = 2
             d = squarefree_part(disc.numerator * disc.denominator)
-            field = _sqrt_field_cached(d)
+            field = sqrt_field(d)
             rho = rational_sqrt(disc / d)  # sqrt(disc) = rho * w
             w = field.generator()
             roots = [(w * rho - 2 * c2) / (6 * c3), (w * (-rho) - 2 * c2) / (6 * c3)]
@@ -599,16 +534,6 @@ def pencil_maximize(slice_w: AffineSliceW) -> PencilResult:
     raise InfeasibleRegion("no critical point of the pencil is positive definite")
 
 
-_SQRT_FIELDS: dict[int, AlgebraicField] = {}
-
-
-def _sqrt_field_cached(d: int) -> AlgebraicField:
-    if d not in _SQRT_FIELDS:
-        r = math.isqrt(d)
-        _SQRT_FIELDS[d] = AlgebraicField((-d, 0, 1), (r, r + 1))
-    return _SQRT_FIELDS[d]
-
-
 def _shifted_point(q0: SymMatrix, q1: SymMatrix, t0) -> SymMatrix:
     if isinstance(t0, AlgebraicScalar):
         field = t0.field
@@ -616,19 +541,6 @@ def _shifted_point(q0: SymMatrix, q1: SymMatrix, t0) -> SymMatrix:
                  for j in range(q0.n)] for i in range(q0.n)]
         return SymMatrix(rows)
     return q0 + q1.scale(t0)
-
-
-def _matprod(a: SymMatrix, b: SymMatrix) -> list[list[Fraction]]:
-    return a.matmul(b)
-
-
-def _matprod_ll(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _trace(m: list[list[Fraction]]) -> Fraction:
-    return sum(m[i][i] for i in range(len(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +648,6 @@ def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
 # ---------------------------------------------------------------------------
 # Caratheodory reduction (exact)
 
-def _scalar_is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, AlgebraicScalar) else x == 0
-
-
 def caratheodory_reduce(point: HullPoint) -> HullPoint:
     """Rewrite the combination on at most n(n+1)/2 vectors, preserving P exactly.
 
@@ -755,13 +663,10 @@ def caratheodory_reduce(point: HullPoint) -> HullPoint:
     bound = n * (n + 1) // 2
     weights = [Fraction(w) if isinstance(w, (int, float, Fraction)) else w
                for w in point.weights]
-    active = [j for j, w in enumerate(weights) if not _scalar_is_zero(w)]
+    active = [j for j, w in enumerate(weights) if w]
     while len(active) > bound:
-        columns = []
-        for j in active:
-            m = SymMatrix.rank_one(point.y[j])
-            columns.append(_vec(m))
-        z = _kernel_vector(columns)
+        columns = [_vec(SymMatrix.rank_one(point.y[j])) for j in active]
+        z = kernel_vector(list(zip(*columns)))
         if z is None:
             raise ValueError("no linear dependence found; invalid hull point")
         if not any(v > 0 for v in z):
@@ -779,41 +684,11 @@ def caratheodory_reduce(point: HullPoint) -> HullPoint:
             weights[j] = weights[j] - theta * z[idx]
             if idx == pick:
                 weights[j] = weights[j] - weights[j]  # exact zero in any scalar type
-            if not _scalar_is_zero(weights[j]):
+            if weights[j]:
                 new_active.append(j)
         active = new_active
     out = [w if j in set(active) else (w - w) for j, w in enumerate(weights)]
     return HullPoint(y=point.y, weights=tuple(out), p=point.p)
-
-
-def _kernel_vector(columns: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """A nontrivial kernel vector of the matrix with the given columns, or None."""
-    k = len(columns)
-    rowsn = len(columns[0])
-    m = [[columns[j][i] for j in range(k)] for i in range(rowsn)]
-    piv_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(k):
-        piv = next((r for r in range(rank, rowsn) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(rowsn):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    free = next((c for c in range(k) if c not in piv_of_col), None)
-    if free is None:
-        return None
-    z = [Fraction(0)] * k
-    z[free] = Fraction(1)
-    for col, r in piv_of_col.items():
-        z[col] = -m[r][free]
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -837,17 +712,17 @@ def exact_hull_weights(cols: Columns, p: SymMatrix):
     if p.regime != "algebraic":
         raise TypeError("exact membership needs exact scalars")
     field = p.entries[0][0].field
-    vec_cols = [[Fraction(m.entries[i][j]) for (i, j) in idx_pairs] for m in ms]
+    vec_cols = [[m.entries[i][j] for (i, j) in idx_pairs] for m in ms]
     target = [p.entries[i][j] for (i, j) in idx_pairs]
-    rank = _row_rank([list(r) for r in zip(*vec_cols)])
+    full = rank(vec_cols)
     from itertools import combinations
     # Caratheodory for cones: any conic representation is supported on some
     # linearly independent subset, and every such subset extends to maximal rank
-    for subset in combinations(range(len(cols)), rank):
+    for subset in combinations(range(len(cols)), full):
         sub = [vec_cols[j] for j in subset]
-        if _row_rank([list(r) for r in zip(*sub)]) != rank:
+        if rank(sub) != full:
             continue
-        lam = _field_lstsq(sub, target, field)
+        lam = solve(list(zip(*sub)), target)
         if lam is None:
             continue
         if all(l.sign() >= 0 for l in lam):
@@ -856,33 +731,3 @@ def exact_hull_weights(cols: Columns, p: SymMatrix):
                 out[j] = l
             return out
     return None
-
-
-def _field_lstsq(vec_cols: list[list[Fraction]], target, field):
-    """Solve sum lam_j v_j = target exactly in the field, or None if inconsistent."""
-    k = len(vec_cols)
-    dim = len(target)
-    aug = [[field.from_rational(vec_cols[j][i]) for j in range(k)] + [target[i]]
-           for i in range(dim)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(rank, dim) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for r in range(dim):
-            if r != rank and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, dim):
-        if not aug[r][k].is_zero():
-            return None
-    lam = [field.from_rational(0)] * k
-    for r, col in enumerate(pivots):
-        lam[col] = aug[r][k]
-    return lam

@@ -614,6 +614,9 @@ class AlgebraicScalar:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -697,12 +700,6 @@ class AlgebraicScalar:
 
 
 Scalar = Union[int, Fraction, float, AlgebraicScalar]
-
-
-def scalar_to_float(x: Scalar) -> float:
-    if isinstance(x, AlgebraicScalar):
-        return float(x)
-    return float(x)
 
 
 def exact_scalar(x: Scalar) -> bool:

@@ -1,21 +1,36 @@
-"""Symmetric matrices over the three scalar regimes, with the trace inner product.
+"""Symmetric matrices over the three scalar regimes, with the trace inner product,
+and the package's one exact elimination kernel.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
-(elements of one shared field) or ``float``.  Exact regimes get exact linear
-algebra (Gaussian elimination with division in the scalar field); the float
-regime is backed by numpy.
+(elements of one shared field) or ``float``.  The float regime is backed by
+numpy.
+
+All exact linear algebra, over Q or over one field Q(w), runs through one
+Gauss-Jordan routine, `_gauss_jordan`, on row lists (int entries are lifted to
+Fractions first).  `rank`, `solve` (free variables 0), `kernel_vector` (1 at
+the first free column), `inverse` and `determinant` are thin functions over
+it, and take SymMatrix rows or plain row lists.  A matrix has exactly one
+reduced row echelon form, and the determinant is the signed product of the
+pivots, so every result is the same as that of any other exact elimination.
+Zero tests are exact (Fraction or coefficient comparisons); no sign is taken,
+so elimination never narrows a field's isolating interval.
+
+`is_positive_definite` makes one pass without row exchanges: S is positive
+definite iff every leading pivot d_k = D_k / D_{k-1} (D_k the k-th leading
+principal minor) is > 0, which by Sylvester's criterion is the same test as
+D_k > 0 for all k.  Algebraic pivots get certified signs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .scalars import AlgebraicScalar, Scalar, exact_scalar
+from .scalars import AlgebraicScalar, Rat, Scalar
 
 FLOAT_PD_TOL = 1e-12
 
@@ -100,10 +115,10 @@ class SymMatrix:
         return cls([[float(sym[i, j]) for j in range(arr.shape[0])] for i in range(arr.shape[0])])
 
     @classmethod
-    def rank_one(cls, v: Sequence[int]) -> "SymMatrix":
-        """v v^t for an integer vector v (rational regime)."""
-        n = len(v)
-        return cls([[Fraction(int(v[i]) * int(v[j])) for j in range(n)] for i in range(n)])
+    def rank_one(cls, v: Sequence[Rat]) -> "SymMatrix":
+        """v v^t for an integer or rational vector v (rational regime)."""
+        v = [x if isinstance(x, Fraction) else int(x) for x in v]
+        return cls([[Fraction(a * b) for b in v] for a in v])
 
     # -- basics ---------------------------------------------------------------
     @property
@@ -193,82 +208,133 @@ def trace_inner(s1: SymMatrix, s2: SymMatrix) -> Scalar:
     return acc
 
 
-def _exact_solve(rows: list[list], rhs: list[list]):
-    """Gaussian elimination over an exact field; returns the solution columns.
+# ---------------------------------------------------------------------------
+# exact elimination: one Gauss-Jordan kernel over Q or one field Q(w)
 
-    Raises ZeroDivisionError-like ValueError on singular systems.
+def _lift(rows) -> tuple[list[list], Scalar]:
+    """Fresh row lists over one exact field, and that field's zero.
+
+    Entries become Fractions (1/int would be a float), or elements of the
+    field of the algebraic entries when there are any.
     """
-    n = len(rows)
-    m = len(rhs[0])
-    A = [list(rows[i]) + list(rhs[i]) for i in range(n)]
-
-    def is_zero(x):
-        return x.is_zero() if isinstance(x, AlgebraicScalar) else x == 0
-
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not is_zero(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col]
-        A[col] = [x / inv for x in A[col]]
-        for r in range(n):
-            if r != col and not is_zero(A[r][col]):
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [[A[i][n + j] for j in range(m)] for i in range(n)]
+    field = next((x.field for row in rows for x in row if isinstance(x, AlgebraicScalar)), None)
+    if field is None:
+        return ([[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows],
+                Fraction(0))
+    return ([[x if isinstance(x, AlgebraicScalar) else field.from_rational(x) for x in row]
+             for row in rows], field.from_rational(0))
 
 
-def inverse(s: SymMatrix) -> SymMatrix:
-    """Exact inverse for rational/algebraic entries, numpy inverse for floats."""
-    if s.regime == "float":
-        arr = np.linalg.inv(s.to_numpy())
-        return SymMatrix.from_numpy(0.5 * (arr + arr.T))
-    n = s.n
-    one = Fraction(1)
-    zero = Fraction(0)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    try:
-        cols = _exact_solve([list(r) for r in s.entries], eye)
-    except ValueError:
-        raise ValueError("matrix is singular") from None
-    return SymMatrix(cols)
+def _gauss_jordan(a: list[list], ncols: int, exchange: bool = True) -> tuple[list, int]:
+    """Reduce the rows `a` in place to reduced row echelon form in columns < ncols.
 
-
-def determinant(s: SymMatrix) -> Scalar:
-    """Determinant; exact in exact regimes."""
-    if s.regime == "float":
-        return float(np.linalg.det(s.to_numpy()))
-    n = s.n
-    A = [list(r) for r in s.entries]
-
-    def is_zero(x):
-        return x.is_zero() if isinstance(x, AlgebraicScalar) else x == 0
-
-    det = Fraction(1)
+    Returns the pivots as (column, value before scaling) pairs and the sign of
+    the row permutation.  Each pivot row is scaled by one inverse of its
+    pivot and then cleared from every other row.  A column's pivot is its
+    first nonzero entry at or below the current row.  Without `exchange`,
+    column k pivots on row k and a zero there ends the pass; it is returned
+    as the last pivot value (the values are then the ratios of consecutive
+    leading principal minors).
+    """
+    pivots: list = []
     sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not is_zero(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0) if s.regime == "rational" else A[0][0] * 0
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            sign = -sign
-        det = det * A[col][col]
-        inv = A[col][col]
-        for r in range(col + 1, n):
-            if not is_zero(A[r][col]):
-                f = A[r][col] / inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return det if sign == 1 else -det
+    m = len(a)
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
+        if exchange:
+            r = next((r for r in range(top, m) if a[r][col]), None)
+            if r is None:
+                continue
+            if r != top:
+                a[top], a[r] = a[r], a[top]
+                sign = -sign
+        p = a[top][col]
+        pivots.append((col, p))
+        if not p:
+            break
+        inv = 1 / p
+        row = a[top] = [x * inv if x else x for x in a[top]]
+        for r in range(m):
+            f = a[r][col]
+            if f and r != top:
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], row)]
+    return pivots, sign
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of an exact matrix given by its rows."""
+    a, _ = _lift(rows)
+    return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
+    """A solution x of rows . x = rhs with every free variable 0, or None.
+
+    None means the system is inconsistent.  The entries of x are field
+    elements whenever any input is algebraic, Fractions otherwise.
+    """
+    a, zero = _lift([list(row) + [b] for row, b in zip(rows, rhs)])
+    ncols = len(a[0]) - 1
+    pivots, _ = _gauss_jordan(a, ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
+        return None
+    x = [zero] * ncols
+    for row, (col, _) in zip(a, pivots):
+        x[col] = row[ncols]
+    return x
+
+
+def kernel_vector(rows: Sequence[Sequence]) -> Optional[list]:
+    """The kernel vector that is 1 at the first free column and 0 at every
+    other free column, or None when the columns are linearly independent."""
+    a, zero = _lift(rows)
+    ncols = len(a[0])
+    cols = [col for col, _ in _gauss_jordan(a, ncols)[0]]
+    free = next((c for c in range(ncols) if c not in cols), None)
+    if free is None:
+        return None
+    z = [zero] * ncols
+    z[free] = zero + 1
+    for row, col in zip(a, cols):
+        z[col] = -row[free]
+    return z
+
+
+def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
+    """Inverse of a SymMatrix, or of a square row list (returned as row lists).
+
+    Exact for rational/algebraic entries; a float SymMatrix uses numpy.
+    """
+    if isinstance(m, SymMatrix) and m.regime == "float":
+        arr = np.linalg.inv(m.to_numpy())
+        return SymMatrix.from_numpy(0.5 * (arr + arr.T))
+    a, zero = _lift(m.entries if isinstance(m, SymMatrix) else m)
+    n = len(a)
+    one = zero + 1
+    for i, row in enumerate(a):
+        row.extend(one if j == i else zero for j in range(n))
+    if len(_gauss_jordan(a, n)[0]) < n:
+        raise ValueError("matrix is singular")
+    inv = [row[n:] for row in a]
+    return SymMatrix(inv) if isinstance(m, SymMatrix) else inv
+
+
+def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
+    """Determinant of a SymMatrix or of a square row list; exact for exact entries."""
+    if isinstance(m, SymMatrix):
+        if m.regime == "float":
+            return float(np.linalg.det(m.to_numpy()))
+        m = m.entries
+    a, zero = _lift(m)
+    pivots, sign = _gauss_jordan(a, len(a))
+    if len(pivots) < len(a):
+        return zero
+    det = zero + sign
+    for _, p in pivots:
+        det = det * p
+    return det
 
 
 def _ln_fraction(x: Fraction) -> float:
@@ -312,23 +378,16 @@ def psd_sqrt(s: SymMatrix, tol: float = 1e-10) -> np.ndarray:
 def is_positive_definite(s: SymMatrix):
     """Positive definiteness test.
 
-    Exact regimes: all leading principal minors > 0, decided exactly
-    (certified interval signs in the algebraic case).  Float regime: pivoted
-    Cholesky; pivots within FLOAT_PD_TOL relative to the largest diagonal
-    entry are borderline and yield None (indeterminate).
+    Exact regimes: one elimination pass without row exchanges; S is positive
+    definite iff every leading pivot (a ratio of consecutive leading
+    principal minors) is > 0, with certified signs in the algebraic case.
+    Float regime: pivoted Cholesky; pivots within FLOAT_PD_TOL relative to
+    the largest diagonal entry are borderline and yield None (indeterminate).
     """
     if s.regime == "float":
         return _float_pd(s.to_numpy())
-    n = s.n
-    for k in range(1, n + 1):
-        minor = SymMatrix([[s.entries[i][j] for j in range(k)] for i in range(k)])
-        d = determinant(minor)
-        if isinstance(d, AlgebraicScalar):
-            if d.sign() <= 0:
-                return False
-        elif d <= 0:
-            return False
-    return True
+    a, _ = _lift(s.entries)
+    return all(p > 0 for _, p in _gauss_jordan(a, s.n, exchange=False)[0])
 
 
 def _float_pd(arr: np.ndarray):

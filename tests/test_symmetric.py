@@ -161,3 +161,145 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             psd_sqrt(SymMatrix.diag([1.0, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the exact elimination kernel, against sympy
+
+import sympy  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from minitori.symmetric import kernel_vector, rank, solve  # noqa: E402
+
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _rows(r: int, c: int):
+    return st.lists(st.lists(RATIONALS, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def matrices(draw, square: bool = False):
+    """Rational row lists, often rank deficient (a product through k <= min(r, c))."""
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(_rows(r, c))
+    k = draw(st.integers(1, min(r, c)))
+    return _product(draw(_rows(r, k)), draw(_rows(k, c)))
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def _frac(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestEliminationKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_rank(self, rows):
+        assert rank(rows) == _sym(rows).rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve(self, rows, data):
+        rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+        a = _sym(rows)
+        b = _sym([[x] for x in rhs])
+        x = solve(rows, rhs)
+        if a.rank() < a.row_join(b).rank():
+            assert x is None
+            return
+        assert all(type(v) is Fraction for v in x)
+        assert _product(rows, [[v] for v in x]) == [[v] for v in rhs]
+        _, pivots = a.rref()
+        assert all(x[j] == 0 for j in range(len(x)) if j not in pivots)  # free variables 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_kernel_vector(self, rows):
+        null = _sym(rows).nullspace()
+        z = kernel_vector(rows)
+        if not null:
+            assert z is None
+            return
+        # sympy's first basis vector is 1 at the first free column, 0 at the others
+        assert z == [_frac(v) for v in null[0]]
+        assert _product(rows, [[v] for v in z]) == [[0]] * len(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_determinant(self, rows):
+        assert determinant(rows) == _frac(_sym(rows).det())
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_inverse(self, rows):
+        a = _sym(rows)
+        if a.det() == 0:
+            with pytest.raises(ValueError):
+                inverse(rows)
+            return
+        assert inverse(rows) == [[_frac(v) for v in row] for row in a.inv().tolist()]
+
+    def test_integer_entries_are_lifted(self):
+        assert determinant([[1, 2], [3, 4]]) == -2
+        assert solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+        assert inverse([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+
+
+def _sqrt2_matrix(rng: random.Random, n: int):
+    f = sqrt_field(2)
+    w = f.generator()
+    return [[rng.randint(-3, 3) + rng.randint(-3, 3) * w for _ in range(n)] for _ in range(n)]
+
+
+class TestEliminationOverSqrt2:
+    def test_inverse_round_trip(self, rng):
+        done = 0
+        while done < 10:
+            a = _sqrt2_matrix(rng, rng.randint(1, 4))
+            if not determinant(a):
+                continue
+            n = len(a)
+            for p in (_product(a, inverse(a)), _product(inverse(a), a)):
+                assert all(not (p[i][j] - (1 if i == j else 0))
+                           for i in range(n) for j in range(n))
+            done += 1
+
+    def test_determinant_is_multiplicative(self, rng):
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            a, b = _sqrt2_matrix(rng, n), _sqrt2_matrix(rng, n)
+            assert determinant(_product(a, b)) == determinant(a) * determinant(b)
+
+    def test_solve_returns_field_elements(self):
+        w = sqrt_field(2).generator()
+        x = solve([[1, 0], [0, 1]], [w, 3 + 0 * w])
+        assert x == [w, 3] and all(isinstance(v, type(w)) for v in x)
+
+
+class TestPositiveDefiniteLeadingMinors:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_sympy_leading_minors(self, n, data):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = data.draw(RATIONALS)
+        for i in range(n):
+            rows[i][i] += data.draw(st.integers(0, 3))
+        a = _sym(rows)
+        want = all(a[:k, :k].det() > 0 for k in range(1, n + 1))
+        assert is_positive_definite(SymMatrix(rows)) is want
