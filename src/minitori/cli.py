@@ -12,20 +12,17 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import io as cio
-from .certificates import (GramOperator, MatrixData, embeddedness, is_homogeneous,
-                           reduce_target_dimension, verify_full, verify_matrix_data)
-from .constructions import (Bryant2TorusParams, CATALOG_IDS, ConstructionError,
-                            PythagoreanParams, RationalPipelineConfig, catalog,
-                            catalog_descriptions, bryant_2torus,
-                            construct_pencil_3torus, construct_rational,
+from .certificates import (MatrixData, embeddedness, is_homogeneous, reduce_target_dimension,
+                           verify_full, verify_matrix_data)
+from .constructions import (Bryant2TorusParams, ConstructionError, PythagoreanParams,
+                            RationalPipelineConfig, catalog, catalog_descriptions,
+                            bryant_2torus, construct_pencil_3torus, construct_rational,
                             pythagorean_family)
 from .lattices import eigenfunction_index, enumerate_norm, shortest_vectors, spectrum
 from .optimize import InfeasibleRegion, columns_from_matrix
 from .scalars import parse_rational
-from .symmetric import SymMatrix, determinant, inverse, is_positive_definite
+from .symmetric import SymMatrix, determinant, is_positive_definite
 
 EXIT_VERIFIED = 0
 EXIT_FALSIFIED = 1

@@ -26,8 +26,8 @@ from .exactlp import feasible_point
 from .lattices import rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
                        exact_hull_weights, pencil_maximize, rank4_lagrange)
-from .scalars import (AlgebraicField, Rat, factor_min_poly, isolate_real_roots,
-                      poly_content_primitive, refine_root, sqrt_field)
+from .scalars import (AlgebraicField, Rat, factor_min_poly, irreducible_factors,
+                      isolate_real_roots, refine_root, sqrt_field)
 from .symmetric import SymMatrix, inverse, is_positive_definite, rank, solve
 
 
@@ -228,12 +228,10 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
         if is_positive_definite(qt) is True:
             candidates.append((qt, IrrationalityReport(1, None, None, None)))
     else:
-        for lo, hi in isolate_real_roots(crit.quartic):
-            _, prim = poly_content_primitive(crit.quartic)
-            try:
-                factor = factor_min_poly(prim, lo, hi)
-            except ValueError:
-                continue
+        intervals = isolate_real_roots(crit.quartic)
+        factors = irreducible_factors(crit.quartic) if intervals else []  # once per quartic
+        for lo, hi in intervals:
+            factor = factor_min_poly(crit.quartic, lo, hi, factors)
             lo2, hi2 = refine_root(factor, lo, hi, Fraction(1, 10**6))
             if lo2 == hi2:
                 # rational root
@@ -372,63 +370,105 @@ def pythagorean_columns(p: int, q: int, r: int) -> Columns:
             (1, p, -q), (1, -p, q), (1, q, p), (1, -q, -p))
 
 
-def _diagonal_constraints(p: int, q: int, r: int) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The five linear equations the diagonal coefficients must satisfy."""
-    r2 = Fraction(2 * r * r)
+def _diagonal_constraints(p: int, q: int, r: int) -> list[list[int]]:
+    """The five linear equations on the diagonal coefficients, as integer rows [A | b].
 
-    def row(entries: dict[int, Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * 12
-        for k, v in entries.items():
-            out[k - 1] += v
-        return out
-
-    pp, pm = Fraction(p * (p + r)), Fraction(p * (p - r))
-    qp, qm = Fraction(q * (q + r)), Fraction(q * (q - r))
-    rows = [
-        row({5: Fraction(1), 6: Fraction(1), 11: Fraction(1), 12: Fraction(1),
-             7: Fraction(-1), 8: Fraction(-1), 9: Fraction(-1), 10: Fraction(-1)}),
-        row({1: r2, 5: pp, 9: pp, 6: pm, 10: pm, 8: qp, 11: qp, 7: qm, 12: qm}),
-        row({3: r2, 5: qp, 10: qp, 6: qm, 9: qm, 7: pp, 11: pp, 8: pm, 12: pm}),
-        row({2: r2, 5: pm, 9: pm, 6: pp, 10: pp, 8: qm, 11: qm, 7: qp, 12: qp}),
-        row({4: r2, 5: qm, 10: qm, 6: qp, 9: qp, 7: pm, 11: pm, 8: pp, 12: pp}),
+    Row 0 is a_5 + a_6 + a_11 + a_12 = a_7 + a_8 + a_9 + a_10; rows 1-4 are
+    the displayed a_i + (...)/(2r^2) = 1/4 (i = 1, 3, 2, 4) times 4r^2.
+    """
+    r2 = 2 * r * r
+    pp, pm = p * (p + r), p * (p - r)
+    qp, qm = q * (q + r), q * (q - r)
+    terms = [
+        {5: 1, 6: 1, 11: 1, 12: 1, 7: -1, 8: -1, 9: -1, 10: -1},
+        {1: r2, 5: pp, 9: pp, 6: pm, 10: pm, 8: qp, 11: qp, 7: qm, 12: qm},
+        {3: r2, 5: qp, 10: qp, 6: qm, 9: qm, 7: pp, 11: pp, 8: pm, 12: pm},
+        {2: r2, 5: pm, 9: pm, 6: pp, 10: pp, 8: qm, 11: qm, 7: qp, 12: qp},
+        {4: r2, 5: qm, 10: qm, 6: qp, 9: qp, 7: pm, 11: pm, 8: pp, 12: pp},
     ]
-    rhs = [Fraction(0), r2 / 4, r2 / 4, r2 / 4, r2 / 4]
-    # normalize the scaled rows back to the displayed a_i + (...)/2r^2 form
-    for i in range(1, 5):
-        rows[i] = [x / r2 for x in rows[i]]
-        rhs[i] = rhs[i] / r2
-    return rows, rhs
+    rows = []
+    for i, entries in enumerate(terms):
+        scale = 2 if i else 1
+        row = [0] * 13
+        for k, v in entries.items():
+            row[k - 1] = scale * v
+        row[12] = r * r if i else 0
+        rows.append(row)
+    return rows
 
 
-_CENTROID_CACHE: dict[tuple[int, int, int], tuple[Fraction, ...]] = {}
+def _maximal_minors(rows: list[list[int]]) -> dict[int, int]:
+    """The nonzero m x m minors of an integer m x N matrix, keyed by column bit mask.
+
+    Built row by row: the minor of rows 0..k on a column set T is the Laplace
+    expansion along row k, the sum over j in T of (-1)^(k + t) row[j] times
+    the minor of rows 0..k-1 on T - {j}, t the position of j in T.
+    """
+    minors = {0: 1}
+    for k, row in enumerate(rows):
+        support = [(1 << j, x) for j, x in enumerate(row) if x]
+        grown: dict[int, int] = {}
+        for cols, sub in minors.items():
+            for bit, x in support:
+                if cols & bit:
+                    continue
+                term = x * sub
+                if (k + (cols & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                grown[cols | bit] = grown.get(cols | bit, 0) + term
+        minors = {cols: v for cols, v in grown.items() if v}
+    return minors
 
 
 def feasible_diagonal_centroid(p: int, q: int, r: int) -> tuple[Fraction, ...]:
-    """Barycenter of the vertices of {a >= 0 : the five constraints hold}."""
-    key = (p, q, r)
-    if key in _CENTROID_CACHE:
-        return _CENTROID_CACHE[key]
-    rows, rhs = _diagonal_constraints(p, q, r)
-    m, nvar = 5, 12
+    """Barycenter of the vertices of {a >= 0 : the five constraints hold}.
+
+    The constraints are the integer rows [A | b] of `_diagonal_constraints`,
+    with A of rank 5 (a_1..a_4 each occur in one row only).  A vertex is the
+    basic solution of a basis B, five linearly independent columns of A:
+    a_B = A_B^{-1} b, every other a_j = 0.  By Cramer's rule a_{B_i} = D_i / D
+    with D = det A_B and D_i the determinant of A_B with column i replaced by
+    b; moving b from position i to the end is 4 - i column swaps, so D_i is
+    (-1)^(4-i) times the maximal minor of [A | b] on B - {B_i} and b.  All of
+    them are read from one table of the maximal minors of [A | b]
+    (`_maximal_minors`), and the basis gives a vertex iff D != 0 and every
+    D_i D >= 0.  These are integer sign tests; each vertex is kept as its
+    reduced integer ratios and only the 12 centroid coordinates become
+    Fractions.  (A singular column subset adds no vertex: a nonnegative
+    solution on dependent columns with the free variables 0 lives on its
+    independent pivot columns, which extend to a basis.)
+    """
+    rows = _diagonal_constraints(p, q, r)
+    m, nvar = len(rows), len(rows[0]) - 1
+    minors = _maximal_minors(rows)
+    b_bit = 1 << nvar
     vertices = set()
-    # A vertex is a nonnegative solution supported on linearly independent
-    # columns.  A singular subsystem's solution (free variables 0) is also one
-    # of a nonsingular subsystem, since the five rows have rank 5 (a_1..a_4
-    # each occur in one row only), so the vertex set is the same.
-    for picks in combinations(range(nvar), m):
-        sol = solve([[row[j] for j in picks] for row in rows], rhs)
-        if sol is None or any(x < 0 for x in sol):
+    for basis in combinations(range(nvar), m):
+        bits = [1 << j for j in basis]
+        cols = sum(bits)
+        d = minors.get(cols, 0)
+        if not d:
             continue
-        full = [Fraction(0)] * nvar
-        for j, v in zip(picks, sol):
-            full[j] = v
-        vertices.add(tuple(full))
+        # D_i * sign(D), with the sign of moving b to position i folded in
+        nums = [minors.get(cols ^ bit | b_bit, 0) for bit in bits]
+        nums = [x if (m - 1 - i) % 2 == (d < 0) else -x for i, x in enumerate(nums)]
+        if any(x < 0 for x in nums):
+            continue
+        d = abs(d)
+        vertex = []
+        for j, x in zip(basis, nums):
+            if x:
+                g = math.gcd(x, d)
+                vertex.append((j, x // g, d // g))
+        vertices.add(tuple(vertex))
     if not vertices:
         raise ConstructionError("empty feasible polytope")
-    verts = sorted(vertices)
-    centroid = tuple(sum(v[j] for v in verts) / len(verts) for j in range(nvar))
-    _CENTROID_CACHE[key] = centroid
-    return centroid
+    den = math.lcm(*(dj for v in vertices for _, _, dj in v))
+    sums = [0] * nvar
+    for v in vertices:
+        for j, x, dj in v:
+            sums[j] += x * (den // dj)
+    return tuple(Fraction(t, den * len(vertices)) for t in sums)
 
 
 def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
@@ -453,10 +493,8 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
                      for x in params.diagonal)
         if len(diag) != 12:
             raise ValueError("diagonal needs 12 entries")
-        rows, rhs = _diagonal_constraints(p, q, r)
-        for row, want in zip(rows, rhs):
-            got = sum(c * a for c, a in zip(row, diag))
-            if got != want:
+        for row in _diagonal_constraints(p, q, r):
+            if sum(c * a for c, a in zip(row[:-1], diag)) != row[-1]:
                 raise ValueError("diagonal violates the linear constraints")
         if any(a < 0 for a in diag):
             raise ValueError("diagonal entries must be nonnegative")

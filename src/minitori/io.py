@@ -54,7 +54,10 @@ def _decode_scalar(obj, field_cache: dict):
             raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
         key = (minpoly, lo, hi)
         if key not in field_cache:
-            field_cache[key] = AlgebraicField(minpoly, (lo, hi))
+            try:
+                field_cache[key] = AlgebraicField(minpoly, (lo, hi))
+            except ValueError as exc:
+                raise CertificateFormatError(f"bad algebraic field: {exc}") from exc
         return AlgebraicScalar(field_cache[key], coeffs)
     raise CertificateFormatError(f"unsupported scalar encoding: {obj!r}")
 
@@ -147,13 +150,19 @@ def parse(text: str):
         raise CertificateFormatError(f"bad certificate body: {exc}") from exc
     if q.n != n or len(y) != big_n or any(len(c) != n for c in y):
         raise CertificateFormatError("inconsistent dimensions")
+    if not y:
+        raise CertificateFormatError("Y needs at least one column")
     metadata = doc.get("metadata", {})
     if kind == "homogeneous":
+        if "weights" not in doc:
+            raise CertificateFormatError("homogeneous certificate needs weights")
         try:
             weights = tuple(_decode_scalar(w, field_cache) for w in doc["weights"])
-        except KeyError as exc:
-            raise CertificateFormatError("homogeneous certificate needs weights") from exc
-        return MatrixData(q=q, y=y, weights=weights, metadata=dict(metadata))
+            data = MatrixData(q=q, y=y, weights=weights, metadata=dict(metadata))
+        except (TypeError, ValueError) as exc:
+            raise CertificateFormatError(f"bad weights: {exc}") from exc
+        _check_one_field(field_cache)
+        return data
     if kind == "general":
         try:
             m = np.zeros((2 * big_n, 2 * big_n))
@@ -165,8 +174,18 @@ def parse(text: str):
             gram = GramOperator(m)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc
+        _check_one_field(field_cache)
         return gram, q, y
     raise CertificateFormatError(f"unknown kind {kind!r}")
+
+
+def _check_one_field(field_cache: dict) -> None:
+    """All algebraic scalars of a certificate must lie in one field Q(w): the
+    same minimal polynomial and overlapping isolating intervals (so not, say,
+    a weight in a conjugate field)."""
+    fields = list(field_cache.values())
+    if any(f != fields[0] for f in fields[1:]):
+        raise CertificateFormatError("algebraic scalars from more than one field")
 
 
 def write_certificate(path, cert, metadata: dict | None = None) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -265,53 +265,63 @@ def _divisors(n: int) -> list[int]:
 
 
 def rational_roots(p: Sequence[int]) -> list[Fraction]:
-    """All rational roots of an integer polynomial."""
+    """All rational roots of an integer polynomial, in increasing order.
+
+    A root num/den in lowest terms of the primitive part (its roots at 0 split
+    off) has num | p_0 and den | p_d, by the rational root theorem.  Each such
+    candidate is tested in integers: den^d p(num/den) = sum_i p_i num^i den^(d-i),
+    evaluated by homogeneous Horner, vanishes exactly when p(num/den) does.
+    """
     _, prim = poly_content_primitive(p)
     if not prim:
         return []
-    roots = set()
+    roots = []
     if prim[0] == 0:
-        roots.add(Fraction(0))
-        while prim and prim[0] == 0:
+        roots.append(Fraction(0))
+        while prim[0] == 0:
             prim = prim[1:]
         if len(prim) <= 1:
-            return sorted(roots)
-    for num in _divisors(prim[0]):
-        for den in _divisors(prim[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if poly_eval(prim, cand) == 0:
-                    roots.add(cand)
+            return roots
+    for den in _divisors(prim[-1]):
+        for num in _divisors(prim[0]):
+            if math.gcd(num, den) != 1:
+                continue
+            for s in (num, -num):
+                acc, pw = prim[-1], 1
+                for c in prim[-2::-1]:
+                    pw *= den
+                    acc = acc * s + c * pw
+                if acc == 0:
+                    roots.append(Fraction(s, den))
     return sorted(roots)
 
 
 def _quartic_quadratic_factors(p: tuple[int, ...]):
-    """Integer quadratics (f, g) with f*g = p, or None (p primitive, degree 4)."""
+    """Integer quadratics (f, g) with f*g = p, or None (p primitive, degree 4).
+
+    With b2 c2 = a4 and b0 c0 = a0 fixed, the middle coefficients b1, c1 solve
+    a 2x2 integer system; a candidate is kept only when it is integral and
+    the product matches p in its three middle coefficients.
+    """
     a4, a3, a2, a1, a0 = p[4], p[3], p[2], p[1], p[0]
 
     def check(b2, b1, b0, c2, c1, c0):
-        f = (b0, b1, b2)
-        g = (c0, c1, c2)
-        prod = poly_mul(f, g)
-        if tuple(int(x) for x in prod) == tuple(p):
-            return f, g
+        if (b0 * c1 + b1 * c0, b0 * c2 + b1 * c1 + b2 * c0, b1 * c2 + b2 * c1) == (a1, a2, a3):
+            return (b0, b1, b2), (c0, c1, c2)
         return None
 
     for b2 in _divisors(a4):
-        if a4 % b2 != 0:
-            continue
         c2 = a4 // b2
         for b0 in _divisors(a0):
             for b0s in (b0, -b0):
-                if b0s == 0 or a0 % b0s != 0:
-                    continue
                 c0 = a0 // b0s
                 # unknowns b1, c1:  c2*b1 + b2*c1 = a3 ;  c0*b1 + b0s*c1 = a1
                 det = c2 * b0s - b2 * c0
                 if det != 0:
-                    b1f = Fraction(a3 * b0s - b2 * a1, det)
-                    c1f = Fraction(c2 * a1 - a3 * c0, det)
-                    if b1f.denominator == 1 and c1f.denominator == 1:
-                        got = check(b2, int(b1f), b0s, c2, int(c1f), c0)
+                    b1, rb = divmod(a3 * b0s - b2 * a1, det)
+                    c1, rc = divmod(c2 * a1 - a3 * c0, det)
+                    if rb == 0 and rc == 0:
+                        got = check(b2, b1, b0s, c2, c1, c0)
                         if got:
                             return got
                 else:
@@ -328,19 +338,22 @@ def _quartic_quadratic_factors(p: tuple[int, ...]):
                     for num in (-qb + s, -qb - s):
                         if num % (2 * qa) == 0:
                             b1 = num // (2 * qa)
-                            c1f = Fraction(a3 - c2 * b1, b2)
-                            if c1f.denominator == 1:
-                                got = check(b2, b1, b0s, c2, int(c1f), c0)
+                            c1, rc = divmod(a3 - c2 * b1, b2)
+                            if rc == 0:
+                                got = check(b2, b1, b0s, c2, c1, c0)
                                 if got:
                                     return got
     return None
 
 
-def irreducible_degree_le4(p: Sequence[int]) -> bool:
-    """Irreducibility of an integer polynomial of degree <= 4 over the rationals.
+def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The irreducible factors over Q of an integer polynomial of degree 1 to 4.
 
-    Degree 1 is irreducible; degree 2 and 3 reduce to the rational-root test;
-    degree 4 additionally requires ruling out a product of two rational
+    Factors are primitive integer polynomials with positive leading
+    coefficient, listed with multiplicity: the linear factors in increasing
+    order of their roots, then what is left once they are divided out.  That
+    rest has no rational root, so it is irreducible unless it is a quartic;
+    a quartic without rational roots is reducible only as a product of two
     quadratics, which by Gauss's lemma can be searched over integer
     factorizations of the leading and constant coefficients.
     """
@@ -350,53 +363,47 @@ def irreducible_degree_le4(p: Sequence[int]) -> bool:
         raise ValueError("constant or zero polynomial")
     if deg > 4:
         raise ValueError("degrees above 4 are not supported")
-    if deg == 1:
-        return True
-    if rational_roots(prim):
-        return False
-    if deg <= 3:
-        return True
-    return _quartic_quadratic_factors(prim) is None
-
-
-def factor_min_poly(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
-    """Minimal polynomial of the unique root of p in (lo, hi), degree <= 4.
-
-    Returns the primitive integer irreducible factor of p vanishing on the
-    interval's root.  p itself need not be irreducible.
-    """
-    _, prim = poly_content_primitive(p)
-    deg = len(prim) - 1
-    if deg > 4:
-        raise ValueError("degrees above 4 are not supported")
-    if count_real_roots(prim, lo, hi) != 1:
-        raise ValueError("interval does not isolate exactly one root")
-    if irreducible_degree_le4(prim):
-        return prim
-    work = prim
+    roots = rational_roots(prim)
+    if not roots:
+        split = _quartic_quadratic_factors(prim) if deg == 4 else None
+        return list(split) if split else [prim]
     factors: list[tuple[int, ...]] = []
-    for r in rational_roots(work):
+    work = prim
+    for r in roots:
         lin = (-r.numerator, r.denominator)
-        while True:
+        while len(work) > 1:
             q, rem = poly_divmod(work, lin)
             if rem:
                 break
             factors.append(lin)
             _, work = poly_content_primitive(q)
-            if len(work) - 1 < 1:
-                break
-    if len(work) - 1 >= 1:
-        if len(work) - 1 == 4 and not irreducible_degree_le4(work):
-            split = _quartic_quadratic_factors(work)
-            assert split is not None
-            factors.extend(split)
-        else:
-            factors.append(work)
-    for f in factors:
-        if count_real_roots(f, lo, hi) == 1:
-            _, fprim = poly_content_primitive(f)
-            return fprim
-    raise ValueError("no factor vanishes on the interval")
+    if len(work) > 1:
+        factors.append(work)
+    return factors
+
+
+def irreducible_degree_le4(p: Sequence[int]) -> bool:
+    """Irreducibility of an integer polynomial of degree <= 4 over the rationals."""
+    return len(irreducible_factors(p)) == 1
+
+
+def factor_min_poly(p: Sequence[int], lo: Fraction, hi: Fraction,
+                    factors: Optional[Sequence[tuple[int, ...]]] = None) -> tuple[int, ...]:
+    """Minimal polynomial of the unique root of p in (lo, hi), degree <= 4.
+
+    Returns the primitive integer irreducible factor of p vanishing on the
+    interval's root.  p itself need not be irreducible.  A caller taking the
+    minimal polynomials of several roots of one p passes its
+    `irreducible_factors` once as `factors`, so p is factored only once.
+    """
+    _, prim = poly_content_primitive(p)
+    if len(prim) - 1 > 4:
+        raise ValueError("degrees above 4 are not supported")
+    if count_real_roots(prim, lo, hi) != 1:
+        raise ValueError("interval does not isolate exactly one root")
+    if factors is None:
+        factors = irreducible_factors(prim)
+    return next(f for f in factors if count_real_roots(f, lo, hi) == 1)
 
 
 # ---------------------------------------------------------------------------

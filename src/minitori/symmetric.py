@@ -13,6 +13,9 @@ the first free column), `inverse` and `determinant` are thin functions over
 it, and take SymMatrix rows or plain row lists.  A matrix has exactly one
 reduced row echelon form, and the determinant is the signed product of the
 pivots, so every result is the same as that of any other exact elimination.
+The one exception to the routine is the determinant of an all-int matrix
+(the integer minors of the embeddedness test), which Bareiss's fraction-free
+elimination computes in integers.
 Zero tests are exact (Fraction or coefficient comparisons); no sign is taken,
 so elimination never narrows a field's isolating interval.
 
@@ -321,12 +324,43 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     return SymMatrix(inv) if isinstance(m, SymMatrix) else inv
 
 
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, reducing the rows `a` in place.
+
+    Bareiss's fraction-free elimination (Math. Comp. 1968): after step k each
+    entry right of and below the pivot is a (k+2) x (k+2) minor of the
+    row-exchanged matrix, so every division by the previous pivot is exact.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        piv = pivot_row[k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (piv * ai[j] - aik * pivot_row[j]) // prev
+        prev = piv
+    return sign * prev
+
+
 def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
-    """Determinant of a SymMatrix or of a square row list; exact for exact entries."""
+    """Determinant of a SymMatrix or of a square row list; exact for exact entries.
+
+    All-int entries give an int, by fraction-free elimination.
+    """
     if isinstance(m, SymMatrix):
         if m.regime == "float":
             return float(np.linalg.det(m.to_numpy()))
         m = m.entries
+    if all(type(x) is int for row in m for x in row):
+        return _bareiss_determinant([list(row) for row in m])
     a, zero = _lift(m)
     pivots, sign = _gauss_jordan(a, len(a))
     if len(pivots) < len(a):

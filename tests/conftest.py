@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from minitori.symmetric import SymMatrix, inverse, is_positive_definite
+from minitori.symmetric import SymMatrix, inverse, is_positive_definite, solve
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -82,6 +82,45 @@ def random_rational_pd(rng: random.Random, n: int, num_max: int = 5, den_max: in
         worst = max(Fraction(qinv.entries[i][i]) for i in range(n))
         if worst <= box_cap:
             return q
+
+
+def pythagorean_constraints_displayed(p: int, q: int, r: int):
+    """The five diagonal constraints of the Pythagorean family in the displayed
+    Fraction form: one balance row, then a_i + (...)/(2r^2) = 1/4."""
+    r2 = Fraction(2 * r * r)
+    pp, pm = Fraction(p * (p + r)), Fraction(p * (p - r))
+    qp, qm = Fraction(q * (q + r)), Fraction(q * (q - r))
+    terms = [
+        {5: 1, 6: 1, 11: 1, 12: 1, 7: -1, 8: -1, 9: -1, 10: -1},
+        {1: r2, 5: pp, 9: pp, 6: pm, 10: pm, 8: qp, 11: qp, 7: qm, 12: qm},
+        {3: r2, 5: qp, 10: qp, 6: qm, 9: qm, 7: pp, 11: pp, 8: pm, 12: pm},
+        {2: r2, 5: pm, 9: pm, 6: pp, 10: pp, 8: qm, 11: qm, 7: qp, 12: qp},
+        {4: r2, 5: qm, 10: qm, 6: qp, 9: qp, 7: pm, 11: pm, 8: pp, 12: pp},
+    ]
+    rows = []
+    for i, entries in enumerate(terms):
+        row = [Fraction(0)] * 12
+        for k, v in entries.items():
+            row[k - 1] = Fraction(v) / (r2 if i else 1)
+        rows.append(row)
+    return rows, [Fraction(0)] + [Fraction(1, 4)] * 4
+
+
+def centroid_by_subsystems(p: int, q: int, r: int) -> tuple:
+    """Oracle: barycenter of the vertices of {a >= 0 : constraints}, found by
+    solving all C(12, 5) = 792 square subsystems in Fractions (singular ones
+    with free variables 0) and keeping the nonnegative solutions."""
+    rows, rhs = pythagorean_constraints_displayed(p, q, r)
+    vertices = set()
+    for picks in itertools.combinations(range(12), 5):
+        sol = solve([[row[j] for j in picks] for row in rows], rhs)
+        if sol is None or any(x < 0 for x in sol):
+            continue
+        full = [Fraction(0)] * 12
+        for j, v in zip(picks, sol):
+            full[j] = v
+        vertices.add(tuple(full))
+    return tuple(sum(v[j] for v in vertices) / len(vertices) for j in range(12))
 
 
 @pytest.fixture

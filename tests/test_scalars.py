@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots,
                               factor_min_poly, format_rational,
-                              irreducible_degree_le4, is_rational_square,
+                              irreducible_degree_le4, irreducible_factors,
+                              is_rational_square,
                               isolate_real_roots, parse_rational, poly_eval,
                               rational_roots, refine_root, sqrt_field,
                               squarefree_part)
@@ -172,3 +173,70 @@ class TestAlgebraicScalar:
     def test_interval_must_isolate(self):
         with pytest.raises(ValueError):
             AlgebraicField((-2, 0, 1), (-2, 2))  # both roots of x^2 - 2
+
+
+def int_polys(max_deg=4, bound=40):
+    """Integer polynomials (low -> high) of degree 1..max_deg, nonzero leading coefficient."""
+    return st.integers(1, max_deg).flatmap(
+        lambda d: st.tuples(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                            st.integers(-bound, bound).filter(bool))
+        .map(lambda t: t[0] + [t[1]]))
+
+
+@st.composite
+def polys_with_rational_root(draw):
+    """(num x - den) times a random polynomial of degree <= 3: the root den/num is known."""
+    num = draw(st.integers(-12, 12).filter(bool))
+    den = draw(st.integers(-12, 12))
+    rest = draw(int_polys(max_deg=3, bound=12))
+    lin = [-den, num]
+    out = [0] * (len(rest) + 1)
+    for i, a in enumerate(lin):
+        for j, b in enumerate(rest):
+            out[i + j] += a * b
+    return out, Fraction(den, num)
+
+
+def sympy_poly(coeffs):
+    x = sp.symbols("x")
+    return sp.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
+
+
+def sympy_rational_roots(coeffs):
+    return sorted(Fraction(int(r.p), int(r.q)) for r in sp.roots(sympy_poly(coeffs), filter="Q"))
+
+
+class TestIntegerRootKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys())
+    def test_rational_roots_against_sympy(self, coeffs):
+        assert rational_roots(coeffs) == sympy_rational_roots(coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys_with_rational_root())
+    def test_known_rational_root_is_found(self, case):
+        coeffs, root = case
+        found = rational_roots(coeffs)
+        assert root in found
+        assert found == sympy_rational_roots(coeffs)
+        assert not irreducible_degree_le4(coeffs)  # degree >= 2 with a linear factor
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys())
+    def test_irreducibility_against_sympy(self, coeffs):
+        assert irreducible_degree_le4(coeffs) == sympy_poly(coeffs).is_irreducible
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(int_polys(), polys_with_rational_root().map(lambda c: c[0])))
+    def test_factors_multiply_back(self, coeffs):
+        factors = irreducible_factors(coeffs)
+        want = sympy_poly(coeffs)
+        prod = sp.Poly(want.LC(), want.gen)
+        for f in factors:
+            prod *= sympy_poly(f)
+            assert sympy_poly(f).is_irreducible
+        assert sp.Poly(prod.monic(), want.gen) == want.monic()
+
+    def test_quartic_split_into_quadratics(self):
+        # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
+        assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]

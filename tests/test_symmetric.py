@@ -303,3 +303,19 @@ class TestPositiveDefiniteLeadingMinors:
         a = _sym(rows)
         want = all(a[:k, :k].det() > 0 for k in range(1, n + 1))
         assert is_positive_definite(SymMatrix(rows)) is want
+
+
+class TestIntegerDeterminant:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_bareiss_matches_sympy(self, rows):
+        d = determinant(rows)
+        assert type(d) is int
+        assert d == sympy.Matrix(rows).det()
+
+    def test_rank_deficient_and_row_exchange(self):
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+        assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
