@@ -28,9 +28,8 @@ import numpy as np
 
 from .lattices import canonical_class
 from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
-from .scalars import exact_scalar
-from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite, psd_sqrt,
-                        rank, solve)
+from .scalars import cofactors, exact_scalar
+from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, psd_sqrt, rank
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-10
@@ -441,9 +440,15 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
 
     # exhaustive search: solve the angles on an invertible subset
     assert basis_picks is not None
-    # angle system: m_i = <Y_{basis_i}, u>, i.e. rows of the matrix are the basis columns
+    # angle system: m_i = <Y_{basis_i}, u>, i.e. rows of the matrix B are the
+    # basis columns, so u = adj(B) m / det B: |u_i| < 1 iff |(adj B m)_i| < |det B|,
+    # and <Y_j, u> is an integer iff det B divides <Y_j, adj B m>
     bt = [cols[p] for p in basis_picks]
-    rest = [j for j in range(nn) if j not in basis_picks]
+    cof = [cofactors(bt, i) for i in range(n)]
+    det = sum(x * y for x, y in zip(bt[0], cof[0]))
+    adj = list(zip(*cof))
+    size = abs(det)
+    rest = [cols[j] for j in range(nn) if j not in basis_picks]
     bounds = [sum(abs(x) for x in cols[p]) for p in basis_picks]
 
     witnesses = []
@@ -453,14 +458,13 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
         if idx == n:
             if all(v == 0 for v in mvec):
                 return
-            u = tuple(solve(bt, mvec))
-            if any(abs(x) >= 1 for x in u):
+            w = [sum(a * m for a, m in zip(row, mvec)) for row in adj]
+            if any(abs(x) >= size for x in w):
                 return
-            for j in rest:
-                theta = sum(Fraction(cols[j][i]) * u[i] for i in range(n))
-                if theta.denominator != 1:
+            for col in rest:
+                if sum(y * x for y, x in zip(col, w)) % det:
                     return
-            witnesses.append(u)
+            witnesses.append(tuple(Fraction(x, det) for x in w))
             return
         for v in ranges[idx]:
             rec(idx + 1, mvec + [v])

@@ -8,11 +8,22 @@ Three scalar regimes are used throughout the package:
   (:class:`AlgebraicField` / :class:`AlgebraicScalar`),
 * binary64 floats for optimization inner loops.
 
+An algebraic scalar is stored as integer numerators over one positive
+denominator, in lowest terms, so field arithmetic runs in integers: products
+are integer convolutions reduced modulo the primitive minimal polynomial
+(each reduction step scales by its leading coefficient L), rational operands
+only rescale the numerators, and the inverse is Cramer's rule on the integer
+multiplication matrix with Bareiss determinants (`bareiss_determinant`, the
+package's one integer determinant kernel).
+
 Sign determination for algebraic scalars is certified: the value is evaluated
-with exact rational interval arithmetic over the generator's isolating
-interval, which is bisected until the sign is unambiguous.  A nonzero element
-of the field cannot vanish at the generator (the minimal polynomial is
-irreducible), so the loop terminates.
+by interval Horner over the generator's isolating interval, which is bisected
+until the sign is unambiguous.  The evaluation runs in integers over the
+common denominator of the interval; every integer interval is the rational
+one times a positive integer, so each decision, and so the narrowing, is
+that of exact rational interval arithmetic.  A nonzero element of the field
+cannot vanish at the generator (the minimal polynomial is irreducible), so
+the loop terminates.
 """
 
 from __future__ import annotations
@@ -249,6 +260,54 @@ def refine_root(p, lo: Fraction, hi: Fraction, width: Rat) -> tuple[Fraction, Fr
 
 
 # ---------------------------------------------------------------------------
+# integer kernels
+
+def _homogeneous_value(p: Sequence[int], num: int, den: int) -> int:
+    """den^d p(num/den) = sum_i p_i num^i den^(d-i) for an integer polynomial p
+    of degree d, by homogeneous Horner; it has the sign of p(num/den) when den > 0."""
+    acc, pw = p[-1], 1
+    for c in p[-2::-1]:
+        pw *= den
+        acc = acc * num + c * pw
+    return acc
+
+
+def bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, reducing the rows `a` in place.
+
+    Bareiss's fraction-free elimination (Math. Comp. 1968): after step k each
+    entry right of and below the pivot is a (k+2) x (k+2) minor of the
+    row-exchanged matrix, so every division by the previous pivot is exact.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        piv = pivot_row[k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (piv * ai[j] - aik * pivot_row[j]) // prev
+        prev = piv
+    return sign * prev
+
+
+def cofactors(rows: Sequence[Sequence[int]], i: int) -> list[int]:
+    """The cofactors (-1)^(i+j) det(rows without row i and column j) of row i
+    of a square integer matrix; sum_j rows[i][j] * cofactor_j is its determinant."""
+    others = [row for r, row in enumerate(rows) if r != i]
+    return [(-1) ** (i + j) * bareiss_determinant([list(row[:j]) + list(row[j + 1:])
+                                                    for row in others])
+            for j in range(len(rows))]
+
+
+# ---------------------------------------------------------------------------
 # irreducibility over Q for degree <= 4
 
 def _divisors(n: int) -> list[int]:
@@ -269,8 +328,8 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
 
     A root num/den in lowest terms of the primitive part (its roots at 0 split
     off) has num | p_0 and den | p_d, by the rational root theorem.  Each such
-    candidate is tested in integers: den^d p(num/den) = sum_i p_i num^i den^(d-i),
-    evaluated by homogeneous Horner, vanishes exactly when p(num/den) does.
+    candidate is tested in integers: den^d p(num/den) vanishes exactly when
+    p(num/den) does.
     """
     _, prim = poly_content_primitive(p)
     if not prim:
@@ -287,11 +346,7 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
             if math.gcd(num, den) != 1:
                 continue
             for s in (num, -num):
-                acc, pw = prim[-1], 1
-                for c in prim[-2::-1]:
-                    pw *= den
-                    acc = acc * s + c * pw
-                if acc == 0:
+                if _homogeneous_value(prim, s, den) == 0:
                     roots.append(Fraction(s, den))
     return sorted(roots)
 
@@ -450,9 +505,13 @@ class AlgebraicField:
         return self._lo, self._hi
 
     def refine(self) -> None:
-        """Halve the isolating interval, preserving the sign change."""
+        """Halve the isolating interval, preserving the sign change.
+
+        The sign of the minpoly at the midpoint num/den is that of
+        den^d minpoly(num/den), an integer.
+        """
         mid = (self._lo + self._hi) / 2
-        fm = poly_eval(self.minpoly, mid)
+        fm = _homogeneous_value(self.minpoly, mid.numerator, mid.denominator)
         if fm == 0:
             # cannot happen for an irreducible minpoly of degree >= 2
             raise ArithmeticError("rational root of an irreducible polynomial")
@@ -467,14 +526,11 @@ class AlgebraicField:
             self.refine()
 
     def generator(self) -> "AlgebraicScalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return AlgebraicScalar(self, coeffs)
+        return _element(self, [0, 1] + [0] * (self.degree - 2), 1)
 
     def from_rational(self, x: Rat) -> "AlgebraicScalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(x)
-        return AlgebraicScalar(self, coeffs)
+        x = Fraction(x)
+        return _element(self, [x.numerator] + [0] * (self.degree - 1), x.denominator)
 
     def element(self, coeffs: Sequence[Rat]) -> "AlgebraicScalar":
         return AlgebraicScalar(self, coeffs)
@@ -503,107 +559,213 @@ def sqrt_field(d: int) -> AlgebraicField:
     return AlgebraicField((-d, 0, 1), (r, r + 1))
 
 
-def _interval_mul(a, b):
-    products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return min(products), max(products)
+def _normalized(num, den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over a positive denominator, divided by their common gcd."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(n // g for n in num), den // g
+
+
+def _element(field: AlgebraicField, num, den: int) -> "AlgebraicScalar":
+    """The element num/den (den > 0) of `field`, brought to lowest terms."""
+    x = object.__new__(AlgebraicScalar)
+    x.field = field
+    x.num, x.den = _normalized(num, den)
+    return x
+
+
+def _reduce_mod(minpoly: tuple[int, ...], c: list[int]) -> int:
+    """Reduce the integer polynomial c in place modulo the primitive minpoly.
+
+    Returns s > 0 such that c[:d], afterwards, is s times the remainder of the
+    original c.  Each step clears the top coefficient t with
+    c <- (L/g) c - (t/g) x^(k-d) minpoly, where L is the leading coefficient
+    of the minpoly and g = gcd(t, L), so it stays in integers; s is the
+    product of the factors L/g.
+    """
+    d = len(minpoly) - 1
+    lead = minpoly[-1]
+    s = 1
+    for k in range(len(c) - 1, d - 1, -1):
+        t = c[k]
+        if not t:
+            continue
+        if lead != 1:
+            g = math.gcd(t, lead)
+            f = lead // g
+            t //= g
+            if f != 1:
+                for i in range(k):
+                    c[i] *= f
+                s *= f
+        for i, m in enumerate(minpoly[:d], k - d):
+            c[i] -= t * m
+    del c[d:]
+    return s
+
+
+def _rational_parts(x) -> Optional[tuple[int, int]]:
+    """(numerator, denominator) of an int or Fraction, else None."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 class AlgebraicScalar:
-    """Element of an :class:`AlgebraicField`, stored as a polynomial in the generator."""
+    """Element of an :class:`AlgebraicField`, a polynomial in the generator w.
 
-    __slots__ = ("field", "coeffs")
+    The element sum_i (num[i]/den) w^i, i < degree, is stored as the tuple of
+    integer numerators `num` over one denominator `den` > 0, in lowest terms
+    (gcd(den, *num) == 1, so zero is num = (0, ...), den = 1).  The
+    representation is unique, so equality is equality of (num, den), and
+    `coeffs` gives the same Fractions as a coefficient-wise reduction would.
+
+    Products are integer convolutions reduced modulo the primitive minimal
+    polynomial; each reduction step multiplies the numerators by (a divisor
+    of) its leading coefficient L and the denominator by the same factor.
+    An int or Fraction operand of + - * / and == only rescales the
+    numerators.  The inverse solves the integer system of multiplication by
+    the element, by Cramer's rule with Bareiss determinants.
+
+    Signs and approximations evaluate the element over the isolating interval
+    (a/D, b/D) by interval Horner in integers.  Every intermediate interval
+    is the rational one multiplied by a positive integer, which keeps the
+    order of the four endpoint products, so every comparison, every refine()
+    and the narrowed interval are those of rational interval arithmetic.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: AlgebraicField, coeffs: Sequence[Rat]):
-        deg = field.degree
         c = [Fraction(x) for x in coeffs]
-        if len(c) > deg:
-            c = list(self._reduce(field, c))
-        c += [Fraction(0)] * (deg - len(c))
+        den = math.lcm(*(x.denominator for x in c))
+        num = [x.numerator * (den // x.denominator) for x in c]
+        deg = field.degree
+        if len(num) > deg:
+            den *= _reduce_mod(field.minpoly, num)
+        num += [0] * (deg - len(num))
         self.field = field
-        self.coeffs = tuple(c)
+        self.num, self.den = _normalized(num, den)
 
-    @staticmethod
-    def _reduce(field: AlgebraicField, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        mp = field.minpoly
-        deg = len(mp) - 1
-        lead = Fraction(mp[-1])
-        c = list(coeffs)
-        for k in range(len(c) - 1, deg - 1, -1):
-            s = c[k] / lead
-            if s:
-                for i in range(deg):
-                    c[k - deg + i] -= s * mp[i]
-            c[k] = Fraction(0)
-        return tuple(c[:deg])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients num[i]/den, low to high."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
-    # -- coercion helpers ---------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, AlgebraicScalar):
-            if other.field is self.field or other.field == self.field:
-                return other
+    def _same_field(self, other: "AlgebraicScalar") -> None:
+        if other.field is not self.field and other.field != self.field:
             raise TypeError("cannot mix elements of different fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, AlgebraicScalar):
+            self._same_field(other)
+            da, db = self.den, other.den
+            if da == db:
+                return _element(self.field, [x + y for x, y in zip(self.num, other.num)], da)
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            return _element(self.field, [x * sa + y * sb for x, y in zip(self.num, other.num)],
+                            da * sa)
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        return AlgebraicScalar(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._shifted(*pq)
 
     __radd__ = __add__
 
+    def _shifted(self, p: int, q: int) -> "AlgebraicScalar":
+        """self + p/q for integers p and q > 0."""
+        num = [x * q for x in self.num] if q != 1 else list(self.num)
+        num[0] += p * self.den
+        return _element(self.field, num, self.den * q)
+
     def __neg__(self):
-        return AlgebraicScalar(self.field, [-a for a in self.coeffs])
+        return _element(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, AlgebraicScalar):
+            return self.__add__(-other)
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        return AlgebraicScalar(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._shifted(-pq[0], pq[1])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, p: int, q: int) -> "AlgebraicScalar":
+        """self * p/q for integers p and q > 0."""
+        return _element(self.field, [x * p for x in self.num], self.den * q)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, AlgebraicScalar):
+            self._same_field(other)
+            a, b = self.num, other.num
+            c = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        c[j] += x * y
+            s = _reduce_mod(self.field.minpoly, c)
+            return _element(self.field, c, self.den * other.den * s)
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        raw = poly_mul(self.coeffs, o.coeffs)
-        return AlgebraicScalar(self.field, list(raw))
+        return self._scaled(*pq)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid: s*self + t*minpoly = gcd = const
-        a = poly_trim(self.coeffs)
-        b = poly_trim(self.field.minpoly)
-        s0, s1 = (Fraction(1),), ()
-        while b:
-            q, r = poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1)))
-        # a is the (constant) gcd since minpoly is irreducible
-        if poly_degree(a) != 0:
-            raise ArithmeticError("gcd with irreducible minpoly is not constant")
-        inv = poly_scale(s0, 1 / a[0])
-        return AlgebraicScalar(self.field, list(inv))
+        """1/self by Cramer's rule on the integer multiplication matrix.
+
+        Column j of M is C_j = L^j (A w^j mod minpoly) for A = den * self, an
+        integer vector (C_{j+1} = L shift(C_j) - top(C_j) minpoly), and
+        M diag(L^-j) is the matrix of multiplication by A.  A^-1 = sum x_j w^j
+        with x_j = L^j (adj M)_{j0} / det M, and det M is the expansion of
+        the cofactors of row 0 along that row.
+        """
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            p = num[0]
+            if p == 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return _element(self.field, [den if p > 0 else -den] + [0] * (len(num) - 1), abs(p))
+        mp = self.field.minpoly
+        lead = mp[-1]
+        col = list(num)
+        cols = [col]
+        for _ in range(len(num) - 1):
+            t = col[-1]
+            col = [lead * x - t * m for x, m in zip([0] + col[:-1], mp)]
+            cols.append(col)
+        rows = list(zip(*cols))
+        cof = cofactors(rows, 0)
+        det = sum(x * y for x, y in zip(rows[0], cof))
+        if det < 0:
+            det, cof = -det, [-x for x in cof]
+        return _element(self.field, [den * lead ** j * x for j, x in enumerate(cof)], det)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, AlgebraicScalar):
+            self._same_field(other)
+            return self * other.inverse()
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        return self * o.inverse()
+        p, q = pq
+        if p == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse()._scaled(*pq)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -619,36 +781,41 @@ class AlgebraicScalar:
 
     # -- sign, comparison, conversion ----------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
-    def _interval_value(self) -> tuple[Fraction, Fraction]:
+    def _interval_value(self) -> tuple[int, int, int]:
+        """(vlo, vhi, s): the value's Horner interval over the isolating
+        interval is [vlo/s, vhi/s], with s > 0."""
         lo, hi = self.field.interval
-        acc = (Fraction(0), Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = _interval_mul(acc, (lo, hi))
-            acc = (acc[0] + c, acc[1] + c)
-        return acc
+        dd = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (dd // lo.denominator)
+        b = hi.numerator * (dd // hi.denominator)
+        vlo = vhi = self.num[-1]
+        pw = 1
+        for n in self.num[-2::-1]:
+            pw *= dd
+            prods = (vlo * a, vlo * b, vhi * a, vhi * b)
+            vlo, vhi = min(prods) + n * pw, max(prods) + n * pw
+        return vlo, vhi, self.den * pw
 
     def sign(self) -> int:
         """Certified sign: -1, 0 or +1."""
-        if self.is_zero():
-            return 0
         if self.is_rational():
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
+            c = self.num[0]
+            return (c > 0) - (c < 0)
         for _ in range(20000):
-            vlo, vhi = self._interval_value()
+            vlo, vhi, _ = self._interval_value()
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -660,9 +827,9 @@ class AlgebraicScalar:
         """Rational approximation within eps of the true value."""
         eps = Fraction(eps)
         for _ in range(20000):
-            vlo, vhi = self._interval_value()
-            if vhi - vlo < eps:
-                return (vlo + vhi) / 2
+            vlo, vhi, s = self._interval_value()
+            if (vhi - vlo) * eps.denominator < eps.numerator * s:
+                return Fraction(vlo + vhi, 2 * s)
             self.field.refine()
         raise ArithmeticError("approximation did not converge")
 
@@ -670,22 +837,26 @@ class AlgebraicScalar:
         return float(self.approx(Fraction(1, 10**17)))
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        if isinstance(other, AlgebraicScalar):
+            if other.field is not self.field and other.field != self.field:
+                return NotImplemented
+            return self.num == other.num and self.den == other.den
+        pq = _rational_parts(other)
+        if pq is None:
             return NotImplemented
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.is_rational() and (self.num[0], self.den) == pq
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
+        # a rational element equals, so hashes like, its Fraction (and int)
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.minpoly, self.num, self.den))
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             raise TypeError("unsupported comparison")
-        return (self - o).sign()
+        return diff.sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0

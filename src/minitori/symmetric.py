@@ -15,7 +15,7 @@ reduced row echelon form, and the determinant is the signed product of the
 pivots, so every result is the same as that of any other exact elimination.
 The one exception to the routine is the determinant of an all-int matrix
 (the integer minors of the embeddedness test), which Bareiss's fraction-free
-elimination computes in integers.
+elimination, `scalars.bareiss_determinant`, computes in integers.
 Zero tests are exact (Fraction or coefficient comparisons); no sign is taken,
 so elimination never narrows a field's isolating interval.
 
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .scalars import AlgebraicScalar, Rat, Scalar
+from .scalars import AlgebraicScalar, Rat, Scalar, bareiss_determinant
 
 FLOAT_PD_TOL = 1e-12
 
@@ -324,32 +324,6 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     return SymMatrix(inv) if isinstance(m, SymMatrix) else inv
 
 
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, reducing the rows `a` in place.
-
-    Bareiss's fraction-free elimination (Math. Comp. 1968): after step k each
-    entry right of and below the pivot is a (k+2) x (k+2) minor of the
-    row-exchanged matrix, so every division by the previous pivot is exact.
-    """
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        r = next((r for r in range(k, n) if a[r][k]), None)
-        if r is None:
-            return 0
-        if r != k:
-            a[k], a[r] = a[r], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        piv = pivot_row[k]
-        for i in range(k + 1, n):
-            ai, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ai[j] = (piv * ai[j] - aik * pivot_row[j]) // prev
-        prev = piv
-    return sign * prev
-
-
 def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     """Determinant of a SymMatrix or of a square row list; exact for exact entries.
 
@@ -360,7 +334,7 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
             return float(np.linalg.det(m.to_numpy()))
         m = m.entries
     if all(type(x) is int for row in m for x in row):
-        return _bareiss_determinant([list(row) for row in m])
+        return bareiss_determinant([list(row) for row in m])
     a, zero = _lift(m)
     pivots, sign = _gauss_jordan(a, len(a))
     if len(pivots) < len(a):

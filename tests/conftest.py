@@ -123,6 +123,132 @@ def centroid_by_subsystems(p: int, q: int, r: int) -> tuple:
     return tuple(sum(v[j] for v in vertices) / len(vertices) for j in range(12))
 
 
+# ---------------------------------------------------------------------------
+# field arithmetic in Q(w) on Fraction coefficient lists (low -> high): an
+# oracle for AlgebraicScalar, written coefficient by coefficient
+
+
+def _trim(p):
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += Fraction(a) * Fraction(b)
+    return _trim(out)
+
+
+def _poly_sub(p, q):
+    n = max(len(p), len(q))
+    return _trim([Fraction(p[i] if i < len(p) else 0) - Fraction(q[i] if i < len(q) else 0)
+                  for i in range(n)])
+
+
+def _poly_divmod(p, q):
+    p, q = _trim(p), _trim(q)
+    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
+        s = p[-1] / q[-1]
+        k = len(p) - len(q)
+        quot[k] = s
+        for i, c in enumerate(q):
+            p[k + i] -= s * c
+        p = _trim(p)
+    return _trim(quot), p
+
+
+def field_reduce(minpoly, coeffs) -> tuple:
+    """The d coefficients of coeffs(w) with w a root of minpoly (degree d)."""
+    d = len(minpoly) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * max(0, d - len(coeffs))
+    for k in range(len(c) - 1, d - 1, -1):
+        s = c[k] / minpoly[-1]
+        for i in range(d):
+            c[k - d + i] -= s * minpoly[i]
+        c[k] = Fraction(0)
+    return tuple(c[:d])
+
+
+def field_mul(minpoly, a, b) -> tuple:
+    return field_reduce(minpoly, _poly_mul(a, b))
+
+
+def field_inverse(minpoly, a) -> tuple:
+    """Extended Euclid: s a + t minpoly = gcd, a nonzero constant."""
+    r0, r1 = _trim(minpoly), _trim(a)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    assert len(r0) == 1
+    return field_reduce(minpoly, [c / r0[0] for c in s0])
+
+
+def field_pow(minpoly, a, k: int) -> tuple:
+    if k < 0:
+        return field_pow(minpoly, field_inverse(minpoly, a), -k)
+    out = field_reduce(minpoly, [1])
+    for _ in range(k):
+        out = field_mul(minpoly, out, a)
+    return out
+
+
+class IntervalOracle:
+    """Sign and approximation of field elements by Fraction interval Horner over
+    a bisected isolating interval, kept apart from any AlgebraicField."""
+
+    def __init__(self, minpoly, interval):
+        self.minpoly = tuple(minpoly)
+        self.lo, self.hi = Fraction(interval[0]), Fraction(interval[1])
+        self.lo_positive = self._eval(self.lo) > 0
+
+    def _eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.minpoly):
+            acc = acc * x + c
+        return acc
+
+    def refine(self):
+        mid = (self.lo + self.hi) / 2
+        if (self._eval(mid) > 0) == self.lo_positive:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+    def value(self, coeffs):
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(coeffs):
+            products = [acc[0] * self.lo, acc[0] * self.hi, acc[1] * self.lo, acc[1] * self.hi]
+            acc = (min(products) + c, max(products) + c)
+        return acc
+
+    def sign(self, coeffs) -> int:
+        if all(c == 0 for c in coeffs):
+            return 0
+        if all(c == 0 for c in coeffs[1:]):
+            return 1 if coeffs[0] > 0 else -1
+        while True:
+            vlo, vhi = self.value(coeffs)
+            if vlo > 0:
+                return 1
+            if vhi < 0:
+                return -1
+            self.refine()
+
+    def approx(self, coeffs, eps) -> Fraction:
+        while True:
+            vlo, vhi = self.value(coeffs)
+            if vhi - vlo < eps:
+                return (vlo + vhi) / 2
+            self.refine()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

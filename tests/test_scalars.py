@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import IntervalOracle, field_inverse, field_mul, field_pow, field_reduce
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots,
                               factor_min_poly, format_rational,
                               irreducible_degree_le4, irreducible_factors,
@@ -240,3 +241,96 @@ class TestIntegerRootKernels:
     def test_quartic_split_into_quadratics(self):
         # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
         assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]
+
+
+# the five catalog fields (degrees 2, 3, 4; leading coefficients 1, 50, 675,
+# 14700) and Q(sqrt 2), each with an isolating interval of its generator
+ORACLE_FIELDS = (
+    ((-10801, 0, 1), (103, 104)),
+    ((-553, 0, 1), (23, 24)),
+    ((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64))),
+    ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2))),
+    ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
+    ((-2, 0, 1), (1, 2)),
+)
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+RATIONAL_OPERANDS = st.one_of(st.integers(-30, 30), SMALL_RATIONALS)
+
+
+def coeff_lists(degree):
+    return st.lists(st.one_of(SMALL_RATIONALS, st.just(Fraction(0))),
+                    min_size=degree, max_size=degree)
+
+
+@st.composite
+def field_elements(draw, count):
+    """A fresh field (so no interval is shared between examples) and `count`
+    coefficient lists of its elements."""
+    minpoly, interval = draw(st.sampled_from(ORACLE_FIELDS))
+    d = len(minpoly) - 1
+    return (AlgebraicField(minpoly, interval),
+            [tuple(draw(coeff_lists(d))) for _ in range(count)])
+
+
+class TestAlgebraicScalarOracle:
+    """AlgebraicScalar against a Fraction coefficient-list oracle (conftest)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_elements(2), RATIONAL_OPERANDS, st.integers(-3, 4))
+    def test_ring_operations(self, case, r, k):
+        field, (ca, cb) = case
+        mp = field.minpoly
+        a, b = field.element(ca), field.element(cb)
+        assert a.coeffs == field_reduce(mp, ca)
+        assert (a + b).coeffs == field_reduce(mp, [x + y for x, y in zip(ca, cb)])
+        assert (a - b).coeffs == field_reduce(mp, [x - y for x, y in zip(ca, cb)])
+        assert (a * b).coeffs == field_mul(mp, ca, cb)
+        rc = field_reduce(mp, [r])
+        assert (a + r).coeffs == (r + a).coeffs == field_reduce(mp, [ca[0] + r] + list(ca[1:]))
+        assert (a - r).coeffs == field_reduce(mp, [ca[0] - r] + list(ca[1:]))
+        assert (r - a).coeffs == field_reduce(mp, [r - ca[0]] + [-x for x in ca[1:]])
+        assert (a * r).coeffs == (r * a).coeffs == field_mul(mp, ca, rc)
+        if r:
+            assert (a / r).coeffs == field_mul(mp, ca, field_inverse(mp, rc))
+        if any(cb):
+            assert b.inverse().coeffs == field_inverse(mp, cb)
+            assert (a / b).coeffs == field_mul(mp, ca, field_inverse(mp, cb))
+            assert (r / b).coeffs == field_mul(mp, rc, field_inverse(mp, cb))
+            assert b * b.inverse() == 1
+        if any(ca) or k >= 0:
+            assert (a ** k).coeffs == field_pow(mp, ca, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_elements(2), st.sampled_from([Fraction(1, 10**17), Fraction(1, 1000),
+                                               Fraction(3, 7)]))
+    def test_signs_approximations_and_narrowing(self, case, eps):
+        field, (ca, cb) = case
+        oracle = IntervalOracle(field.minpoly, field.interval)
+        for c in (ca, cb, [x - y for x, y in zip(ca, cb)]):
+            x = field.element(c)
+            want = field_reduce(field.minpoly, c)
+            assert x.sign() == oracle.sign(want)
+            assert field.interval == (oracle.lo, oracle.hi)
+            assert x.approx(eps) == oracle.approx(want, eps)
+            assert field.interval == (oracle.lo, oracle.hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_elements(1), RATIONAL_OPERANDS)
+    def test_equal_elements_hash_alike(self, case, r):
+        field, (ca,) = case
+        a = field.element(ca)
+        twin = AlgebraicField(field.minpoly, field.interval).element(ca)
+        assert a == twin and hash(a) == hash(twin)
+        assert a == a * 1 and hash(a) == hash(a * 1)
+        x = field.from_rational(r)
+        assert x == r and hash(x) == hash(r)
+        assert x == Fraction(r) and hash(x) == hash(Fraction(r))
+        assert len({x, Fraction(r)}) == 1
+        if not a.is_rational():
+            assert a != a.coeffs[0]
+
+    def test_half_hashes_like_its_fraction(self):
+        x = sqrt_field(2).from_rational(Fraction(1, 2))
+        assert x == Fraction(1, 2)
+        assert len({x, Fraction(1, 2)}) == 1
