@@ -123,6 +123,18 @@ def centroid_by_subsystems(p: int, q: int, r: int) -> tuple:
     return tuple(sum(v[j] for v in vertices) / len(vertices) for j in range(12))
 
 
+# minimal polynomials (low -> high) of the five irrational catalog fields, of
+# degrees 2, 3, 4 and leading coefficients 1, 50, 675, 14700, each with an
+# isolating interval of its generator
+CATALOG_FIELDS = (
+    ((-10801, 0, 1), (103, 104)),
+    ((-553, 0, 1), (23, 24)),
+    ((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64))),
+    ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2))),
+    ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
+)
+
+
 # ---------------------------------------------------------------------------
 # field arithmetic in Q(w) on Fraction coefficient lists (low -> high): an
 # oracle for AlgebraicScalar, written coefficient by coefficient

@@ -7,20 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CATALOG_FIELDS
 from minitori.certificates import MatrixData, reduce_target_dimension
 from minitori.constructions import CATALOG_IDS, catalog
 from minitori.io import emit, parse
 from minitori.scalars import AlgebraicField
 from minitori.symmetric import SymMatrix
-
-# minimal polynomials (low -> high) and isolating intervals of the catalog fields
-FIELDS = (
-    ((-10801, 0, 1), (103, 104)),
-    ((-553, 0, 1), (23, 24)),
-    ((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64))),
-    ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2))),
-    ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
-)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +39,7 @@ def test_catalog_and_reduced_round_trip_byte_for_byte(certificates):
 def algebraic_weights(draw):
     """A field (with an interval narrowed a random number of times) and a few
     of its elements with small rational coefficients."""
-    minpoly, interval = draw(st.sampled_from(FIELDS))
+    minpoly, interval = draw(st.sampled_from(CATALOG_FIELDS))
     field = AlgebraicField(minpoly, interval)
     for _ in range(draw(st.integers(0, 40))):
         field.refine()

@@ -7,7 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IntervalOracle, field_inverse, field_mul, field_pow, field_reduce
+from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
+                      field_reduce)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots,
                               factor_min_poly, format_rational,
                               irreducible_degree_le4, irreducible_factors,
@@ -243,16 +244,7 @@ class TestIntegerRootKernels:
         assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]
 
 
-# the five catalog fields (degrees 2, 3, 4; leading coefficients 1, 50, 675,
-# 14700) and Q(sqrt 2), each with an isolating interval of its generator
-ORACLE_FIELDS = (
-    ((-10801, 0, 1), (103, 104)),
-    ((-553, 0, 1), (23, 24)),
-    ((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64))),
-    ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2))),
-    ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
-    ((-2, 0, 1), (1, 2)),
-)
+ORACLE_FIELDS = CATALOG_FIELDS + (((-2, 0, 1), (1, 2)),)  # and Q(sqrt 2)
 
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
 RATIONAL_OPERANDS = st.one_of(st.integers(-30, 30), SMALL_RATIONALS)
@@ -283,6 +275,7 @@ class TestAlgebraicScalarOracle:
         mp = field.minpoly
         a, b = field.element(ca), field.element(cb)
         assert a.coeffs == field_reduce(mp, ca)
+        assert field.element(ca + cb).coeffs == field_reduce(mp, ca + cb)  # degree >= d
         assert (a + b).coeffs == field_reduce(mp, [x + y for x, y in zip(ca, cb)])
         assert (a - b).coeffs == field_reduce(mp, [x - y for x, y in zip(ca, cb)])
         assert (a * b).coeffs == field_mul(mp, ca, cb)
