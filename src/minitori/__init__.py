@@ -4,9 +4,11 @@ Certificates are matrix data {Q, Y, weights} (homogeneous) or coefficient
 operators A A^t over a geometry (Q, Y) (general); this package constructs
 them (rational sampling + exact LP, one-parameter pencils, the rank-4
 Lagrange system, the Pythagorean and 2-torus families), verifies the full
-equation system exactly or at tolerance, tests embeddedness, evaluates the
-immersion, and reduces the target sphere dimension by convex-combination
-reduction.
+equation system exactly or at tolerance, tests embeddedness, and reduces the
+target sphere dimension by convex-combination reduction.
+
+numpy is imported only by the float optimizers and the float-regime LAPACK
+calls of `symmetric`, never at import time.
 """
 
 from .scalars import (AlgebraicField, AlgebraicScalar, format_rational,
@@ -23,11 +25,9 @@ from .optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                        maximize_logdet_W, pencil_maximize, rank4_lagrange)
 from .certificates import (EmbeddednessResult, EtaSystem, GramOperator,
                            MatrixData, UnverifiedCertificate,
-                           VerificationReport, deformation_path, embeddedness,
-                           eta_sets, evaluate_immersion, from_orthonormal,
-                           is_homogeneous, jacobian_gram,
-                           reduce_target_dimension, verify_full,
-                           verify_matrix_data)
+                           VerificationReport, embeddedness, eta_sets,
+                           is_homogeneous, reduce_target_dimension,
+                           verify_full, verify_matrix_data)
 from .constructions import (Bryant2TorusParams, CATALOG_IDS, ConstructionError,
                             IrrationalityReport, PythagoreanParams,
                             PythagoreanResult, RationalPipelineConfig,

@@ -1,5 +1,5 @@
 """Immersion certificates: matrix data, eta-sets, the full equation system,
-embeddedness, evaluation and deformations.
+embeddedness and target-dimension reduction.
 
 A homogeneous immersion is certified by matrix data {n, N, Q, Y, weights}:
 Q the dual-lattice Gram matrix in integer coordinates (so Y_j^t Q Y_j = 1),
@@ -14,7 +14,11 @@ per +/- class of frequencies eta = Y_r +/- Y_s, plus the zero-frequency
 equation sum_r a_r Y_r Y_r^t = Q^{-1}/n and positive semidefiniteness.
 
 All equation systems are evaluated in Y-coordinates; correctness under the
-generator change is the congruence invariance of the rank-one sums.
+generator change is the congruence invariance of the rank-one sums.  The
+general system is checked without numpy: the unit-norm residual is exact,
+the others are float sums of products taken in a fixed order, and the PSD
+margin comes from a cyclic Jacobi eigenvalue run on each block of classes
+that the off-diagonal blocks connect.
 """
 
 from __future__ import annotations
@@ -22,16 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Optional, Sequence, Union
-
-import numpy as np
+from typing import AbstractSet, Optional, Sequence
 
 from .lattices import canonical_class
 from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
 from .scalars import cofactors, exact_scalar
-from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, psd_sqrt, rank
+from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, rank
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-10
 
 
@@ -247,67 +248,73 @@ def eta_sets(y) -> EtaSystem:
 class GramOperator:
     """The 2N x 2N PSD coefficient operator of a (possibly non-homogeneous) immersion.
 
-    Stored as the assembled float matrix; diagonal 2x2 blocks must be scalar
-    multiples of the identity (the structural constraint forced by the
-    frequency-2Y_r modes).
+    Stored as the assembled float matrix, a tuple of rows; diagonal 2x2
+    blocks must be scalar multiples of the identity (the structural
+    constraint forced by the frequency-2Y_r modes).  Symmetry and the
+    diagonal blocks are checked to 1e-12 relative to the largest entry.
     """
 
     __slots__ = ("N", "matrix")
 
-    def __init__(self, matrix: np.ndarray):
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
+    def __init__(self, matrix: Sequence[Sequence[float]]):
+        arr = [[float(x) for x in row] for row in matrix]
+        n2 = len(arr)
+        if n2 % 2 or any(len(row) != n2 for row in arr):
             raise ValueError("expected a 2N x 2N matrix")
-        if not np.allclose(arr, arr.T, atol=1e-12, rtol=0.0):
+        tol = 1e-12 * max([1.0] + [abs(x) for row in arr for x in row])
+        if any(abs(arr[i][j] - arr[j][i]) > tol for i in range(n2) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        n2 = arr.shape[0]
         self.N = n2 // 2
-        self.matrix = 0.5 * (arr + arr.T)
-        scale = max(1.0, float(np.max(np.abs(arr))))
+        self.matrix = tuple(tuple(0.5 * (x + y) for x, y in zip(row, col))
+                            for row, col in zip(arr, zip(*arr)))
         for r in range(self.N):
-            b = self.block(r, r)
-            if (abs(b[0, 0] - b[1, 1]) > 1e-12 * scale
-                    or abs(b[0, 1]) > 1e-12 * scale or abs(b[1, 0]) > 1e-12 * scale):
+            (b00, b01), (b10, b11) = self.block(r, r)
+            if abs(b00 - b11) > tol or abs(b01) > tol or abs(b10) > tol:
                 raise ValueError(f"diagonal block {r} is not a scalar multiple of I2")
 
     @classmethod
     def from_blocks(cls, n_classes: int, diagonal: Sequence[float],
-                    off_blocks: dict[tuple[int, int], np.ndarray]) -> "GramOperator":
-        m = np.zeros((2 * n_classes, 2 * n_classes))
+                    off_blocks: dict[tuple[int, int], Sequence[Sequence[float]]]
+                    ) -> "GramOperator":
+        m = [[0.0] * (2 * n_classes) for _ in range(2 * n_classes)]
         for r, a in enumerate(diagonal):
-            m[2 * r, 2 * r] = m[2 * r + 1, 2 * r + 1] = float(a)
+            m[2 * r][2 * r] = m[2 * r + 1][2 * r + 1] = float(a)
         for (r, s), blk in off_blocks.items():
-            b = np.asarray(blk, dtype=float)
-            m[2 * r:2 * r + 2, 2 * s:2 * s + 2] = b
-            m[2 * s:2 * s + 2, 2 * r:2 * r + 2] = b.T
+            write_block(m, r, s, blk)
         return cls(m)
 
-    @classmethod
-    def from_matrix_data(cls, data: MatrixData) -> "GramOperator":
-        """Diagonal lift of a homogeneous certificate (A_rr = c_r^2 I_2)."""
-        return cls.from_blocks(data.big_n, data.weights_float(), {})
-
-    def block(self, r: int, s: int) -> np.ndarray:
-        return self.matrix[2 * r:2 * r + 2, 2 * s:2 * s + 2]
+    def block(self, r: int, s: int) -> tuple[tuple[float, float], tuple[float, float]]:
+        m = self.matrix
+        return ((m[2 * r][2 * s], m[2 * r][2 * s + 1]),
+                (m[2 * r + 1][2 * s], m[2 * r + 1][2 * s + 1]))
 
     def a(self, r: int) -> float:
-        return float(self.matrix[2 * r, 2 * r])
-
-    def diagonal_part(self) -> "GramOperator":
-        return GramOperator.from_blocks(self.N, [self.a(r) for r in range(self.N)], {})
+        return self.matrix[2 * r][2 * r]
 
     def __eq__(self, other):
         if not isinstance(other, GramOperator):
             return NotImplemented
-        return self.N == other.N and np.array_equal(self.matrix, other.matrix)
+        return self.N == other.N and self.matrix == other.matrix
+
+
+def write_block(m: list[list[float]], r: int, s: int, blk: Sequence[Sequence[float]]) -> None:
+    """Write the 2x2 block (r, s) of the row lists m, and its transpose at (s, r)."""
+    if len(blk) != 2 or any(len(row) != 2 for row in blk):
+        raise ValueError("a block must be 2 x 2")
+    if not (0 <= r < len(m) // 2 and 0 <= s < len(m) // 2):
+        raise ValueError(f"block ({r}, {s}) is out of range")
+    b = [[float(x) for x in row] for row in blk]
+    for i in range(2):
+        m[2 * r + i][2 * s:2 * s + 2] = b[i]
+    for i in range(2):  # for r == s the transpose is written last
+        for j in range(2):
+            m[2 * s + j][2 * r + i] = b[i][j]
 
 
 def is_homogeneous(gram: GramOperator, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-diagonal 2x2 block vanishes within tol."""
-    m = gram.matrix.copy()
-    for r in range(gram.N):
-        m[2 * r:2 * r + 2, 2 * r:2 * r + 2] = 0.0
-    return bool(np.max(np.abs(m)) <= tol) if m.size else True
+    return all(abs(x) <= tol for i, row in enumerate(gram.matrix)
+               for j, x in enumerate(row) if i // 2 != j // 2)
 
 
 def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
@@ -324,37 +331,109 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
         metric, sin:  sum_{sigma=+1} -o (B12+B21) K + sum_{sigma=-1} o (B21 - B12) K
 
     plus the zero-frequency equation sum_r a_r Y_r Y_r^t = Q^{-1}/n, the unit
-    norm of every class, and PSD of the assembled operator.
+    norm of every class, and PSD of the assembled operator: psd_margin is its
+    smallest eigenvalue.
     """
     q, y = geometry
     cols = as_columns(y)
     n = q.n
     if gram.N != len(cols):
         raise ValueError(f"operator has {gram.N} classes, geometry has {len(cols)}")
-    qf = q.to_numpy()
-    qinv = np.linalg.inv(qf)
     residuals: dict[str, float] = {}
 
-    aqa = max(abs(float(np.array(c) @ qf @ np.array(c)) - 1.0) for c in cols)
-    residuals["unit_norm"] = aqa
+    # Q and Y are exact data (unless Q is a float matrix): no rounding here
+    residuals["unit_norm"] = max(abs(float(q.quad_form(c) - 1)) for c in cols)
+    try:
+        # the exact inverse of the float Q, rounded once: 1.0/d for diagonal Q
+        qinv = [[float(x) for x in row]
+                for row in inverse([[float(x) for x in row] for row in q.entries])]
+    except ValueError:
+        return VerificationReport("falsified", "singular_gram", residuals, None, tol)
 
-    euta = np.zeros((n, n))
+    euta = [[0.0] * n for _ in range(n)]
     for r, c in enumerate(cols):
-        euta += gram.a(r) * np.outer(c, c)
-    residuals["euta"] = float(np.max(np.abs(euta - qinv / n)))
+        a = gram.a(r)
+        for i in range(n):
+            for j in range(n):
+                euta[i][j] += a * (c[i] * c[j])
+    residuals["euta"] = max(abs(x - v / n) for row, vrow in zip(euta, qinv)
+                            for x, v in zip(row, vrow))
 
     coeffs = frequency_coefficients(gram, cols)
-    e1 = max((abs(v[0]) for v in coeffs.values()), default=0.0)
-    e2 = max((abs(v[1]) for v in coeffs.values()), default=0.0)
-    i1 = max((float(np.max(np.abs(v[2]))) for v in coeffs.values()), default=0.0)
-    i2 = max((float(np.max(np.abs(v[3]))) for v in coeffs.values()), default=0.0)
-    residuals["eigen1"] = e1
-    residuals["eigen2"] = e2
-    residuals["iso1"] = i1
-    residuals["iso2"] = i2
+    residuals["eigen1"] = max((abs(v[0]) for v in coeffs.values()), default=0.0)
+    residuals["eigen2"] = max((abs(v[1]) for v in coeffs.values()), default=0.0)
+    residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs.values()), default=0.0)
+    residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs.values()), default=0.0)
 
-    psd_margin = float(np.linalg.eigvalsh(gram.matrix).min())
+    psd_margin = min(min(_jacobi_eigenvalues(block)) for block in _connected_blocks(gram))
     return _assemble_report(residuals, psd_margin, tol, None, None)
+
+
+def _max_abs(m: list[list[float]]) -> float:
+    return max(abs(x) for row in m for x in row)
+
+
+def _connected_blocks(gram: GramOperator) -> list[list[list[float]]]:
+    """The principal submatrices of the operator on each connected set of classes.
+
+    Classes r and s are connected when the (r, s) block has a nonzero entry;
+    the operator's spectrum is the union of the spectra of these blocks.
+    """
+    m = gram.matrix
+    parent = list(range(gram.N))
+
+    def root(r):
+        while parent[r] != r:
+            r = parent[r]
+        return r
+
+    for r in range(gram.N):
+        for s in range(r + 1, gram.N):
+            if any(x for row in gram.block(r, s) for x in row):
+                parent[root(s)] = root(r)
+    groups: dict[int, list[int]] = {}
+    for r in range(gram.N):
+        groups.setdefault(root(r), []).extend((2 * r, 2 * r + 1))
+    return [[[m[i][j] for j in idx] for i in idx] for idx in groups.values()]
+
+
+def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:
+    """Eigenvalues of a small symmetric float matrix by cyclic Jacobi rotations.
+
+    Each rotation zeroes one off-diagonal pair (Rutishauser's update); sweeps
+    stop once every off-diagonal entry is zero or negligible next to its two
+    diagonal entries, so a diagonal matrix is returned as it is.  Convergence
+    is quadratic, so the cap of 60 sweeps is never reached in practice.
+    """
+    n = len(a)
+    a = [list(row) for row in a]
+    for _ in range(60):
+        rotated = False
+        for p in range(n):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if not apq:
+                    continue
+                if abs(apq) <= 1e-18 * (abs(a[p][p]) + abs(a[q][q])):
+                    a[p][q] = a[q][p] = 0.0
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)]
 
 
 def frequency_coefficients(gram: GramOperator, y) -> dict:
@@ -367,8 +446,9 @@ def frequency_coefficients(gram: GramOperator, y) -> dict:
         metric matrix G(u)  = 4 pi^2 (sum_r a_r Y_r Y_r^t
                               + sum_eta [i1/2 cos th + i2/2 sin th])
 
-    with th = 2 pi <eta, u>.  All four vanish for every eta exactly when the
-    operator solves the eigenfunction and isometry systems.
+    with th = 2 pi <eta, u>; i1 and i2 are n x n row lists.  All four vanish
+    for every eta exactly when the operator solves the eigenfunction and
+    isometry systems.
     """
     cols = as_columns(y)
     n = len(cols[0])
@@ -376,23 +456,28 @@ def frequency_coefficients(gram: GramOperator, y) -> dict:
     out = {}
     for eta, realizations in system.entries.items():
         s_e1 = s_e2 = 0.0
-        m_i1 = np.zeros((n, n))
-        m_i2 = np.zeros((n, n))
+        m_i1 = [[0.0] * n for _ in range(n)]
+        m_i2 = [[0.0] * n for _ in range(n)]
         for (r, s, sigma) in realizations:
             o = system.orientation(eta, (r, s, sigma))
-            b = gram.block(r, s)
-            k = np.outer(cols[r], cols[s]).astype(float)
-            k = k + k.T
+            (b00, b01), (b10, b11) = gram.block(r, s)
+            yr, ys = cols[r], cols[s]
+            k = [[float(yr[i] * ys[j]) + float(yr[j] * ys[i]) for j in range(n)]
+                 for i in range(n)]
             if sigma == 1:
-                s_e1 += b[0, 0] - b[1, 1]
-                s_e2 += o * (b[0, 1] + b[1, 0])
-                m_i1 += -(b[0, 0] - b[1, 1]) * k
-                m_i2 += -o * (b[0, 1] + b[1, 0]) * k
+                s_e1 += b00 - b11
+                s_e2 += o * (b01 + b10)
+                c1 = -(b00 - b11)
+                c2 = -o * (b01 + b10)
             else:
-                s_e1 += b[0, 0] + b[1, 1]
-                s_e2 += o * (b[1, 0] - b[0, 1])
-                m_i1 += (b[0, 0] + b[1, 1]) * k
-                m_i2 += o * (b[1, 0] - b[0, 1]) * k
+                s_e1 += b00 + b11
+                s_e2 += o * (b10 - b01)
+                c1 = b00 + b11
+                c2 = o * (b10 - b01)
+            for i in range(n):
+                for j in range(n):
+                    m_i1[i][j] += c1 * k[i][j]
+                    m_i2[i][j] += c2 * k[i][j]
         out[eta] = (s_e1, s_e2, m_i1, m_i2)
     return out
 
@@ -483,89 +568,7 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-CertificateLike = Union[MatrixData, tuple[GramOperator, tuple[SymMatrix, Sequence]]]
-
-
-def _as_operator(cert: CertificateLike) -> tuple[GramOperator, SymMatrix, Columns]:
-    if isinstance(cert, MatrixData):
-        return GramOperator.from_matrix_data(cert), cert.q, cert.y
-    gram, (q, y) = cert
-    return gram, q, as_columns(y)
-
-
-def evaluate_immersion(cert: CertificateLike, u: Sequence, tol: float = DEFAULT_TOL,
-                       _skip_verification: bool = False) -> np.ndarray:
-    """The unit vector x(u) in R^{2N}, for u in dual-generator coordinates.
-
-    x(u) = (Theta_1, ..., Theta_N) A with theta_j = 2 pi <Y_j, u> and
-    A = psd_sqrt(A A^t).  Refuses unverified certificates.
-    """
-    gram, q, cols = _as_operator(cert)
-    if not _skip_verification:
-        if isinstance(cert, MatrixData):
-            report = verify_matrix_data(cert, tol)
-        else:
-            report = verify_full(gram, (q, cols), tol)
-        if not report.verified:
-            raise UnverifiedCertificate(f"certificate is {report.verdict}: {report.reason}")
-    a = psd_sqrt(SymMatrix.from_numpy(gram.matrix))
-    uf = np.array([float(x) for x in u], dtype=float)
-    theta = np.array([TWO_PI * float(np.dot(np.array(c, dtype=float), uf)) for c in cols])
-    big = np.empty(2 * len(cols))
-    big[0::2] = np.cos(theta)
-    big[1::2] = np.sin(theta)
-    return big @ a
-
-
-def from_orthonormal(q: SymMatrix, v: Sequence[float]) -> np.ndarray:
-    """Convert orthonormal coordinates to the dual-generator coordinates of eq. theta.
-
-    Any generator M with M M^t = Q works; the symmetric square root is used.
-    """
-    m = psd_sqrt(q)
-    return m @ np.asarray([float(x) for x in v], dtype=float)
-
-
-def jacobian_gram(cert: CertificateLike, u_orth: Sequence[float],
-                  step: float = 1e-6, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Finite-difference J^t J of x with respect to orthonormal coordinates.
-
-    Equals (4 pi^2 / n) I_n for an isometric certificate.
-    """
-    gram, q, cols = _as_operator(cert)
-    if isinstance(cert, MatrixData):
-        report = verify_matrix_data(cert, tol)
-    else:
-        report = verify_full(gram, (q, cols), tol)
-    if not report.verified:
-        raise UnverifiedCertificate(f"certificate is {report.verdict}: {report.reason}")
-    n = q.n
-    m = psd_sqrt(q)
-    base = np.asarray([float(x) for x in u_orth], dtype=float)
-    jac = np.empty((2 * len(cols), n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = step
-        xp = evaluate_immersion(cert, m @ (base + e), _skip_verification=True)
-        xm = evaluate_immersion(cert, m @ (base - e), _skip_verification=True)
-        jac[:, k] = (xp - xm) / (2 * step)
-    return jac.T @ jac
-
-
-# ---------------------------------------------------------------------------
-# deformations
-
-def deformation_path(g0: GramOperator, g1: GramOperator, t: float) -> GramOperator:
-    """Convex blend (1-t) g0 + t g1; the equation system is linear in A A^t
-    and PSD is convex, so verified endpoints verify along the whole path."""
-    if g0.N != g1.N:
-        raise ValueError("geometry mismatch: operators have different N")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return GramOperator((1.0 - t) * g0.matrix + t * g1.matrix)
-
+# target-dimension reduction
 
 def reduce_target_dimension(data: MatrixData, tol: float = DEFAULT_TOL) -> MatrixData:
     """Deform a verified homogeneous certificate into at most n(n+1)/2 classes.

@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
 from .exactlp import feasible_point
 from .lattices import rational_points_on_ellipsoid
@@ -518,7 +516,7 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
                 f"block {i}: alpha^2 + beta^2 = {alpha[i]**2 + beta[i]**2:.3g} exceeds "
                 f"a_{2*i+1} a_{2*i+2} = {bound:.3g}; the operator would not be PSD")
         if alpha[i] or beta[i]:
-            off[(2 * i, 2 * i + 1)] = np.array([[alpha[i], beta[i]], [beta[i], -alpha[i]]])
+            off[(2 * i, 2 * i + 1)] = ((alpha[i], beta[i]), (beta[i], -alpha[i]))
     gram = GramOperator.from_blocks(12, [float(a) for a in diag], off)
     report = verify_full(gram, (qmat, cols))
     if not report.verified:

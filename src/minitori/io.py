@@ -13,9 +13,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
-from .certificates import GramOperator, MatrixData
+from .certificates import GramOperator, MatrixData, write_block
 from .scalars import AlgebraicField, AlgebraicScalar, format_rational, parse_rational
 from .symmetric import SymMatrix
 
@@ -99,10 +97,8 @@ def emit(cert: Union[MatrixData, tuple[GramOperator, SymMatrix, tuple]],
         for r in range(gram.N):
             for s in range(r + 1, gram.N):
                 b = gram.block(r, s)
-                if np.any(b != 0.0):
-                    blocks.append({"r": r, "s": s,
-                                   "block": [[float(b[0, 0]), float(b[0, 1])],
-                                             [float(b[1, 0]), float(b[1, 1])]]})
+                if any(x != 0.0 for row in b for x in row):
+                    blocks.append({"r": r, "s": s, "block": [list(row) for row in b]})
         doc = {
             "format_version": FORMAT_VERSION,
             "kind": "general",
@@ -165,12 +161,9 @@ def parse(text: str):
         return data
     if kind == "general":
         try:
-            m = np.zeros((2 * big_n, 2 * big_n))
+            m = [[0.0] * (2 * big_n) for _ in range(2 * big_n)]
             for item in doc["blocks"]:
-                r, s = int(item["r"]), int(item["s"])
-                b = np.array(item["block"], dtype=float)
-                m[2 * r:2 * r + 2, 2 * s:2 * s + 2] = b
-                m[2 * s:2 * s + 2, 2 * r:2 * r + 2] = b.T
+                write_block(m, int(item["r"]), int(item["s"]), item["block"])
             gram = GramOperator(m)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc

@@ -11,7 +11,9 @@ Two feasible sets drive every construction in this package:
   one exact rational Newton polish on the identified support.
 
 The one-parameter (pencil) maximizer and the rank-4 Lagrange system are exact
-and return algebraic data (field generator, minimal polynomial).
+and return algebraic data (field generator, minimal polynomial).  The two
+float maximizers, `kkt_gap` and `_newton_on_support` import numpy when called;
+nothing else here uses it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .scalars import (AlgebraicScalar, Rat, is_rational_square, isolate_real_roots,
@@ -29,6 +29,9 @@ from .scalars import (AlgebraicScalar, Rat, is_rational_square, isolate_real_roo
                       sqrt_field, squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
                         kernel_vector, rank, solve, trace_inner)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Columns = tuple[tuple[int, ...], ...]
 
@@ -179,6 +182,8 @@ def maximize_logdet_W(slice_w: AffineSliceW, tol: float = 1e-10, max_iter: int =
     Raises InfeasibleRegion when no PD point is found on the slice, and
     ConvergenceFailure when max_iter is exhausted (distinct conditions).
     """
+    import numpy as np
+
     s = slice_w.s
     if s == 0:
         if is_positive_definite(slice_w.q0) is True:
@@ -284,6 +289,8 @@ class HullPoint:
 
 def kkt_gap(point: HullPoint) -> float:
     """max_j Y_j^t P^{-1} Y_j - n (zero at the hull maximizer)."""
+    import numpy as np
+
     pinv = np.linalg.inv(point.p.to_numpy())
     vals = [float(np.array(c) @ pinv @ np.array(c)) for c in point.y]
     return max(vals) - point.p.n
@@ -296,6 +303,8 @@ def maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
     with equality on the support; every support point then lies on the
     hyper-ellipsoid of (n P)^{-1}.
     """
+    import numpy as np
+
     cols = as_columns(y)
     n = len(cols[0])
     nn = len(cols)
@@ -368,6 +377,8 @@ def maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
 
 def _newton_on_support(cols: Columns, ms: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
     """Equality-constrained Newton on the face identified by Frank-Wolfe."""
+    import numpy as np
+
     n = len(cols[0])
     lam = lam.copy()
     for _ in range(40):

@@ -3,8 +3,10 @@ and the package's one exact elimination kernel.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
-(elements of one shared field) or ``float``.  The float regime is backed by
-numpy.
+(elements of one shared field) or ``float``.  numpy is imported only when
+called, by the float-regime `inverse`, `determinant`, `logdet` and
+`psd_sqrt` (LAPACK) and by the `to_numpy`/`from_numpy` conversions; the
+float positive definiteness test is plain Python.
 
 All exact linear algebra, over Q or over one field Q(w), runs through one
 Gauss-Jordan routine, `_gauss_jordan`, on row lists (int entries are lifted to
@@ -28,12 +30,14 @@ D_k > 0 for all k.  Algebraic pivots get certified signs.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .scalars import AlgebraicScalar, Rat, Scalar, bareiss_determinant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FLOAT_PD_TOL = 1e-12
 
@@ -60,9 +64,11 @@ class SymMatrix:
                 elif isinstance(x, float):
                     if regime != "algebraic":
                         regime = "float"
-                elif isinstance(x, (int, Fraction)) or isinstance(x, np.integer):
-                    x = Fraction(int(x)) if isinstance(x, np.integer) else x
-                elif isinstance(x, np.floating):
+                elif isinstance(x, (int, Fraction)):
+                    pass
+                elif isinstance(x, numbers.Integral):  # numpy integers, say
+                    x = Fraction(int(x))
+                elif isinstance(x, numbers.Real):
                     x = float(x)
                     if regime != "algebraic":
                         regime = "float"
@@ -113,6 +119,8 @@ class SymMatrix:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "SymMatrix":
+        import numpy as np
+
         arr = np.asarray(arr, dtype=float)
         sym = 0.5 * (arr + arr.T)
         return cls([[float(sym[i, j]) for j in range(arr.shape[0])] for i in range(arr.shape[0])])
@@ -147,6 +155,8 @@ class SymMatrix:
         return f"SymMatrix({[[str(x) for x in row] for row in self.entries]})"
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
     def to_float(self) -> "SymMatrix":
@@ -308,9 +318,13 @@ def kernel_vector(rows: Sequence[Sequence]) -> Optional[list]:
 def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     """Inverse of a SymMatrix, or of a square row list (returned as row lists).
 
-    Exact for rational/algebraic entries; a float SymMatrix uses numpy.
+    Exact for rational/algebraic entries (float row lists are lifted exactly
+    to Fractions).  A float SymMatrix uses LAPACK, importing numpy when
+    called, as the float `determinant`, `logdet` and `psd_sqrt` do.
     """
     if isinstance(m, SymMatrix) and m.regime == "float":
+        import numpy as np
+
         arr = np.linalg.inv(m.to_numpy())
         return SymMatrix.from_numpy(0.5 * (arr + arr.T))
     a, zero = _lift(m.entries if isinstance(m, SymMatrix) else m)
@@ -331,6 +345,8 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     """
     if isinstance(m, SymMatrix):
         if m.regime == "float":
+            import numpy as np
+
             return float(np.linalg.det(m.to_numpy()))
         m = m.entries
     if all(type(x) is int for row in m for x in row):
@@ -363,6 +379,8 @@ def logdet(s: SymMatrix) -> float:
     if s.regime == "algebraic":
         d = determinant(s)
         return _ln_fraction(d.approx(Fraction(1, 10**20)))
+    import numpy as np
+
     sign, val = np.linalg.slogdet(s.to_numpy())
     return float(val)
 
@@ -372,6 +390,8 @@ def psd_sqrt(s: SymMatrix, tol: float = 1e-10) -> np.ndarray:
 
     Eigenvalues below -tol raise; small negatives within tolerance clamp to 0.
     """
+    import numpy as np
+
     arr = s.to_numpy() if isinstance(s, SymMatrix) else np.asarray(s, dtype=float)
     arr = 0.5 * (arr + arr.T)
     w, v = np.linalg.eigh(arr)
@@ -393,36 +413,41 @@ def is_positive_definite(s: SymMatrix):
     the largest diagonal entry are borderline and yield None (indeterminate).
     """
     if s.regime == "float":
-        return _float_pd(s.to_numpy())
+        return _float_pd([list(row) for row in s.entries])
     a, _ = _lift(s.entries)
     return all(p > 0 for _, p in _gauss_jordan(a, s.n, exchange=False)[0])
 
 
-def _float_pd(arr: np.ndarray):
-    a = np.array(arr, dtype=float)
-    n = a.shape[0]
-    scale = max(float(np.max(np.abs(np.diag(a)))), 1e-300)
+def _float_pd(a: list[list[float]]):
+    """Pivoted LDL^t of a float matrix, given by row lists that it overwrites.
+
+    Each step takes the largest remaining diagonal entry as the pivot and
+    subtracts c_i a_jk (c_i = a_ik / pivot) from every entry of the trailing
+    block, both triangles, one rounding for the product and one for the
+    difference.
+    """
+    n = len(a)
+    scale = max(max((abs(a[i][i]) for i in range(n)), default=0.0), 1e-300)
     tol = FLOAT_PD_TOL * scale
-    perm = list(range(n))
     for k in range(n):
-        # diagonal pivoting
-        dsub = np.diag(a)[k:]
-        j = k + int(np.argmax(dsub))
+        # diagonal pivoting: the first index of the largest diagonal entry
+        j = max(range(k, n), key=lambda i: a[i][i])
         if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-            perm[k], perm[j] = perm[j], perm[k]
-        piv = a[k, k]
+            a[k], a[j] = a[j], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+        piv = a[k][k]
         if piv <= tol:
             if piv < -tol:
                 return False
             # pivot in the uncertainty band: remaining block decides nothing
-            rest = a[k:, k:]
-            if np.any(np.diag(rest) < -tol):
+            if any(a[i][i] < -tol for i in range(k, n)):
                 return False
             return None
-        c = a[k + 1:, k] / piv
-        a[k + 1:, k + 1:] -= np.outer(c, a[k + 1:, k])
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
+        col = [a[i][k] for i in range(k + 1, n)]
+        for i, x in zip(range(k + 1, n), col):
+            c = x / piv
+            row = a[i]
+            for j, y in zip(range(k + 1, n), col):
+                row[j] -= c * y
     return True

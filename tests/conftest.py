@@ -5,9 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from minitori.symmetric import SymMatrix, inverse, is_positive_definite, solve
+from minitori.symmetric import FLOAT_PD_TOL, SymMatrix, inverse, is_positive_definite, solve
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -121,6 +122,33 @@ def centroid_by_subsystems(p: int, q: int, r: int) -> tuple:
             full[j] = v
         vertices.add(tuple(full))
     return tuple(sum(v[j] for v in vertices) / len(vertices) for j in range(12))
+
+
+def numpy_float_pd(arr):
+    """Oracle for the float positive definiteness test: the numpy pivoted LDL^t
+    that `symmetric._float_pd` replaced.  True, False, or None when a pivot
+    falls in the FLOAT_PD_TOL band relative to the largest diagonal entry."""
+    a = np.array(arr, dtype=float)
+    n = a.shape[0]
+    scale = max(float(np.max(np.abs(np.diag(a)))), 1e-300)
+    tol = FLOAT_PD_TOL * scale
+    for k in range(n):
+        j = k + int(np.argmax(np.diag(a)[k:]))
+        if j != k:
+            a[[k, j], :] = a[[j, k], :]
+            a[:, [k, j]] = a[:, [j, k]]
+        piv = a[k, k]
+        if piv <= tol:
+            if piv < -tol:
+                return False
+            if np.any(np.diag(a[k:, k:]) < -tol):
+                return False
+            return None
+        c = a[k + 1:, k] / piv
+        a[k + 1:, k + 1:] -= np.outer(c, a[k + 1:, k])
+        a[k + 1:, k] = 0.0
+        a[k, k + 1:] = 0.0
+    return True
 
 
 # minimal polynomials (low -> high) of the five irrational catalog fields, of

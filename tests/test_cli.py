@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minitori
 from minitori.cli import main
 from minitori.constructions import catalog
 from minitori.io import emit
@@ -67,3 +72,49 @@ def test_verify_malformed_file_exits_65(name, tmp_path, capsys):
     path.write_text(_malformed(name))
     assert main(["verify", str(path)]) == 65
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+# One command of each kind the benchmark workloads run, plus `verify` on a
+# Pythagorean (general) certificate.  Commands run in order, so later ones
+# read the files earlier ones write.
+NUMPY_FREE_COMMANDS = (
+    ["catalog", "cubic-s7-a", "-o", "cubic.json"],
+    ["verify", "cubic.json"],
+    ["verify", "--format", "json", "--exhaustive-embedding", "cubic.json"],
+    ["reduce", "cubic.json", "-o", "cubic.reduced.json"],
+    ["construct", "rational", "--gram", "I3", "--seed", "0", "-o", "rational.json"],
+    ["construct", "pencil", "--Y", "y.txt", "-o", "pencil.json"],
+    ["construct", "pythagorean", "--triple", "3", "4", "5", "-o", "pythagorean.json"],
+    ["verify", "pythagorean.json"],
+    ["construct", "bryant", "--mn", "1", "3", "--rho-scaled", "1/2", "-o", "bryant.json"],
+    ["construct", "bryant", "--mn", "2", "5", "--rho", "0.3", "-o", "bryant-float.json"],
+    ["enumerate", "--gram", "I4", "--spectrum", "20"],
+    ["enumerate", "--gram", "float.json", "--spectrum", "20"],
+    ["enumerate", "--gram", "diag:3/2,2,5/2", "--shortest"],
+    ["enumerate", "--gram", "I3", "--target", "2"],
+)
+
+NUMPY_CHECK = """
+import json, sys
+import minitori.cli
+assert "numpy" not in sys.modules, "import minitori.cli"
+for argv in json.loads(sys.argv[1]):
+    code = minitori.cli.main(argv)
+    assert code == 0, (argv, code)
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_commands_never_import_numpy(tmp_path):
+    scale, extra = PENCIL_SETS["rank4-deg2"]
+    cols = [tuple(scale if i == k else 0 for i in range(3)) for k in range(3)] + extra
+    (tmp_path / "y.txt").write_text(
+        "".join(" ".join(str(c[i]) for c in cols) + "\n" for i in range(3)))
+    (tmp_path / "float.json").write_text(
+        json.dumps({"rows": [[1.0, 0.25, 0.0], [0.25, 1.5, 0.125], [0.0, 0.125, 2.0]]}))
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_CHECK, json.dumps(NUMPY_FREE_COMMANDS)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]

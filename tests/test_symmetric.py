@@ -319,3 +319,73 @@ class TestIntegerDeterminant:
         assert determinant([[0, 1], [1, 0]]) == -1
         assert determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
         assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+
+
+# ---------------------------------------------------------------------------
+# the float regime without numpy
+
+from conftest import numpy_float_pd  # noqa: E402
+from minitori.symmetric import FLOAT_PD_TOL  # noqa: E402
+
+FLOAT_ENTRIES = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_grams(draw):
+    """Symmetric float row lists, n = 1..6, scaled by 10^-8, 1 or 10^8.
+
+    Either B B^t for an n x k matrix B, rank deficient when k < n, with the
+    diagonal shifted by a multiple of FLOAT_PD_TOL times its largest entry (so
+    pivots land inside, at the edge of or just outside the band), or any
+    symmetric matrix.
+    """
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        b = [[draw(FLOAT_ENTRIES) for _ in range(k)] for _ in range(n)]
+        rows = [[sum((x * y for x, y in zip(bi, bj)), 0.0) for bj in b] for bi in b]
+        big = max(abs(rows[i][i]) for i in range(n)) or 1.0
+        shift = draw(st.sampled_from((0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 10.0)))
+        for i in range(n):
+            rows[i][i] += shift * FLOAT_PD_TOL * big
+    else:
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(FLOAT_ENTRIES)
+    scale = draw(st.sampled_from((1e-8, 1.0, 1e8)))
+    return [[x * scale for x in row] for row in rows]
+
+
+class TestFloatPositiveDefinite:
+    @settings(max_examples=400, deadline=None)
+    @given(float_grams())
+    def test_matches_the_numpy_ldlt(self, rows):
+        assert is_positive_definite(SymMatrix(rows)) is numpy_float_pd(rows)
+
+    def test_every_verdict_occurs(self):
+        band = 0.5 * FLOAT_PD_TOL
+        for rows, verdict in (([[1e8, 0.0], [0.0, 1e8 * band]], None),
+                              ([[1e-8, 1e-8], [1e-8, 1e-8]], None),
+                              ([[1.0, 2.0], [2.0, 1.0]], False),
+                              ([[2e-8, 1e-8], [1e-8, 2e-8]], True)):
+            assert numpy_float_pd(rows) is verdict
+            assert is_positive_definite(SymMatrix(rows)) is verdict
+
+
+class TestNumpyScalars:
+    """numpy scalars are recognised through the numbers ABCs."""
+
+    def test_integers_give_the_rational_regime(self):
+        m = SymMatrix([[np.int64(2), np.int64(-1)], [np.int64(-1), np.int64(3)]])
+        assert m.regime == "rational"
+        assert m == SymMatrix([[2, -1], [-1, 3]])
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+
+    def test_floats_give_the_float_regime(self):
+        for t in (np.float64, np.float32):
+            m = SymMatrix([[t(2.5), t(1.0)], [t(1.0), t(3.0)]])
+            assert m.regime == "float"
+            assert m == SymMatrix([[2.5, 1.0], [1.0, 3.0]])
+            assert all(type(x) is float for row in m.entries for x in row)
