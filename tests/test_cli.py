@@ -8,7 +8,7 @@ import pytest
 
 import minitori
 from minitori.cli import main
-from minitori.constructions import catalog
+from minitori.constructions import PythagoreanParams, catalog, pythagorean_family
 from minitori.io import emit
 
 # 3 x N integer vector sets: the standard basis (times the scale) plus the
@@ -41,10 +41,24 @@ def _document(cert_id):
     return json.loads(emit(catalog(cert_id)))
 
 
+def _general_document():
+    res = pythagorean_family(PythagoreanParams(triple=(3, 4, 5)))
+    return json.loads(emit((res.gram, res.q, res.y)))
+
+
 def _malformed(name):
     """The malformed certificate files: each must exit 65, never with a traceback."""
     if name == "invalid-json":
         return "{not json"
+    if name.startswith("block-"):
+        doc = _general_document()
+        if name == "block-out-of-range":
+            doc["blocks"][0].update(r=12, s=12)
+        elif name == "block-not-2x2":
+            doc["blocks"][0]["block"] = [[1.0, 0.0, 0.0]]
+        elif name == "block-not-scalar":  # a diagonal block must be a multiple of I2
+            doc["blocks"][0]["block"] = [[1.0, 0.0], [0.0, 2.0]]
+        return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field")
                     else "clifford-3")
     if name == "format-version":
@@ -63,7 +77,8 @@ def _malformed(name):
 
 
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
-             "reducible-minpoly", "conjugate-field", "empty-Y")
+             "reducible-minpoly", "conjugate-field", "empty-Y",
+             "block-out-of-range", "block-not-2x2", "block-not-scalar")
 
 
 @pytest.mark.parametrize("name", MALFORMED)
