@@ -248,10 +248,10 @@ def eta_sets(y) -> EtaSystem:
 class GramOperator:
     """The 2N x 2N PSD coefficient operator of a (possibly non-homogeneous) immersion.
 
-    Stored as the assembled float matrix, a tuple of rows; diagonal 2x2
-    blocks must be scalar multiples of the identity (the structural
-    constraint forced by the frequency-2Y_r modes).  Symmetry and the
-    diagonal blocks are checked to 1e-12 relative to the largest entry.
+    Stored as the assembled float matrix, a tuple of rows of finite floats;
+    diagonal 2x2 blocks must be scalar multiples of the identity (the
+    structural constraint forced by the frequency-2Y_r modes).  Symmetry and
+    the diagonal blocks are checked to 1e-12 relative to the largest entry.
     """
 
     __slots__ = ("N", "matrix")
@@ -261,6 +261,9 @@ class GramOperator:
         n2 = len(arr)
         if n2 % 2 or any(len(row) != n2 for row in arr):
             raise ValueError("expected a 2N x 2N matrix")
+        # NaN would pass every tolerance test below (each comparison is False)
+        if not all(math.isfinite(x) for row in arr for x in row):
+            raise ValueError("matrix entries must be finite")
         tol = 1e-12 * max([1.0] + [abs(x) for row in arr for x in row])
         if any(abs(arr[i][j] - arr[j][i]) > tol for i in range(n2) for j in range(i)):
             raise ValueError("matrix must be symmetric")
@@ -365,36 +368,12 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs.values()), default=0.0)
     residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs.values()), default=0.0)
 
-    psd_margin = min(min(_jacobi_eigenvalues(block)) for block in _connected_blocks(gram))
+    psd_margin = min(_jacobi_eigenvalues(gram.matrix))
     return _assemble_report(residuals, psd_margin, tol, None, None)
 
 
 def _max_abs(m: list[list[float]]) -> float:
     return max(abs(x) for row in m for x in row)
-
-
-def _connected_blocks(gram: GramOperator) -> list[list[list[float]]]:
-    """The principal submatrices of the operator on each connected set of classes.
-
-    Classes r and s are connected when the (r, s) block has a nonzero entry;
-    the operator's spectrum is the union of the spectra of these blocks.
-    """
-    m = gram.matrix
-    parent = list(range(gram.N))
-
-    def root(r):
-        while parent[r] != r:
-            r = parent[r]
-        return r
-
-    for r in range(gram.N):
-        for s in range(r + 1, gram.N):
-            if any(x for row in gram.block(r, s) for x in row):
-                parent[root(s)] = root(r)
-    groups: dict[int, list[int]] = {}
-    for r in range(gram.N):
-        groups.setdefault(root(r), []).extend((2 * r, 2 * r + 1))
-    return [[[m[i][j] for j in idx] for i in idx] for idx in groups.values()]
 
 
 def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:

@@ -58,6 +58,8 @@ def _malformed(name):
             doc["blocks"][0]["block"] = [[1.0, 0.0, 0.0]]
         elif name == "block-not-scalar":  # a diagonal block must be a multiple of I2
             doc["blocks"][0]["block"] = [[1.0, 0.0], [0.0, 2.0]]
+        elif name == "block-nan":  # NaN would pass every tolerance comparison
+            doc["blocks"][0]["block"] = [[float("nan"), 0.0], [0.0, float("nan")]]
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field")
                     else "clifford-3")
@@ -78,7 +80,7 @@ def _malformed(name):
 
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
-             "block-out-of-range", "block-not-2x2", "block-not-scalar")
+             "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan")
 
 
 @pytest.mark.parametrize("name", MALFORMED)

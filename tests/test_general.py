@@ -82,7 +82,8 @@ def test_psd_margin_is_the_smallest_eigenvalue(name, members):
 
 
 def test_psd_margin_of_an_operator_connecting_every_class(members):
-    """Off-diagonal blocks chaining all 12 classes leave one 24 x 24 block."""
+    """Off-diagonal blocks chaining all 12 classes: every rotation acts on the
+    whole 24 x 24 operator."""
     res = members["3-4-5"]
     rng = np.random.default_rng(4)
     off = {(r, r + 1): rng.uniform(-0.02, 0.02, (2, 2)).tolist() for r in range(11)}
@@ -90,6 +91,15 @@ def test_psd_margin_of_an_operator_connecting_every_class(members):
     margin = verify_full(gram, (res.q, res.y)).psd_margin
     smallest = float(np.linalg.eigvalsh(np.array(gram.matrix)).min())
     assert abs(margin - smallest) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entries_are_rejected(bad, members):
+    """NaN passes every tolerance comparison, so it must be refused up front."""
+    m = [list(row) for row in members["3-4-5"].gram.matrix]
+    m[0][0] = m[1][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GramOperator(m)
 
 
 def test_is_homogeneous_reads_the_off_diagonal_blocks(members):
