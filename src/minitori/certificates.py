@@ -144,12 +144,8 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     structural = None
     if rank(data.y) != n:
         structural = "rank"
-    cols = list(data.y)
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            ci, cj = cols[i], cols[j]
-            if ci == cj or ci == tuple(-x for x in cj):
-                structural = structural or "proportional_columns"
+    if has_proportional_columns(data.y):
+        structural = structural or "proportional_columns"
 
     # unit-norm equation for every column
     for c in data.y:
@@ -223,14 +219,18 @@ class EtaSystem:
         return sum(len(v) for v in self.entries.values())
 
 
+def has_proportional_columns(y) -> bool:
+    """True iff two columns are equal up to sign (the same +/- class)."""
+    classes = [canonical_class(c) for c in y]
+    return len(set(classes)) < len(classes)
+
+
 def eta_sets(y) -> EtaSystem:
     """Group every sum/difference Y_r +/- Y_s (r < s) by the +/- class of its value."""
     cols = as_columns(y)
     nn = len(cols)
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            if cols[i] == cols[j] or cols[i] == tuple(-x for x in cols[j]):
-                raise ValueError("columns must be pairwise non-proportional")
+    if has_proportional_columns(cols):
+        raise ValueError("columns must be pairwise non-proportional")
     out: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for r in range(nn):
         for s in range(r + 1, nn):
@@ -335,7 +335,8 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
 
     plus the zero-frequency equation sum_r a_r Y_r Y_r^t = Q^{-1}/n, the unit
     norm of every class, and PSD of the assembled operator: psd_margin is its
-    smallest eigenvalue.
+    smallest eigenvalue.  Two columns equal up to sign falsify the certificate
+    as "proportional_columns", as in `verify_matrix_data`.
     """
     q, y = geometry
     cols = as_columns(y)
@@ -362,13 +363,15 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     residuals["euta"] = max(abs(x - v / n) for row, vrow in zip(euta, qinv)
                             for x, v in zip(row, vrow))
 
+    psd_margin = min(_jacobi_eigenvalues(gram.matrix))
+    if has_proportional_columns(cols):
+        # the frequency classes Y_r +/- Y_s are undefined: one of them is 0
+        return _assemble_report(residuals, psd_margin, tol, "proportional_columns", None)
     coeffs = frequency_coefficients(gram, cols)
     residuals["eigen1"] = max((abs(v[0]) for v in coeffs.values()), default=0.0)
     residuals["eigen2"] = max((abs(v[1]) for v in coeffs.values()), default=0.0)
     residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs.values()), default=0.0)
     residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs.values()), default=0.0)
-
-    psd_margin = min(_jacobi_eigenvalues(gram.matrix))
     return _assemble_report(residuals, psd_margin, tol, None, None)
 
 

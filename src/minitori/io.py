@@ -1,7 +1,8 @@
 """Certificate JSON files (format_version 1).
 
 Scalars are encoded per regime: rationals as canonical "p/q" strings, floats
-as native JSON numbers (repr round-trips binary64 exactly), algebraic scalars
+as native JSON numbers (repr round-trips binary64 exactly; NaN and infinities
+are refused on parsing), algebraic scalars
 as {"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
 the minimal polynomial low-to-high.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x) byte for byte.
@@ -10,6 +11,7 @@ emit(parse(emit(x))) == emit(x) byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -41,7 +43,14 @@ def _decode_scalar(obj, field_cache: dict):
     if isinstance(obj, str):
         return parse_rational(obj)
     if isinstance(obj, (int, float)):
-        return float(obj)
+        try:
+            x = float(obj)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            # NaN would pass every tolerance comparison of the verifier
+            raise CertificateFormatError(f"non-finite scalar {obj!r}")
+        return x
     if isinstance(obj, dict):
         try:
             minpoly = tuple(int(c) for c in obj["minpoly"])

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .scalars import (AlgebraicScalar, Rat, is_rational_square, isolate_real_roots,
-                      poly_add, poly_mul, poly_neg, rational_sqrt, refine_root,
+                      poly_content_primitive, poly_gcd, poly_mul, poly_sub, pseudo_divmod,
+                      rational_sqrt, refine_root,
                       sqrt_field, squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
                         kernel_vector, rank, solve, trace_inner)
@@ -568,7 +569,7 @@ class Rank4Critical:
     """
 
     r: tuple[Fraction, Fraction, Fraction]
-    quartic: tuple[Fraction, ...]
+    quartic: tuple[int, ...]
     a_roots: tuple[float, ...]
     candidates: tuple[tuple[float, float, float], ...]
     degree1: bool
@@ -584,44 +585,38 @@ class Rank4Critical:
         return -(a * r1 + r2) * (2 * a * r1 * r2 + rho - 1) / (2 * r3 * (2 * a * r1 * r2 + r1 * r1 + r2 * r2))
 
 
-def rank4_quartic(r: Sequence[Rat]) -> tuple[Fraction, ...]:
+def rank4_quartic(r: Sequence[Rat]) -> tuple[int, ...]:
     """Stationarity polynomial in a (low -> high), from multiplier elimination.
 
     With b(a), c(a) the closed forms solving two of the three Lagrange
     equations plus the slice constraint, the remaining equation
     r3 (b c - a) = r2 (a c - b) clears to a polynomial of degree <= 4.
     Factors vanishing at the pole of b(a), c(a) are cancelled (for special r,
-    e.g. r3^2 = 1, the naive numerator picks them up spuriously).
-    """
-    from .scalars import poly_divmod, poly_gcd
+    e.g. r3^2 = 1, the naive numerator picks them up spuriously).  The result
+    is primitive with positive leading coefficient.
 
+    Everything runs in integers: with r = (R1, R2, R3) / L over a common
+    denominator L, each polynomial below is L^k times its rational namesake.
+    """
     r1, r2, r3 = (Fraction(x) for x in r)
-    rho = r1 * r1 + r2 * r2 + r3 * r3
-    lin = (r1 * r1 + r2 * r2, 2 * r1 * r2)            # 2 a r1 r2 + r1^2 + r2^2
-    den = tuple(2 * r3 * x for x in lin)              # D(a)
-    con = (rho - 1, 2 * r1 * r2)                      # 2 a r1 r2 + rho - 1
-    nb = poly_mul((-r1, -r2), con)                    # -(a r2 + r1)(...)
-    nc = poly_mul((-r2, -r1), con)                    # -(a r1 + r2)(...)
+    big_l = math.lcm(r1.denominator, r2.denominator, r3.denominator)
+    R1, R2, R3 = (x.numerator * (big_l // x.denominator) for x in (r1, r2, r3))
+    lin = (R1 * R1 + R2 * R2, 2 * R1 * R2)              # L^2 (2 a r1 r2 + r1^2 + r2^2)
+    den = tuple(2 * R3 * x for x in lin)                # L^3 D(a)
+    con = (lin[0] + R3 * R3 - big_l * big_l, lin[1])    # L^2 (2 a r1 r2 + rho - 1)
+    nb = poly_mul((-R1, -R2), con)                      # -L^3 (a r2 + r1)(...)
+    nc = poly_mul((-R2, -R1), con)                      # -L^3 (a r1 + r2)(...)
     d2 = poly_mul(den, den)
-    lhs = poly_mul((Fraction(r3),), poly_add(poly_mul(nb, nc),
-                                             poly_neg(poly_mul((0, 1), d2))))
-    rhs = poly_mul((Fraction(r2),), poly_mul(den, poly_add(poly_mul((0, 1), nc),
-                                                           poly_neg(nb))))
-    num = poly_add(lhs, poly_neg(rhs))
+    lhs = [R3 * x for x in poly_sub(poly_mul(nb, nc), [0] + d2)]
+    rhs = [R2 * x for x in poly_mul(den, poly_sub([0] + nc, nb))]
+    num = poly_sub(lhs, rhs)                            # L^7 times the rational numerator
     # cancel spurious pole factors
-    while True:
+    while any(num):
         g = poly_gcd(num, den)
         if len(g) <= 1:
             break
-        num = poly_divmod(num, g)[0]
-    _, prim = _primitive(num)
-    return prim
-
-
-def _primitive(p):
-    from .scalars import poly_content_primitive
-    content, prim = poly_content_primitive(p)
-    return content, tuple(Fraction(c) for c in prim)
+        num = pseudo_divmod(num, g)[0]
+    return poly_content_primitive(num)[1]
 
 
 def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:

@@ -16,6 +16,12 @@ only rescale the numerators, and the inverse is Cramer's rule on the integer
 multiplication matrix with Bareiss determinants (`bareiss_determinant`, the
 package's one integer determinant kernel).
 
+Polynomials are integer coefficient lists.  Real roots are isolated by Sturm
+sequences of primitive integer polynomials (pseudo-remainders) and bisection
+over integer numerators; every value is a positive multiple of the rational
+one, so each sign, each interval and each root count is that of the same
+computation in rationals.
+
 Sign determination for algebraic scalars is certified: the value is evaluated
 by interval Horner over the generator's isolating interval, which is bisected
 until the sign is unambiguous.  The evaluation runs in integers over the
@@ -74,82 +80,20 @@ def rational_sqrt(x: Rat) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials, coefficients low -> high
+# dense univariate integer polynomials, coefficients low -> high
 
-def poly_trim(p: Sequence[Rat]) -> tuple[Fraction, ...]:
-    c = [Fraction(x) for x in p]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_degree(p: Sequence[Rat]) -> int:
-    p = poly_trim(p)
-    return len(p) - 1  # degree of the zero polynomial is -1
-
-
-def poly_eval(p: Sequence[Rat], x: Rat) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([Fraction(p[i] if i < len(p) else 0) + Fraction(q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_neg(p):
-    return tuple(-Fraction(c) for c in p)
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += Fraction(a) * Fraction(b)
-    return poly_trim(out)
-
-
-def poly_scale(p, s):
-    return poly_trim([Fraction(c) * Fraction(s) for c in p])
-
-
-def poly_divmod(p, q):
-    """Quotient and remainder over the rationals."""
-    p = list(poly_trim(p))
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        s = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = s
-        for i, c in enumerate(q):
-            p[k + i] -= s * c
-        while p and p[-1] == 0:
-            p.pop()
-    return poly_trim(quot), poly_trim(p)
-
-
-def poly_deriv(p):
-    return poly_trim([Fraction(i) * Fraction(c) for i, c in enumerate(p)][1:])
-
-
-def poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        p = poly_scale(p, 1 / Fraction(p[-1]))  # monic
-    return p
+def _positive_primitive(p: Sequence[Rat]) -> tuple[int, ...]:
+    """The content-1 integer polynomial that is a positive multiple of p."""
+    if all(isinstance(c, int) for c in p):
+        ints = list(p)
+    else:
+        c = [Fraction(x) for x in p]
+        den = math.lcm(*(x.denominator for x in c))
+        ints = [x.numerator * (den // x.denominator) for x in c]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
 def poly_content_primitive(p: Sequence[Rat]) -> tuple[Fraction, tuple[int, ...]]:
@@ -157,51 +101,101 @@ def poly_content_primitive(p: Sequence[Rat]) -> tuple[Fraction, tuple[int, ...]]
 
     The primitive part has positive leading coefficient.
     """
-    p = poly_trim(p)
-    if not p:
+    prim = _positive_primitive(p)
+    if not prim:
         return Fraction(0), ()
-    den = math.lcm(*[Fraction(c).denominator for c in p])
-    ints = [int(Fraction(c) * den) for c in p]
-    g = math.gcd(*[abs(c) for c in ints])
-    sign = 1 if ints[-1] > 0 else -1
-    prim = tuple(sign * c // g for c in ints)
-    return Fraction(sign * g, den), prim
+    content = Fraction(next(c for c in reversed(p) if c)) / prim[-1]
+    if prim[-1] < 0:
+        return -content, tuple(-c for c in prim)
+    return content, prim
+
+
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q, i):
+            out[j] += x * y
+    return out
+
+
+def poly_sub(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    return [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
+            for i in range(max(len(p), len(q)))]
+
+
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with s^e a = q b + r and deg r < deg b, for integer polynomials
+    a and b != 0, s = |lc(b)| and some e >= 0: q and r are positive multiples
+    of the rational quotient and remainder."""
+    r = list(a)
+    while r and r[-1] == 0:
+        r.pop()
+    lead, db = b[-1], len(b) - 1
+    s = abs(lead)
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        t = r[-1] if lead > 0 else -r[-1]
+        if s != 1:
+            r = [s * x for x in r]
+            q = [s * x for x in q]
+        q[k] += t
+        for i, c in enumerate(b, k):
+            r[i] -= t * c
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def poly_gcd(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The gcd of two integer polynomials, primitive with positive leading
+    coefficient (the zero polynomial () when both are zero)."""
+    p, q = _positive_primitive(p), _positive_primitive(q)
+    while q:
+        p, q = q, _positive_primitive(pseudo_divmod(p, q)[1])
+    return poly_content_primitive(p)[1]
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and real root isolation
+# Sturm sequences and real root isolation, in integers
 
-def sturm_sequence(p) -> list[tuple[Fraction, ...]]:
-    p = poly_trim(p)
-    seq = [p, poly_deriv(p)]
-    while seq[-1]:
-        rem = poly_divmod(seq[-2], seq[-1])[1]
-        if not rem:
-            break
-        seq.append(poly_neg(rem))
-    return [s for s in seq if s]
+def sturm_sequence(p: Sequence[Rat]) -> list[tuple[int, ...]]:
+    """The Sturm sequence p, p', -rem(p, p'), ... of a rational polynomial, as
+    primitive integer polynomials.
+
+    Each term is a positive multiple of the rational Sturm term: p and p'
+    are divided by their content, and each negated remainder is a
+    pseudo-remainder by the powers of |lc| (`pseudo_divmod`) divided by its
+    content.  So every sign, and every count of sign variations, is that of
+    the rational sequence.  The last term is gcd(p, p') up to a constant.
+    """
+    p = _positive_primitive(p)
+    if not p:
+        return []
+    seq = [p]
+    deriv = [i * c for i, c in enumerate(p)][1:]
+    while deriv:
+        seq.append(_positive_primitive(deriv))
+        deriv = [-c for c in pseudo_divmod(seq[-2], seq[-1])[1]]
+    return seq
 
 
-def _sign_variations(seq, x: Fraction) -> int:
+def _sign_variations(seq, num: int, den: int) -> int:
+    """Sign changes of the sequence at num/den (den > 0), zeros skipped."""
     signs = []
     for s in seq:
-        v = poly_eval(s, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        v = _homogeneous_value(s, num, den)
+        if v:
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(p, lo: Rat, hi: Rat) -> int:
     """Number of distinct real roots of p in (lo, hi], via Sturm's theorem."""
     seq = sturm_sequence(p)
-    return _sign_variations(seq, Fraction(lo)) - _sign_variations(seq, Fraction(hi))
-
-
-def root_bound(p) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    p = poly_trim(p)
-    lead = abs(Fraction(p[-1]))
-    return 1 + max((abs(Fraction(c)) / lead for c in p[:-1]), default=Fraction(0))
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_sign_variations(seq, lo.numerator, lo.denominator)
+            - _sign_variations(seq, hi.numerator, hi.denominator))
 
 
 def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
@@ -209,54 +203,71 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
 
     Intervals are returned in increasing order and have endpoints that are
     not roots themselves.  Works on the square-free part of p, so repeated
-    roots are reported once.
+    roots are reported once.  Bisection starts from the Cauchy bound
+    (-B, B), B = 1 + max_i |p_i| / |p_d|, and halves each interval holding
+    more than one root, moving a midpoint that is a root halfway towards the
+    left end.  The endpoints are integer numerators over one denominator,
+    doubled at each halving.
     """
-    p = poly_trim(p)
-    if poly_degree(p) <= 0:
-        return []
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) > 0:
-        p = poly_divmod(p, g)[0]
     seq = sturm_sequence(p)
-    B = root_bound(p)
-    lo, hi = -B, B
+    if len(seq) < 2:
+        return []
+    p = seq[0]
+    if len(seq[-1]) > 1:
+        # divide out gcd(p, p'), the last Sturm term
+        p = _positive_primitive(pseudo_divmod(p, seq[-1])[0])
+        seq = sturm_sequence(p)
+    lead = abs(p[-1])
+    bound = Fraction(lead + max(abs(c) for c in p[:-1]), lead)
     # endpoints of the initial interval are not roots (strict Cauchy bound)
-    total = _sign_variations(seq, lo) - _sign_variations(seq, hi)
+    b0, den0 = bound.numerator, bound.denominator
+    v0 = _sign_variations(seq, -b0, den0)
     out: list[tuple[Fraction, Fraction]] = []
 
-    def split(a: Fraction, b: Fraction, count: int) -> None:
+    def split(a: int, b: int, den: int, va: int, count: int) -> None:
+        # (a/den, b/den) holds `count` roots; va is the variation count at a/den
         if count == 0:
             return
         if count == 1:
-            out.append((a, b))
+            out.append((Fraction(a, den), Fraction(b, den)))
             return
-        mid = (a + b) / 2
-        while poly_eval(p, mid) == 0:
-            mid = (a + mid) / 2
-        left = _sign_variations(seq, a) - _sign_variations(seq, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
+        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
+        while _homogeneous_value(p, mid, den) == 0:
+            a, b, den, mid = 2 * a, 2 * b, 2 * den, a + mid
+        vm = _sign_variations(seq, mid, den)
+        split(a, mid, den, va, va - vm)
+        split(mid, b, den, vm, count - (va - vm))
 
-    split(lo, hi, total)
-    return sorted(out)
+    split(-b0, b0, den0, v0, v0 - _sign_variations(seq, b0, den0))
+    return out
 
 
-def refine_root(p, lo: Fraction, hi: Fraction, width: Rat) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of p until hi - lo <= width."""
-    width = Fraction(width)
-    flo = poly_eval(p, lo)
+def refine_root(p, lo: Rat, hi: Rat, width: Rat) -> tuple[Fraction, Fraction]:
+    """Bisect an isolating interval of p until hi - lo <= width.
+
+    The endpoints are integer numerators over one denominator, doubled at
+    each halving; the returned Fractions are in lowest terms.
+    """
+    p = _positive_primitive(p)
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    flo = _homogeneous_value(p, a, den)
     if flo == 0:
         return lo, lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
+    lo_positive = flo > 0
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * den:
+        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
+        fm = _homogeneous_value(p, mid, den)
         if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
+            return Fraction(mid, den), Fraction(mid, den)
+        if (fm > 0) == lo_positive:
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, den), Fraction(b, den)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +438,7 @@ def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
     for r in roots:
         lin = (-r.numerator, r.denominator)
         while len(work) > 1:
-            q, rem = poly_divmod(work, lin)
+            q, rem = pseudo_divmod(work, lin)
             if rem:
                 break
             factors.append(lin)
@@ -487,7 +498,8 @@ class AlgebraicField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if not lo < hi:
             raise ValueError("empty isolating interval")
-        flo, fhi = poly_eval(prim, lo), poly_eval(prim, hi)
+        flo = _homogeneous_value(prim, lo.numerator, lo.denominator)
+        fhi = _homogeneous_value(prim, hi.numerator, hi.denominator)
         if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
             raise ValueError("interval endpoints must bracket a sign change")
         if count_real_roots(prim, lo, hi) != 1:

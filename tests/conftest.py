@@ -289,6 +289,168 @@ class IntervalOracle:
             self.refine()
 
 
+# ---------------------------------------------------------------------------
+# exact LP: the dense Fraction tableau that `exactlp` replaced by an integer one
+
+
+def fraction_feasible_point(a_rows, b):
+    """Oracle for `exactlp.feasible_point`: the phase-1 simplex with Bland's
+    rule on a dense Fraction tableau, as it ran before the integer tableau."""
+    m = len(a_rows)
+    if m == 0:
+        return []
+    n = len(a_rows[0])
+    A = [[Fraction(x) for x in row] for row in a_rows]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            A[i] = [-x for x in A[i]]
+            rhs[i] = -rhs[i]
+
+    # tableau with artificial variables n..n+m-1; objective: minimize their sum
+    ncols = n + m
+    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
+         for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # reduced-cost row for sum of artificials
+    z = [Fraction(0)] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            z[j] += T[i][j]
+
+    def pivot(row: int, col: int) -> None:
+        piv = T[row][col]
+        T[row] = [x / piv for x in T[row]]
+        for r in range(m):
+            if r != row and T[r][col] != 0:
+                f = T[r][col]
+                T[r] = [x - f * y for x, y in zip(T[r], T[row])]
+        f = z[col]
+        if f != 0:
+            for j in range(ncols + 1):
+                z[j] -= f * T[row][j]
+        basis[row] = col
+
+    while True:
+        enter = next((j for j in range(n) if z[j] > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r in range(m):
+            if T[r][enter] > 0:
+                ratio = T[r][ncols] / T[r][enter]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave is None:
+            break  # unbounded phase-1 direction cannot happen, but bail safely
+        pivot(leave, enter)
+
+    if z[ncols] != 0:
+        return None
+    # drive any artificial still in the basis (at zero level) out if possible
+    for r in range(m):
+        if basis[r] >= n:
+            enter = next((j for j in range(n) if T[r][j] != 0), None)
+            if enter is not None:
+                pivot(r, enter)
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = T[r][ncols]
+    if any(v < 0 for v in x):
+        return None
+    return x
+
+
+# ---------------------------------------------------------------------------
+# real roots: the Fraction Sturm sequences and bisections that the integer
+# root kernels of `scalars` replaced
+
+
+def poly_eval(p, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(list(p)):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_deriv(p):
+    return _trim([i * Fraction(c) for i, c in enumerate(p)][1:])
+
+
+def _poly_gcd(p, q):
+    p, q = _trim(p), _trim(q)
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    return [c / p[-1] for c in p] if p else p
+
+
+def fraction_sturm_sequence(p):
+    p = _trim(p)
+    seq = [p, _poly_deriv(p)]
+    while seq[-1]:
+        rem = _poly_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+    return [s for s in seq if s]
+
+
+def fraction_sign_variations(seq, x) -> int:
+    signs = [v > 0 for v in (poly_eval(s, x) for s in seq) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def fraction_count_real_roots(p, lo, hi) -> int:
+    seq = fraction_sturm_sequence(p)
+    return fraction_sign_variations(seq, Fraction(lo)) - fraction_sign_variations(seq, Fraction(hi))
+
+
+def fraction_isolate_real_roots(p):
+    p = _trim(p)
+    if len(p) <= 1:
+        return []
+    g = _poly_gcd(p, _poly_deriv(p))
+    if len(g) > 1:
+        p = _poly_divmod(p, g)[0]
+    seq = fraction_sturm_sequence(p)
+    bound = 1 + max(abs(c) / abs(p[-1]) for c in p[:-1])
+    out = []
+
+    def split(a, b, count):
+        if count == 0:
+            return
+        if count == 1:
+            out.append((a, b))
+            return
+        mid = (a + b) / 2
+        while poly_eval(p, mid) == 0:
+            mid = (a + mid) / 2
+        left = fraction_sign_variations(seq, a) - fraction_sign_variations(seq, mid)
+        split(a, mid, left)
+        split(mid, b, count - left)
+
+    split(-bound, bound, fraction_sign_variations(seq, -bound) - fraction_sign_variations(seq, bound))
+    return sorted(out)
+
+
+def fraction_refine_root(p, lo, hi, width):
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    flo = poly_eval(p, lo)
+    if flo == 0:
+        return lo, lo
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = poly_eval(p, mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

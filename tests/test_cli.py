@@ -8,7 +8,8 @@ import pytest
 
 import minitori
 from minitori.cli import main
-from minitori.constructions import PythagoreanParams, catalog, pythagorean_family
+from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
+                                    catalog, pythagorean_family)
 from minitori.io import emit
 
 # 3 x N integer vector sets: the standard basis (times the scale) plus the
@@ -50,6 +51,14 @@ def _malformed(name):
     """The malformed certificate files: each must exit 65, never with a traceback."""
     if name == "invalid-json":
         return "{not json"
+    if name in ("weight-nan", "q-inf"):
+        # the float certificate of `construct bryant --mn 2 5 --rho 0.3`
+        doc = json.loads(emit(bryant_2torus(Bryant2TorusParams(m=2, n=5, rho=0.3))))
+        if name == "weight-nan":
+            doc["weights"][0] = float("nan")
+        else:
+            doc["Q"]["rows"][0][0] = float("inf")
+        return json.dumps(doc)
     if name.startswith("block-"):
         doc = _general_document()
         if name == "block-out-of-range":
@@ -80,7 +89,8 @@ def _malformed(name):
 
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
-             "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan")
+             "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
+             "weight-nan", "q-inf")
 
 
 @pytest.mark.parametrize("name", MALFORMED)

@@ -1,6 +1,8 @@
 """Direct tests of general (kind: general) certificates: the coefficient operator,
 its verification, its file format and the `verify` command on it."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ def test_non_finite_entries_are_rejected(bad, members):
     m[0][0] = m[1][1] = bad
     with pytest.raises(ValueError, match="finite"):
         GramOperator(m)
+
+
+def test_verify_reports_proportional_columns(tmp_path, capsys):
+    """Y_1 = -Y_0 in the 3-4-5 output: falsified, as for a homogeneous file,
+    instead of an error from the frequency classes (Y_0 + Y_1 = 0)."""
+    path = tmp_path / "cert.json"
+    assert main(_argv(MEMBERS["3-4-5"]) + ["-o", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["Y"][1] = [-x for x in doc["Y"][0]]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "verdict: falsified (proportional_columns)"
 
 
 def test_is_homogeneous_reads_the_off_diagonal_blocks(members):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minitori.exactlp import feasible_point
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
                                build_slice, caratheodory_reduce, columns_from_matrix,
@@ -258,7 +257,7 @@ class TestRank4:
         # polynomial up to sign normalization (content 1, positive leading)
         q = rank4_quartic((5, 7, 8))
         paper = (1507, 10730, 1079, -23240, -14700)
-        assert q == tuple(Fraction(-x) for x in paper)
+        assert q == tuple(-x for x in paper)
 
     def test_random_candidates_are_stationary(self, rng):
         # exact-rational finite differences along the constraint tangents:
@@ -340,29 +339,3 @@ def _weighted_sum(point):
         term = SymMatrix.rank_one(c).scale(w)
         acc = term if acc is None else acc + term
     return acc
-
-
-class TestExactLP:
-    def test_simple_feasible(self):
-        x = feasible_point([[Fraction(1), Fraction(1)]], [Fraction(1)])
-        assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
-
-    def test_infeasible(self):
-        # x1 + x2 = -1 with x >= 0
-        assert feasible_point([[Fraction(1), Fraction(1)]], [Fraction(-1)]) is None
-
-    def test_against_scipy(self, rng):
-        from scipy.optimize import linprog
-        for _ in range(25):
-            m, n = rng.randint(1, 4), rng.randint(1, 6)
-            a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            b = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-            ours = feasible_point(a, b)
-            res = linprog(c=[0.0] * n,
-                          A_eq=[[float(x) for x in row] for row in a],
-                          b_eq=[float(x) for x in b],
-                          bounds=[(0, None)] * n, method="highs")
-            assert (ours is not None) == res.success
-            if ours is not None:
-                for row, want in zip(a, b):
-                    assert sum(c * x for c, x in zip(row, ours)) == want

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
-                      field_reduce)
+                      field_reduce, fraction_count_real_roots, fraction_isolate_real_roots,
+                      fraction_refine_root, fraction_sturm_sequence, poly_eval)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots,
                               factor_min_poly, format_rational,
                               irreducible_degree_le4, irreducible_factors,
                               is_rational_square,
-                              isolate_real_roots, parse_rational, poly_eval,
-                              rational_roots, refine_root, sqrt_field,
-                              squarefree_part)
+                              isolate_real_roots, parse_rational, poly_gcd,
+                              pseudo_divmod, rational_roots, refine_root, sqrt_field,
+                              squarefree_part, sturm_sequence)
 
 
 class TestRationalWire:
@@ -110,6 +111,79 @@ class TestRootIsolation:
         assert factor_min_poly([-1, 0, 0, 0, 1], Fraction(1, 2), Fraction(3, 2)) == (-1, 1)
         # x^4 - 4: root sqrt(2) has minpoly x^2 - 2
         assert factor_min_poly([-4, 0, 0, 0, 1], Fraction(1), Fraction(2)) == (-2, 0, 1)
+
+
+def _poly_from_roots(roots, lead, quadratic=(1,)):
+    """lead * quadratic(x) * prod (x - r) for rational roots r, low -> high."""
+    p = [Fraction(lead) * c for c in quadratic]
+    for r in roots:
+        p = [Fraction(0)] + p
+        for i in range(len(p) - 1):
+            p[i] -= r * p[i + 1]
+    return p
+
+
+# rational polynomials of degree 1 to 6: rational linear factors (a repeat is
+# a squared factor; dyadic roots such as 0, 1/2 or -3/4 can fall exactly on
+# bisection midpoints) times at most one integer quadratic, which may have
+# irrational roots or none
+rational_polys = st.builds(
+    _poly_from_roots,
+    st.lists(st.sampled_from([Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3, 4, 8)]),
+             min_size=1, max_size=4),
+    st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(-5, 4)]),
+    st.one_of(st.just((1,)), st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                                       st.integers(1, 5))))
+
+
+class TestRootKernelsAgainstFractionOracle:
+    """The integer Sturm sequences and bisections give the very Fractions of
+    the Fraction code they replaced (kept in conftest as the oracle)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polys)
+    def test_sturm_terms_are_positive_multiples(self, p):
+        got, want = sturm_sequence(p), fraction_sturm_sequence(p)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(type(c) is int for c in g) and math.gcd(*g) == 1
+            ratio = Fraction(g[-1]) / w[-1]
+            assert ratio > 0 and list(g) == [ratio * c for c in w]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_polys)
+    def test_isolate_real_roots(self, p):
+        assert 1 <= len(p) - 1 <= 6
+        assert isolate_real_roots(p) == fraction_isolate_real_roots(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polys, st.integers(-40, 40), st.integers(0, 40), st.integers(1, 8))
+    def test_count_real_roots(self, p, lo, width, den):
+        lo, hi = Fraction(lo, den), Fraction(lo + width, den)
+        assert count_real_roots(p, lo, hi) == fraction_count_real_roots(p, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polys, st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**18),
+                                            Fraction(3, 1000), Fraction(2)]))
+    def test_refine_root(self, p, width):
+        for lo, hi in fraction_isolate_real_roots(p):
+            got = refine_root(p, lo, hi, width)
+            assert got == fraction_refine_root(p, lo, hi, width)
+            assert all(type(x) is Fraction for x in got)
+
+    def test_midpoint_roots_move_the_split(self):
+        # x (x - 1): the first midpoint 0 of the Cauchy interval (-2, 2) is a
+        # root and moves to -1; x (x + 1): it moves twice, to -1, then -3/2
+        p = _poly_from_roots([Fraction(0), Fraction(1)], 1)
+        assert isolate_real_roots(p) == [(-1, Fraction(1, 2)), (Fraction(1, 2), 2)]
+        p = _poly_from_roots([Fraction(0), Fraction(-1)], 1)
+        assert isolate_real_roots(p) == [(Fraction(-3, 2), Fraction(-5, 8)),
+                                         (Fraction(-5, 8), Fraction(1, 4))]
+
+    def test_refine_stops_on_a_midpoint_root(self):
+        p = [Fraction(-1, 4), 0, 1]  # roots +-1/2
+        assert refine_root(p, 0, 1, Fraction(1, 10**6)) == (Fraction(1, 2), Fraction(1, 2))
+        assert refine_root(p, Fraction(1, 2), 1, Fraction(1, 10)) == (Fraction(1, 2),) * 2
 
 
 class TestAlgebraicScalar:
@@ -242,6 +316,28 @@ class TestIntegerRootKernels:
     def test_quartic_split_into_quadratics(self):
         # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
         assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_polys(max_deg=6), int_polys(max_deg=3))
+    def test_pseudo_divmod(self, a, b):
+        # s^e a = q b + r with s = |lc(b)|: q b + r is a positive multiple of a
+        q, r = pseudo_divmod(a, b)
+        assert len(r) < len(b)
+        qb_r = sympy_poly(q) * sympy_poly(b) + sympy_poly(r)
+        ratio = qb_r.LC() / a[-1]
+        assert ratio > 0 and qb_r == sympy_poly([ratio * c for c in a])
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_polys(max_deg=3), int_polys(max_deg=3), int_polys(max_deg=2))
+    def test_poly_gcd_against_sympy(self, p, q, common):
+        x = sp.Symbol("x")
+        p = sympy_poly(p) * sympy_poly(common)
+        q = sympy_poly(q) * sympy_poly(common)
+        want = sp.Poly(sp.gcd(p, q), x).primitive()[1]
+        want = want if want.LC() > 0 else -want
+        got = poly_gcd([int(c) for c in reversed(p.all_coeffs())],
+                       [int(c) for c in reversed(q.all_coeffs())])
+        assert sympy_poly(got) == want
 
 
 ORACLE_FIELDS = CATALOG_FIELDS + (((-2, 0, 1), (1, 2)),)  # and Q(sqrt 2)
