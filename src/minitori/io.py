@@ -1,9 +1,9 @@
 """Certificate JSON files (format_version 1).
 
 Scalars are encoded per regime: rationals as canonical "p/q" strings, floats
-as native JSON numbers (repr round-trips binary64 exactly; NaN and infinities
-are refused on parsing), algebraic scalars
-as {"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
+as native JSON numbers (repr round-trips binary64 exactly; parsing refuses
+NaN and infinities), algebraic scalars as
+{"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
 the minimal polynomial low-to-high.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x) byte for byte.
 """

@@ -51,13 +51,15 @@ def _malformed(name):
     """The malformed certificate files: each must exit 65, never with a traceback."""
     if name == "invalid-json":
         return "{not json"
-    if name in ("weight-nan", "q-inf"):
+    if name in ("weight-nan", "q-inf", "q-int-overflow"):
         # the float certificate of `construct bryant --mn 2 5 --rho 0.3`
         doc = json.loads(emit(bryant_2torus(Bryant2TorusParams(m=2, n=5, rho=0.3))))
         if name == "weight-nan":
             doc["weights"][0] = float("nan")
-        else:
+        elif name == "q-inf":
             doc["Q"]["rows"][0][0] = float("inf")
+        else:  # a JSON integer beyond the float range
+            doc["Q"]["rows"][0][0] = 10**400
         return json.dumps(doc)
     if name.startswith("block-"):
         doc = _general_document()
@@ -90,7 +92,7 @@ def _malformed(name):
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
              "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
-             "weight-nan", "q-inf")
+             "weight-nan", "q-inf", "q-int-overflow")
 
 
 @pytest.mark.parametrize("name", MALFORMED)
