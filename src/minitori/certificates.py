@@ -5,6 +5,13 @@ A homogeneous immersion is certified by matrix data {n, N, Q, Y, weights}:
 Q the dual-lattice Gram matrix in integer coordinates (so Y_j^t Q Y_j = 1),
 Y the integer coordinates of the participating norm-1 classes, and weights
 the squared coefficients c_j^2 with sum 1 and sum c_j^2 Y_j Y_j^t = Q^{-1}/n.
+For exact data `verify_matrix_data` never inverts Q when the certificate
+holds: it builds W = sum c_j^2 Y_j Y_j^t with one primitive
+(`SymMatrix.rank_one_sum`) and tests n Q W = I, which holds exactly iff
+W = Q^{-1}/n.  With rank Y = n and every weight certified positive, W is then
+positive definite, hence so is Q = W^{-1}/n, and no elimination is needed.
+Q^{-1} and the elimination are computed only to report a failing or float
+certificate, so every report is that of inverting Q.
 
 General (possibly non-homogeneous) immersions are certified by the 2N x 2N
 coefficient operator A A^t together with (Q, Y): writing the squared norm and
@@ -17,8 +24,7 @@ All equation systems are evaluated in Y-coordinates; correctness under the
 generator change is the congruence invariance of the rank-one sums.  The
 general system is checked without numpy: the unit-norm residual is exact,
 the others are float sums of products taken in a fixed order, and the PSD
-margin comes from a cyclic Jacobi eigenvalue run on each block of classes
-that the off-diagonal blocks connect.
+margin comes from a cyclic Jacobi eigenvalue run on the assembled operator.
 """
 
 from __future__ import annotations
@@ -130,6 +136,16 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     Exact certificates are compared exactly: any residual that is not exactly
     zero falsifies, and its float magnitude is recorded.  Float certificates
     compare within tol.
+
+    For exact data the convex-combination equation W = Q^{-1}/n, with
+    W = sum w_j Y_j Y_j^t, is tested without inverting Q, as n Q W = I: it
+    holds exactly iff W = Q^{-1}/n, and then Q is nonsingular.  If it holds,
+    rank Y = n and every weight is certified > 0, then W is positive definite
+    (x^t W x = sum w_j (Y_j . x)^2 > 0 for x != 0, the Y_j spanning), and so
+    is Q = W^{-1}/n, so the elimination of the positive definiteness test is
+    skipped.  In every other case, and for float data, Q^{-1} gives the flat
+    residual and the test runs, so verdicts, reasons and residuals are those
+    of inverting Q every time.
     """
     n = data.n
     exact = data.is_exact()
@@ -152,19 +168,21 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
         record("unit_norm", data.q.quad_form(c) - 1)
 
     # convex-combination equation: sum w_j Y_j Y_j^t = Q^{-1}/n
-    try:
-        qinv = inverse(data.q)
-    except ValueError:
-        return VerificationReport("falsified", "singular_gram", residuals, None, tol)
-    acc = None
-    for w, c in zip(data.weights, data.y):
-        m = SymMatrix.rank_one(c)
-        term = m.scale(w)
-        acc = term if acc is None else acc + term
-    target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
-    for i in range(n):
-        for j in range(n):
-            record("flat", acc.entries[i][j] - target.entries[i][j])
+    acc = SymMatrix.rank_one_sum(data.y, data.weights) if exact else None
+    inverse_free = acc is not None and _is_inverse_over_n(data.q, acc)
+    if inverse_free:
+        residuals["flat"] = 0.0
+    else:
+        try:
+            qinv = inverse(data.q)
+        except ValueError:
+            return VerificationReport("falsified", "singular_gram", residuals, None, tol)
+        if acc is None:
+            acc = SymMatrix.rank_one_sum(data.y, data.weights)
+        target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
+        for i in range(n):
+            for j in range(n):
+                record("flat", acc.entries[i][j] - target.entries[i][j])
 
     wsum = None
     for w in data.weights:
@@ -174,6 +192,8 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     borderline = None
     wmin_f = None
     for w in data.weights:
+        # float(w) also narrows an algebraic weight's isolating interval,
+        # which io.emit writes: every weight is approximated, positive or not
         wf = float(w)
         wmin_f = wf if wmin_f is None else min(wmin_f, wf)
         if exact_scalar(w):
@@ -186,12 +206,20 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
                 borderline = "weight_positivity"
     residuals["min_weight"] = 0.0 if wmin_f is None or wmin_f > 0 else abs(min(wmin_f, 0.0))
 
-    pd = is_positive_definite(data.q)
-    if pd is False:
-        structural = structural or "gram_not_pd"
-    elif pd is None:
-        borderline = borderline or "gram_pd"
+    if not (inverse_free and structural is None):  # else Q is PD (see the docstring)
+        pd = is_positive_definite(data.q)
+        if pd is False:
+            structural = structural or "gram_not_pd"
+        elif pd is None:
+            borderline = borderline or "gram_pd"
     return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
+
+
+def _is_inverse_over_n(q: SymMatrix, w: SymMatrix) -> bool:
+    """True iff n Q W = I exactly, for exact Q and W."""
+    diagonal = Fraction(1, q.n)
+    return all(x == (diagonal if i == k else 0)
+               for i, row in enumerate(q.matmul(w)) for k, x in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

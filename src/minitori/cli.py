@@ -43,10 +43,11 @@ class _Parser(argparse.ArgumentParser):
 def load_gram(spec: str) -> SymMatrix:
     """Gram matrix from 'I<n>', 'diag:a,b,c', or a JSON file {"rows": [...]}."""
     if spec.startswith("I") and spec[1:].isdigit():
+        if int(spec[1:]) < 1:
+            raise UsageError(f"gram {spec!r}: the dimension must be at least 1")
         return SymMatrix.identity(int(spec[1:]))
     if spec.startswith("diag:"):
-        vals = [parse_rational(v) for v in spec[5:].split(",")]
-        return SymMatrix.diag(vals)
+        return SymMatrix.diag([_rational_flag("gram diag entry", v) for v in spec[5:].split(",")])
     try:
         with open(spec) as fh:
             doc = json.load(fh)
@@ -57,6 +58,13 @@ def load_gram(spec: str) -> SymMatrix:
     rows = doc["rows"] if isinstance(doc, dict) else doc
     return SymMatrix([[parse_rational(x) if isinstance(x, str) else x for x in row]
                       for row in rows])
+
+
+def _rational_flag(name: str, text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{name} {text!r} is not a rational number p or p/q") from exc
 
 
 def load_y(path: str):
@@ -140,6 +148,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    # NaN passes every tolerance comparison, and a negative tolerance fails them all
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol!r}")
     try:
         with open(args.path) as fh:
             cert = cio.parse(fh.read())
@@ -152,7 +163,7 @@ def cmd_verify(args) -> int:
     if isinstance(cert, MatrixData):
         report = verify_matrix_data(cert, tol=args.tol)
     else:
-        gram, q, y = cert
+        gram, q, y, _ = cert
         report = verify_full(gram, (q, y), tol=args.tol)
     if args.exhaustive_embedding:
         yy = cert.y if isinstance(cert, MatrixData) else cert[2]
@@ -206,6 +217,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.spectrum is not None and args.spectrum < 1:
+        raise UsageError(f"--spectrum must be a positive integer, not {args.spectrum}")
+    target = None if args.target is None else _rational_flag("--target", args.target)
+    if target is not None and target <= 0:
+        raise UsageError(f"--target must be positive, not {args.target}")
     try:
         gram = load_gram(args.gram)
     except cio.CertificateFormatError as exc:
@@ -225,10 +241,10 @@ def cmd_enumerate(args) -> int:
         for c in classes:
             print(" ", c)
         return EXIT_VERIFIED
-    if args.target is None:
+    if target is None:
         print("error: one of --target, --shortest, --spectrum is required", file=sys.stderr)
         return EXIT_USAGE
-    classes = enumerate_norm(gram, parse_rational(args.target))
+    classes = enumerate_norm(gram, target)
     print(f"{len(classes)} classes of norm {classes.target}"
           + ("" if classes.complete else " (INCOMPLETE: box bound hit)"))
     for c in classes:

@@ -84,9 +84,16 @@ def _decode_matrix(obj, field_cache: dict) -> SymMatrix:
     return SymMatrix([[_decode_scalar(x, field_cache) for x in row] for row in rows])
 
 
-def emit(cert: Union[MatrixData, tuple[GramOperator, SymMatrix, tuple]],
-         metadata: dict | None = None) -> str:
-    """Canonical JSON text for a homogeneous or general certificate."""
+def emit(cert: Union[MatrixData, tuple], metadata: dict | None = None) -> str:
+    """Canonical JSON text for a homogeneous or general certificate.
+
+    A general certificate is (GramOperator, Q, Y), or (GramOperator, Q, Y,
+    metadata) as `parse` returns it; `metadata` entries are added to the
+    certificate's own.  An algebraic scalar is written with its field's
+    isolating interval as it stands at emission.  Every sign or approximation
+    query on an element of the field may have narrowed that interval, so
+    removing or adding such a query before emission can change the bytes.
+    """
     if isinstance(cert, MatrixData):
         doc = {
             "format_version": FORMAT_VERSION,
@@ -99,7 +106,7 @@ def emit(cert: Union[MatrixData, tuple[GramOperator, SymMatrix, tuple]],
             "metadata": _clean_metadata({**cert.metadata, **(metadata or {})}),
         }
     else:
-        gram, q, y = cert
+        gram, q, y, *own = cert
         blocks = []
         for r in range(gram.N):
             blocks.append({"r": r, "s": r, "block": [[gram.a(r), 0.0], [0.0, gram.a(r)]]})
@@ -116,7 +123,7 @@ def emit(cert: Union[MatrixData, tuple[GramOperator, SymMatrix, tuple]],
             "Q": _encode_matrix(q),
             "Y": [list(col) for col in y],
             "blocks": blocks,
-            "metadata": _clean_metadata(metadata or {}),
+            "metadata": _clean_metadata({**(own[0] if own else {}), **(metadata or {})}),
         }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -134,7 +141,7 @@ def _clean_metadata(meta: dict) -> dict:
 
 
 def parse(text: str):
-    """Parse certificate JSON into MatrixData or (GramOperator, Q, Y)."""
+    """Parse certificate JSON into MatrixData or (GramOperator, Q, Y, metadata)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -158,6 +165,8 @@ def parse(text: str):
     if not y:
         raise CertificateFormatError("Y needs at least one column")
     metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise CertificateFormatError("metadata must be an object")
     if kind == "homogeneous":
         if "weights" not in doc:
             raise CertificateFormatError("homogeneous certificate needs weights")
@@ -177,7 +186,7 @@ def parse(text: str):
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc
         _check_one_field(field_cache)
-        return gram, q, y
+        return gram, q, y, dict(metadata)
     raise CertificateFormatError(f"unknown kind {kind!r}")
 
 

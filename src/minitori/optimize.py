@@ -139,10 +139,7 @@ def build_slice(y) -> AffineSliceW:
     c = solve(gram, [1] * nn)
     if c is None:
         raise NoCommonEllipsoid("no hyper-ellipsoid passes through all the vectors")
-    q0 = SymMatrix([[Fraction(0)] * n for _ in range(n)])
-    for ck, mk in zip(c, ms):
-        if ck:
-            q0 = q0 + mk.scale(ck)
+    q0 = SymMatrix.rank_one_sum(cols, c)
 
     # Gram-Schmidt orthogonalization of span{M_j}, then seed the complement
     ortho: list[SymMatrix] = []
@@ -276,12 +273,8 @@ class HullPoint:
     @classmethod
     def from_weights(cls, y, weights) -> "HullPoint":
         cols = as_columns(y)
-        n = len(cols[0])
-        ws = list(weights)
-        p = SymMatrix([[Fraction(0)] * n for _ in range(n)])
-        for w, c in zip(ws, cols):
-            p = p + SymMatrix.rank_one(c).scale(w)
-        return cls(y=cols, weights=tuple(ws), p=p)
+        ws = tuple(weights)
+        return cls(y=cols, weights=ws, p=SymMatrix.rank_one_sum(cols, ws))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -454,11 +447,8 @@ def _exact_newton_step(cols: Columns, support: list[int],
                        ws: list[Fraction]) -> Optional[list[Fraction]]:
     k = len(support)
     n = len(cols[0])
-    p = SymMatrix([[Fraction(0)] * n for _ in range(n)])
-    for j, w in zip(support, ws):
-        p = p + SymMatrix.rank_one(cols[j]).scale(w)
-    pinv = inverse(p)
     vecs = [cols[j] for j in support]
+    pinv = inverse(SymMatrix.rank_one_sum(vecs, ws))
 
     def bilinear(u, v):
         return sum(u[a] * sum(pinv.entries[a][b] * v[b] for b in range(n)) for a in range(n))

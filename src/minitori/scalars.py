@@ -482,6 +482,11 @@ class AlgebraicField:
     exactly one real root of the minimal polynomial.  The interval only ever
     shrinks (bisection keeping the sign change), so the designated root never
     changes; narrowing is an internal cache shared by all elements.
+
+    The interval is part of the certificate file format (`io.emit` writes it
+    as it stands), so it reflects the field's refinement history: every sign
+    or approximation query on any element may narrow it, and removing or
+    adding such a query before emission can change the emitted bytes.
     """
 
     __slots__ = ("minpoly", "_lo", "_hi", "_flo_sign")
@@ -894,6 +899,71 @@ Scalar = Union[int, Fraction, float, AlgebraicScalar]
 
 def exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, AlgebraicScalar))
+
+
+def _common_numerators(xs: Sequence[Scalar], field: Optional[AlgebraicField]
+                       ) -> tuple[list[list[int]], int]:
+    """Integer numerator vectors of the exact x_j over one common denominator.
+
+    The x_j are ints, Fractions or elements of `field` (None: all rational);
+    a rational one gets the numerator vector (p, 0, ..., 0).
+    """
+    deg = 1 if field is None else field.degree
+    parts = []
+    for x in xs:
+        if isinstance(x, AlgebraicScalar):
+            if x.field is not field and x.field != field:
+                raise TypeError("cannot mix elements of different fields")
+            parts.append((x.num, x.den))
+        else:
+            parts.append(((x.numerator,) + (0,) * (deg - 1), x.denominator))
+    den = math.lcm(*(d for _, d in parts))
+    return [[c * (den // d) for c in num] for num, d in parts], den
+
+
+def _field_of(xs: Sequence[Scalar]) -> Optional[AlgebraicField]:
+    return next((x.field for x in xs if isinstance(x, AlgebraicScalar)), None)
+
+
+def integer_combinations(xs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> list:
+    """[sum_j row[j] x_j for row in rows], for exact x_j and integer rows.
+
+    The x_j are ints, Fractions or elements of one field.  Their numerators
+    are brought over one common denominator once, so each sum is an integer
+    dot product per coefficient, allocated once: a Fraction when every x_j is
+    rational, else an element of the field.
+    """
+    field = _field_of(xs)
+    scaled, den = _common_numerators(xs, field)
+    out = []
+    for row in rows:
+        num = [0] * (1 if field is None else field.degree)
+        for t, s in zip(row, scaled):
+            if t:
+                for i, c in enumerate(s):
+                    num[i] += t * c
+        out.append(Fraction(num[0], den) if field is None else _element(field, num, den))
+    return out
+
+
+def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """sum_j x_j y_j for exact scalars (ints, Fractions or elements of one field).
+
+    The products are integer convolutions over the two common denominators,
+    summed before one reduction modulo the minimal polynomial.
+    """
+    field = _field_of(list(xs) + list(ys))
+    a, da = _common_numerators(xs, field)
+    b, db = _common_numerators(ys, field)
+    c = [0] * (1 if field is None else 2 * field.degree - 1)
+    for u, v in zip(a, b):
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v, i):
+                    c[j] += x * y
+    if field is None:
+        return Fraction(c[0], da * db)
+    return _element(field, c, da * db * _reduce_mod(field.minpoly, c))
 
 
 # ---------------------------------------------------------------------------

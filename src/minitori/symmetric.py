@@ -34,7 +34,8 @@ import numbers
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .scalars import AlgebraicScalar, Rat, Scalar, bareiss_determinant
+from .scalars import (AlgebraicScalar, Rat, Scalar, bareiss_determinant, dot, exact_scalar,
+                      integer_combinations)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,6 +132,35 @@ class SymMatrix:
         v = [x if isinstance(x, Fraction) else int(x) for x in v]
         return cls([[Fraction(a * b) for b in v] for a in v])
 
+    @classmethod
+    def rank_one_sum(cls, cols: Sequence[Sequence[int]], coeffs: Sequence[Scalar]) -> "SymMatrix":
+        """sum_j c_j Y_j Y_j^t for integer vectors Y_j, built entry by entry.
+
+        Entry (i, k) is the combination of the c_j with the integer weights
+        (Y_j)_i (Y_j)_k.  Exact coefficients (ints, Fractions or elements of
+        one field) go through `scalars.integer_combinations`.  Any other
+        coefficients (floats) are multiplied by those integers and the terms
+        added in j order, the float operations of summing the matrices
+        rank_one(Y_j).scale(c_j) in that order, so the sums are bit-identical.
+        """
+        n = len(cols[0])
+        pairs = [(i, k) for i in range(n) for k in range(i, n)]
+        products = [[y[i] * y[k] for y in cols] for i, k in pairs]
+        if all(exact_scalar(c) for c in coeffs):
+            values = integer_combinations(coeffs, products)
+        else:
+            values = []
+            for row in products:
+                acc = None
+                for c, t in zip(coeffs, row):
+                    term = c * t
+                    acc = term if acc is None else acc + term
+                values.append(acc)
+        rows: list[list] = [[None] * n for _ in range(n)]
+        for (i, k), v in zip(pairs, values):
+            rows[i][k] = rows[k][i] = v
+        return cls(rows)
+
     # -- basics ---------------------------------------------------------------
     @property
     def regime(self) -> str:
@@ -184,8 +214,14 @@ class SymMatrix:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def matmul(self, other: "SymMatrix") -> list[list]:
-        """Plain matrix product (generally not symmetric); returns nested lists."""
+        """Plain matrix product (generally not symmetric); returns nested lists.
+
+        Exact entries: each one is `scalars.dot` of a row and a column (a row
+        of the symmetric `other`), reduced once.
+        """
         self._check_dim(other)
+        if self.is_exact() and other.is_exact():
+            return [[dot(row, col) for col in other.entries] for row in self.entries]
         n = self.n
         return [[sum(self.entries[i][k] * other.entries[k][j] for k in range(n))
                  for j in range(n)] for i in range(n)]

@@ -8,7 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minitori.symmetric import FLOAT_PD_TOL, SymMatrix, inverse, is_positive_definite, solve
+from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
+                                   has_proportional_columns)
+from minitori.scalars import exact_scalar
+from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, inverse, is_positive_definite, rank,
+                                solve)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -449,6 +453,75 @@ def fraction_refine_root(p, lo, hi, width):
         else:
             hi = mid
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# homogeneous verification as it ran before the inverse-free exact test
+
+
+def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Oracle for `certificates.verify_matrix_data`: Q is always inverted, the
+    weighted sum is accumulated one rank-one matrix at a time, and the
+    positive definiteness test always runs."""
+    n = data.n
+    exact = data.is_exact()
+    residuals: dict[str, float] = {}
+    nonzero: set[str] = set()
+
+    def record(key, diff):
+        residuals[key] = max(residuals.get(key, 0.0), abs(float(diff)))
+        if exact and diff:
+            nonzero.add(key)
+
+    structural = None
+    if rank(data.y) != n:
+        structural = "rank"
+    if has_proportional_columns(data.y):
+        structural = structural or "proportional_columns"
+
+    for c in data.y:
+        record("unit_norm", data.q.quad_form(c) - 1)
+
+    try:
+        qinv = inverse(data.q)
+    except ValueError:
+        return VerificationReport("falsified", "singular_gram", residuals, None, tol)
+    acc = None
+    for w, c in zip(data.weights, data.y):
+        m = SymMatrix.rank_one(c)
+        term = m.scale(w)
+        acc = term if acc is None else acc + term
+    target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
+    for i in range(n):
+        for j in range(n):
+            record("flat", acc.entries[i][j] - target.entries[i][j])
+
+    wsum = None
+    for w in data.weights:
+        wsum = w if wsum is None else wsum + w
+    record("weight_sum", wsum - 1)
+
+    borderline = None
+    wmin_f = None
+    for w in data.weights:
+        wf = float(w)
+        wmin_f = wf if wmin_f is None else min(wmin_f, wf)
+        if exact_scalar(w):
+            if not w > 0:
+                structural = structural or "weight_positivity"
+        elif wf <= tol:
+            if wf < -tol:
+                structural = structural or "weight_positivity"
+            else:
+                borderline = "weight_positivity"
+    residuals["min_weight"] = 0.0 if wmin_f is None or wmin_f > 0 else abs(min(wmin_f, 0.0))
+
+    pd = is_positive_definite(data.q)
+    if pd is False:
+        structural = structural or "gram_not_pd"
+    elif pd is None:
+        borderline = borderline or "gram_pd"
+    return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
 
 
 @pytest.fixture

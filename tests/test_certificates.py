@@ -1,13 +1,19 @@
 """Direct tests of certificate verification, embeddedness and reduction."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CATALOG_FIELDS, reference_verify_matrix_data
 from minitori.certificates import (MatrixData, embeddedness,
                                    reduce_target_dimension, verify_matrix_data)
-from minitori.constructions import (CATALOG_IDS, PythagoreanParams, catalog,
-                                    pythagorean_family)
+from minitori.constructions import (CATALOG_IDS, PythagoreanParams, RationalPipelineConfig,
+                                    catalog, construct_rational, pythagorean_family)
+from minitori.io import emit, parse
+from minitori.scalars import AlgebraicField
 from minitori.symmetric import SymMatrix, trace_inner
 
 EPS = Fraction(1, 10**12)
@@ -93,3 +99,143 @@ class TestReduceTargetDimension:
         assert reduced.q == data.q
         assert _weighted_sum(reduced) == _weighted_sum(data)
         assert trace_inner(reduced.q, _weighted_sum(reduced)) == 1
+
+
+class TestRankOneSum:
+    """SymMatrix.rank_one_sum against the rank-one matrices summed one by one."""
+
+    @pytest.mark.parametrize("cid", CATALOG_IDS)
+    def test_catalog_weights(self, cid):
+        data = catalog(cid)
+        assert SymMatrix.rank_one_sum(data.y, data.weights) == _weighted_sum(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_columns_and_weights(self, data):
+        n = data.draw(st.integers(1, 4))
+        count = data.draw(st.integers(1, 6))
+        cols = data.draw(st.lists(st.tuples(*[st.integers(-7, 7)] * n),
+                                  min_size=count, max_size=count))
+        kind = data.draw(st.sampled_from(["rational", "float", "algebraic"]))
+        if kind == "float":
+            weights = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=count, max_size=count))
+        else:
+            rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+            weights = data.draw(st.lists(rationals, min_size=count, max_size=count))
+            if kind == "algebraic":
+                field = AlgebraicField(*data.draw(st.sampled_from(CATALOG_FIELDS)))
+                weights = [field.element(data.draw(st.lists(rationals, min_size=field.degree,
+                                                            max_size=field.degree)))
+                           for _ in weights]
+        got = SymMatrix.rank_one_sum(cols, weights)
+        want = _weighted_sum(MatrixData(q=SymMatrix.identity(n), y=cols, weights=weights))
+        assert got == want
+        # floats: the same operations in the same order, so the same bits
+        assert [[repr(x) for x in row] for row in got.entries] == \
+            [[repr(x) for x in row] for row in want.entries]
+
+
+# ---------------------------------------------------------------------------
+# verify_matrix_data against the reference that always inverts Q
+
+def _rational_outputs() -> dict:
+    a3 = SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    grams = {"I3": SymMatrix.identity(3), "A3": a3, "diag:1,2,3": SymMatrix.diag([1, 2, 3])}
+    return {f"rational {name}": construct_rational(RationalPipelineConfig(q=q, seed=0))
+            for name, q in grams.items()}
+
+
+@pytest.fixture(scope="module")
+def certificate_texts():
+    """The emitted catalog entries, their reductions and three rational
+    constructions, by name."""
+    out = {}
+    for cid in CATALOG_IDS:
+        data = catalog(cid)
+        out[cid] = emit(data)
+        out[cid + " reduced"] = emit(reduce_target_dimension(data))
+    out.update((name, emit(data)) for name, data in _rational_outputs().items())
+    return out
+
+
+def _with_q_entries(q: SymMatrix, changes: dict) -> SymMatrix:
+    rows = [list(row) for row in q.entries]
+    for (i, j), x in changes.items():
+        rows[i][j] = rows[j][i] = x
+    return SymMatrix(rows)
+
+
+def _perturbed(data: MatrixData, kind: str, eps=EPS) -> MatrixData:
+    q, y, w = data.q, list(data.y), list(data.weights)
+    n = q.n
+    if kind == "weight+":
+        w[0] = w[0] + eps
+    elif kind == "weight-":
+        w[0] = w[0] - eps
+    elif kind == "negated-weight":
+        w[0] = -w[0]
+    elif kind == "zero-weight":
+        w[-1] = w[-1] - w[-1]
+    elif kind == "q-diagonal+":
+        q = _with_q_entries(q, {(0, 0): q[0, 0] + eps})
+    elif kind == "q-offdiagonal-":
+        q = _with_q_entries(q, {(0, 1): q[0, 1] - eps})
+    elif kind == "singular-q":  # the last row and column copy the first
+        q = _with_q_entries(q, {(i, n - 1): q[i, 0] for i in range(n - 1)}
+                            | {(n - 1, n - 1): q[0, 0]})
+    elif kind == "indefinite-q":
+        q = _with_q_entries(q, {(0, 0): -q[0, 0]})
+    elif kind == "proportional-columns":
+        y[1] = tuple(-x for x in y[0])
+    elif kind == "rank-deficient-y":
+        y = [c[:-1] + (0,) for c in y]
+    elif kind == "float-weights":
+        w = [float(x) for x in w]
+    else:
+        assert kind == "unchanged"
+    return MatrixData(q=q, y=y, weights=tuple(w), metadata=data.metadata)
+
+
+PERTURBATIONS = ("unchanged", "weight+", "weight-", "negated-weight", "zero-weight",
+                 "q-diagonal+", "q-offdiagonal-", "singular-q", "indefinite-q",
+                 "proportional-columns", "rank-deficient-y", "float-weights")
+
+
+def _assert_same_as_reference(text: str, kind: str, eps=EPS) -> str:
+    """Verify one perturbation of a freshly parsed copy with each function, and
+    compare the reports and the certificates emitted afterwards; returns the
+    verdict."""
+    ours, theirs = _perturbed(parse(text), kind, eps), _perturbed(parse(text), kind, eps)
+    try:
+        want = reference_verify_matrix_data(theirs)
+    except TypeError as exc:  # float weights with an algebraic Q: no report either way
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            verify_matrix_data(ours)
+        return "error"
+    got = verify_matrix_data(ours)
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+    assert list(got.residuals.items()) == list(want.residuals.items())
+    assert got.to_dict() == want.to_dict()
+    # the same sign and approximation queries leave the same isolating intervals
+    assert emit(ours) == emit(theirs)
+    return got.verdict
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+def test_verification_matches_the_reference(kind, certificate_texts):
+    verdicts = {name: _assert_same_as_reference(text, kind)
+                for name, text in certificate_texts.items()}
+    if kind == "unchanged":
+        assert set(verdicts.values()) == {"verified"}
+    elif kind != "float-weights":  # rounded weights may pass the float tolerance
+        assert "verified" not in verdicts.values()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verification_matches_the_reference_on_drawn_perturbations(certificate_texts, data):
+    name = data.draw(st.sampled_from(sorted(certificate_texts)))
+    kind = data.draw(st.sampled_from(PERTURBATIONS))
+    eps = Fraction(data.draw(st.integers(-10**3, 10**3).filter(bool)),
+                   data.draw(st.integers(1, 10**15)))
+    _assert_same_as_reference(certificate_texts[name], kind, eps)

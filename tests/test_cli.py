@@ -103,6 +103,35 @@ def test_verify_malformed_file_exits_65(name, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("tol, negate", [("nan", True), ("-1", False)])
+def test_verify_rejects_a_tolerance_that_decides_nothing_with_64(tol, negate, tmp_path, capsys):
+    # NaN passed every comparison, so a negated weight verified (exit 0);
+    # -1 failed every one, so the unmodified certificate was falsified
+    doc = json.loads(emit(bryant_2torus(Bryant2TorusParams(m=2, n=5, rho=0.3))))
+    if negate:
+        doc["weights"][0] = -doc["weights"][0]
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--tol", "1e-10", str(path)]) == (1 if negate else 0)
+    capsys.readouterr()
+    assert main(["verify", "--tol", tol, str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gram", "I3", "--spectrum", "0"],
+    ["--gram", "I3", "--spectrum", "-1"],
+    ["--gram", "I3", "--target", "-1"],
+    ["--gram", "I3", "--target", "abc"],
+    ["--gram", "I0", "--target", "1"],
+])
+def test_enumerate_malformed_flags_exit_64(argv, capsys):
+    assert main(["enumerate"] + argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 # One command of each kind the benchmark workloads run, plus `verify` on a
 # Pythagorean (general) certificate.  Commands run in order, so later ones
 # read the files earlier ones write.

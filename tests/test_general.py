@@ -59,9 +59,18 @@ def members():
 def test_emit_parse_emit_is_byte_stable(name, members):
     res = members[name]
     text = emit((res.gram, res.q, res.y))
-    gram, q, y = parse(text)
-    assert gram == res.gram and q == res.q and y == res.y
+    gram, q, y, metadata = parse(text)
+    assert gram == res.gram and q == res.q and y == res.y and metadata == {}
     assert emit((gram, q, y)) == text
+
+
+@pytest.mark.parametrize("name", ["3-4-5", "5-12-13", "8-15-17"])
+def test_written_files_round_trip_with_their_metadata(name, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(_argv(MEMBERS[name]) + ["-o", str(path)]) == 0
+    text = path.read_text()
+    assert parse(text)[3]["construction"] == "pythagorean"
+    assert emit(parse(text)) == text
 
 
 @pytest.mark.parametrize("name", MEMBERS)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
                       field_reduce, fraction_count_real_roots, fraction_isolate_real_roots,
                       fraction_refine_root, fraction_sturm_sequence, poly_eval)
-from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots,
-                              factor_min_poly, format_rational,
+from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots, dot,
+                              factor_min_poly, format_rational, integer_combinations,
                               irreducible_degree_le4, irreducible_factors,
                               is_rational_square,
                               isolate_real_roots, parse_rational, poly_gcd,
@@ -418,6 +418,31 @@ class TestAlgebraicScalarOracle:
         assert len({x, Fraction(r)}) == 1
         if not a.is_rational():
             assert a != a.coeffs[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_elements(6), st.lists(RATIONAL_OPERANDS, min_size=3, max_size=3),
+           st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=4))
+    def test_dot_and_integer_combinations(self, case, rationals, rows):
+        field, coeffs = case
+        mp = field.minpoly
+        xs = [field.element(c) for c in coeffs[:3]]
+        ys = [field.element(c) for c in coeffs[3:]]
+
+        def oracle_sum(terms):
+            return field_reduce(mp, [sum(t[i] for t in terms) for i in range(field.degree)])
+
+        want = oracle_sum([field_mul(mp, a, b) for a, b in zip(coeffs[:3], coeffs[3:])])
+        assert dot(xs, ys).coeffs == want
+        # rational entries mixed in, and all-rational inputs (a Fraction)
+        mixed = [xs[0], rationals[1], xs[2]]
+        assert dot(mixed, ys) == xs[0] * ys[0] + rationals[1] * ys[1] + xs[2] * ys[2]
+        assert dot(rationals, rationals) == sum(Fraction(r) * r for r in rationals)
+        for got, row in zip(integer_combinations(xs, rows), rows):
+            assert got.coeffs == oracle_sum([[t * c for c in field_reduce(mp, a)]
+                                             for t, a in zip(row, coeffs[:3])])
+        for got, row in zip(integer_combinations(rationals, rows), rows):
+            assert got == sum(t * Fraction(r) for t, r in zip(row, rationals))
+            assert isinstance(got, Fraction)
 
     def test_half_hashes_like_its_fraction(self):
         x = sqrt_field(2).from_rational(Fraction(1, 2))
