@@ -1,5 +1,8 @@
 """Command-line front end.
 
+The commands are one table, `COMMANDS`.  Each `main` call builds a fresh parser
+of the branch its argv names, or of the whole tree when argv names no command.
+
 Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
 infeasible/construction failure, 64 usage error, 65 malformed file.
 """
@@ -55,9 +58,17 @@ def load_gram(spec: str) -> SymMatrix:
         raise UsageError(f"cannot read gram file {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise cio.CertificateFormatError(f"gram file {spec!r}: {exc}") from exc
-    rows = doc["rows"] if isinstance(doc, dict) else doc
-    return SymMatrix([[parse_rational(x) if isinstance(x, str) else x for x in row]
-                      for row in rows])
+    rows = doc.get("rows") if isinstance(doc, dict) else doc
+    try:
+        if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
+            raise ValueError("'rows' must be a nonempty list of lists")
+        q = SymMatrix([[parse_rational(x) if isinstance(x, str) else x for x in row]
+                       for row in rows])
+        if q.regime == "float" and not all(math.isfinite(x) for row in q.entries for x in row):
+            raise ValueError("entries must be finite")
+        return q
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise cio.CertificateFormatError(f"gram file {spec!r}: {exc}") from exc
 
 
 def _rational_flag(name: str, text: str) -> Fraction:
@@ -208,6 +219,8 @@ def cmd_construct(args) -> int:
             data = bryant_2torus(params)
         else:  # pragma: no cover
             raise UsageError(f"unknown construction {args.what!r}")
+    except cio.CertificateFormatError:
+        raise  # a malformed --gram file: exit 65, not a failed construction
     except (ConstructionError, InfeasibleRegion, ValueError, TypeError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -222,11 +235,7 @@ def cmd_enumerate(args) -> int:
     target = None if args.target is None else _rational_flag("--target", args.target)
     if target is not None and target <= 0:
         raise UsageError(f"--target must be positive, not {args.target}")
-    try:
-        gram = load_gram(args.gram)
-    except cio.CertificateFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    gram = load_gram(args.gram)
     if is_positive_definite(gram) is not True:
         print("error: gram matrix is not positive definite", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -293,78 +302,79 @@ def cmd_catalog(args) -> int:
     return EXIT_VERIFIED
 
 
-def build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_OUTPUT = _arg("-o", "--output")
+
+# name -> (help, command function, argument specs), or for a command with
+# sub-commands, (help, command function, (destination, their table)).
+COMMANDS = {
+    "verify": ("verify a certificate file", cmd_verify, [
+        _arg("path"), _arg("--tol", type=float, default=1e-10),
+        _arg("--exhaustive-embedding", action="store_true"),
+        _arg("--format", choices=("text", "json"), default="text")]),
+    "construct": ("run a construction pipeline", cmd_construct, ("what", {
+        "rational": ("rational torus via sampling + exact LP", cmd_construct, [
+            _arg("--gram", required=True,
+                 help="I<n>, diag:a,b,c or a JSON file with rational rows"),
+            _arg("--seed", type=int, default=0), _arg("--samples", type=int, default=48),
+            _arg("--max-denominator", type=int, default=10**4), _OUTPUT]),
+        "pencil": ("3-torus from an integer vector set", cmd_construct, [
+            _arg("--Y", required=True, help="text file: rows of the 3 x N matrix"),
+            _arg("--require", choices=("rank4", "rank5")), _OUTPUT]),
+        "pythagorean": ("non-homogeneous 12-class family", cmd_construct, [
+            _arg("--triple", nargs=3, type=int, required=True, metavar=("P", "Q", "R")),
+            *(_arg(f"--{name}", type=float, default=0.0)
+              for name in ("r1", "r2", "phi1", "psi1", "phi2", "psi2")), _OUTPUT]),
+        "bryant": ("one-parameter family of flat 2-tori in S^7", cmd_construct, [
+            _arg("--mn", nargs=2, type=int, required=True, metavar=("M", "N")),
+            _arg("--rho", type=float),
+            _arg("--rho-scaled", help="exact ratio rho*2b in [0,1], e.g. 1/2"), _OUTPUT]),
+    })),
+    "enumerate": ("lattice norm classes / spectrum", cmd_enumerate, [
+        _arg("--gram", required=True), _arg("--target", help="rational norm value, e.g. 1 or 3/4"),
+        _arg("--shortest", action="store_true"), _arg("--spectrum", type=int, metavar="K")]),
+    "reduce": ("Caratheodory-reduce a homogeneous certificate", cmd_reduce,
+               [_arg("path"), _OUTPUT]),
+    "catalog": ("worked-example certificates", cmd_catalog,
+                [_arg("id", nargs="?"), _arg("--list", action="store_true"), _OUTPUT]),
+}
+
+
+def _add_branches(parser, dest: str, table: dict, argv) -> None:
+    """Sub-parsers for the one entry argv[0] names, or for every entry when it
+    names none, so that help and invalid-choice errors list them all."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    if argv and argv[0] in table:
+        table, argv = {argv[0]: table[argv[0]]}, argv[1:]
+    else:
+        argv = None
+    for name, (help_text, func, spec) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if isinstance(spec, tuple):
+            _add_branches(p, *spec, argv)
+        else:
+            for flags, kwargs in spec:
+                p.add_argument(*flags, **kwargs)
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser of the branch that argv (the arguments after the program
+    name) selects; with argv None, or naming no known command, every branch."""
     parser = _Parser(prog="minitori",
                      description="Minimal isometric immersions of flat tori into spheres: "
                                  "construct, verify, enumerate and reduce certificates.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("verify", help="verify a certificate file")
-    pv.add_argument("path")
-    pv.add_argument("--tol", type=float, default=1e-10)
-    pv.add_argument("--exhaustive-embedding", action="store_true")
-    pv.add_argument("--format", choices=("text", "json"), default="text")
-    pv.set_defaults(func=cmd_verify)
-
-    pc = sub.add_parser("construct", help="run a construction pipeline")
-    csub = pc.add_subparsers(dest="what", required=True)
-
-    pr = csub.add_parser("rational", help="rational torus via sampling + exact LP")
-    pr.add_argument("--gram", required=True,
-                    help="I<n>, diag:a,b,c or a JSON file with rational rows")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--samples", type=int, default=48)
-    pr.add_argument("--max-denominator", type=int, default=10**4)
-    pr.add_argument("-o", "--output")
-    pr.set_defaults(func=cmd_construct)
-
-    pp = csub.add_parser("pencil", help="3-torus from an integer vector set")
-    pp.add_argument("--Y", required=True, help="text file: rows of the 3 x N matrix")
-    pp.add_argument("--require", choices=("rank4", "rank5"))
-    pp.add_argument("-o", "--output")
-    pp.set_defaults(func=cmd_construct)
-
-    py = csub.add_parser("pythagorean", help="non-homogeneous 12-class family")
-    py.add_argument("--triple", nargs=3, type=int, required=True, metavar=("P", "Q", "R"))
-    py.add_argument("--r1", type=float, default=0.0)
-    py.add_argument("--r2", type=float, default=0.0)
-    py.add_argument("--phi1", type=float, default=0.0)
-    py.add_argument("--psi1", type=float, default=0.0)
-    py.add_argument("--phi2", type=float, default=0.0)
-    py.add_argument("--psi2", type=float, default=0.0)
-    py.add_argument("-o", "--output")
-    py.set_defaults(func=cmd_construct)
-
-    pb = csub.add_parser("bryant", help="one-parameter family of flat 2-tori in S^7")
-    pb.add_argument("--mn", nargs=2, type=int, required=True, metavar=("M", "N"))
-    pb.add_argument("--rho", type=float)
-    pb.add_argument("--rho-scaled", help="exact ratio rho*2b in [0,1], e.g. 1/2")
-    pb.add_argument("-o", "--output")
-    pb.set_defaults(func=cmd_construct)
-
-    pe = sub.add_parser("enumerate", help="lattice norm classes / spectrum")
-    pe.add_argument("--gram", required=True)
-    pe.add_argument("--target", help="rational norm value, e.g. 1 or 3/4")
-    pe.add_argument("--shortest", action="store_true")
-    pe.add_argument("--spectrum", type=int, metavar="K")
-    pe.set_defaults(func=cmd_enumerate)
-
-    pd = sub.add_parser("reduce", help="Caratheodory-reduce a homogeneous certificate")
-    pd.add_argument("path")
-    pd.add_argument("-o", "--output")
-    pd.set_defaults(func=cmd_reduce)
-
-    pg = sub.add_parser("catalog", help="worked-example certificates")
-    pg.add_argument("id", nargs="?")
-    pg.add_argument("--list", action="store_true")
-    pg.add_argument("-o", "--output")
-    pg.set_defaults(func=cmd_catalog)
-
+    _add_branches(parser, "command", COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

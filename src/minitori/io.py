@@ -175,6 +175,8 @@ def parse(text: str):
             data = MatrixData(q=q, y=y, weights=weights, metadata=dict(metadata))
         except (TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad weights: {exc}") from exc
+        if field_cache and (q.regime == "float" or any(isinstance(w, float) for w in weights)):
+            raise CertificateFormatError("algebraic and float scalars in one certificate")
         _check_one_field(field_cache)
         return data
     if kind == "general":

@@ -352,8 +352,9 @@ def rational_roots(p: Sequence[int]) -> list[Fraction]:
             prim = prim[1:]
         if len(prim) <= 1:
             return roots
+    nums = _divisors(prim[0])
     for den in _divisors(prim[-1]):
-        for num in _divisors(prim[0]):
+        for num in nums:
             if math.gcd(num, den) != 1:
                 continue
             for s in (num, -num):
@@ -376,9 +377,10 @@ def _quartic_quadratic_factors(p: tuple[int, ...]):
             return (b0, b1, b2), (c0, c1, c2)
         return None
 
+    b0_choices = _divisors(a0)
     for b2 in _divisors(a4):
         c2 = a4 // b2
-        for b0 in _divisors(a0):
+        for b0 in b0_choices:
             for b0s in (b0, -b0):
                 c0 = a0 // b0s
                 # unknowns b1, c1:  c2*b1 + b2*c1 = a3 ;  c0*b1 + b0s*c1 = a1

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import minitori
-from minitori.cli import main
+from minitori.cli import COMMANDS, UsageError, build_parser, main
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
@@ -72,8 +73,8 @@ def _malformed(name):
         elif name == "block-nan":  # NaN would pass every tolerance comparison
             doc["blocks"][0]["block"] = [[float("nan"), 0.0], [0.0, float("nan")]]
         return json.dumps(doc)
-    doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field")
-                    else "clifford-3")
+    doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
+                                               "mixed-regimes") else "clifford-3")
     if name == "format-version":
         doc["format_version"] = 2
     elif name == "weight-count":
@@ -86,13 +87,15 @@ def _malformed(name):
         doc["weights"][0]["interval"] = ["-24", "-23"]
     elif name == "empty-Y":
         doc.update(Y=[], N=0, weights=[])
+    elif name == "mixed-regimes":  # float weights beside an algebraic Q
+        doc["weights"] = [0.25] * len(doc["weights"])
     return json.dumps(doc)
 
 
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
              "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
-             "weight-nan", "q-inf", "q-int-overflow")
+             "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes")
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -100,6 +103,28 @@ def test_verify_malformed_file_exits_65(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(_malformed(name))
     assert main(["verify", str(path)]) == 65
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+MALFORMED_GRAMS = {
+    "no-rows": {"a": 1},
+    "rows-not-a-list": {"rows": 5},
+    "no-rows-at-all": {"rows": []},
+    "ragged": [[1, 0], [0]],
+    "unparsable-entry": [[1, "x"], ["x", 1]],
+    "zero-denominator": [[1, "1/0"], ["1/0", 1]],
+    "null-entry": [[1, None], [None, 1]],
+    "nan-entry": [[float("nan"), 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--target", "1"], ["construct", "rational"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAMS))
+def test_malformed_gram_file_exits_65(name, command, tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(MALFORMED_GRAMS[name]))
+    assert main(command + ["--gram", str(path)]) == 65
     assert capsys.readouterr().err.startswith("parse error:")
 
 
@@ -176,3 +201,58 @@ def test_commands_never_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NUMPY_CHECK, json.dumps(NUMPY_FREE_COMMANDS)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+# main() builds only the parser branch its argv names; the full tree, built
+# from the same table, is the oracle for what that branch parses and prints.
+def _benchmark_argvs():
+    bench = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    return [list(cmd.argv) for name in bench["WORKLOADS"]
+            for cmd in bench["commands"](name, bench["DEFAULT_SEED"])]
+
+
+@pytest.mark.parametrize("argv", _benchmark_argvs(), ids=" ".join)
+def test_selected_branch_parses_like_the_full_tree(argv):
+    assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_main_builds_only_the_named_branch():
+    assert build_parser(["construct", "pencil", "--Y", "y.txt"]).format_usage() == (
+        "usage: minitori [-h] {construct} ...\n")
+    assert build_parser(["construct", "bogus"]).format_usage() == (
+        "usage: minitori [-h] {construct} ...\n")
+    assert build_parser(["bogus"]).format_usage() == build_parser().format_usage()
+
+
+HELP_PREFIXES = ([[]] + [[name] for name in COMMANDS]
+                 + [["construct", what] for what in ("rational", "pencil", "pythagorean",
+                                                     "bryant")])
+
+
+@pytest.mark.parametrize("prefix", HELP_PREFIXES, ids=lambda argv: " ".join(argv) or "top")
+def test_help_matches_the_full_tree(prefix, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = prefix + ["--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    selected = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert selected == capsys.readouterr().out
+    assert selected.startswith("usage: minitori")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["construct", "bogus"], ["construct", "pencil"],
+                                  ["verify"], ["verify", "a.json", "--bogus"]])
+def test_usage_errors_match_the_full_tree(argv, capsys):
+    with pytest.raises(UsageError) as exc:
+        build_parser().parse_args(argv)
+    assert main(argv) == 64
+    assert capsys.readouterr().err == f"usage error: {exc.value}\n"
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["minitori", "catalog", "--list"])
+    assert main() == 0
+    assert "quartic-s7" in capsys.readouterr().out
