@@ -2,8 +2,9 @@
 
 Certificates are matrix data {Q, Y, weights} (homogeneous) or coefficient
 operators A A^t over a geometry (Q, Y) (general); this package constructs
-them (rational sampling + exact LP, one-parameter pencils, the rank-4
-Lagrange system, the Pythagorean and 2-torus families), verifies the full
+them (rational sampling + exact LP, the exact critical point of det on a
+one-parameter pencil (n <= 5) or on the rank-4 slice (n = 3), the
+Pythagorean and 2-torus families), verifies the full
 equation system exactly or at tolerance, tests embeddedness, and reduces the
 target sphere dimension by convex-combination reduction.
 
@@ -33,6 +34,6 @@ from .constructions import (Bryant2TorusParams, CATALOG_IDS, ConstructionError,
                             PythagoreanResult, RationalPipelineConfig,
                             bryant_2torus, catalog, construct_pencil_3torus,
                             construct_rational, pythagorean_family)
-from .io import emit, parse, read_certificate, write_certificate
+from .io import emit, parse
 
 __version__ = "0.1.0"

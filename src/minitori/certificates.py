@@ -75,9 +75,6 @@ class MatrixData:
     def sphere_dim(self) -> int:
         return 2 * len(self.y) - 1
 
-    def weights_float(self) -> list[float]:
-        return [float(w) for w in self.weights]
-
     def is_exact(self) -> bool:
         return self.q.is_exact() and all(exact_scalar(w) for w in self.weights)
 
@@ -242,9 +239,6 @@ class EtaSystem:
         r, s, sigma = real
         v = tuple(a + sigma * b for a, b in zip(self.y[r], self.y[s]))
         return 1 if v == eta else -1
-
-    def pair_count(self) -> int:
-        return sum(len(v) for v in self.entries.values())
 
 
 def has_proportional_columns(y) -> bool:

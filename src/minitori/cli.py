@@ -62,6 +62,8 @@ def load_gram(spec: str) -> SymMatrix:
     try:
         if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
             raise ValueError("'rows' must be a nonempty list of lists")
+        if any(isinstance(x, bool) for row in rows for x in row):  # bool is an int
+            raise ValueError("entries must be numbers or 'p/q' strings, not booleans")
         q = SymMatrix([[parse_rational(x) if isinstance(x, str) else x for x in row]
                        for row in rows])
         if q.regime == "float" and not all(math.isfinite(x) for row in q.entries for x in row):
@@ -188,12 +190,15 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     try:
         if args.what == "rational":
-            cfg = RationalPipelineConfig(q=load_gram(args.gram), seed=args.seed,
-                                         sample_count=args.samples,
-                                         max_denominator=args.max_denominator)
+            q = load_gram(args.gram)
+            try:
+                cfg = RationalPipelineConfig(q=q, seed=args.seed, sample_count=args.samples,
+                                             max_denominator=args.max_denominator)
+            except ValueError as exc:  # --samples or --max-denominator out of range
+                raise UsageError(str(exc)) from exc
             data = construct_rational(cfg)
         elif args.what == "pencil":
-            data, report = construct_pencil_3torus(load_y(args.Y), require=args.require)
+            data, report = construct_pencil_3torus(load_y(args.Y))
             meta = dict(data.metadata)
             if report.minpoly is not None:
                 meta["minpoly"] = list(report.minpoly)
@@ -213,10 +218,10 @@ def cmd_construct(args) -> int:
             return EXIT_VERIFIED
         elif args.what == "bryant":
             m, n = args.mn
-            params = Bryant2TorusParams(m=m, n=n, rho=args.rho,
-                                        rho_scaled=(parse_rational(args.rho_scaled)
-                                                    if args.rho_scaled else None))
-            data = bryant_2torus(params)
+            rho_scaled = (_rational_flag("--rho-scaled", args.rho_scaled)
+                          if args.rho_scaled is not None else None)
+            data = bryant_2torus(Bryant2TorusParams(m=m, n=n, rho=args.rho,
+                                                    rho_scaled=rho_scaled))
         else:  # pragma: no cover
             raise UsageError(f"unknown construction {args.what!r}")
     except cio.CertificateFormatError:
@@ -322,8 +327,7 @@ COMMANDS = {
             _arg("--seed", type=int, default=0), _arg("--samples", type=int, default=48),
             _arg("--max-denominator", type=int, default=10**4), _OUTPUT]),
         "pencil": ("3-torus from an integer vector set", cmd_construct, [
-            _arg("--Y", required=True, help="text file: rows of the 3 x N matrix"),
-            _arg("--require", choices=("rank4", "rank5")), _OUTPUT]),
+            _arg("--Y", required=True, help="text file: rows of the 3 x N matrix"), _OUTPUT]),
         "pythagorean": ("non-homogeneous 12-class family", cmd_construct, [
             _arg("--triple", nargs=3, type=int, required=True, metavar=("P", "Q", "R")),
             *(_arg(f"--{name}", type=float, default=0.0)

@@ -1,8 +1,9 @@
 """End-to-end certificate pipelines and the worked-example catalog.
 
 * construct_rational: sampling + exact LP realization of any rational torus.
-* construct_pencil_3torus: the one-parameter (quadratic) and rank-4
-  (up to quartic) constructions for 3-tori, fully exact.
+* construct_pencil_3torus: the pencil (rank{Y_j Y_j^t} = 5, up to
+  quadratic) and rank-4 (up to quartic) constructions for 3-tori, fully
+  exact; the rank picks the route.
 * pythagorean_family: the non-homogeneous 12-class family over a primitive
   Pythagorean triple.
 * bryant_2torus: the classical one-parameter family of minimal flat 2-tori
@@ -24,8 +25,7 @@ from .exactlp import feasible_point
 from .lattices import rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
                        exact_hull_weights, pencil_maximize, rank4_lagrange)
-from .scalars import (AlgebraicField, Rat, factor_min_poly, irreducible_factors,
-                      isolate_real_roots, refine_root, sqrt_field)
+from .scalars import AlgebraicField, AlgebraicScalar, Rat, sqrt_field
 from .symmetric import SymMatrix, inverse, is_positive_definite, rank, solve
 
 
@@ -134,18 +134,22 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
 
 @dataclass(frozen=True)
 class IrrationalityReport:
+    """The field of a certificate: Q itself when rational (degree 1), else
+    the minimal polynomial of its generator, the generator's isolating
+    interval when the report is made, and a float approximation of it."""
+
     degree: int
     minpoly: Optional[tuple[int, ...]]        # low -> high; None when rational
     root_interval: Optional[tuple[Fraction, Fraction]]
     root_approx: Optional[float]
 
 
-def construct_pencil_3torus(y, require: Optional[str] = None
-                            ) -> tuple[MatrixData, IrrationalityReport]:
+def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
     """Certificate for an integer 3-torus vector set via det maximization.
 
-    rank{Y_j Y_j^t} = 5: the slice is a line; its exact maximizer is at most
-    quadratic irrational.  rank 4: the unit-diagonal Lagrange system yields a
+    rank{Y_j Y_j^t} picks the route.  Rank 5: the slice is a line, and its
+    positive definite critical point (`pencil_maximize`) is at most
+    quadratic irrational.  Rank 4: the unit-diagonal Lagrange system yields a
     quartic whose positive definite root (unique by strict concavity) gives
     the certificate; the extension degree is the degree of that root's
     minimal polynomial, at most 4.
@@ -158,41 +162,13 @@ def construct_pencil_3torus(y, require: Optional[str] = None
     if n != 3:
         raise ValueError("this construction is specific to 3-tori")
     k = rank([[c[i] * c[j] for i in range(3) for j in range(i, 3)] for c in cols])
-    if require == "rank5" and k != 5:
-        raise ValueError(f"rank{{Y_j Y_j^t}} = {k}, expected 5")
-    if require == "rank4" and k != 4:
-        raise ValueError(f"rank{{Y_j Y_j^t}} = {k}, expected 4")
     if k == 5:
-        return _pencil_route(cols)
+        res = pencil_maximize(build_slice(cols))
+        return _certificate(cols, res.qstar, res.t0, "pencil")
     if k == 4:
         return _rank4_route(cols)
     raise ValueError(f"rank{{Y_j Y_j^t}} = {k}; only ranks 4 and 5 are supported "
                      "(rank 6 determines Q by a rational linear solve, rank 3 is Clifford-type)")
-
-
-def _pencil_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
-    slice_w = build_slice(cols)
-    assert slice_w.s == 1
-    res = pencil_maximize(slice_w)
-    qstar = res.qstar
-    weights = exact_hull_weights(cols, _scale_inverse(qstar, 3))
-    if weights is None or not _strictly_positive(weights):
-        raise ConstructionError(
-            "the inverse of the maximizer does not lie in the interior of the hull")
-    if res.degree == 1:
-        report = IrrationalityReport(1, None, None, None)
-    else:
-        t0 = res.t0
-        fieldobj = t0.field
-        lo, hi = fieldobj.interval
-        report = IrrationalityReport(2, tuple(fieldobj.minpoly), (lo, hi),
-                                     float(fieldobj.generator()))
-    data = MatrixData(q=qstar, y=cols, weights=tuple(weights),
-                      metadata={"construction": "pencil", "degree": report.degree})
-    ver = verify_matrix_data(data)
-    if not ver.verified:
-        raise ConstructionError(f"pencil output failed verification: {ver.reason}")
-    return data, report
 
 
 def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
@@ -216,64 +192,42 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
         perm = (nz[0], next(i for i in range(3) if r[i] == 0), nz[1])
     else:
         perm = (0, 1, 2)
-    r_perm = tuple(r[i] for i in perm)
-    crit = rank4_lagrange(r_perm)
-
-    candidates: list[tuple[SymMatrix, IrrationalityReport]] = []
-    if crit.degree1:
-        b = crit.b_of(Fraction(0))
-        qt = SymMatrix([[1, 0, b], [0, 1, 0], [b, 0, 1]])
+    crit = rank4_lagrange(tuple(r[i] for i in perm))
+    candidates = []
+    for a, b, c in crit.points:
+        qt = SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]])
         if is_positive_definite(qt) is True:
-            candidates.append((qt, IrrationalityReport(1, None, None, None)))
-    else:
-        intervals = isolate_real_roots(crit.quartic)
-        factors = irreducible_factors(crit.quartic) if intervals else []  # once per quartic
-        for lo, hi in intervals:
-            factor = factor_min_poly(crit.quartic, lo, hi, factors)
-            lo2, hi2 = refine_root(factor, lo, hi, Fraction(1, 10**6))
-            if lo2 == hi2:
-                # rational root
-                a_val = lo2
-                bq = crit.b_of(a_val)
-                cq = crit.c_of(a_val)
-                qt = SymMatrix([[1, a_val, bq], [a_val, 1, cq], [bq, cq, 1]])
-                rep = IrrationalityReport(1, None, None, float(a_val))
-            else:
-                if len(factor) - 1 == 1:
-                    a_val = Fraction(-factor[0], factor[1])
-                    bq = crit.b_of(a_val)
-                    cq = crit.c_of(a_val)
-                    qt = SymMatrix([[1, a_val, bq], [a_val, 1, cq], [bq, cq, 1]])
-                    rep = IrrationalityReport(1, None, None, float(a_val))
-                else:
-                    fieldobj = AlgebraicField(factor, (lo2, hi2))
-                    a_el = fieldobj.generator()
-                    bq = crit.b_of(a_el)
-                    cq = crit.c_of(a_el)
-                    one = fieldobj.from_rational(1)
-                    qt = SymMatrix([[one, a_el, bq], [a_el, one, cq], [bq, cq, one]])
-                    rep = IrrationalityReport(len(factor) - 1, tuple(factor),
-                                              (lo2, hi2), float(a_el))
-            if is_positive_definite(qt) is True:
-                candidates.append((qt, rep))
+            candidates.append((qt, a))
     if not candidates:
         raise InfeasibleRegion("no critical point of the rank-4 system is positive definite")
     if len(candidates) > 1:
         raise AssertionError("multiple PD critical points contradict strict concavity")
-    qt, report = candidates[0]
-
+    qt, a = candidates[0]
     # undo the coordinate permutation and the column-triple normalization
     p_total = [[row[perm[j]] for j in range(3)] for row in p_mat]
-    qstar = _congruence(qt, inverse(p_total))
+    return _certificate(cols, _congruence(qt, inverse(p_total)), a, "rank4")
+
+
+def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, AlgebraicScalar],
+                 construction: str) -> tuple[MatrixData, IrrationalityReport]:
+    """The verified certificate {Q*, Y, weights} with Q*^{-1}/3 in the hull,
+    and the report of the field of `root`, which generates Q*."""
     weights = exact_hull_weights(cols, _scale_inverse(qstar, 3))
     if weights is None or not _strictly_positive(weights):
         raise ConstructionError(
             "the inverse of the maximizer does not lie in the interior of the hull")
+    if isinstance(root, AlgebraicScalar):
+        field = root.field
+        interval = field.interval  # float() below may narrow it
+        report = IrrationalityReport(field.degree, field.minpoly, interval,
+                                     float(field.generator()))
+    else:
+        report = IrrationalityReport(1, None, None, None)
     data = MatrixData(q=qstar, y=cols, weights=tuple(weights),
-                      metadata={"construction": "rank4", "degree": report.degree})
+                      metadata={"construction": construction, "degree": report.degree})
     ver = verify_matrix_data(data)
     if not ver.verified:
-        raise ConstructionError(f"rank-4 output failed verification: {ver.reason}")
+        raise ConstructionError(f"{construction} output failed verification: {ver.reason}")
     return data, report
 
 
@@ -599,23 +553,6 @@ def bryant_2torus(params: Bryant2TorusParams) -> MatrixData:
     return data
 
 
-def bryant_equation_residuals(params: Bryant2TorusParams) -> tuple[float, float, float]:
-    """Residuals of the three defining equations at the given parameters."""
-    m, n = params.m, params.n
-    data = bryant_2torus(params)
-    by_col = {c: w for c, w in zip(data.y, data.weights)}
-    zero = Fraction(0)
-    r1 = by_col.get((0, n), zero)
-    r2 = by_col.get((n, 2 * m), zero)
-    r3 = by_col.get((n, 0), zero)
-    r4 = by_col.get((2 * m, n), zero)
-    e1 = r1 + r2 + r3 + r4 - 1
-    e2 = n**4 * r1 - n * n * (n * n - 2 * m * m) * (r2 + r3) \
-        + (n**4 - 8 * m * m * n * n + 8 * m**4) * r4
-    e3 = n * n * (r2 - r3) + 2 * (n * n - 2 * m * m) * r4
-    return (abs(float(e1)), abs(float(e2)), abs(float(e3)))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -724,8 +661,7 @@ def _catalog_cubic_s7_b() -> MatrixData:
 
 
 def _catalog_quartic_s7() -> MatrixData:
-    data, report = construct_pencil_3torus(
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 8)), require="rank4")
+    data, report = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 8)))
     meta = {"id": "quartic-s7", "degree": 4,
             "minpoly": list(report.minpoly),
             "description": "quartic irrational minimal flat 3-torus in S^7",

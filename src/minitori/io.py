@@ -199,14 +199,3 @@ def _check_one_field(field_cache: dict) -> None:
     fields = list(field_cache.values())
     if any(f != fields[0] for f in fields[1:]):
         raise CertificateFormatError("algebraic scalars from more than one field")
-
-
-def write_certificate(path, cert, metadata: dict | None = None) -> None:
-    text = emit(cert, metadata)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def read_certificate(path):
-    with open(path) as fh:
-        return parse(fh.read())

@@ -10,8 +10,10 @@ Two feasible sets drive every construction in this package:
   Frank-Wolfe with away steps (the D-optimal-design structure), finished by
   one exact rational Newton polish on the identified support.
 
-The one-parameter (pencil) maximizer and the rank-4 Lagrange system are exact
-and return algebraic data (field generator, minimal polynomial).  The two
+The pencil maximizer (a one-dimensional slice, n <= 5) and the rank-4
+Lagrange system (n = 3) find their critical points one way: the real roots
+of a polynomial of degree <= 4, factored over Q, each root a Fraction or the
+generator of the field of its minimal polynomial.  The two
 float maximizers, `kkt_gap` and `_newton_on_support` import numpy when called;
 nothing else here uses it.
 """
@@ -24,10 +26,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .exactlp import feasible_point
-from .scalars import (AlgebraicScalar, Rat, is_rational_square, isolate_real_roots,
-                      poly_content_primitive, poly_gcd, poly_mul, poly_sub, pseudo_divmod,
-                      rational_sqrt, refine_root,
-                      sqrt_field, squarefree_part)
+from .scalars import (AlgebraicField, AlgebraicScalar, Rat, factor_min_poly,
+                      irreducible_factors, isolate_real_roots, poly_content_primitive,
+                      poly_gcd, poly_mul, poly_sub, pseudo_divmod, refine_root, sqrt_field,
+                      squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
                         kernel_vector, rank, solve, trace_inner)
 
@@ -463,7 +465,7 @@ def _exact_newton_step(cols: Columns, support: list[int],
 
 
 # ---------------------------------------------------------------------------
-# pencil maximizer (s = 1, n = 3): exact closed form
+# pencil maximizer (s = 1): the exact critical points of det(Q0 + t Q1)
 
 @dataclass(frozen=True)
 class PencilResult:
@@ -472,77 +474,57 @@ class PencilResult:
     t0: Union[Fraction, AlgebraicScalar]
     qstar: SymMatrix
     degree: int
-    discriminant_quantity: Fraction
 
 
 def pencil_maximize(slice_w: AffineSliceW) -> PencilResult:
-    """Maximize det(Q0 + t Q1) exactly on a one-dimensional slice (n = 3).
+    """Maximize det(Q0 + t Q1) exactly on a one-dimensional slice, n <= 5.
 
-    det(Q0 + t Q1) = det(Q0) (1 + c1 t + c2 t^2 + c3 t^3) with
-    c1 = tr(M), c2 = (tr(M)^2 - tr(M^2))/2, c3 = det(M), M = Q0^{-1} Q1.
-    The critical points solve c1 + 2 c2 t + 3 c3 t^2 = 0; the extension
-    degree is 2 exactly when (2 c2)^2 - 12 c3 c1 is not a rational square.
+    p(t) = det(Q0 + t Q1) has degree <= n, so its coefficients solve the
+    Vandermonde system of its values at t = 0, ..., n.  The critical points
+    are the real roots of p', of degree <= 4, taken factor by factor
+    (`_factor_roots`).  logdet is strictly concave on the positive definite
+    part of the line, so at most one critical point is positive definite; the
+    degree is that of its minimal polynomial.  A p' of degree above 4 (n > 5)
+    raises ValueError.
     """
     if slice_w.s != 1:
         raise ValueError("pencil_maximize requires a one-dimensional slice")
-    if slice_w.n != 3:
-        raise ValueError("pencil_maximize is specific to 3x3 slices")
+    n = slice_w.n
     q0, q1 = slice_w.q0, slice_w.basis[0]
-
-    shift = Fraction(0)
-    if determinant(q0) == 0:
-        for cand in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-                     Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(-1, 3)):
-            if determinant(q0 + q1.scale(cand)) != 0:
-                shift = cand
-                break
-        else:
-            raise InfeasibleRegion("the pencil is everywhere singular")
-        q0 = q0 + q1.scale(shift)
-
-    m = inverse(q0).matmul(q1)
-    c1 = sum(m[i][i] for i in range(3))
-    c2 = (c1 * c1 - sum(m[i][j] * m[j][i] for i in range(3) for j in range(3))) / 2
-    c3 = Fraction(determinant(q1)) / Fraction(determinant(q0))
-    disc = (2 * c2) ** 2 - 12 * c3 * c1
-
-    roots: list[Union[Fraction, AlgebraicScalar]] = []
-    degree = 1
-    if c3 != 0:
-        if disc < 0:
-            raise InfeasibleRegion("no real critical point; the slice misses the PD cone")
-        if is_rational_square(disc):
-            sq = rational_sqrt(disc)
-            roots = [(-2 * c2 + sq) / (6 * c3), (-2 * c2 - sq) / (6 * c3)]
-        else:
-            degree = 2
-            d = squarefree_part(disc.numerator * disc.denominator)
-            field = sqrt_field(d)
-            rho = rational_sqrt(disc / d)  # sqrt(disc) = rho * w
-            w = field.generator()
-            roots = [(w * rho - 2 * c2) / (6 * c3), (w * (-rho) - 2 * c2) / (6 * c3)]
-    elif c2 != 0:
-        roots = [-c1 / (2 * c2)]
-    elif c1 == 0:
-        roots = [Fraction(0)]
-    else:
-        raise InfeasibleRegion("determinant is strictly monotone on the pencil")
-
-    for t0 in roots:
-        qc = _shifted_point(q0, slice_w.basis[0], t0)
-        if is_positive_definite(qc) is True:
-            return PencilResult(t0=shift + t0, qstar=qc, degree=degree,
-                                discriminant_quantity=disc)
+    values = [determinant(q0 + q1.scale(t)) for t in range(n + 1)]
+    coeffs = solve([[t ** k for k in range(n + 1)] for t in range(n + 1)], values)
+    _, deriv = poly_content_primitive([k * c for k, c in enumerate(coeffs)][1:])
+    if len(deriv) < 2:
+        raise InfeasibleRegion("the determinant is constant or monotone on the pencil")
+    for factor in dict.fromkeys(irreducible_factors(deriv)):
+        for t0 in _factor_roots(factor):
+            qc = q0 + q1.scale(t0)
+            if is_positive_definite(qc) is True:
+                return PencilResult(t0=t0, qstar=qc, degree=len(factor) - 1)
     raise InfeasibleRegion("no critical point of the pencil is positive definite")
 
 
-def _shifted_point(q0: SymMatrix, q1: SymMatrix, t0) -> SymMatrix:
-    if isinstance(t0, AlgebraicScalar):
-        field = t0.field
-        rows = [[field.from_rational(q0.entries[i][j]) + t0 * q1.entries[i][j]
-                 for j in range(q0.n)] for i in range(q0.n)]
-        return SymMatrix(rows)
-    return q0 + q1.scale(t0)
+def _factor_roots(factor: tuple[int, ...]) -> list[Union[Fraction, AlgebraicScalar]]:
+    """The real roots of an irreducible integer polynomial of degree <= 4.
+
+    A linear factor gives a Fraction.  Both roots (-b +- k w)/(2a) of a
+    quadratic a t^2 + b t + c lie in Q(w), w = sqrt(d) with d the squarefree
+    part of the discriminant k^2 d.  Each real root of a cubic or quartic
+    generates its own field.
+    """
+    if len(factor) == 2:
+        return [Fraction(-factor[0], factor[1])]
+    if len(factor) == 3:
+        c, b, a = factor
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        d = squarefree_part(disc)
+        k = math.isqrt(disc // d)
+        w = sqrt_field(d).generator()
+        return [(w * k - b) / (2 * a), (w * -k - b) / (2 * a)]
+    return [AlgebraicField(factor, interval).generator()
+            for interval in isolate_real_roots(factor)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +536,25 @@ class Rank4Critical:
 
     The matrices are parameterized as [[1,a,b],[a,1,c],[b,c,1]]; eliminating
     the multiplier from the Lagrange system leaves a quartic in a together
-    with closed forms b(a), c(a).  For r2 = 0 the system degenerates to the
-    block-diagonal rational point (degree-1 branch).
+    with closed forms b(a), c(a) (`_rank4_point`).  `points` holds every real
+    critical point (a, b(a), c(a)) exactly, in increasing order of a: a is a
+    Fraction, or the generator of the field of its minimal polynomial.  For
+    r2 = 0 the system degenerates to the one block-diagonal rational point
+    a = c = 0 and the quartic is empty.
     """
 
     r: tuple[Fraction, Fraction, Fraction]
     quartic: tuple[int, ...]
-    a_roots: tuple[float, ...]
-    candidates: tuple[tuple[float, float, float], ...]
-    degree1: bool
+    points: tuple[tuple, ...]
 
-    def b_of(self, a):
-        r1, r2, r3 = self.r
-        rho = r1 * r1 + r2 * r2 + r3 * r3
-        return -(a * r2 + r1) * (2 * a * r1 * r2 + rho - 1) / (2 * r3 * (2 * a * r1 * r2 + r1 * r1 + r2 * r2))
 
-    def c_of(self, a):
-        r1, r2, r3 = self.r
-        rho = r1 * r1 + r2 * r2 + r3 * r3
-        return -(a * r1 + r2) * (2 * a * r1 * r2 + rho - 1) / (2 * r3 * (2 * a * r1 * r2 + r1 * r1 + r2 * r2))
+def _rank4_point(r: tuple[Fraction, Fraction, Fraction], a) -> tuple:
+    """(a, b(a), c(a)): b and c solve two of the three Lagrange equations and
+    the slice constraint, as (a r2 + r1) and (a r1 + r2) times one factor."""
+    r1, r2, r3 = r
+    rho = r1 * r1 + r2 * r2 + r3 * r3
+    f = (2 * a * r1 * r2 + rho - 1) / (2 * r3 * (2 * a * r1 * r2 + r1 * r1 + r2 * r2))
+    return a, -(a * r2 + r1) * f, -(a * r1 + r2) * f
 
 
 def rank4_quartic(r: Sequence[Rat]) -> tuple[int, ...]:
@@ -610,35 +592,33 @@ def rank4_quartic(r: Sequence[Rat]) -> tuple[int, ...]:
 
 
 def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
-    """All real critical points (a, b(a), c(a)) of det on the rank-4 slice."""
+    """All real critical points (a, b(a), c(a)) of det on the rank-4 slice.
+
+    The quartic's real roots are isolated once and factored once; a root of
+    an irreducible factor of degree >= 2 generates a field whose isolating
+    interval is first refined to width 10^-6.
+    """
     r1, r2, r3 = (Fraction(x) for x in r)
     if r1 == 0 or r3 == 0:
         raise ValueError("the normalization requires r1 and r3 nonzero")
     rr = (r1, r2, r3)
     if r2 == 0:
-        rho = r1 * r1 + r3 * r3
-        b = (1 - rho) / (2 * r1 * r3)
-        crit = Rank4Critical(r=rr, quartic=(), a_roots=(0.0,),
-                             candidates=((0.0, float(b), 0.0),), degree1=True)
-        return crit
+        return Rank4Critical(r=rr, quartic=(), points=(_rank4_point(rr, Fraction(0)),))
     quartic = rank4_quartic(rr)
-    if not quartic or len(quartic) == 1:
+    if len(quartic) <= 1:
         raise ValueError("degenerate stationarity polynomial")
-    bad_den = -(r1 * r1 + r2 * r2) / (2 * r1 * r2)  # pole of b(a), c(a)
     intervals = isolate_real_roots(quartic)
-    roots: list[float] = []
-    cands: list[tuple[float, float, float]] = []
-    proto = Rank4Critical(r=rr, quartic=quartic, a_roots=(), candidates=(), degree1=False)
+    factors = irreducible_factors(quartic) if intervals else []
+    roots = []
     for lo, hi in intervals:
-        lo2, hi2 = refine_root(quartic, lo, hi, Fraction(1, 10**18))
-        a_val = float((lo2 + hi2) / 2)
-        if lo2 <= bad_den <= hi2:
-            continue
-        roots.append(a_val)
-        af = Fraction((lo2 + hi2) / 2)
-        cands.append((a_val, float(proto.b_of(af)), float(proto.c_of(af))))
-    return Rank4Critical(r=rr, quartic=quartic, a_roots=tuple(roots),
-                         candidates=tuple(cands), degree1=False)
+        factor = factor_min_poly(quartic, lo, hi, factors)
+        if len(factor) == 2:
+            roots.append(Fraction(-factor[0], factor[1]))
+        else:
+            interval = refine_root(factor, lo, hi, Fraction(1, 10**6))
+            roots.append(AlgebraicField(factor, interval).generator())
+    return Rank4Critical(r=rr, quartic=quartic,
+                         points=tuple(_rank4_point(rr, a) for a in roots))
 
 
 # ---------------------------------------------------------------------------

@@ -61,24 +61,6 @@ def format_rational(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def is_rational_square(x: Rat) -> bool:
-    """True iff x is the square of a rational number."""
-    x = Fraction(x)
-    if x < 0:
-        return False
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    return pn * pn == x.numerator and pd * pd == x.denominator
-
-
-def rational_sqrt(x: Rat) -> Fraction:
-    """Exact square root of a rational square."""
-    x = Fraction(x)
-    if not is_rational_square(x):
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-
 # ---------------------------------------------------------------------------
 # dense univariate integer polynomials, coefficients low -> high
 
@@ -322,15 +304,11 @@ def cofactors(rows: Sequence[Sequence[int]], i: int) -> list[int]:
 # irreducibility over Q for degree <= 4
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The positive divisors of |n| in increasing order (none for 0), built
+    from the prime factorization, so the cost does not grow with sqrt(|n|)."""
+    out = [1] if n else []
+    for p, e in _factorize(abs(n)).items() if n else ():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -538,11 +516,6 @@ class AlgebraicField:
             self._lo = mid
         else:
             self._hi = mid
-
-    def refine_to(self, width: Rat) -> None:
-        width = Fraction(width)
-        while self._hi - self._lo > width:
-            self.refine()
 
     def generator(self) -> "AlgebraicScalar":
         return _element(self, [0, 1] + [0] * (self.degree - 2), 1)

@@ -192,9 +192,6 @@ class SymMatrix:
     def to_float(self) -> "SymMatrix":
         return SymMatrix([[float(x) for x in row] for row in self.entries])
 
-    def map_entries(self, f) -> "SymMatrix":
-        return SymMatrix([[f(x) for x in row] for row in self.entries])
-
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_dim(other)

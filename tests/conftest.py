@@ -10,9 +10,10 @@ import pytest
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
-from minitori.scalars import exact_scalar
-from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, inverse, is_positive_definite, rank,
-                                solve)
+from minitori.optimize import InfeasibleRegion
+from minitori.scalars import exact_scalar, sqrt_field, squarefree_part
+from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
+                                is_positive_definite, rank, solve)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -522,6 +523,67 @@ def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> Verification
     elif pd is None:
         borderline = borderline or "gram_pd"
     return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 3 x 3 pencil maximizer that `optimize.pencil_maximize` replaced
+
+
+def closed_form_pencil(slice_w):
+    """Oracle for `optimize.pencil_maximize` on a 3 x 3 pencil Q0 + t Q1:
+    (t0, Q*, degree), or InfeasibleRegion.
+
+    det(Q0 + t Q1) = det(Q0) (1 + c1 t + c2 t^2 + c3 t^3) with c1 = tr(M),
+    c2 = (tr(M)^2 - tr(M^2))/2, c3 = det(M), M = Q0^{-1} Q1 (Q0 first shifted
+    along Q1 when singular).  The critical points solve c1 + 2 c2 t + 3 c3 t^2
+    = 0; they are quadratic irrational exactly when (2 c2)^2 - 12 c3 c1 is
+    not a rational square.
+    """
+    q0, q1 = slice_w.q0, slice_w.basis[0]
+    shift = Fraction(0)
+    if determinant(q0) == 0:
+        for cand in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                     Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(-1, 3)):
+            if determinant(q0 + q1.scale(cand)) != 0:
+                shift = cand
+                break
+        else:
+            raise InfeasibleRegion("the pencil is everywhere singular")
+        q0 = q0 + q1.scale(shift)
+    m = inverse(q0).matmul(q1)
+    c1 = sum(m[i][i] for i in range(3))
+    c2 = (c1 * c1 - sum(m[i][j] * m[j][i] for i in range(3) for j in range(3))) / 2
+    c3 = Fraction(determinant(q1)) / Fraction(determinant(q0))
+    disc = (2 * c2) ** 2 - 12 * c3 * c1
+
+    def rational_sqrt(x):
+        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
+
+    degree = 1
+    if c3 != 0:
+        if disc < 0:
+            raise InfeasibleRegion("no real critical point")
+        sq = rational_sqrt(disc)
+        if sq is not None:
+            roots = [(-2 * c2 + sq) / (6 * c3), (-2 * c2 - sq) / (6 * c3)]
+        else:
+            degree = 2
+            d = squarefree_part(disc.numerator * disc.denominator)
+            rho = rational_sqrt(disc / d)  # sqrt(disc) = rho * sqrt(d)
+            w = sqrt_field(d).generator()
+            roots = [(w * rho - 2 * c2) / (6 * c3), (w * (-rho) - 2 * c2) / (6 * c3)]
+    elif c2 != 0:
+        roots = [-c1 / (2 * c2)]
+    elif c1 == 0:
+        roots = [Fraction(0)]
+    else:
+        raise InfeasibleRegion("determinant is strictly monotone on the pencil")
+    for t0 in roots:
+        qc = q0 + q1.scale(t0)
+        if is_positive_definite(qc) is True:
+            return shift + t0, qc, degree
+    raise InfeasibleRegion("no critical point of the pencil is positive definite")
 
 
 @pytest.fixture

@@ -115,6 +115,7 @@ MALFORMED_GRAMS = {
     "zero-denominator": [[1, "1/0"], ["1/0", 1]],
     "null-entry": [[1, None], [None, 1]],
     "nan-entry": [[float("nan"), 0.0], [0.0, 1.0]],
+    "boolean-entry": [[True, False], [False, True]],
 }
 
 
@@ -153,6 +154,17 @@ def test_verify_rejects_a_tolerance_that_decides_nothing_with_64(tol, negate, tm
 ])
 def test_enumerate_malformed_flags_exit_64(argv, capsys):
     assert main(["enumerate"] + argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bryant", "--mn", "1", "3", "--rho-scaled", "abc"],
+    ["rational", "--gram", "I3", "--samples", "0"],
+    ["rational", "--gram", "I3", "--max-denominator", "0"],
+])
+def test_construct_malformed_flags_exit_64(argv, capsys):
+    assert main(["construct"] + argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
 

@@ -67,12 +67,12 @@ class TestMaximalMinors:
 class TestRank4Route:
     @pytest.mark.parametrize("fourth, degree", [((-3, 4, -3), 2), ((5, 7, 8), 4)])
     def test_quartic_is_factored_once(self, fourth, degree, monkeypatch):
-        import minitori.constructions as con
-        calls = []
-        real = con.irreducible_factors
-        monkeypatch.setattr(con, "irreducible_factors",
-                            lambda p: calls.append(p) or real(p))
-        _, report = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), fourth),
-                                            require="rank4")
-        assert len(calls) == 1
+        import minitori.optimize as opt
+        calls = {"isolate_real_roots": [], "irreducible_factors": []}
+        for name, log in calls.items():
+            real = getattr(opt, name)
+            monkeypatch.setattr(opt, name, lambda p, real=real, log=log: log.append(p) or real(p))
+        _, report = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), fourth))
+        assert {name: len(log) for name, log in calls.items()} == {
+            "isolate_real_roots": 1, "irreducible_factors": 1}
         assert report.degree == degree

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import closed_form_pencil
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
                                build_slice, caratheodory_reduce, columns_from_matrix,
                                kkt_gap, maximize_logdet_C, maximize_logdet_W,
                                pencil_maximize, rank4_lagrange, rank4_quartic)
-from minitori.scalars import sqrt_field
+from minitori.scalars import isolate_real_roots
 from minitori.symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
 
 RANK5_Y = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 12, -15), (6, 9, -12))
@@ -200,6 +201,30 @@ class TestMaximizeC:
             assert np.max(np.abs(hp.p.to_numpy() - np.linalg.inv(qstar) / 3)) <= 1e-8
 
 
+def pencil_sets(seed, count, n):
+    """Seeded one-dimensional slices through the standard basis plus vectors
+    from {-1, 0, 1}^n on which `pencil_maximize` finds a maximizer."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(300):
+        cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+        cols += [tuple(rng.randint(-1, 1) for _ in range(n))
+                 for _ in range(n * (n + 1) // 2 - 1 - n)]
+        try:
+            sl = build_slice(cols)
+        except ValueError:  # NoCommonEllipsoid, or rank(Y) < n
+            continue
+        if sl.s != 1:
+            continue
+        try:
+            out.append((sl, pencil_maximize(sl)))
+        except InfeasibleRegion:
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
 class TestPencil:
     def test_trivial_line(self):
         q1 = SymMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
@@ -219,6 +244,17 @@ class TestPencil:
         assert res.degree == 2
         assert is_positive_definite(res.qstar) is True
 
+    def test_matches_the_closed_form(self):
+        sets = feasible_random_sets(seed=302, count=10, extra=2, want_s=1)
+        assert len(sets) == 10
+        degrees = set()
+        for y in sets:
+            sl = build_slice(y)
+            res = pencil_maximize(sl)
+            assert (res.t0, res.qstar, res.degree) == closed_form_pencil(sl)
+            degrees.add(res.degree)
+        assert degrees == {1, 2}
+
     def test_cross_check_with_newton(self):
         sets = feasible_random_sets(seed=300, count=4, extra=2, want_s=1)
         assert len(sets) >= 2
@@ -229,28 +265,55 @@ class TestPencil:
             qa = sl.q0.to_numpy() + float(res.t0) * sl.basis[0].to_numpy()
             assert np.max(np.abs(qa - qn)) <= 1e-9
 
+    def test_n4_pencils_match_newton(self):
+        sets = pencil_sets(seed=10, count=4, n=4)
+        assert {res.degree for _, res in sets} == {1, 2, 3}  # a cubic factor of p' too
+        compared = 0
+        for sl, res in sets:
+            assert is_positive_definite(res.qstar) is True
+            try:
+                qn = maximize_logdet_W(sl, tol=1e-12, max_iter=400).to_numpy()
+            except np.linalg.LinAlgError:  # a singular Newton system on some n = 4 slices
+                continue
+            qa = sl.q0.to_numpy() + float(res.t0) * sl.basis[0].to_numpy()
+            assert np.max(np.abs(qa - qn)) <= 1e-9
+            compared += 1
+        assert compared >= 3
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             pencil_maximize(build_slice(QUARTIC_Y))  # s = 2
 
 
+def _stationary(r, a, b, c) -> bool:
+    """det [[1,a,b],[a,1,c],[b,c,1]] is stationary on the slice through r:
+    its gradient (bc - a, ac - b, ab - c), halved, is parallel to the
+    slice normal (r1 r2, r1 r3, r2 r3), and the point lies on the slice."""
+    g = (b * c - a, a * c - b, a * b - c)
+    nv = (r[0] * r[1], r[0] * r[2], r[1] * r[2])
+    cross = (g[1] * nv[2] - g[2] * nv[1], g[2] * nv[0] - g[0] * nv[2],
+             g[0] * nv[1] - g[1] * nv[0])
+    on_slice = sum(x * x for x in r) + 2 * (a * nv[0] + b * nv[1] + c * nv[2]) - 1
+    return all(x == 0 for x in cross) and on_slice == 0
+
+
 class TestRank4:
     def test_block_diagonal_branch(self):
         crit = rank4_lagrange((1, 0, 1))
-        assert crit.degree1
-        (a, b, c), = crit.candidates
-        assert (a, c) == (0.0, 0.0)
-        assert abs(b - (-0.5)) < 1e-15
+        assert crit.quartic == ()
+        assert crit.points == ((0, Fraction(-1, 2), 0),)
+        assert _stationary(crit.r, *crit.points[0])
 
     def test_known_point_among_candidates(self):
         from minitori.constructions import catalog
-        ref = catalog("quartic-s7").q.to_numpy()
+        ref = catalog("quartic-s7").q
         crit = rank4_lagrange((5, 7, 8))
-        hits = [cand for cand in crit.candidates
-                if abs(cand[0] - ref[0, 1]) <= 1e-8
-                and abs(cand[1] - ref[0, 2]) <= 1e-8
-                and abs(cand[2] - ref[1, 2]) <= 1e-8]
+        hits = [(a, b, c) for a, b, c in crit.points
+                if SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]]) == ref]
         assert len(hits) == 1
+        a = hits[0][0]
+        assert a.field.minpoly == crit.quartic
+        assert abs(float(a) - (-0.149201)) <= 1e-6
 
     def test_quartic_coefficients_scale(self):
         # the stationarity polynomial for (5,7,8) equals the published example
@@ -260,40 +323,16 @@ class TestRank4:
         assert q == tuple(-x for x in paper)
 
     def test_random_candidates_are_stationary(self, rng):
-        # exact-rational finite differences along the constraint tangents:
-        # roundoff-free, so the 1e-9 bound reflects true stationarity
-        from minitori.scalars import isolate_real_roots, refine_root
-
-        def det(a, b, c):
-            return 2 * a * b * c - a * a - b * b - c * c + 1
-
+        checked = 0
         for _ in range(6):
             r = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(3))
             crit = rank4_lagrange(r)
-            if crit.degree1:
-                continue
-            g = (2 * r[0] * r[1], 2 * r[0] * r[2], 2 * r[1] * r[2])
-            gg = sum(x * x for x in g)
-            tangents = []
-            for i in range(3):
-                e = [Fraction(0)] * 3
-                e[i] = Fraction(1)
-                proj = g[i]
-                d = tuple(e[k] - g[k] * proj / gg for k in range(3))
-                if any(d):
-                    tangents.append(d)
-            eps = Fraction(1, 10**9)
-            for lo, hi in isolate_real_roots(crit.quartic):
-                lo2, hi2 = refine_root(crit.quartic, lo, hi, Fraction(1, 10**30))
-                a = (lo2 + hi2) / 2
-                den = 2 * a * r[0] * r[1] + r[0] ** 2 + r[1] ** 2
-                if den == 0:
-                    continue
-                b, c = crit.b_of(a), crit.c_of(a)
-                for d in tangents:
-                    up = det(a + eps * d[0], b + eps * d[1], c + eps * d[2])
-                    dn = det(a - eps * d[0], b - eps * d[1], c - eps * d[2])
-                    assert abs((up - dn) / (2 * eps)) <= Fraction(1, 10**9)
+            assert len(crit.points) == len(isolate_real_roots(crit.quartic))
+            assert [float(p[0]) for p in crit.points] == sorted(float(p[0]) for p in crit.points)
+            for point in crit.points:
+                assert _stationary(crit.r, *point)
+                checked += 1
+        assert checked
 
     def test_requires_nonzero_r1_r3(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
                       field_reduce, fraction_count_real_roots, fraction_isolate_real_roots,
                       fraction_refine_root, fraction_sturm_sequence, poly_eval)
-from minitori.scalars import (AlgebraicField, AlgebraicScalar, count_real_roots, dot,
+from minitori.scalars import (AlgebraicField, AlgebraicScalar, _divisors, count_real_roots, dot,
                               factor_min_poly, format_rational, integer_combinations,
                               irreducible_degree_le4, irreducible_factors,
-                              is_rational_square,
                               isolate_real_roots, parse_rational, poly_gcd,
                               pseudo_divmod, rational_roots, refine_root, sqrt_field,
                               squarefree_part, sturm_sequence)
@@ -34,11 +33,6 @@ class TestRationalWire:
 
 
 class TestSquares:
-    def test_examples(self):
-        assert is_rational_square(Fraction(9, 4))
-        assert not is_rational_square(Fraction(2))
-        assert not is_rational_square(Fraction(-1))
-
     def test_squarefree_part(self):
         assert squarefree_part(10801 * 36) == 10801
         assert squarefree_part(553) == 553
@@ -312,6 +306,26 @@ class TestIntegerRootKernels:
             prod *= sympy_poly(f)
             assert sympy_poly(f).is_irreducible
         assert sp.Poly(prod.monic(), want.gen) == want.monic()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3, 5, 13, 773, 2879, 1355687579]), max_size=9),
+           st.sampled_from([1, -1]))
+    def test_divisors_against_sympy(self, primes, sign):
+        n = sign * math.prod(primes)
+        assert _divisors(n) == sp.divisors(n)
+
+    def test_large_coefficients(self):
+        # p' of an n = 5 pencil: trial division up to sqrt of its 22-digit
+        # leading coefficient would take hours
+        p = (828510437328112037, 30366333465769124672, -1086941214281340546384,
+             -1556016964291872159360, 7364456511965153569280)
+        factors = irreducible_factors(p)
+        prod = sp.Poly(1, sp.symbols("x"))  # p is primitive, so are its factors (Gauss)
+        for f in factors:
+            assert sympy_poly(f).is_irreducible
+            prod *= sympy_poly(f)
+        assert prod == sympy_poly(p)
+        assert rational_roots(p) == sympy_rational_roots(p)
 
     def test_quartic_split_into_quadratics(self):
         # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
