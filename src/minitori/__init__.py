@@ -8,16 +8,19 @@ Pythagorean and 2-torus families), verifies the full
 equation system exactly or at tolerance, tests embeddedness, and reduces the
 target sphere dimension by convex-combination reduction.
 
+Sym_n has one coordinate map, the upper triangle (S_ik)_{i <= k} row by row
+(`SymMatrix.upper`, `SymMatrix.from_upper`, `rank_one_rows`), and exact
+linear algebra one elimination kernel; the directions of an affine slice of
+the PD cone are a primitive integer kernel basis (`build_slice`).
+
 numpy is imported only by the float optimizers and the float-regime LAPACK
 calls of `symmetric`, never at import time.
 """
 
 from .scalars import (AlgebraicField, AlgebraicScalar, format_rational,
                       irreducible_degree_le4, parse_rational, sqrt_field)
-from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
-                        logdet, psd_sqrt, trace_inner)
-from .lattices import (DualLattice, Lattice, NormClassList, dual,
-                       eigenfunction_index, enumerate_norm,
+from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
+from .lattices import (NormClassList, eigenfunction_index, enumerate_norm,
                        rational_points_on_ellipsoid, shortest_vectors, spectrum)
 from .optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                        InfeasibleRegion, NoCommonEllipsoid, PencilResult,

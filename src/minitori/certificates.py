@@ -78,9 +78,6 @@ class MatrixData:
     def is_exact(self) -> bool:
         return self.q.is_exact() and all(exact_scalar(w) for w in self.weights)
 
-    def hull_point(self) -> HullPoint:
-        return HullPoint.from_weights(self.y, self.weights)
-
 
 # ---------------------------------------------------------------------------
 # verification reports

@@ -22,11 +22,11 @@ from typing import Optional, Sequence, Union
 
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
 from .exactlp import feasible_point
-from .lattices import rational_points_on_ellipsoid
+from .lattices import canonical_class, rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
                        exact_hull_weights, pencil_maximize, rank4_lagrange)
 from .scalars import AlgebraicField, AlgebraicScalar, Rat, sqrt_field
-from .symmetric import SymMatrix, inverse, is_positive_definite, rank, solve
+from .symmetric import SymMatrix, inverse, is_positive_definite, rank, rank_one_rows, solve
 
 
 class ConstructionError(RuntimeError):
@@ -84,7 +84,7 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     kept: list[tuple[Fraction, ...]] = []
     seen = set()
     for pt in points:
-        canon = pt if next(x for x in pt if x != 0) > 0 else tuple(-x for x in pt)
+        canon = canonical_class(pt)
         if canon in seen:
             continue
         d = math.lcm(*[x.denominator for x in pt])
@@ -95,9 +95,7 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
         seen.add(canon)
         kept.append(pt)
 
-    ms = [SymMatrix.rank_one(pt) for pt in kept]
-    idx_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rows = [[m.entries[i][j] for m in ms] for (i, j) in idx_pairs]
+    rows = list(zip(*rank_one_rows(kept)))
     span_rank = rank(rows)
     if span_rank < n * (n + 1) // 2:
         raise ConstructionError(
@@ -105,8 +103,7 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
             "retry with more samples or a different seed")
 
     target = inverse(qs).scale(Fraction(1, n))
-    rhs = [Fraction(target.entries[i][j]) for (i, j) in idx_pairs]
-    lam = feasible_point(rows, rhs)
+    lam = feasible_point(rows, target.upper())
     if lam is None:
         raise ConstructionError(
             "the convex-combination LP is infeasible for the sampled points; "
@@ -161,7 +158,7 @@ def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
     n = len(cols[0])
     if n != 3:
         raise ValueError("this construction is specific to 3-tori")
-    k = rank([[c[i] * c[j] for i in range(3) for j in range(i, 3)] for c in cols])
+    k = rank(rank_one_rows(cols))
     if k == 5:
         res = pencil_maximize(build_slice(cols))
         return _certificate(cols, res.qstar, res.t0, "pencil")

@@ -39,10 +39,20 @@ def _encode_scalar(x):
     return format_rational(x)
 
 
+def _rational(text) -> Fraction:
+    """A 'p/q' string as a Fraction; anything else is a format error."""
+    if not isinstance(text, str):
+        raise CertificateFormatError(f"rational scalars are 'p/q' strings, not {text!r}")
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateFormatError(f"bad rational {text!r}: {exc}") from exc
+
+
 def _decode_scalar(obj, field_cache: dict):
     if isinstance(obj, str):
-        return parse_rational(obj)
-    if isinstance(obj, (int, float)):
+        return _rational(obj)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):  # bool is an int
         try:
             x = float(obj)
         except OverflowError:
@@ -53,10 +63,12 @@ def _decode_scalar(obj, field_cache: dict):
         return x
     if isinstance(obj, dict):
         try:
-            minpoly = tuple(int(c) for c in obj["minpoly"])
-            lo = parse_rational(obj["interval"][0])
-            hi = parse_rational(obj["interval"][1])
-            coeffs = [parse_rational(c) for c in obj["coeffs"]]
+            minpoly = tuple(obj["minpoly"])
+            if not all(type(c) is int for c in minpoly):  # int() would truncate 0.5 or read true
+                raise CertificateFormatError(f"minpoly coefficients are integers, not {minpoly!r}")
+            lo = _rational(obj["interval"][0])
+            hi = _rational(obj["interval"][1])
+            coeffs = [_rational(c) for c in obj["coeffs"]]
         except (KeyError, IndexError, ValueError) as exc:
             raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
         key = (minpoly, lo, hi)

@@ -1,4 +1,4 @@
-"""Lattices: Gram matrices, duals, torus spectra and exhaustive norm enumeration.
+"""Lattices: torus spectra and exhaustive norm enumeration.
 
 Norm enumeration is the Fincke-Pohst recursion (Math. Comp. 1985) run on
 Python integers only.  The Gram Q is scaled to the integer matrix
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .scalars import Rat
-from .symmetric import SymMatrix, inverse, is_positive_definite
+from .symmetric import SymMatrix, is_positive_definite
 
 FOUR_PI_SQ = 4 * math.pi * math.pi
 
@@ -47,45 +47,6 @@ _CLUSTER = 10**9  # float Grams: values within relative 1/_CLUSTER share a spect
 
 class EnumerationIncomplete(RuntimeError):
     """Raised when the coordinate cap was hit before the ellipsoid bound."""
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Rank-n lattice given by a generator matrix of row vectors."""
-
-    generator: tuple[tuple[Fraction, ...], ...]
-    gram: SymMatrix
-
-    @classmethod
-    def from_generator(cls, rows: Sequence[Sequence[Rat]]) -> "Lattice":
-        gen = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(gen)
-        gram = SymMatrix([[sum(gen[i][k] * gen[j][k] for k in range(n)) for j in range(n)]
-                          for i in range(n)])
-        if is_positive_definite(gram) is not True:
-            raise ValueError("generator rows are linearly dependent")
-        return cls(gen, gram)
-
-    @property
-    def n(self) -> int:
-        return self.gram.n
-
-
-@dataclass(frozen=True)
-class DualLattice:
-    """Dual lattice: generator (L^{-1})^t, Gram matrix the inverse of the primal's."""
-
-    generator: tuple[tuple[Fraction, ...], ...]
-    gram: SymMatrix
-
-
-def dual(lat: Lattice) -> DualLattice:
-    # Q = L L^t, so the dual generator (L^{-1})^t = (L^t)^{-1} equals Q^{-1} L
-    n = lat.n
-    gram = inverse(lat.gram)
-    gen = tuple(tuple(sum(gram.entries[i][k] * lat.generator[k][j] for k in range(n))
-                      for j in range(n)) for i in range(n))
-    return DualLattice(gen, gram)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 Two feasible sets drive every construction in this package:
 
 * ``W_Y``: positive definite matrices whose hyper-ellipsoid passes through
-  every integer vector of Y, an affine slice of the PD cone.  Maximized by
-  damped Newton in slice coordinates (closed-form gradient/Hessian of
-  logdet).
+  every integer vector of Y, an affine slice Q0 + span{Q_1..Q_s} of the PD
+  cone.  Its directions are the kernel of the integer rows of the conditions
+  Y_j^t S Y_j = 0 in the coordinates (S_ik)_{i <= k} of Sym_n
+  (`symmetric.rank_one_rows`), taken by the one elimination kernel as a
+  primitive integer kernel basis.  Maximized by damped Newton in slice
+  coordinates (closed-form gradient/Hessian of logdet).
 * ``C_Y``: the convex hull of the rank-one matrices Y_j Y_j^t.  Maximized by
   Frank-Wolfe with away steps (the D-optimal-design structure), finished by
   one exact rational Newton polish on the identified support.
@@ -26,12 +29,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .exactlp import feasible_point
+from .lattices import canonical_class
 from .scalars import (AlgebraicField, AlgebraicScalar, Rat, factor_min_poly,
                       irreducible_factors, isolate_real_roots, poly_content_primitive,
                       poly_gcd, poly_mul, poly_sub, pseudo_divmod, refine_root, sqrt_field,
                       squarefree_part)
-from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
-                        kernel_vector, rank, solve, trace_inner)
+from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite, kernel, rank,
+                        rank_one_rows, solve)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,40 +73,15 @@ def columns_from_matrix(rows: Sequence[Sequence[int]]) -> Columns:
     return tuple(tuple(int(rows[i][j]) for i in range(n)) for j in range(nn))
 
 
-def _vec(s: SymMatrix) -> list[Fraction]:
-    return [s.entries[i][j] for i in range(s.n) for j in range(s.n)]
-
-
-def _sym_basis(n: int) -> list[SymMatrix]:
-    """Standard basis of Sym_n in row-major upper-triangle order."""
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = Fraction(1)
-            rows[j][i] = Fraction(1)
-            out.append(SymMatrix(rows))
-    return out
-
-
-def _normalize_integer(s: SymMatrix) -> SymMatrix:
-    """Scale to integer entries with content 1, first nonzero upper-triangle entry positive."""
-    entries = [Fraction(s.entries[i][j]) for i in range(s.n) for j in range(i, s.n)]
-    lcm = math.lcm(*[x.denominator for x in entries])
-    ints = [int(x * lcm) for x in entries]
-    g = math.gcd(*[abs(v) for v in ints if v != 0])
-    lead = next(v for v in ints if v != 0)
-    sign = 1 if lead > 0 else -1
-    return s.scale(Fraction(sign * lcm, g))
-
-
 @dataclass(frozen=True)
 class AffineSliceW:
     """Slice of the PD cone: Q0 + span{Q1..Qs}, all passing through Y.
 
     Q0 is the unique solution of <Q, Y_j Y_j^t> = 1 lying in
-    span{Y_j Y_j^t} (hence rational); the basis spans the orthogonal
-    complement of that span in Sym_n.
+    span{Y_j Y_j^t} (hence rational); the basis is a primitive integer kernel
+    basis of S -> (Y_j^t S Y_j)_j, the orthogonal complement of that span in
+    Sym_n: each Q_i is an integer matrix with coprime coordinates, the first
+    nonzero one positive.
     """
 
     q0: SymMatrix
@@ -117,15 +96,6 @@ class AffineSliceW:
     def n(self) -> int:
         return self.q0.n
 
-    def point(self, t: Sequence[Rat]) -> SymMatrix:
-        q = self.q0
-        for ti, b in zip(t, self.basis):
-            q = q + b.scale(ti)
-        return q
-
-    def rank_one(self) -> list[SymMatrix]:
-        return [SymMatrix.rank_one(c) for c in self.y]
-
 
 def build_slice(y) -> AffineSliceW:
     """Construct the affine slice W_Y for a spanning integer vector set."""
@@ -133,39 +103,21 @@ def build_slice(y) -> AffineSliceW:
     n = len(cols[0])
     if rank(cols) != n:
         raise ValueError(f"rank(Y) = {rank(cols)} < n = {n}")
-    ms = [SymMatrix.rank_one(c) for c in cols]
-    nn = len(ms)
-    gram = [[Fraction(trace_inner(ms[i], ms[j])) for j in range(nn)] for i in range(nn)]
-
-    # particular solution c of Gram c = 1; Q0 = sum c_k M_k is unique even if c is not
-    c = solve(gram, [1] * nn)
+    # <Y_j Y_j^t, Y_k Y_k^t> = (Y_j . Y_k)^2; Q0 = sum c_k Y_k Y_k^t is unique even if c is not
+    gram = [[sum(a * b for a, b in zip(u, v)) ** 2 for v in cols] for u in cols]
+    c = solve(gram, [1] * len(cols))
     if c is None:
         raise NoCommonEllipsoid("no hyper-ellipsoid passes through all the vectors")
     q0 = SymMatrix.rank_one_sum(cols, c)
-
-    # Gram-Schmidt orthogonalization of span{M_j}, then seed the complement
-    ortho: list[SymMatrix] = []
-    for m in ms:
-        w = m
-        for o in ortho:
-            coeff = Fraction(trace_inner(w, o)) / Fraction(trace_inner(o, o))
-            if coeff:
-                w = w - o.scale(coeff)
-        if any(any(x != 0 for x in row) for row in w.entries):
-            ortho.append(w)
-    basis: list[SymMatrix] = []
-    ortho_basis: list[SymMatrix] = []
-    for seed in _sym_basis(n):
-        w = seed
-        for o in ortho + ortho_basis:
-            coeff = Fraction(trace_inner(w, o)) / Fraction(trace_inner(o, o))
-            if coeff:
-                w = w - o.scale(coeff)
-        if any(any(x != 0 for x in row) for row in w.entries):
-            ortho_basis.append(w)
-            basis.append(_normalize_integer(w))
-    expected = n * (n + 1) // 2 - len(ortho)
-    assert len(basis) == expected
+    # Y^t S Y counts each off-diagonal coordinate S_ik twice
+    twice = [2 - d for d in SymMatrix.identity(n).upper()]
+    rows = [[t * x for t, x in zip(twice, row)] for row in rank_one_rows(cols)]
+    basis = []
+    for z in kernel(rows):
+        den = math.lcm(*(x.denominator for x in z))
+        ints = [x.numerator * (den // x.denominator) for x in z]
+        g = math.gcd(*ints)
+        basis.append(SymMatrix.from_upper(canonical_class([x // g for x in ints])))
     return AffineSliceW(q0=q0, basis=tuple(basis), y=cols)
 
 
@@ -641,10 +593,10 @@ def caratheodory_reduce(point: HullPoint) -> HullPoint:
                for w in point.weights]
     active = [j for j, w in enumerate(weights) if w]
     while len(active) > bound:
-        columns = [_vec(SymMatrix.rank_one(point.y[j])) for j in active]
-        z = kernel_vector(list(zip(*columns)))
-        if z is None:
+        dependences = kernel(list(zip(*rank_one_rows([point.y[j] for j in active]))))
+        if not dependences:
             raise ValueError("no linear dependence found; invalid hull point")
+        z = dependences[0]
         if not any(v > 0 for v in z):
             z = [-v for v in z]
         theta = None
@@ -677,19 +629,13 @@ def exact_hull_weights(cols: Columns, p: SymMatrix):
     linearly independent subsets (complete by Caratheodory for cones) and
     solving in the field with certified positivity.
     """
-    n = p.n
-    ms = [SymMatrix.rank_one(c) for c in cols]
-    idx_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    vec_cols = rank_one_rows(cols)
+    target = p.upper()
     if p.regime == "rational":
-        rows = [[Fraction(m.entries[i][j]) for m in ms] for (i, j) in idx_pairs]
-        rhs = [Fraction(p.entries[i][j]) for (i, j) in idx_pairs]
-        sol = feasible_point(rows, rhs)
-        return sol
+        return feasible_point(list(zip(*vec_cols)), target)
     if p.regime != "algebraic":
         raise TypeError("exact membership needs exact scalars")
     field = p.entries[0][0].field
-    vec_cols = [[m.entries[i][j] for (i, j) in idx_pairs] for m in ms]
-    target = [p.entries[i][j] for (i, j) in idx_pairs]
     full = rank(vec_cols)
     from itertools import combinations
     # Caratheodory for cones: any conic representation is supported on some

@@ -1,17 +1,22 @@
-"""Symmetric matrices over the three scalar regimes, with the trace inner product,
-and the package's one exact elimination kernel.
+"""Symmetric matrices over the three scalar regimes, their upper-triangle
+coordinates, and the package's one exact elimination kernel.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
 (elements of one shared field) or ``float``.  numpy is imported only when
-called, by the float-regime `inverse`, `determinant`, `logdet` and
-`psd_sqrt` (LAPACK) and by the `to_numpy`/`from_numpy` conversions; the
-float positive definiteness test is plain Python.
+called, by the float-regime `inverse` and `determinant` (LAPACK) and by the
+`to_numpy`/`from_numpy` conversions; the float positive definiteness test is
+plain Python.
+
+Sym_n has one coordinate map, S -> (S_ik)_{i <= k} row by row: `SymMatrix.upper`
+reads it, `SymMatrix.from_upper` builds a matrix from it, and `rank_one_rows`
+gives the coordinates [v_i v_k]_{i <= k} of each v v^t, so a linear condition
+on sums of rank-one matrices is a system on these rows.
 
 All exact linear algebra, over Q or over one field Q(w), runs through one
 Gauss-Jordan routine, `_gauss_jordan`, on row lists (int entries are lifted to
-Fractions first).  `rank`, `solve` (free variables 0), `kernel_vector` (1 at
-the first free column), `inverse` and `determinant` are thin functions over
+Fractions first).  `rank`, `solve` (free variables 0), `kernel` (one basis
+vector per free column), `inverse` and `determinant` are thin functions over
 it, and take SymMatrix rows or plain row lists.  A matrix has exactly one
 reduced row echelon form, and the determinant is the signed product of the
 pivots, so every result is the same as that of any other exact elimination.
@@ -41,6 +46,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 FLOAT_PD_TOL = 1e-12
+
+
+def _upper_pairs(n: int) -> list[tuple[int, int]]:
+    """The index pairs (i, k), i <= k, of Sym_n's coordinates, row by row."""
+    return [(i, k) for i in range(n) for k in range(i, n)]
+
+
+def rank_one_rows(vectors: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
+    """[v_i v_k]_{i <= k} for each vector v: the coordinates of v v^t.
+
+    ints for integer vectors, Fractions for rational ones.
+    """
+    pairs = _upper_pairs(len(vectors[0]))
+    return [[v[i] * v[k] for i, k in pairs] for v in vectors]
 
 
 class SymMatrix:
@@ -127,6 +146,15 @@ class SymMatrix:
         return cls([[float(sym[i, j]) for j in range(arr.shape[0])] for i in range(arr.shape[0])])
 
     @classmethod
+    def from_upper(cls, values: Sequence[Scalar]) -> "SymMatrix":
+        """The matrix whose coordinates (`upper`) are `values`."""
+        n = (math.isqrt(8 * len(values) + 1) - 1) // 2
+        rows: list[list] = [[None] * n for _ in range(n)]
+        for (i, k), v in zip(_upper_pairs(n), values):
+            rows[i][k] = rows[k][i] = v
+        return cls(rows)
+
+    @classmethod
     def rank_one(cls, v: Sequence[Rat]) -> "SymMatrix":
         """v v^t for an integer or rational vector v (rational regime)."""
         v = [x if isinstance(x, Fraction) else int(x) for x in v]
@@ -143,9 +171,7 @@ class SymMatrix:
         added in j order, the float operations of summing the matrices
         rank_one(Y_j).scale(c_j) in that order, so the sums are bit-identical.
         """
-        n = len(cols[0])
-        pairs = [(i, k) for i in range(n) for k in range(i, n)]
-        products = [[y[i] * y[k] for y in cols] for i, k in pairs]
+        products = list(zip(*rank_one_rows(cols)))
         if all(exact_scalar(c) for c in coeffs):
             values = integer_combinations(coeffs, products)
         else:
@@ -156,10 +182,7 @@ class SymMatrix:
                     term = c * t
                     acc = term if acc is None else acc + term
                 values.append(acc)
-        rows: list[list] = [[None] * n for _ in range(n)]
-        for (i, k), v in zip(pairs, values):
-            rows[i][k] = rows[k][i] = v
-        return cls(rows)
+        return cls.from_upper(values)
 
     # -- basics ---------------------------------------------------------------
     @property
@@ -168,6 +191,10 @@ class SymMatrix:
 
     def is_exact(self) -> bool:
         return self._regime != "float"
+
+    def upper(self) -> list[Scalar]:
+        """The coordinates (S_ik)_{i <= k}, row by row."""
+        return [self.entries[i][k] for i, k in _upper_pairs(self.n)]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -188,9 +215,6 @@ class SymMatrix:
         import numpy as np
 
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
-
-    def to_float(self) -> "SymMatrix":
-        return SymMatrix([[float(x) for x in row] for row in self.entries])
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
@@ -332,20 +356,20 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
     return x
 
 
-def kernel_vector(rows: Sequence[Sequence]) -> Optional[list]:
-    """The kernel vector that is 1 at the first free column and 0 at every
-    other free column, or None when the columns are linearly independent."""
+def kernel(rows: Sequence[Sequence]) -> list[list]:
+    """A basis of the kernel: one vector per free column, 1 at that column and
+    0 at every other free column (none when the columns are independent)."""
     a, zero = _lift(rows)
     ncols = len(a[0])
     cols = [col for col, _ in _gauss_jordan(a, ncols)[0]]
-    free = next((c for c in range(ncols) if c not in cols), None)
-    if free is None:
-        return None
-    z = [zero] * ncols
-    z[free] = zero + 1
-    for row, col in zip(a, cols):
-        z[col] = -row[free]
-    return z
+    basis = []
+    for free in (c for c in range(ncols) if c not in cols):
+        z = [zero] * ncols
+        z[free] = zero + 1
+        for row, col in zip(a, cols):
+            z[col] = -row[free]
+        basis.append(z)
+    return basis
 
 
 def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
@@ -353,7 +377,7 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
 
     Exact for rational/algebraic entries (float row lists are lifted exactly
     to Fractions).  A float SymMatrix uses LAPACK, importing numpy when
-    called, as the float `determinant`, `logdet` and `psd_sqrt` do.
+    called, as the float `determinant` does.
     """
     if isinstance(m, SymMatrix) and m.regime == "float":
         import numpy as np
@@ -392,48 +416,6 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     for _, p in pivots:
         det = det * p
     return det
-
-
-def _ln_fraction(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def logdet(s: SymMatrix) -> float:
-    """ln det S for positive definite S.
-
-    The gradient of S -> logdet(S) in the trace inner product is S^{-1},
-    which the optimizers rely on.
-    """
-    pd = is_positive_definite(s)
-    if pd is not True:
-        raise ValueError("logdet requires a positive definite matrix")
-    if s.regime == "rational":
-        return _ln_fraction(Fraction(determinant(s)))
-    if s.regime == "algebraic":
-        d = determinant(s)
-        return _ln_fraction(d.approx(Fraction(1, 10**20)))
-    import numpy as np
-
-    sign, val = np.linalg.slogdet(s.to_numpy())
-    return float(val)
-
-
-def psd_sqrt(s: SymMatrix, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric R with R @ R = S (float), for PSD S.
-
-    Eigenvalues below -tol raise; small negatives within tolerance clamp to 0.
-    """
-    import numpy as np
-
-    arr = s.to_numpy() if isinstance(s, SymMatrix) else np.asarray(s, dtype=float)
-    arr = 0.5 * (arr + arr.T)
-    w, v = np.linalg.eigh(arr)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w.min() < -tol * scale:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (r + r.T)
 
 
 def is_positive_definite(s: SymMatrix):

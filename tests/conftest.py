@@ -13,7 +13,7 @@ from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_re
 from minitori.optimize import InfeasibleRegion
 from minitori.scalars import exact_scalar, sqrt_field, squarefree_part
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
-                                is_positive_definite, rank, solve)
+                                is_positive_definite, kernel, rank, solve, trace_inner)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -584,6 +584,100 @@ def closed_form_pencil(slice_w):
         if is_positive_definite(qc) is True:
             return shift + t0, qc, degree
     raise InfeasibleRegion("no critical point of the pencil is positive definite")
+
+
+# ---------------------------------------------------------------------------
+# the affine slice and the Caratheodory reduction as they ran before the
+# upper-triangle coordinates: Fraction Gram-Schmidt in the trace inner product,
+# and rank-one matrices flattened to all n^2 entries
+
+
+def gram_schmidt_slice(cols):
+    """Oracle for `optimize.build_slice`: (Q0, basis), or None when no
+    hyper-ellipsoid passes through every vector.
+
+    Q0 = sum c_k Y_k Y_k^t with Gram c = 1 in the trace inner product.  The
+    basis orthogonalizes span{Y_j Y_j^t}, then the standard basis of Sym_n
+    (row-major upper triangle) against it; each new direction is scaled to
+    integer entries with content 1, the first nonzero upper-triangle entry
+    positive.
+    """
+    n = len(cols[0])
+    ms = [SymMatrix.rank_one(c) for c in cols]
+    c = solve([[Fraction(trace_inner(a, b)) for b in ms] for a in ms], [1] * len(ms))
+    if c is None:
+        return None
+    q0 = ms[0].scale(c[0])
+    for ck, m in zip(c[1:], ms[1:]):
+        q0 = q0 + m.scale(ck)
+
+    def orthogonalize(w, against):
+        for o in against:
+            coeff = Fraction(trace_inner(w, o)) / Fraction(trace_inner(o, o))
+            if coeff:
+                w = w - o.scale(coeff)
+        return w if any(x != 0 for row in w.entries for x in row) else None
+
+    ortho = []
+    for m in ms:
+        w = orthogonalize(m, ortho)
+        if w is not None:
+            ortho.append(w)
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows[i][j] = rows[j][i] = Fraction(1)
+            w = orthogonalize(SymMatrix(rows), ortho)
+            if w is None:
+                continue
+            ortho.append(w)
+            entries = [w.entries[a][b] for a in range(n) for b in range(a, n)]
+            den = math.lcm(*(x.denominator for x in entries))
+            ints = [int(x * den) for x in entries]
+            g = math.gcd(*ints)
+            sign = 1 if next(v for v in ints if v) > 0 else -1
+            basis.append(w.scale(Fraction(sign * den, g)))
+    return q0, tuple(basis)
+
+
+def flattened_caratheodory_weights(point) -> tuple:
+    """Oracle for `optimize.caratheodory_reduce`: the reduced weights, each
+    linear dependence taken from the rank-one matrices' n^2 entries."""
+    n = point.p.n
+    bound = n * (n + 1) // 2
+    weights = [Fraction(w) if isinstance(w, (int, float, Fraction)) else w
+               for w in point.weights]
+    active = [j for j, w in enumerate(weights) if w]
+    while len(active) > bound:
+        columns = [[a * b for a in point.y[j] for b in point.y[j]] for j in active]
+        z = kernel(list(zip(*columns)))[0]
+        if not any(v > 0 for v in z):
+            z = [-v for v in z]
+        theta, pick = min((weights[j] / z[idx], idx) for idx, j in enumerate(active)
+                          if z[idx] > 0)
+        for idx, j in enumerate(active):
+            weights[j] = weights[j] - theta * z[idx]
+            if idx == pick:
+                weights[j] = weights[j] - weights[j]
+        active = [j for j in active if weights[j]]
+    return tuple(w if j in active else w - w for j, w in enumerate(weights))
+
+
+# 3 x N integer vector sets: the standard basis (times the scale) plus the
+# listed columns; rank{Y_j Y_j^t} is 5 or 4, the extension degree 1 to 4.
+PENCIL_SETS = {
+    "rank5-deg1": (1, [(1, 1, 0), (0, 1, 1)]),
+    "rank5-deg2": (1, [(6, 12, -15), (6, 9, -12)]),
+    "rank4-deg2": (1, [(-3, 4, -3)]),
+    "rank4-deg3": (4, [(-5, 2, -3)]),
+    "rank4-deg4": (1, [(5, 7, 8)]),
+}
+
+
+def pencil_columns(name) -> list:
+    scale, extra = PENCIL_SETS[name]
+    return [tuple(scale if i == k else 0 for i in range(3)) for k in range(3)] + extra
 
 
 @pytest.fixture

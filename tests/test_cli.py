@@ -12,22 +12,12 @@ from minitori.cli import COMMANDS, UsageError, build_parser, main
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
-
-# 3 x N integer vector sets: the standard basis (times the scale) plus the
-# listed columns; rank{Y_j Y_j^t} is 5 or 4, the extension degree 1 to 4.
-PENCIL_SETS = {
-    "rank5-deg1": (1, [(1, 1, 0), (0, 1, 1)]),
-    "rank5-deg2": (1, [(6, 12, -15), (6, 9, -12)]),
-    "rank4-deg2": (1, [(-3, 4, -3)]),
-    "rank4-deg3": (4, [(-5, 2, -3)]),
-    "rank4-deg4": (1, [(5, 7, 8)]),
-}
+from conftest import PENCIL_SETS, pencil_columns
 
 
 @pytest.mark.parametrize("name", sorted(PENCIL_SETS))
 def test_construct_pencil_exits_zero(name, tmp_path, capsys):
-    scale, extra = PENCIL_SETS[name]
-    cols = [tuple(scale if i == k else 0 for i in range(3)) for k in range(3)] + extra
+    cols = pencil_columns(name)
     y = tmp_path / "y.txt"
     y.write_text("".join(" ".join(str(c[i]) for c in cols) + "\n" for i in range(3)))
     out = tmp_path / "cert.json"
@@ -74,7 +64,9 @@ def _malformed(name):
             doc["blocks"][0]["block"] = [[float("nan"), 0.0], [0.0, float("nan")]]
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
-                                               "mixed-regimes") else "clifford-3")
+                                               "mixed-regimes", "interval-numbers",
+                                               "coeffs-numbers", "minpoly-not-integers")
+                    else "clifford-3")
     if name == "format-version":
         doc["format_version"] = 2
     elif name == "weight-count":
@@ -89,13 +81,26 @@ def _malformed(name):
         doc.update(Y=[], N=0, weights=[])
     elif name == "mixed-regimes":  # float weights beside an algebraic Q
         doc["weights"] = [0.25] * len(doc["weights"])
+    elif name == "weight-zero-denominator":
+        doc["weights"][0] = "1/0"
+    elif name == "weight-boolean":  # bool is an int, and True would read as 1.0
+        doc["weights"][0] = True
+    elif name == "interval-numbers":  # rationals of an algebraic scalar are 'p/q' strings
+        doc["weights"][0]["interval"] = [23, 24]
+    elif name == "coeffs-numbers":
+        doc["weights"][0]["coeffs"] = [1, 0]
+    elif name == "minpoly-not-integers":  # truncated to [-553, 0, 1], this verified
+        for w in doc["weights"] + [x for row in doc["Q"]["rows"] for x in row]:
+            w["minpoly"] = [-553.7, False, 1.9]
     return json.dumps(doc)
 
 
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
              "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
-             "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes")
+             "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes",
+             "weight-zero-denominator", "weight-boolean", "interval-numbers", "coeffs-numbers",
+             "minpoly-not-integers")
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -104,6 +109,15 @@ def test_verify_malformed_file_exits_65(name, tmp_path, capsys):
     path.write_text(_malformed(name))
     assert main(["verify", str(path)]) == 65
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_reduce_malformed_file_exits_65(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(_malformed(name))
+    assert main(["reduce", str(path), "-o", str(tmp_path / "out.json")]) == 65
+    assert capsys.readouterr().err.startswith("parse error:")
+    assert not (tmp_path / "out.json").exists()
 
 
 MALFORMED_GRAMS = {
@@ -201,8 +215,7 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_commands_never_import_numpy(tmp_path):
-    scale, extra = PENCIL_SETS["rank4-deg2"]
-    cols = [tuple(scale if i == k else 0 for i in range(3)) for k in range(3)] + extra
+    cols = pencil_columns("rank4-deg2")
     (tmp_path / "y.txt").write_text(
         "".join(" ".join(str(c[i]) for c in cols) + "\n" for i in range(3)))
     (tmp_path / "float.json").write_text(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minitori.lattices import (FOUR_PI_SQ, Lattice, dual, eigenfunction_index,
+from minitori.lattices import (FOUR_PI_SQ, eigenfunction_index,
                                enumerate_norm, rational_points_on_ellipsoid,
                                shortest_vectors, spectrum)
 from minitori.symmetric import SymMatrix
@@ -38,33 +38,6 @@ def _attained_target(q, rnd):
         target = min(q.entries[i][i] for i in range(q.n))
     assume(_box_size(q, target) <= BOX_CAP)
     return target
-
-
-class TestDual:
-    def test_identity(self):
-        lat = Lattice.from_generator([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert dual(lat).gram == SymMatrix.identity(3)
-
-    def test_diag(self):
-        lat = Lattice.from_generator([[1, 0], [0, 2]])
-        assert dual(lat).gram == SymMatrix.diag([1, Fraction(1, 4)])
-
-    def test_random_exact_pairing(self, rng):
-        for _ in range(5):
-            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
-                    for _ in range(3)]
-            rows[0][0] += 5
-            rows[1][1] += 5
-            rows[2][2] += 5
-            lat = Lattice.from_generator(rows)
-            d = dual(lat)
-            prod = lat.gram.matmul(d.gram)
-            for i in range(3):
-                for j in range(3):
-                    assert prod[i][j] == (1 if i == j else 0)
-            # dual of dual
-            dd = dual(Lattice.from_generator(d.generator))
-            assert dd.gram == lat.gram
 
 
 class TestEnumerate:
@@ -160,7 +133,7 @@ class TestSpectrum:
 
     def test_quadratic_catalog_norm_one_multiplicity(self):
         from minitori.constructions import catalog
-        q = catalog("quadratic-s9").q.to_float()
+        q = _to_float(catalog("quadratic-s9").q)
         k = eigenfunction_index(q, FOUR_PI_SQ)
         lines = spectrum(q, k + 1)
         hit = lines[k]

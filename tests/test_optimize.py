@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import closed_form_pencil
+from conftest import (PENCIL_SETS, closed_form_pencil, flattened_caratheodory_weights,
+                      gram_schmidt_slice, pencil_columns)
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
                                build_slice, caratheodory_reduce, columns_from_matrix,
                                kkt_gap, maximize_logdet_C, maximize_logdet_W,
                                pencil_maximize, rank4_lagrange, rank4_quartic)
-from minitori.scalars import isolate_real_roots
-from minitori.symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
+from minitori.scalars import isolate_real_roots, sqrt_field
+from minitori.symmetric import (SymMatrix, determinant, inverse, is_positive_definite, rank,
+                                trace_inner)
 
 RANK5_Y = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 12, -15), (6, 9, -12))
 QUARTIC_Y = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 8))
@@ -46,7 +48,63 @@ def feasible_random_sets(seed, count, n=3, extra=1, want_s=None):
     return out
 
 
+def spanning_sets(seed):
+    """Seeded integer vector sets spanning Q^n, n = 2..5: six per n, half of
+    them with n(n+1)/2 - 1 vectors (generically a one-dimensional slice)."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(2, 6):
+        dim = n * (n + 1) // 2
+        for k in range(6):
+            count = dim - 1 if k % 2 == 0 else rng.randint(n, dim + 1)
+            cols = []
+            while len(cols) < count or rank(cols) < n:
+                if len(cols) == count:
+                    cols = []
+                cols.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            out.append(cols)
+    return out + [pencil_columns(name) for name in sorted(PENCIL_SETS)]
+
+
+SLICE_SETS = spanning_sets(20261018)
+
+
 class TestBuildSlice:
+    def test_matches_the_gram_schmidt_oracle(self):
+        ones = 0
+        for cols in SLICE_SETS:
+            want = gram_schmidt_slice(cols)
+            if want is None:
+                with pytest.raises(NoCommonEllipsoid):
+                    build_slice(cols)
+                continue
+            sl = build_slice(cols)
+            assert sl.q0 == want[0]
+            assert sl.s == len(want[1])
+            if sl.s == 1:  # the primitive generator is unique up to sign
+                ones += 1
+                assert sl.basis == want[1]
+        assert ones >= 12
+
+    def test_basis_is_a_primitive_integer_kernel_basis(self):
+        for cols in SLICE_SETS:
+            try:
+                sl = build_slice(cols)
+            except NoCommonEllipsoid:
+                continue
+            n = sl.n
+            ms = [SymMatrix.rank_one(c) for c in cols]
+            span = rank([[trace_inner(a, b) for b in ms] for a in ms])
+            assert sl.s == n * (n + 1) // 2 - span
+            for b in sl.basis:
+                coords = [b.entries[i][k] for i in range(n) for k in range(i, n)]
+                assert all(x.denominator == 1 for x in coords)
+                assert math.gcd(*(x.numerator for x in coords)) == 1
+                assert next(x for x in coords if x) > 0
+                assert all(b.quad_form(c) == 0 for c in cols)
+            flat = [[x for row in b.entries for x in row] for b in sl.basis]
+            assert not flat or rank(flat) == sl.s
+
     def test_standard_basis(self):
         sl = build_slice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert sl.q0 == SymMatrix.identity(3)
@@ -360,6 +418,22 @@ class TestCaratheodory:
         assert len(red.support) <= 6
         assert _weighted_sum(red) == hp.p
         assert sum(red.weights) == 1
+
+    def test_matches_the_flattened_oracle(self, rng):
+        root2 = sqrt_field(2).generator()
+        for n in (2, 3, 4):
+            dim = n * (n + 1) // 2
+            for _ in range(6):
+                cols = set()
+                while len(cols) < dim + rng.randint(1, 4):
+                    c = tuple(rng.randint(-3, 3) for _ in range(n))
+                    if any(c):
+                        cols.add(c)
+                w = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in cols]
+                if n == 3:  # weights in Q(sqrt 2): the ratio tests take certified signs
+                    w = [x * (root2 + rng.randint(-1, 2)) for x in w]
+                hp = HullPoint.from_weights(sorted(cols), w)
+                assert caratheodory_reduce(hp).weights == flattened_caratheodory_weights(hp)
 
     def test_never_grows_support(self, rng):
         for _ in range(5):

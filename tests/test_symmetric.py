@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,9 +5,7 @@ import numpy as np
 import pytest
 
 from minitori.scalars import sqrt_field
-from minitori.symmetric import (SymMatrix, determinant, inverse,
-                                is_positive_definite, logdet, psd_sqrt,
-                                trace_inner)
+from minitori.symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
 from conftest import random_rational_pd
 
 
@@ -110,59 +107,6 @@ class TestInverse:
             assert abs(float(data.q.quad_form(c)) - 1.0) <= 1e-15
 
 
-class TestLogdet:
-    def test_identity(self):
-        assert logdet(SymMatrix.identity(4)) == 0.0
-
-    def test_diag_e(self):
-        e = math.e
-        assert abs(logdet(SymMatrix([[e, 0.0], [0.0, e]])) - 2.0) < 1e-14
-
-    def test_eigenvalue_product_oracle(self, rng):
-        nprng = np.random.default_rng(7)
-        for _ in range(10):
-            b = nprng.normal(size=(4, 4))
-            q = SymMatrix.from_numpy(b @ b.T + 0.5 * np.eye(4))
-            eig = np.linalg.eigvalsh(q.to_numpy())
-            assert abs(logdet(q) - float(np.sum(np.log(eig)))) <= 1e-12
-
-    def test_rejects_non_pd(self):
-        with pytest.raises(ValueError):
-            logdet(SymMatrix.diag([1, -1]))
-
-    def test_strict_concavity_along_segments(self):
-        nprng = np.random.default_rng(11)
-        for _ in range(10):
-            a = nprng.normal(size=(3, 3))
-            b = nprng.normal(size=(3, 3))
-            qa = SymMatrix.from_numpy(a @ a.T + np.eye(3))
-            qb = SymMatrix.from_numpy(b @ b.T + np.eye(3))
-            for t in (0.25, 0.5, 0.75):
-                mix = SymMatrix.from_numpy(t * qa.to_numpy() + (1 - t) * qb.to_numpy())
-                assert logdet(mix) > t * logdet(qa) + (1 - t) * logdet(qb) - 1e-12
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(SymMatrix.identity(4)), np.eye(4))
-
-    def test_diag(self):
-        r = psd_sqrt(SymMatrix.diag([4, 9]))
-        assert np.allclose(r, np.diag([2.0, 3.0]))
-
-    def test_random_psd_residual(self):
-        nprng = np.random.default_rng(3)
-        for _ in range(8):
-            b = nprng.normal(size=(5, 3))
-            s = SymMatrix.from_numpy(b @ b.T)  # rank deficient PSD
-            r = psd_sqrt(s)
-            assert np.max(np.abs(r @ r - s.to_numpy())) <= 1e-10
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(SymMatrix.diag([1.0, -0.5]))
-
-
 # ---------------------------------------------------------------------------
 # the exact elimination kernel, against sympy
 
@@ -170,7 +114,7 @@ import sympy  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from minitori.symmetric import kernel_vector, rank, solve  # noqa: E402
+from minitori.symmetric import kernel, rank, solve  # noqa: E402
 
 RATIONALS = st.one_of(st.just(Fraction(0)),
                       st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
@@ -229,14 +173,11 @@ class TestEliminationKernel:
     @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_kernel_vector(self, rows):
-        null = _sym(rows).nullspace()
-        z = kernel_vector(rows)
-        if not null:
-            assert z is None
-            return
-        # sympy's first basis vector is 1 at the first free column, 0 at the others
-        assert z == [_frac(v) for v in null[0]]
-        assert _product(rows, [[v] for v in z]) == [[0]] * len(rows)
+        basis = kernel(rows)
+        # sympy's basis vectors are 1 at their own free column, 0 at the others
+        assert basis == [[_frac(v) for v in z] for z in _sym(rows).nullspace()]
+        for z in basis:
+            assert _product(rows, [[v] for v in z]) == [[0]] * len(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(square=True))
