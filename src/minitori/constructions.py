@@ -1,6 +1,6 @@
 """End-to-end certificate pipelines and the worked-example catalog.
 
-* construct_rational: sampling + exact LP realization of any rational torus.
+* construct_rational: sampling + exact integer LP realization of any rational torus.
 * construct_pencil_3torus: the pencil (rank{Y_j Y_j^t} = 5, up to
   quadratic) and rank-4 (up to quartic) constructions for 3-tori, fully
   exact; the rank picks the route.
@@ -59,10 +59,17 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     mu (points pushing the running lcm past max_denominator are discarded),
     and solves the exact rational LP
 
-        sum_j lambda_j R_j R_j^t = Q^{-1}/n,   lambda >= 0.
+        sum_j lambda_j R_j R_j^t = Q^{-1}/n,   lambda >= 0
+
+    on integers: its rows are the coordinates `rank_one_rows` of the integer
+    columns Y_j = mu R_j, which the span test (`rank`) and the LP share, and
+    its right-hand side is mu^2 Q^{-1}/n.  That is the rational system times
+    mu^2 on both sides, so Bland's rule makes the same pivots and lambda is
+    the same.
 
     Zero-weight columns are dropped; the result is the verified matrix data
-    {Q/mu^2, mu R} of the mu-scaled torus.
+    {Q/mu^2, mu R} of the mu-scaled torus.  A quadric with too few sampled
+    points, a deficient span or an infeasible LP raise ConstructionError.
     """
     q = cfg.q
     if q.regime != "rational":
@@ -78,7 +85,10 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     for i in range(1, n):
         if qs.entries[i][i] == 1:
             points.append(tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)))
-    points += rational_points_on_ellipsoid(qs, e1, cfg.sample_count, cfg.seed)
+    try:
+        points += rational_points_on_ellipsoid(qs, e1, cfg.sample_count, cfg.seed)
+    except RuntimeError as exc:  # the quadric has too few sampled rational points
+        raise ConstructionError(f"{exc}; retry with fewer samples or a different seed") from exc
 
     mu = 1
     kept: list[tuple[Fraction, ...]] = []
@@ -95,29 +105,24 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
         seen.add(canon)
         kept.append(pt)
 
-    rows = list(zip(*rank_one_rows(kept)))
+    cols = [tuple(x.numerator * (mu // x.denominator) for x in pt) for pt in kept]
+    rows = list(zip(*rank_one_rows(cols)))
     span_rank = rank(rows)
     if span_rank < n * (n + 1) // 2:
         raise ConstructionError(
             f"sampled points span only {span_rank}/{n*(n+1)//2} of Sym_n; "
             "retry with more samples or a different seed")
 
-    target = inverse(qs).scale(Fraction(1, n))
+    target = inverse(qs).scale(Fraction(mu * mu, n))
     lam = feasible_point(rows, target.upper())
     if lam is None:
         raise ConstructionError(
             "the convex-combination LP is infeasible for the sampled points; "
             "retry with more samples or a different seed")
 
-    y_cols = []
-    weights = []
-    for pt, w in zip(kept, lam):
-        if w == 0:
-            continue
-        y_cols.append(tuple(int(x * mu) for x in pt))
-        weights.append(w)
-    data = MatrixData(q=qs.scale(Fraction(1, mu * mu)), y=tuple(y_cols),
-                      weights=tuple(weights),
+    y_cols = tuple(col for col, w in zip(cols, lam) if w)
+    weights = tuple(w for w in lam if w)
+    data = MatrixData(q=qs.scale(Fraction(1, mu * mu)), y=y_cols, weights=weights,
                       metadata={"construction": "rational", "mu": mu,
                                 "seed": cfg.seed, "scale": str(s)})
     report = verify_matrix_data(data)

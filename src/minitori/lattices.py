@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .scalars import Rat
@@ -319,25 +320,37 @@ def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
                                  max_numerator: int = 4) -> list[tuple[Fraction, ...]]:
     """Rational points on the quadric u^t Q u = 1, by projection through u0.
 
-    A pseudo-random rational point u' on a coordinate hyperplane avoiding u0
-    determines the line through u0 whose second quadric intersection
+    A pseudo-random rational point u' on the coordinate hyperplane of u0's
+    first nonzero coordinate determines the line through u0 whose second
+    quadric intersection is again rational.  The line runs in integers: with
+    u0 = z0 / c (c the lcm of u0's denominators), M = den Q the integer Gram
+    of `_integer_gram` and d = L (u' - u0) the integer direction (L the lcm
+    of c and the denominators of u'), the intersection is
 
-        u0 - 2 (u0^t Q (u'-u0)) / ((u'-u0)^t Q (u'-u0)) (u'-u0)
+        u_k = (z0_k d^t M d - 2 (z0^t M d) d_k) / (c d^t M d),
 
-    is again rational.  Deterministic for a given seed; every output
-    satisfies the quadric equation exactly.
+    one integer quadratic form, one bilinear form and n reduced Fractions per
+    sample (d with d^t M d = 0 is skipped).  Each coordinate of u' is drawn
+    as randint(-max_numerator, max_numerator) then randint(1,
+    max_denominator), the axis coordinate too before it is set to 0, so the
+    points depend on the seed alone.  Every output satisfies the quadric
+    equation exactly.
     """
     import random
 
     if q.regime != "rational":
         raise TypeError("Q must be rational")
     n = q.n
+    m, den = _integer_gram(q)
     u0 = tuple(Fraction(x) for x in u0)
-    if q.quad_form(u0) != 1:
+    if len(u0) != n:
+        raise ValueError(f"u0 has {len(u0)} coordinates, Q is {n} x {n}")
+    c = math.lcm(*(x.denominator for x in u0))
+    z0 = [x.numerator * (c // x.denominator) for x in u0]
+    mz0 = [sum(map(mul, row, z0)) for row in m]
+    if sum(map(mul, z0, mz0)) != den * c * c:
         raise ValueError("u0 does not lie on the ellipsoid")
-    axis = next((k for k in range(n) if u0[k] != 0), None)
-    if axis is None:
-        raise ValueError("u0 is the origin")
+    axis = next(k for k in range(n) if z0[k])
     rng = random.Random(seed)
     points: list[tuple[Fraction, ...]] = []
     seen = {u0}
@@ -346,17 +359,17 @@ def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
         tries += 1
         if tries > 200 * count + 1000:
             raise RuntimeError("sampling did not produce enough distinct points")
-        uprime = [Fraction(rng.randint(-max_numerator, max_numerator),
-                           rng.randint(1, max_denominator)) for _ in range(n)]
-        uprime[axis] = Fraction(0)
-        delta = tuple(a - b for a, b in zip(uprime, u0))
-        qd = q.quad_form(delta)
+        draws = [(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
+                 for _ in range(n)]
+        draws[axis] = (0, 1)
+        lcm = math.lcm(c, *(b for _, b in draws))
+        step = lcm // c
+        d = [a * (lcm // b) - step * z for (a, b), z in zip(draws, z0)]
+        qd = sum(map(mul, d, [sum(map(mul, row, d)) for row in m]))
         if qd == 0:
             continue
-        # u0^t Q delta
-        num = sum(u0[i] * sum(q.entries[i][j] * delta[j] for j in range(n)) for i in range(n))
-        t = 2 * num / qd
-        u = tuple(a - t * d for a, d in zip(u0, delta))
+        two_b = 2 * sum(map(mul, mz0, d))
+        u = tuple(Fraction(z * qd - two_b * x, c * qd) for z, x in zip(z0, d))
         if u in seen:
             continue
         seen.add(u)

@@ -13,8 +13,9 @@ denominator, in lowest terms, so field arithmetic runs in integers: products
 are integer convolutions reduced modulo the primitive minimal polynomial
 (each reduction step scales by its leading coefficient L), rational operands
 only rescale the numerators, and the inverse is Cramer's rule on the integer
-multiplication matrix with Bareiss determinants (`bareiss_determinant`, the
-package's one integer determinant kernel).
+multiplication matrix with Bareiss determinants (`bareiss`, the package's
+one integer elimination kernel, which also gives `symmetric.rank` on
+rational rows).
 
 Polynomials are integer coefficient lists.  Real roots are isolated by Sturm
 sequences of primitive integer polynomials (pseudo-remainders) and bisection
@@ -265,38 +266,45 @@ def _homogeneous_value(p: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def bareiss_determinant(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, reducing the rows `a` in place.
+def bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) of an integer matrix, reducing its rows `a` in place.
 
-    Bareiss's fraction-free elimination (Math. Comp. 1968): after step k each
-    entry right of and below the pivot is a (k+2) x (k+2) minor of the
-    row-exchanged matrix, so every division by the previous pivot is exact.
+    Bareiss's fraction-free elimination (Math. Comp. 1968) to row echelon
+    form: each column pivots on its first nonzero entry at or below the
+    current row, and a column with none is skipped.  After k pivots each
+    entry right of the k-th pivot column and below the k-th pivot row is a
+    (k+1) x (k+1) minor of the row-exchanged matrix, so every division by
+    the previous pivot is exact.  The determinant is that of a square
+    matrix (0 when it is singular), and 0 for any other shape.
     """
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        r = next((r for r in range(k, n) if a[r][k]), None)
+    m = len(a)
+    ncols = len(a[0]) if a else 0
+    sign, prev, top = 1, 1, 0
+    for k in range(ncols):
+        if top == m:
+            break
+        r = next((r for r in range(top, m) if a[r][k]), None)
         if r is None:
-            return 0
-        if r != k:
-            a[k], a[r] = a[r], a[k]
+            continue
+        if r != top:
+            a[top], a[r] = a[r], a[top]
             sign = -sign
-        pivot_row = a[k]
+        pivot_row = a[top]
         piv = pivot_row[k]
-        for i in range(k + 1, n):
+        for i in range(top + 1, m):
             ai, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, ncols):
                 ai[j] = (piv * ai[j] - aik * pivot_row[j]) // prev
         prev = piv
-    return sign * prev
+        top += 1
+    return top, sign * prev if top == m == ncols else 0
 
 
 def cofactors(rows: Sequence[Sequence[int]], i: int) -> list[int]:
     """The cofactors (-1)^(i+j) det(rows without row i and column j) of row i
     of a square integer matrix; sum_j rows[i][j] * cofactor_j is its determinant."""
     others = [row for r, row in enumerate(rows) if r != i]
-    return [(-1) ** (i + j) * bareiss_determinant([list(row[:j]) + list(row[j + 1:])
-                                                    for row in others])
+    return [(-1) ** (i + j) * bareiss([list(row[:j]) + list(row[j + 1:]) for row in others])[1]
             for j in range(len(rows))]
 
 

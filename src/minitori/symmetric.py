@@ -20,9 +20,11 @@ vector per free column), `inverse` and `determinant` are thin functions over
 it, and take SymMatrix rows or plain row lists.  A matrix has exactly one
 reduced row echelon form, and the determinant is the signed product of the
 pivots, so every result is the same as that of any other exact elimination.
-The one exception to the routine is the determinant of an all-int matrix
-(the integer minors of the embeddedness test), which Bareiss's fraction-free
-elimination, `scalars.bareiss_determinant`, computes in integers.
+The one exception to the routine is the integer kernel `scalars.bareiss`,
+Bareiss's fraction-free elimination: it computes the determinant of an
+all-int matrix (the integer minors of the embeddedness test), and the rank
+of rows without algebraic entries, each row first scaled to integers by the
+lcm of its denominators.
 Zero tests are exact (Fraction or coefficient comparisons); no sign is taken,
 so elimination never narrows a field's isolating interval.
 
@@ -39,7 +41,7 @@ import numbers
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .scalars import (AlgebraicScalar, Rat, Scalar, bareiss_determinant, dot, exact_scalar,
+from .scalars import (AlgebraicScalar, Rat, Scalar, bareiss, dot, exact_scalar,
                       integer_combinations)
 
 if TYPE_CHECKING:
@@ -334,9 +336,25 @@ def _gauss_jordan(a: list[list], ncols: int, exchange: bool = True) -> tuple[lis
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an exact matrix given by its rows."""
-    a, _ = _lift(rows)
-    return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
+    """Rank of an exact matrix given by its rows (float rows are lifted exactly).
+
+    Without algebraic entries each row is scaled by the lcm of its
+    denominators, which keeps the rank, and `scalars.bareiss` eliminates the
+    integer rows.
+    """
+    if any(isinstance(x, AlgebraicScalar) for row in rows for x in row):
+        a, _ = _lift(rows)
+        return len(_gauss_jordan(a, len(a[0]))[0])
+    return bareiss([_integer_row(row) for row in rows])[0]
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its entries' denominators."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fr = [x if type(x) is Fraction else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
@@ -407,7 +425,7 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
             return float(np.linalg.det(m.to_numpy()))
         m = m.entries
     if all(type(x) is int for row in m for x in row):
-        return bareiss_determinant([list(row) for row in m])
+        return bareiss([list(row) for row in m])[1]
     a, zero = _lift(m)
     pivots, sign = _gauss_jordan(a, len(a))
     if len(pivots) < len(a):

@@ -12,8 +12,8 @@ from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_re
                                    has_proportional_columns)
 from minitori.optimize import InfeasibleRegion
 from minitori.scalars import exact_scalar, sqrt_field, squarefree_part
-from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
-                                is_positive_definite, kernel, rank, solve, trace_inner)
+from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, _gauss_jordan, _lift, determinant,
+                                inverse, is_positive_definite, kernel, rank, solve, trace_inner)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -292,6 +292,54 @@ class IntervalOracle:
             if vhi - vlo < eps:
                 return (vlo + vhi) / 2
             self.refine()
+
+
+# ---------------------------------------------------------------------------
+# the rational route in Fraction arithmetic, as it ran before the integer one
+
+
+def fraction_rational_points(q: SymMatrix, u0, count: int, seed: int,
+                             max_denominator: int = 4, max_numerator: int = 4) -> list:
+    """Oracle for `lattices.rational_points_on_ellipsoid`: each line's second
+    quadric intersection u0 - 2 (u0^t Q delta) / (delta^t Q delta) delta,
+    delta = u' - u0, in Fraction arithmetic, with the same draws."""
+    if q.regime != "rational":
+        raise TypeError("Q must be rational")
+    n = q.n
+    u0 = tuple(Fraction(x) for x in u0)
+    if q.quad_form(u0) != 1:
+        raise ValueError("u0 does not lie on the ellipsoid")
+    axis = next(k for k in range(n) if u0[k] != 0)
+    rng = random.Random(seed)
+    points = []
+    seen = {u0}
+    tries = 0
+    while len(points) < count:
+        tries += 1
+        if tries > 200 * count + 1000:
+            raise RuntimeError("sampling did not produce enough distinct points")
+        uprime = [Fraction(rng.randint(-max_numerator, max_numerator),
+                           rng.randint(1, max_denominator)) for _ in range(n)]
+        uprime[axis] = Fraction(0)
+        delta = tuple(a - b for a, b in zip(uprime, u0))
+        qd = q.quad_form(delta)
+        if qd == 0:
+            continue
+        num = sum(u0[i] * sum(q.entries[i][j] * delta[j] for j in range(n)) for i in range(n))
+        t = 2 * num / qd
+        u = tuple(a - t * d for a, d in zip(u0, delta))
+        if u in seen:
+            continue
+        seen.add(u)
+        points.append(u)
+    return points
+
+
+def gauss_jordan_rank(rows) -> int:
+    """Oracle for `symmetric.rank`: the number of Gauss-Jordan pivots of the
+    rows lifted to Fractions (or to the field of their algebraic entries)."""
+    a, _ = _lift(rows)
+    return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,16 @@ def test_construct_malformed_flags_exit_64(argv, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+def test_construct_rational_sampler_exhaustion_exits_2(capsys):
+    # u' = (0, a/b) with |a| <= 4 and 1 <= b <= 4 meets the unit circle in
+    # only 23 points besides (1, 0), fewer than the 48 samples asked for
+    assert main(["construct", "rational", "--gram", "I2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("construction failed: sampling did not produce enough")
+    assert captured.err.count("\n") == 1
+
+
 # One command of each kind the benchmark workloads run, plus `verify` on a
 # Pythagorean (general) certificate.  Commands run in order, so later ones
 # read the files earlier ones write.

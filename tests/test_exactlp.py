@@ -86,6 +86,15 @@ class TestAgainstFractionTableau:
         if x is not None:
             _assert_feasible(a, b, x)
 
+    @settings(max_examples=150, deadline=None)
+    @given(linear_programs(), st.integers(1, 10**4))
+    def test_uniform_scaling_keeps_the_solution(self, lp, mu):
+        # the rational construction passes mu^2 A and mu^2 b for its integer rows
+        a, b = lp
+        c = mu * mu
+        assert feasible_point([[c * x for x in row] for row in a], [c * x for x in b]) == \
+            feasible_point(a, b)
+
     def test_negative_drive_out_pivot(self):
         # after x1 enters on row 0, row 1 is 0 = -2 x2 with its artificial basic
         # at zero; driving it out pivots on the negative entry -2

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -7,8 +7,9 @@ import pytest
 
 import minitori
 
-SOURCES = sorted(p for p in Path(minitori.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports to re-export
+SOURCES = (sorted(p for p in Path(minitori.__file__).parent.glob("*.py")
+                  if p.name != "__init__.py")  # __init__ imports to re-export
+           + sorted(Path(__file__).parent.glob("*.py")))  # conftest.py included
 
 
 def unused_imports(source: str) -> list[str]:

@@ -10,7 +10,8 @@ from minitori.lattices import (FOUR_PI_SQ, eigenfunction_index,
                                enumerate_norm, rational_points_on_ellipsoid,
                                shortest_vectors, spectrum)
 from minitori.symmetric import SymMatrix
-from conftest import box_enumerate_norm, box_norm_counts, box_ranges, random_rational_pd
+from conftest import (box_enumerate_norm, box_norm_counts, box_ranges, fraction_rational_points,
+                      random_rational_pd)
 
 SEEDS = st.integers(0, 2**32 - 1).map(random.Random)  # seeded data generators
 BOX_CAP = 4000  # most integer points the brute-force oracles may scan
@@ -252,3 +253,51 @@ class TestRationalPoints:
     def test_rejects_off_quadric(self):
         with pytest.raises(ValueError):
             rational_points_on_ellipsoid(SymMatrix.identity(2), (1, 1), 3, seed=0)
+
+    @pytest.mark.parametrize("u0", [(1,), (1, 0, 0)])
+    def test_rejects_a_wrong_length(self, u0):
+        with pytest.raises(ValueError, match="coordinates"):
+            rational_points_on_ellipsoid(SymMatrix.identity(2), u0, 3, seed=0)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the same exception, with the same message
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def quadrics(draw):
+    """(Q, u0): a rational PD Gram scaled so that u0, a random rational vector
+    or e_1, lies on u^t Q u = 1; sometimes u0 off the quadric or Q in floats."""
+    n = draw(st.integers(2, 6))
+    rng = draw(SEEDS)
+    q = random_rational_pd(rng, n, box_cap=10**9)
+    if draw(st.booleans()):
+        u0 = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    else:
+        u0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        if not any(u0):
+            u0[rng.randrange(n)] = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    q = q.scale(1 / q.quad_form(u0))
+    kind = draw(st.sampled_from(["on", "on", "on", "off", "float"]))
+    if kind == "off":
+        u0 = [2 * x for x in u0]
+    elif kind == "float":
+        q = SymMatrix([[float(x) for x in row] for row in q.entries])
+    return q, u0
+
+
+class TestRationalPointsOracle:
+    """The integer closed form against the Fraction sampler it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(quadrics(), st.integers(0, 24), st.integers(0, 2**32 - 1),
+           st.integers(1, 6), st.integers(0, 6))
+    def test_matches_fraction_sampler(self, quadric, count, seed, max_den, max_num):
+        q, u0 = quadric
+        args = (q, u0, count, seed, max_den, max_num)
+        assert _outcome(rational_points_on_ellipsoid, *args) == \
+            _outcome(fraction_rational_points, *args)
+

@@ -9,7 +9,7 @@ from conftest import (PENCIL_SETS, closed_form_pencil, flattened_caratheodory_we
                       gram_schmidt_slice, pencil_columns)
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
-                               build_slice, caratheodory_reduce, columns_from_matrix,
+                               build_slice, caratheodory_reduce,
                                kkt_gap, maximize_logdet_C, maximize_logdet_W,
                                pencil_maximize, rank4_lagrange, rank4_quartic)
 from minitori.scalars import isolate_real_roots, sqrt_field

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
                       field_reduce, fraction_count_real_roots, fraction_isolate_real_roots,
                       fraction_refine_root, fraction_sturm_sequence, poly_eval)
-from minitori.scalars import (AlgebraicField, AlgebraicScalar, _divisors, count_real_roots, dot,
+from minitori.scalars import (AlgebraicField, _divisors, count_real_roots, dot,
                               factor_min_poly, format_rational, integer_combinations,
                               irreducible_degree_le4, irreducible_factors,
                               isolate_real_roots, parse_rational, poly_gcd,

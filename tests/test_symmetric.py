@@ -6,7 +6,7 @@ import pytest
 
 from minitori.scalars import sqrt_field
 from minitori.symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
-from conftest import random_rational_pd
+from conftest import gauss_jordan_rank, random_rational_pd
 
 
 class TestTraceInner:
@@ -229,6 +229,59 @@ class TestEliminationOverSqrt2:
         w = sqrt_field(2).generator()
         x = solve([[1, 0], [0, 1]], [w, 3 + 0 * w])
         assert x == [w, 3] and all(isinstance(v, type(w)) for v in x)
+
+
+ENTRIES = {
+    "int": st.integers(-6, 6),
+    "fraction": RATIONALS,
+    "float": st.floats(-8, 8, allow_nan=False, allow_infinity=False),
+    "mixed": st.one_of(st.integers(-6, 6), RATIONALS),
+}
+
+
+@st.composite
+def rank_rows(draw):
+    """int, Fraction, float or mixed rows, possibly empty, often rank
+    deficient: a product through k <= min(r, c), with zero and repeated rows."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    if r and c and draw(st.booleans()):
+        k = draw(st.integers(1, min(r, c)))
+        rows = _product([draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)],
+                        [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(k)])
+    for _ in range(draw(st.integers(0, 2)) if r else 0):
+        row = rows[draw(st.integers(0, r - 1))]
+        if draw(st.booleans()):
+            rows.append([x * 0 for x in row])
+        else:
+            rows.append([x * draw(entry) for x in row])
+    return rows
+
+
+class TestRankOracle:
+    """The fraction-free integer rank against the Gauss-Jordan rank it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank_rows())
+    def test_matches_gauss_jordan(self, rows):
+        assert rank(rows) == gauss_jordan_rank(rows)
+
+    def test_shapes(self):
+        assert rank([]) == rank([[]]) == rank([[], []]) == 0
+        assert rank([[0, 0], [0.0, Fraction(0)]]) == 0
+        assert rank([[10**40, 1], [10**40 + 1, 1]]) == 2
+        assert rank([[0.1, 0.3], [1, 3]]) == 2  # binary 0.3 is not 3 * 0.1
+        assert rank([[0.1, 0.2], [1, 2]]) == 1  # binary 0.2 is 2 * 0.1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_floats_raise_as_before(self, bad):
+        rows = [[1.0, bad], [2.0, 3.0]]
+        with pytest.raises(Exception) as got:
+            rank(rows)
+        with pytest.raises(Exception) as want:
+            gauss_jordan_rank(rows)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
 class TestPositiveDefiniteLeadingMinors:
