@@ -106,14 +106,16 @@ class VerificationReport:
 
 def _assemble_report(residuals: dict[str, float], psd_margin: Optional[float],
                      tol: float, structural: Optional[str],
-                     borderline: Optional[str], nonzero: AbstractSet[str] = frozenset()
-                     ) -> VerificationReport:
-    """Verdict from the residuals: those above tol and the exact ones in
-    `nonzero` (exact residuals that are not exactly zero) fail; the largest
-    failing residual names the reason."""
+                     borderline: Optional[str], nonzero: AbstractSet[str] = frozenset(),
+                     scales: Optional[dict[str, float]] = None) -> VerificationReport:
+    """Verdict from the residuals: those above tol (times their entry in
+    `scales`, default 1) and the exact ones in `nonzero` (exact residuals that
+    are not exactly zero) fail; the largest failing residual names the reason."""
     if structural is not None:
         return VerificationReport("falsified", structural, residuals, psd_margin, tol)
-    failing = {k: v for k, v in residuals.items() if v > tol or k in nonzero}
+    scales = scales or {}
+    failing = {k: v for k, v in residuals.items()
+               if v > tol * scales.get(k, 1.0) or k in nonzero}
     if failing:
         worst_key = max(failing, key=failing.get)
         return VerificationReport("falsified", worst_key, residuals, psd_margin, tol)
@@ -129,7 +131,8 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
 
     Exact certificates are compared exactly: any residual that is not exactly
     zero falsifies, and its float magnitude is recorded.  Float certificates
-    compare within tol.
+    compare within tol, the flat residual within tol * max(1, max |(Q^{-1}/n)_ij|),
+    so that the test is relative to the size of the entries it compares.
 
     For exact data the convex-combination equation W = Q^{-1}/n, with
     W = sum w_j Y_j Y_j^t, is tested without inverting Q, as n Q W = I: it
@@ -145,6 +148,7 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     exact = data.is_exact()
     residuals: dict[str, float] = {}
     nonzero: set[str] = set()
+    scales: dict[str, float] = {}
 
     def record(key, diff):
         residuals[key] = max(residuals.get(key, 0.0), abs(float(diff)))
@@ -177,6 +181,8 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
         for i in range(n):
             for j in range(n):
                 record("flat", acc.entries[i][j] - target.entries[i][j])
+        if not exact:  # an exact residual fails whenever it is nonzero
+            scales["flat"] = _entry_scale(target.entries)
 
     wsum = None
     for w in data.weights:
@@ -206,7 +212,12 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
             structural = structural or "gram_not_pd"
         elif pd is None:
             borderline = borderline or "gram_pd"
-    return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
+    return _assemble_report(residuals, None, tol, structural, borderline, nonzero, scales)
+
+
+def _entry_scale(rows) -> float:
+    """max(1, max |x|) over the entries: the factor of a residual's tolerance."""
+    return max([1.0] + [abs(float(x)) for row in rows for x in row])
 
 
 def _is_inverse_over_n(q: SymMatrix, w: SymMatrix) -> bool:
@@ -352,7 +363,8 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
         metric, cos:  sum_{sigma=+1} -(B11 - B22) K + sum_{sigma=-1} (B11 + B22) K
         metric, sin:  sum_{sigma=+1} -o (B12+B21) K + sum_{sigma=-1} o (B21 - B12) K
 
-    plus the zero-frequency equation sum_r a_r Y_r Y_r^t = Q^{-1}/n, the unit
+    plus the zero-frequency equation sum_r a_r Y_r Y_r^t = Q^{-1}/n (the euta
+    residual, compared within tol * max(1, max |(Q^{-1}/n)_ij|)), the unit
     norm of every class, and PSD of the assembled operator: psd_margin is its
     smallest eigenvalue.  Two columns equal up to sign falsify the certificate
     as "proportional_columns", as in `verify_matrix_data`.
@@ -381,6 +393,7 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
                 euta[i][j] += a * (c[i] * c[j])
     residuals["euta"] = max(abs(x - v / n) for row, vrow in zip(euta, qinv)
                             for x, v in zip(row, vrow))
+    scales = {"euta": _entry_scale([[v / n for v in row] for row in qinv])}
 
     psd_margin = min(_jacobi_eigenvalues(gram.matrix))
     if has_proportional_columns(cols):
@@ -391,7 +404,7 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     residuals["eigen2"] = max((abs(v[1]) for v in coeffs.values()), default=0.0)
     residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs.values()), default=0.0)
     residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs.values()), default=0.0)
-    return _assemble_report(residuals, psd_margin, tol, None, None)
+    return _assemble_report(residuals, psd_margin, tol, None, None, scales=scales)
 
 
 def _max_abs(m: list[list[float]]) -> float:

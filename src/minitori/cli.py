@@ -93,7 +93,21 @@ def load_y(path: str):
         raise UsageError(f"cannot read vector file {path!r}: {exc}") from exc
     if not rows:
         raise UsageError(f"vector file {path!r} is empty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise UsageError(f"vector file {path!r}: rows have unequal lengths "
+                         f"{[len(row) for row in rows]}")
     return columns_from_matrix(rows)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: NaN and infinities are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
 def _report_exit(report) -> int:
@@ -330,11 +344,11 @@ COMMANDS = {
             _arg("--Y", required=True, help="text file: rows of the 3 x N matrix"), _OUTPUT]),
         "pythagorean": ("non-homogeneous 12-class family", cmd_construct, [
             _arg("--triple", nargs=3, type=int, required=True, metavar=("P", "Q", "R")),
-            *(_arg(f"--{name}", type=float, default=0.0)
+            *(_arg(f"--{name}", type=_finite_float, default=0.0)
               for name in ("r1", "r2", "phi1", "psi1", "phi2", "psi2")), _OUTPUT]),
         "bryant": ("one-parameter family of flat 2-tori in S^7", cmd_construct, [
             _arg("--mn", nargs=2, type=int, required=True, metavar=("M", "N")),
-            _arg("--rho", type=float),
+            _arg("--rho", type=_finite_float),
             _arg("--rho-scaled", help="exact ratio rho*2b in [0,1], e.g. 1/2"), _OUTPUT]),
     })),
     "enumerate": ("lattice norm classes / spectrum", cmd_enumerate, [

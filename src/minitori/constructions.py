@@ -214,7 +214,7 @@ def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, Algebrai
                  construction: str) -> tuple[MatrixData, IrrationalityReport]:
     """The verified certificate {Q*, Y, weights} with Q*^{-1}/3 in the hull,
     and the report of the field of `root`, which generates Q*."""
-    weights = exact_hull_weights(cols, _scale_inverse(qstar, 3))
+    weights = exact_hull_weights(cols, inverse(qstar).scale(Fraction(1, 3)))
     if weights is None or not _strictly_positive(weights):
         raise ConstructionError(
             "the inverse of the maximizer does not lie in the interior of the hull")
@@ -235,15 +235,6 @@ def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, Algebrai
 
 def _strictly_positive(weights) -> bool:
     return all(w > 0 for w in weights)
-
-
-def _scale_inverse(q: SymMatrix, n: int) -> SymMatrix:
-    qinv = inverse(q)
-    if qinv.regime == "algebraic":
-        f = qinv.entries[0][0].field
-        third = f.from_rational(Fraction(1, n))
-        return qinv.scale(third)
-    return qinv.scale(Fraction(1, n))
 
 
 def _congruence(qt: SymMatrix, a: list[list[Fraction]]) -> SymMatrix:
@@ -467,9 +458,11 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
     for i in range(6):
         a_lo, a_hi = diag[2 * i], diag[2 * i + 1]
         bound = float(a_lo * a_hi)
-        if alpha[i] ** 2 + beta[i] ** 2 > bound + 1e-12:
+        # a product that overflows is inf; a power would raise OverflowError
+        norm2 = alpha[i] * alpha[i] + beta[i] * beta[i]
+        if norm2 > bound + 1e-12:
             raise ValueError(
-                f"block {i}: alpha^2 + beta^2 = {alpha[i]**2 + beta[i]**2:.3g} exceeds "
+                f"block {i}: alpha^2 + beta^2 = {norm2:.3g} exceeds "
                 f"a_{2*i+1} a_{2*i+2} = {bound:.3g}; the operator would not be PSD")
         if alpha[i] or beta[i]:
             off[(2 * i, 2 * i + 1)] = ((alpha[i], beta[i]), (beta[i], -alpha[i]))

@@ -21,7 +21,12 @@ Polynomials are integer coefficient lists.  Real roots are isolated by Sturm
 sequences of primitive integer polynomials (pseudo-remainders) and bisection
 over integer numerators; every value is a positive multiple of the rational
 one, so each sign, each interval and each root count is that of the same
-computation in rationals.
+computation in rationals.  Factoring over Q (degree <= 4, the bound on the
+field degree of a minimal flat 3-torus) builds on the same isolation: a
+rational root m/L (L the leading coefficient) is the one candidate left in an
+isolating interval at most 1/L wide, and a quartic without one splits into
+quadratics exactly when its resolvent cubic has an integer root.  No
+divisors are enumerated.
 
 Sign determination for algebraic scalars is certified: the value is evaluated
 by interval Horner over the generator's isolating interval, which is bisected
@@ -181,6 +186,16 @@ def count_real_roots(p, lo: Rat, hi: Rat) -> int:
             - _sign_variations(seq, hi.numerator, hi.denominator))
 
 
+def _squarefree_sturm(p) -> list[tuple[int, ...]]:
+    """The Sturm sequence of p / gcd(p, p'), the squarefree part of p, whose
+    first term is that part as a primitive integer polynomial."""
+    seq = sturm_sequence(p)
+    if len(seq) > 1 and len(seq[-1]) > 1:
+        # divide out gcd(p, p'), the last Sturm term
+        seq = sturm_sequence(pseudo_divmod(seq[0], seq[-1])[0])
+    return seq
+
+
 def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals, each containing exactly one real root of p.
 
@@ -192,14 +207,10 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     left end.  The endpoints are integer numerators over one denominator,
     doubled at each halving.
     """
-    seq = sturm_sequence(p)
+    seq = _squarefree_sturm(p)
     if len(seq) < 2:
         return []
     p = seq[0]
-    if len(seq[-1]) > 1:
-        # divide out gcd(p, p'), the last Sturm term
-        p = _positive_primitive(pseudo_divmod(p, seq[-1])[0])
-        seq = sturm_sequence(p)
     lead = abs(p[-1])
     bound = Fraction(lead + max(abs(c) for c in p[:-1]), lead)
     # endpoints of the initial interval are not roots (strict Cauchy bound)
@@ -311,92 +322,67 @@ def cofactors(rows: Sequence[Sequence[int]], i: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # irreducibility over Q for degree <= 4
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of |n| in increasing order (none for 0), built
-    from the prime factorization, so the cost does not grow with sqrt(|n|)."""
-    out = [1] if n else []
-    for p, e in _factorize(abs(n)).items() if n else ():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def rational_roots(p: Sequence[int]) -> list[Fraction]:
     """All rational roots of an integer polynomial, in increasing order.
 
-    A root num/den in lowest terms of the primitive part (its roots at 0 split
-    off) has num | p_0 and den | p_d, by the rational root theorem.  Each such
-    candidate is tested in integers: den^d p(num/den) vanishes exactly when
-    p(num/den) does.
+    A root num/den in lowest terms of the primitive squarefree part, with
+    leading coefficient L, has den | L, so L * root is an integer.  Each real
+    root's isolating interval is refined until it is at most 1/L wide, so
+    its interior holds at most one fraction m/L (the endpoints are not
+    roots), and that one candidate is tested in integers: L^d sq(m/L)
+    vanishes exactly when sq(m/L) does.  No coefficient is factored.
     """
-    _, prim = poly_content_primitive(p)
-    if not prim:
+    seq = _squarefree_sturm(p)
+    if len(seq) < 2:
         return []
+    sq = seq[0]
+    lead = abs(sq[-1])
     roots = []
-    if prim[0] == 0:
-        roots.append(Fraction(0))
-        while prim[0] == 0:
-            prim = prim[1:]
-        if len(prim) <= 1:
-            return roots
-    nums = _divisors(prim[0])
-    for den in _divisors(prim[-1]):
-        for num in nums:
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (num, -num):
-                if _homogeneous_value(prim, s, den) == 0:
-                    roots.append(Fraction(s, den))
-    return sorted(roots)
+    for lo, hi in isolate_real_roots(sq):
+        lo, hi = refine_root(sq, lo, hi, Fraction(1, lead))
+        if lo == hi:  # the bisection hit the root
+            roots.append(lo)
+            continue
+        m = lead * lo.numerator // lo.denominator + 1
+        if m * hi.denominator < lead * hi.numerator and _homogeneous_value(sq, m, lead) == 0:
+            roots.append(Fraction(m, lead))
+    return roots
 
 
-def _quartic_quadratic_factors(p: tuple[int, ...]):
-    """Integer quadratics (f, g) with f*g = p, or None (p primitive, degree 4).
-
-    With b2 c2 = a4 and b0 c0 = a0 fixed, the middle coefficients b1, c1 solve
-    a 2x2 integer system; a candidate is kept only when it is integral and
-    the product matches p in its three middle coefficients.
-    """
-    a4, a3, a2, a1, a0 = p[4], p[3], p[2], p[1], p[0]
-
-    def check(b2, b1, b0, c2, c1, c0):
-        if (b0 * c1 + b1 * c0, b0 * c2 + b1 * c1 + b2 * c0, b1 * c2 + b2 * c1) == (a1, a2, a3):
-            return (b0, b1, b2), (c0, c1, c2)
+def _exact_isqrt(n: int) -> Optional[int]:
+    """The integer square root of n when n is a perfect square, else None."""
+    if n < 0:
         return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
-    b0_choices = _divisors(a0)
-    for b2 in _divisors(a4):
-        c2 = a4 // b2
-        for b0 in b0_choices:
-            for b0s in (b0, -b0):
-                c0 = a0 // b0s
-                # unknowns b1, c1:  c2*b1 + b2*c1 = a3 ;  c0*b1 + b0s*c1 = a1
-                det = c2 * b0s - b2 * c0
-                if det != 0:
-                    b1, rb = divmod(a3 * b0s - b2 * a1, det)
-                    c1, rc = divmod(c2 * a1 - a3 * c0, det)
-                    if rb == 0 and rc == 0:
-                        got = check(b2, b1, b0s, c2, c1, c0)
-                        if got:
-                            return got
-                else:
-                    # degenerate pair: b1 satisfies c2*b1^2 - a3*b1 + (a2 - b0s*c2 - b2*c0)*b2 = 0
-                    if a1 * b2 != b0s * a3:
-                        continue
-                    qa, qb, qc = c2, -a3, (a2 - b0s * c2 - b2 * c0) * b2
-                    disc = qb * qb - 4 * qa * qc
-                    if disc < 0:
-                        continue
-                    s = math.isqrt(disc)
-                    if s * s != disc:
-                        continue
-                    for num in (-qb + s, -qb - s):
-                        if num % (2 * qa) == 0:
-                            b1 = num // (2 * qa)
-                            c1, rc = divmod(a3 - c2 * b1, b2)
-                            if rc == 0:
-                                got = check(b2, b1, b0s, c2, c1, c0)
-                                if got:
-                                    return got
+
+def _quadratic_pair(p: tuple[int, ...]):
+    """Integer quadratics (f, g), sorted, with f*g = p, or None (p primitive,
+    degree 4).
+
+    Write p = a x^4 + b x^3 + c x^2 + d x + e with a > 0.  If p = f g over Q,
+    then by Gauss's lemma over Z, and g_2 f = a x^2 + s x + t and
+    f_2 g = a x^2 + u x + v are integer quadratics whose product is a p.
+    Then phi = t + v is an integer root of the monic resolvent cubic
+    phi^3 - c phi^2 + (bd - 4ae) phi - (b^2 e - 4ace + a d^2); t, v are the
+    roots of z^2 - phi z + ae and s, u those of z^2 - b z + a(c - phi),
+    paired so that sv + tu = ad.  Conversely any such integers give
+    quadratics whose product is a p, and their primitive parts multiply to p.
+    """
+    e, d, c, b, a = p
+    resolvent = (-(b * b * e - 4 * a * c * e + a * d * d), b * d - 4 * a * e, -c, 1)
+    for phi in rational_roots(resolvent):
+        phi = phi.numerator  # a rational root of a monic integer cubic is an integer
+        r = _exact_isqrt(phi * phi - 4 * a * e)
+        k = _exact_isqrt(b * b - 4 * a * (c - phi))
+        if r is None or k is None:
+            continue
+        t, v = (phi + r) // 2, (phi - r) // 2
+        for s, u in (((b + k) // 2, (b - k) // 2), ((b - k) // 2, (b + k) // 2)):
+            if s * v + t * u == a * d:
+                return tuple(sorted(poly_content_primitive((z0, z1, a))[1]
+                                    for z1, z0 in ((s, t), (u, v))))
     return None
 
 
@@ -408,8 +394,10 @@ def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
     order of their roots, then what is left once they are divided out.  That
     rest has no rational root, so it is irreducible unless it is a quartic;
     a quartic without rational roots is reducible only as a product of two
-    quadratics, which by Gauss's lemma can be searched over integer
-    factorizations of the leading and constant coefficients.
+    quadratics, found from an integer root of its resolvent cubic
+    (`_quadratic_pair`), the two listed in sorted order.  Rational roots come
+    from real-root isolation (`rational_roots`): no divisor search, and no
+    coefficient is factored.
     """
     _, prim = poly_content_primitive(p)
     deg = len(prim) - 1
@@ -419,7 +407,7 @@ def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
         raise ValueError("degrees above 4 are not supported")
     roots = rational_roots(prim)
     if not roots:
-        split = _quartic_quadratic_factors(prim) if deg == 4 else None
+        split = _quadratic_pair(prim) if deg == 4 else None
         return list(split) if split else [prim]
     factors: list[tuple[int, ...]] = []
     work = prim

@@ -118,11 +118,7 @@ class SymMatrix:
                     ent[i][j] = Fraction(ent[i][j])
         for i in range(n):
             for j in range(i + 1, n):
-                a, b = ent[i][j], ent[j][i]
-                if regime == "float":
-                    if a != b:
-                        raise ValueError(f"asymmetric entries at ({i},{j})")
-                elif a != b:
+                if ent[i][j] != ent[j][i]:
                     raise ValueError(f"asymmetric entries at ({i},{j})")
         self.n = n
         self.entries = tuple(tuple(row) for row in ent)

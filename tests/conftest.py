@@ -11,7 +11,9 @@ import pytest
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
 from minitori.optimize import InfeasibleRegion
-from minitori.scalars import exact_scalar, sqrt_field, squarefree_part
+from minitori.scalars import (_factorize, _homogeneous_value, exact_scalar,
+                              poly_content_primitive, pseudo_divmod, sqrt_field,
+                              squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, _gauss_jordan, _lift, determinant,
                                 inverse, is_positive_definite, kernel, rank, solve, trace_inner)
 
@@ -505,13 +507,120 @@ def fraction_refine_root(p, lo, hi, width):
 
 
 # ---------------------------------------------------------------------------
+# factoring over Q by divisor search, as it ran before the rational roots and
+# the quartic split came from root isolation
+
+
+def reference_divisors(n: int) -> list[int]:
+    """The positive divisors of |n| in increasing order (none for 0)."""
+    out = [1] if n else []
+    for p, e in _factorize(abs(n)).items() if n else ():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def reference_rational_roots(p) -> list[Fraction]:
+    """Rational roots by the rational root theorem: num | p_0 and den | p_d."""
+    _, prim = poly_content_primitive(p)
+    if not prim:
+        return []
+    roots = []
+    if prim[0] == 0:
+        roots.append(Fraction(0))
+        while prim[0] == 0:
+            prim = prim[1:]
+        if len(prim) <= 1:
+            return roots
+    nums = reference_divisors(prim[0])
+    for den in reference_divisors(prim[-1]):
+        for num in nums:
+            if math.gcd(num, den) != 1:
+                continue
+            for s in (num, -num):
+                if _homogeneous_value(prim, s, den) == 0:
+                    roots.append(Fraction(s, den))
+    return sorted(roots)
+
+
+def reference_quartic_quadratic_factors(p):
+    """Integer quadratics (f, g) with f*g = p, or None (p primitive, degree 4),
+    searched over the divisor pairs of the leading and constant coefficients."""
+    a4, a3, a2, a1, a0 = p[4], p[3], p[2], p[1], p[0]
+
+    def check(b2, b1, b0, c2, c1, c0):
+        if (b0 * c1 + b1 * c0, b0 * c2 + b1 * c1 + b2 * c0, b1 * c2 + b2 * c1) == (a1, a2, a3):
+            return (b0, b1, b2), (c0, c1, c2)
+        return None
+
+    b0_choices = reference_divisors(a0)
+    for b2 in reference_divisors(a4):
+        c2 = a4 // b2
+        for b0 in b0_choices:
+            for b0s in (b0, -b0):
+                c0 = a0 // b0s
+                # unknowns b1, c1:  c2*b1 + b2*c1 = a3 ;  c0*b1 + b0s*c1 = a1
+                det = c2 * b0s - b2 * c0
+                if det != 0:
+                    b1, rb = divmod(a3 * b0s - b2 * a1, det)
+                    c1, rc = divmod(c2 * a1 - a3 * c0, det)
+                    if rb == 0 and rc == 0:
+                        got = check(b2, b1, b0s, c2, c1, c0)
+                        if got:
+                            return got
+                else:
+                    # degenerate pair: b1 satisfies c2*b1^2 - a3*b1 + (a2 - b0s*c2 - b2*c0)*b2 = 0
+                    if a1 * b2 != b0s * a3:
+                        continue
+                    qa, qb, qc = c2, -a3, (a2 - b0s * c2 - b2 * c0) * b2
+                    disc = qb * qb - 4 * qa * qc
+                    if disc < 0:
+                        continue
+                    s = math.isqrt(disc)
+                    if s * s != disc:
+                        continue
+                    for num in (-qb + s, -qb - s):
+                        if num % (2 * qa) == 0:
+                            b1 = num // (2 * qa)
+                            c1, rc = divmod(a3 - c2 * b1, b2)
+                            if rc == 0:
+                                got = check(b2, b1, b0s, c2, c1, c0)
+                                if got:
+                                    return got
+    return None
+
+
+def reference_irreducible_factors(p) -> list[tuple[int, ...]]:
+    """`scalars.irreducible_factors` on the divisor-search kernels above."""
+    _, prim = poly_content_primitive(p)
+    deg = len(prim) - 1
+    roots = reference_rational_roots(prim)
+    if not roots:
+        split = reference_quartic_quadratic_factors(prim) if deg == 4 else None
+        return list(split) if split else [prim]
+    factors = []
+    work = prim
+    for r in roots:
+        lin = (-r.numerator, r.denominator)
+        while len(work) > 1:
+            q, rem = pseudo_divmod(work, lin)
+            if rem:
+                break
+            factors.append(lin)
+            _, work = poly_content_primitive(q)
+    if len(work) > 1:
+        factors.append(work)
+    return factors
+
+
+# ---------------------------------------------------------------------------
 # homogeneous verification as it ran before the inverse-free exact test
 
 
 def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Oracle for `certificates.verify_matrix_data`: Q is always inverted, the
     weighted sum is accumulated one rank-one matrix at a time, and the
-    positive definiteness test always runs."""
+    positive definiteness test always runs.  The float tolerance of the flat
+    residual is relative, as in the function it checks."""
     n = data.n
     exact = data.is_exact()
     residuals: dict[str, float] = {}
@@ -544,6 +653,9 @@ def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> Verification
     for i in range(n):
         for j in range(n):
             record("flat", acc.entries[i][j] - target.entries[i][j])
+    # float data: the flat tolerance is relative to the largest entry of Q^{-1}/n
+    scales = {} if exact else {
+        "flat": max([1.0] + [abs(float(x)) for row in target.entries for x in row])}
 
     wsum = None
     for w in data.weights:
@@ -570,7 +682,7 @@ def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> Verification
         structural = structural or "gram_not_pd"
     elif pd is None:
         borderline = borderline or "gram_pd"
-    return _assemble_report(residuals, None, tol, structural, borderline, nonzero)
+    return _assemble_report(residuals, None, tol, structural, borderline, nonzero, scales)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_FIELDS, reference_verify_matrix_data
-from minitori.certificates import (MatrixData, embeddedness,
-                                   reduce_target_dimension, verify_matrix_data)
+from minitori.certificates import (DEFAULT_TOL, GramOperator, MatrixData, embeddedness,
+                                   reduce_target_dimension, verify_full, verify_matrix_data)
 from minitori.constructions import (CATALOG_IDS, PythagoreanParams, RationalPipelineConfig,
                                     catalog, construct_rational, pythagorean_family)
 from minitori.io import emit, parse
@@ -239,3 +239,37 @@ def test_verification_matches_the_reference_on_drawn_perturbations(certificate_t
     eps = Fraction(data.draw(st.integers(-10**3, 10**3).filter(bool)),
                    data.draw(st.integers(1, 10**15)))
     _assert_same_as_reference(certificate_texts[name], kind, eps)
+
+
+# ---------------------------------------------------------------------------
+# float tolerances relative to the size of Q^{-1}/n
+
+@pytest.mark.parametrize("name", ["rational A3", "rational diag:1,2,3"])
+def test_rounded_weights_verify_within_a_relative_tolerance(name, certificate_texts):
+    # mu in the thousands: Q^{-1}/n has entries of order 10^7, so rounding the
+    # exact weights leaves a flat residual above the absolute 1e-10
+    data = parse(certificate_texts[name])
+    w = [float(x) for x in data.weights]
+    report = verify_matrix_data(MatrixData(q=data.q, y=data.y, weights=tuple(w)))
+    assert report.verdict == "verified"
+    assert report.residuals["flat"] > DEFAULT_TOL
+    assert report.tolerance == DEFAULT_TOL
+    # moving 10^-8 of the first weight onto the second keeps the weight sum
+    # and must still falsify
+    shift = 1e-8 * w[0]
+    w[0], w[1] = w[0] - shift, w[1] + shift
+    report = verify_matrix_data(MatrixData(q=data.q, y=data.y, weights=tuple(w)))
+    assert (report.verdict, report.reason) == ("falsified", "flat")
+
+
+def test_large_pythagorean_member_verifies_within_a_relative_tolerance():
+    # r = 1009: (Q^{-1}/3) has entries r^2/2, and the euta residual of the
+    # float operator is 1.2e-10
+    res = pythagorean_family(PythagoreanParams(triple=(559, 840, 1009)))
+    report = verify_full(res.gram, (res.q, res.y))
+    assert report.verdict == "verified"
+    assert report.residuals["euta"] > DEFAULT_TOL
+    m = [list(row) for row in res.gram.matrix]
+    m[0][0] = m[1][1] = m[0][0] * (1 + 1e-6)
+    report = verify_full(GramOperator(m), (res.q, res.y))
+    assert (report.verdict, report.reason) == ("falsified", "euta")

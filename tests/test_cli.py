@@ -174,6 +174,12 @@ def test_enumerate_malformed_flags_exit_64(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bryant", "--mn", "1", "3", "--rho-scaled", "abc"],
+    ["bryant", "--mn", "1", "3", "--rho", "nan"],
+    ["bryant", "--mn", "1", "3", "--rho", "inf"],
+    ["pythagorean", "--triple", "3", "4", "5", "--phi1", "inf"],
+    ["pythagorean", "--triple", "3", "4", "5", "--r1", "nan"],
+    ["pythagorean", "--triple", "3", "4", "5", "--psi2=-inf"],
+    ["pythagorean", "--triple", "3", "4", "5", "--r2", "abc"],
     ["rational", "--gram", "I3", "--samples", "0"],
     ["rational", "--gram", "I3", "--max-denominator", "0"],
 ])
@@ -181,6 +187,26 @@ def test_construct_malformed_flags_exit_64(argv, capsys):
     assert main(["construct"] + argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", ["1 0 0\n0 1\n0 0 1\n", "1 0 0\n0 1 0 12 9\n0 0 1\n"],
+                         ids=["short-row", "long-row"])
+def test_ragged_vector_file_exits_64(rows, tmp_path, capsys):
+    # a shorter row raised IndexError; a longer one was cut to the first row's length
+    y = tmp_path / "y.txt"
+    y.write_text(rows)
+    assert main(["construct", "pencil", "--Y", str(y)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "unequal lengths" in err and err.count("\n") == 1
+
+
+def test_overflowing_amplitude_is_a_construction_failure(capsys):
+    # alpha^2 overflowed into an OverflowError traceback
+    assert main(["construct", "pythagorean", "--triple", "3", "4", "5", "--r1", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("construction failed: block 0: alpha^2 + beta^2 = inf")
+    assert captured.err.count("\n") == 1
 
 
 def test_construct_rational_sampler_exhaustion_exits_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, field_pow,
                       field_reduce, fraction_count_real_roots, fraction_isolate_real_roots,
-                      fraction_refine_root, fraction_sturm_sequence, poly_eval)
-from minitori.scalars import (AlgebraicField, _divisors, count_real_roots, dot,
+                      fraction_refine_root, fraction_sturm_sequence, poly_eval,
+                      reference_irreducible_factors, reference_quartic_quadratic_factors,
+                      reference_rational_roots)
+from minitori import scalars
+from minitori.optimize import build_slice
+from minitori.scalars import (AlgebraicField, count_real_roots, dot,
                               factor_min_poly, format_rational, integer_combinations,
                               irreducible_degree_le4, irreducible_factors,
-                              isolate_real_roots, parse_rational, poly_gcd,
-                              pseudo_divmod, rational_roots, refine_root, sqrt_field,
-                              squarefree_part, sturm_sequence)
+                              isolate_real_roots, parse_rational, poly_content_primitive,
+                              poly_gcd, poly_mul, pseudo_divmod, rational_roots, refine_root,
+                              sqrt_field, squarefree_part, sturm_sequence)
+from minitori.symmetric import determinant, solve
 
 
 class TestRationalWire:
@@ -266,6 +272,55 @@ def polys_with_rational_root(draw):
     return out, Fraction(den, num)
 
 
+def _quadratics(bound=9):
+    """Integer quadratics with a nonzero leading coefficient of either sign."""
+    return st.tuples(st.integers(-bound, bound), st.integers(-bound, bound),
+                     st.integers(-bound, bound).filter(bool)).map(list)
+
+
+def factoring_cases():
+    """Degree 1-4 integer polynomials of the shapes factoring must tell apart:
+    random ones, products of two quadratics (complex roots included), squares
+    of a quadratic, and double rational roots, each with either sign in front."""
+    linear = st.tuples(st.integers(-12, 12), st.integers(-12, 12).filter(bool)).map(list)
+    shapes = st.one_of(
+        int_polys(),
+        st.tuples(_quadratics(), _quadratics()).map(lambda t: poly_mul(*t)),
+        _quadratics().map(lambda f: poly_mul(f, f)),
+        st.tuples(linear, int_polys(max_deg=2, bound=9)).map(
+            lambda t: poly_mul(poly_mul(t[0], t[0]), t[1])),
+    )
+    return st.tuples(shapes, st.sampled_from([1, -1])).map(lambda t: [t[1] * c for c in t[0]])
+
+
+def n5_pencil_derivatives(count=12):
+    """p' for p(t) = det(Q0 + t Q1) of seeded n = 5 pencils (the standard basis
+    plus nine vectors from {-1, 0, 1}^5), as `optimize.pencil_maximize`
+    builds it: the first `count` seeds whose slice is a line and whose p' is
+    a quartic, with 19- to 22-digit coefficients."""
+    out, seed = [], 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        seed += 1
+        vecs = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+        while len(vecs) < 14:
+            v = tuple(rng.choice((-1, 0, 1)) for _ in range(5))
+            if any(v) and v not in vecs and tuple(-x for x in v) not in vecs:
+                vecs.append(v)
+        try:
+            sl = build_slice(vecs)
+        except ValueError:  # no common ellipsoid (NoCommonEllipsoid)
+            continue
+        if sl.s != 1:
+            continue
+        values = [determinant(sl.q0 + sl.basis[0].scale(t)) for t in range(6)]
+        coeffs = solve([[t ** k for k in range(6)] for t in range(6)], values)
+        _, deriv = poly_content_primitive([k * c for k, c in enumerate(coeffs)][1:])
+        if len(deriv) == 5:
+            out.append(deriv)
+    return out
+
+
 def sympy_poly(coeffs):
     x = sp.symbols("x")
     return sp.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
@@ -290,6 +345,24 @@ class TestIntegerRootKernels:
         assert found == sympy_rational_roots(coeffs)
         assert not irreducible_degree_le4(coeffs)  # degree >= 2 with a linear factor
 
+    @settings(max_examples=300, deadline=None)
+    @given(factoring_cases())
+    def test_rational_roots_against_divisor_search(self, coeffs):
+        assert rational_roots(coeffs) == reference_rational_roots(coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factoring_cases())
+    def test_factors_against_divisor_search(self, coeffs):
+        got, want = irreducible_factors(coeffs), reference_irreducible_factors(coeffs)
+        assert sorted(got) == sorted(want)
+        if len(got) != 2 or len(got[0]) != 3:  # only a quadratic pair is listed sorted
+            assert got == want
+        prim = tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
+        if len(prim) == 5 and not rational_roots(prim):
+            prim = tuple(c // math.gcd(*prim) for c in prim)
+            split = reference_quartic_quadratic_factors(prim)
+            assert scalars._quadratic_pair(prim) == (None if split is None else tuple(sorted(split)))
+
     @settings(max_examples=150, deadline=None)
     @given(int_polys())
     def test_irreducibility_against_sympy(self, coeffs):
@@ -306,18 +379,16 @@ class TestIntegerRootKernels:
             assert sympy_poly(f).is_irreducible
         assert sp.Poly(prod.monic(), want.gen) == want.monic()
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.sampled_from([2, 3, 5, 13, 773, 2879, 1355687579]), max_size=9),
-           st.sampled_from([1, -1]))
-    def test_divisors_against_sympy(self, primes, sign):
-        n = sign * math.prod(primes)
-        assert _divisors(n) == sp.divisors(n)
-
-    def test_large_coefficients(self):
-        # p' of an n = 5 pencil: trial division up to sqrt of its 22-digit
-        # leading coefficient would take hours
+    def test_large_coefficients(self, monkeypatch):
+        # p' of an n = 5 pencil, with a 22-digit leading coefficient: no
+        # coefficient is factored on the way
         p = (828510437328112037, 30366333465769124672, -1086941214281340546384,
              -1556016964291872159360, 7364456511965153569280)
+
+        def no_factoring(n):
+            raise AssertionError(f"irreducible_factors factored {n}")
+
+        monkeypatch.setattr(scalars, "_factorize", no_factoring)
         factors = irreducible_factors(p)
         prod = sp.Poly(1, sp.symbols("x"))  # p is primitive, so are its factors (Gauss)
         for f in factors:
@@ -326,9 +397,24 @@ class TestIntegerRootKernels:
         assert prod == sympy_poly(p)
         assert rational_roots(p) == sympy_rational_roots(p)
 
+    def test_n5_pencil_derivatives_match_the_divisor_search(self):
+        for deriv in n5_pencil_derivatives():
+            assert sorted(irreducible_factors(deriv)) == sorted(reference_irreducible_factors(deriv))
+
     def test_quartic_split_into_quadratics(self):
         # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
         assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]
+
+    def test_quartic_split_no_factoring(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError(f"irreducible_factors factored {n}")
+
+        monkeypatch.setattr(scalars, "_factorize", no_factoring)
+        # (2x^2 + 3x + 5)^2, x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1), and
+        # (x - 2)^2 (3x + 1)^2 with a double rational root each
+        assert irreducible_factors([25, 30, 29, 12, 4]) == [(5, 3, 2), (5, 3, 2)]
+        assert irreducible_factors([1, 0, 1, 0, 1]) == [(1, -1, 1), (1, 1, 1)]
+        assert irreducible_factors([4, 20, 13, -30, 9]) == [(1, 3), (1, 3), (-2, 1), (-2, 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(int_polys(max_deg=6), int_polys(max_deg=3))
