@@ -13,8 +13,9 @@ Sym_n has one coordinate map, the upper triangle (S_ik)_{i <= k} row by row
 linear algebra one elimination kernel; the directions of an affine slice of
 the PD cone are a primitive integer kernel basis (`build_slice`).
 
-numpy is imported only by the float optimizers and the float-regime LAPACK
-calls of `symmetric`, never at import time.
+The package is plain Python with no runtime dependency: float inverses and
+determinants are the exact ones rounded once, and the hull maximizer
+`maximize_logdet_C` runs Frank-Wolfe with Sherman-Morrison updates.
 """
 
 from .scalars import (AlgebraicField, AlgebraicScalar, format_rational,
@@ -26,7 +27,7 @@ from .optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                        InfeasibleRegion, NoCommonEllipsoid, PencilResult,
                        Rank4Critical, build_slice, caratheodory_reduce,
                        columns_from_matrix, kkt_gap, maximize_logdet_C,
-                       maximize_logdet_W, pencil_maximize, rank4_lagrange)
+                       pencil_maximize, rank4_lagrange)
 from .certificates import (EmbeddednessResult, EtaSystem, GramOperator,
                            MatrixData, UnverifiedCertificate,
                            VerificationReport, embeddedness, eta_sets,

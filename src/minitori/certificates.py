@@ -22,7 +22,7 @@ equation sum_r a_r Y_r Y_r^t = Q^{-1}/n and positive semidefiniteness.
 
 All equation systems are evaluated in Y-coordinates; correctness under the
 generator change is the congruence invariance of the rank-one sums.  The
-general system is checked without numpy: the unit-norm residual is exact,
+general system is checked in plain Python: the unit-norm residual is exact,
 the others are float sums of products taken in a fixed order, and the PSD
 margin comes from a cyclic Jacobi eigenvalue run on the assembled operator.
 """
@@ -380,8 +380,7 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     residuals["unit_norm"] = max(abs(float(q.quad_form(c) - 1)) for c in cols)
     try:
         # the exact inverse of the float Q, rounded once: 1.0/d for diagonal Q
-        qinv = [[float(x) for x in row]
-                for row in inverse([[float(x) for x in row] for row in q.entries])]
+        qinv = inverse(SymMatrix([[float(x) for x in row] for row in q.entries])).entries
     except ValueError:
         return VerificationReport("falsified", "singular_gram", residuals, None, tol)
 

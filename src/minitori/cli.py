@@ -194,9 +194,12 @@ def cmd_verify(args) -> int:
         report = verify_full(gram, (q, y), tol=args.tol)
     if args.exhaustive_embedding:
         yy = cert.y if isinstance(cert, MatrixData) else cert[2]
-        emb = embeddedness(yy, exhaustive=True)
-        print(f"embeddedness: {emb.status}"
-              + (f" (witness {tuple(str(x) for x in emb.witness)})" if emb.witness else ""))
+        try:
+            emb = embeddedness(yy, exhaustive=True)
+            print(f"embeddedness: {emb.status}"
+                  + (f" (witness {tuple(str(x) for x in emb.witness)})" if emb.witness else ""))
+        except ValueError:  # rank(Y) < n: the columns of Y immerse no n-torus
+            print("embeddedness: not applicable (rank(Y) < n)")
     _print_report(report, args.format)
     return _report_exit(report)
 

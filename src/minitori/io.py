@@ -49,6 +49,14 @@ def _rational(text) -> Fraction:
         raise CertificateFormatError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _integer(obj) -> int:
+    """A JSON integer, or a format error: int() would truncate 1.5 and read
+    true or "3"."""
+    if type(obj) is not int:  # bool is an int subclass
+        raise CertificateFormatError(f"expected an integer, not {obj!r}")
+    return obj
+
+
 def _decode_scalar(obj, field_cache: dict):
     if isinstance(obj, str):
         return _rational(obj)
@@ -63,9 +71,7 @@ def _decode_scalar(obj, field_cache: dict):
         return x
     if isinstance(obj, dict):
         try:
-            minpoly = tuple(obj["minpoly"])
-            if not all(type(c) is int for c in minpoly):  # int() would truncate 0.5 or read true
-                raise CertificateFormatError(f"minpoly coefficients are integers, not {minpoly!r}")
+            minpoly = tuple(_integer(c) for c in obj["minpoly"])
             lo = _rational(obj["interval"][0])
             hi = _rational(obj["interval"][1])
             coeffs = [_rational(c) for c in obj["coeffs"]]
@@ -166,10 +172,10 @@ def parse(text: str):
     kind = doc.get("kind")
     field_cache: dict = {}
     try:
-        n = int(doc["n"])
-        big_n = int(doc["N"])
+        n = _integer(doc["n"])
+        big_n = _integer(doc["N"])
         q = _decode_matrix(doc["Q"], field_cache)
-        y = tuple(tuple(int(x) for x in col) for col in doc["Y"])
+        y = tuple(tuple(_integer(x) for x in col) for col in doc["Y"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"bad certificate body: {exc}") from exc
     if q.n != n or len(y) != big_n or any(len(c) != n for c in y):
@@ -195,7 +201,7 @@ def parse(text: str):
         try:
             m = [[0.0] * (2 * big_n) for _ in range(2 * big_n)]
             for item in doc["blocks"]:
-                write_block(m, int(item["r"]), int(item["s"]), item["block"])
+                write_block(m, _integer(item["r"]), _integer(item["s"]), item["block"])
             gram = GramOperator(m)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc

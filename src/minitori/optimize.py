@@ -7,18 +7,18 @@ Two feasible sets drive every construction in this package:
   cone.  Its directions are the kernel of the integer rows of the conditions
   Y_j^t S Y_j = 0 in the coordinates (S_ik)_{i <= k} of Sym_n
   (`symmetric.rank_one_rows`), taken by the one elimination kernel as a
-  primitive integer kernel basis.  Maximized by damped Newton in slice
-  coordinates (closed-form gradient/Hessian of logdet).
+  primitive integer kernel basis.  Its maximizer is found exactly on a
+  one-dimensional slice (`pencil_maximize`) and on the rank-4 slice
+  (`rank4_lagrange`).
 * ``C_Y``: the convex hull of the rank-one matrices Y_j Y_j^t.  Maximized by
-  Frank-Wolfe with away steps (the D-optimal-design structure), finished by
-  one exact rational Newton polish on the identified support.
+  Frank-Wolfe with away steps (the D-optimal-design structure) in plain
+  Python floats, finished by one exact rational Newton step on the
+  identified support.
 
 The pencil maximizer (a one-dimensional slice, n <= 5) and the rank-4
 Lagrange system (n = 3) find their critical points one way: the real roots
 of a polynomial of degree <= 4, factored over Q, each root a Fraction or the
-generator of the field of its minimal polynomial.  The two
-float maximizers, `kkt_gap` and `_newton_on_support` import numpy when called;
-nothing else here uses it.
+generator of the field of its minimal polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .lattices import canonical_class
@@ -36,9 +36,6 @@ from .scalars import (AlgebraicField, AlgebraicScalar, Rat, factor_min_poly,
                       squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite, kernel, rank,
                         rank_one_rows, solve)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Columns = tuple[tuple[int, ...], ...]
 
@@ -122,98 +119,6 @@ def build_slice(y) -> AffineSliceW:
 
 
 # ---------------------------------------------------------------------------
-# W-maximizer: damped Newton in slice coordinates
-
-def maximize_logdet_W(slice_w: AffineSliceW, tol: float = 1e-10, max_iter: int = 200,
-                      initial: Optional[Sequence[float]] = None) -> SymMatrix:
-    """The unique maximizer of logdet on the slice, or raises.
-
-    Stationarity is <Q*^{-1}, Q_i> = 0 for every basis direction (the
-    gradient of logdet at Q in the trace inner product is Q^{-1}).
-
-    Raises InfeasibleRegion when no PD point is found on the slice, and
-    ConvergenceFailure when max_iter is exhausted (distinct conditions).
-    """
-    import numpy as np
-
-    s = slice_w.s
-    if s == 0:
-        if is_positive_definite(slice_w.q0) is True:
-            return slice_w.q0
-        raise InfeasibleRegion("the unique slice point is not positive definite")
-
-    q0 = slice_w.q0.to_numpy()
-    bases = [b.to_numpy() for b in slice_w.basis]
-    t = np.zeros(s) if initial is None else np.asarray(initial, dtype=float)
-
-    def qmat(tv):
-        q = q0.copy()
-        for ti, b in zip(tv, bases):
-            q += ti * b
-        return q
-
-    def lammin(tv):
-        return float(np.linalg.eigvalsh(qmat(tv)).min())
-
-    # feasibility phase: subgradient ascent on the smallest eigenvalue
-    if lammin(t) <= 0.0:
-        scale = max(np.linalg.norm(b) for b in bases)
-        best_t, best_l = t.copy(), lammin(t)
-        for k in range(10 * max_iter):
-            w, v = np.linalg.eigh(qmat(t))
-            vec = v[:, 0]
-            g = np.array([vec @ b @ vec for b in bases])
-            ng = np.linalg.norm(g)
-            if ng == 0.0:
-                break
-            t = t + (0.5 / (scale * math.sqrt(k + 1.0))) * g / ng
-            l = lammin(t)
-            if l > best_l:
-                best_l, best_t = l, t.copy()
-            if l > 1e-8:
-                break
-        t = best_t
-        if lammin(t) <= 0.0:
-            raise InfeasibleRegion("no positive definite point found on the slice")
-
-    def logdet_np(q):
-        sign, val = np.linalg.slogdet(q)
-        return val if sign > 0 else -np.inf
-
-    q = qmat(t)
-    f = logdet_np(q)
-    for _ in range(max_iter):
-        qinv = np.linalg.inv(q)
-        g = np.array([np.tensordot(qinv, b) for b in bases])
-        if np.linalg.norm(g) <= tol:
-            qs = 0.5 * (q + q.T)
-            return SymMatrix.from_numpy(qs)
-        h = np.empty((s, s))
-        for i in range(s):
-            qbq = qinv @ bases[i] @ qinv
-            for j in range(i, s):
-                h[i, j] = h[j, i] = -np.tensordot(qbq, bases[j])
-        step = np.linalg.solve(h, -g)
-        alpha = 1.0
-        while alpha > 1e-18:
-            tn = t + alpha * step
-            qn = qmat(tn)
-            try:
-                np.linalg.cholesky(qn)
-            except np.linalg.LinAlgError:
-                alpha *= 0.5
-                continue
-            fn = logdet_np(qn)
-            if fn >= f - 1e-14:
-                t, q, f = tn, qn, fn
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceFailure("line search stalled")
-    raise ConvergenceFailure(f"no convergence within {max_iter} Newton iterations")
-
-
-# ---------------------------------------------------------------------------
 # C-maximizer: Frank-Wolfe with away steps + exact Newton polish
 
 @dataclass(frozen=True)
@@ -237,11 +142,8 @@ class HullPoint:
 
 def kkt_gap(point: HullPoint) -> float:
     """max_j Y_j^t P^{-1} Y_j - n (zero at the hull maximizer)."""
-    import numpy as np
-
-    pinv = np.linalg.inv(point.p.to_numpy())
-    vals = [float(np.array(c) @ pinv @ np.array(c)) for c in point.y]
-    return max(vals) - point.p.n
+    pinv = inverse(point.p)
+    return max(float(pinv.quad_form(c)) for c in point.y) - point.p.n
 
 
 def maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
@@ -250,132 +152,48 @@ def maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
     KKT certificate at the optimum: Y_j^t P^{-1} Y_j <= n + tol for all j,
     with equality on the support; every support point then lies on the
     hyper-ellipsoid of (n P)^{-1}.
-    """
-    import numpy as np
 
+    Frank-Wolfe with away steps (the Wynn-Fedorov design algorithm): each
+    step moves P to (1 - gamma) P + gamma Y_j Y_j^t, toward the column of
+    largest d_j = Y_j^t P^{-1} Y_j or away from the support column of
+    smallest, by the exact line search gamma = (d_j - n) / (n (d_j - 1)); an
+    away step stops at gamma = -lambda_j / (1 - lambda_j), where lambda_j is
+    0.  P^{-1} follows by Sherman-Morrison.  The iteration runs until every
+    d_j is at most n + tol / 10 and every support d_j at least n - tol / 10:
+    the exact Newton step that finishes on the support has a singular
+    bordered system when two support columns are one +- class, and then the
+    Frank-Wolfe weights must meet tol by themselves.
+    """
     cols = as_columns(y)
     n = len(cols[0])
-    nn = len(cols)
     if rank(cols) != n:
         raise InfeasibleRegion("the hull contains no positive definite point")
-    ms = [np.outer(c, c).astype(float) for c in cols]
-    lam = np.full(nn, 1.0 / nn)
-    p = sum(w * m for w, m in zip(lam, ms))
-    switch_tol = max(tol, 1e-7)
-
-    def grad():
-        pinv = np.linalg.inv(p)
-        return np.array([np.tensordot(pinv, m) for m in ms])
-
+    lam = [1.0 / len(cols)] * len(cols)
+    pinv = inverse(SymMatrix.rank_one_sum(cols, lam)).entries
     for _ in range(max_iter):
-        g = grad()
-        s_idx = int(np.argmax(g))
-        gap = g[s_idx] - n
-        support = np.where(lam > 1e-14)[0]
-        v_idx = int(support[np.argmin(g[support])])
-        away_gap = n - g[v_idx]
-        if gap <= switch_tol:
+        py = [[sum(a * b for a, b in zip(row, c)) for row in pinv] for c in cols]
+        d = [sum(a * b for a, b in zip(c, u)) for c, u in zip(cols, py)]
+        s = max(range(len(cols)), key=d.__getitem__)
+        v = min((j for j, w in enumerate(lam) if w), key=d.__getitem__)
+        if max(d[s] - n, n - d[v]) <= tol / 10:
             break
-        if gap >= away_gap or lam[v_idx] >= 1.0 - 1e-16:
-            d = ms[s_idx] - p
-            gamma_max = 1.0
-            fw, drop_idx = True, None
+        if d[s] - n >= n - d[v] or lam[v] >= 1.0:
+            j, gamma, floor = s, (d[s] - n) / (n * (d[s] - 1)), None
         else:
-            d = p - ms[v_idx]
-            gamma_max = lam[v_idx] / (1.0 - lam[v_idx])
-            fw, drop_idx = False, v_idx
+            j, floor = v, -lam[v] / (1.0 - lam[v])
+            # for d_v <= 1 logdet increases all the way to the floor
+            gamma = floor if d[v] <= 1 else max((d[v] - n) / (n * (d[v] - 1)), floor)
+        lam = [(1.0 - gamma) * w for w in lam]
+        lam[j] = 0.0 if gamma == floor else lam[j] + gamma
+        # (1 - gamma) P + gamma Y_j Y_j^t = (1 - gamma) (P + c Y_j Y_j^t)
+        c = gamma / (1.0 - gamma)
+        f = c / (1.0 + c * d[j])
+        u = py[j]
+        pinv = [[(x - f * ua * ub) / (1.0 - gamma) for x, ub in zip(row, u)]
+                for row, ua in zip(pinv, u)]
 
-        def fprime(gamma):
-            q = p + gamma * d
-            try:
-                np.linalg.cholesky(q)
-                return float(np.tensordot(np.linalg.inv(q), d))
-            except np.linalg.LinAlgError:
-                return -math.inf
-
-        if fprime(gamma_max) >= 0:
-            gamma = gamma_max
-        else:
-            lo_g, hi_g = 0.0, gamma_max
-            for _ in range(80):
-                mid = 0.5 * (lo_g + hi_g)
-                if fprime(mid) > 0:
-                    lo_g = mid
-                else:
-                    hi_g = mid
-            gamma = 0.5 * (lo_g + hi_g)
-        if fw:
-            lam *= (1.0 - gamma)
-            lam[s_idx] += gamma
-        else:
-            lam *= (1.0 + gamma)
-            lam[drop_idx] -= gamma
-            if gamma >= gamma_max * (1 - 1e-12):
-                lam[drop_idx] = 0.0
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
-        p = sum(w * m for w, m in zip(lam, ms))
-
-    lam = _newton_on_support(cols, ms, lam)
-    point = _polish_hull_point(cols, lam, tol)
-    if kkt_gap(point) > tol:
-        raise ConvergenceFailure(f"hull maximizer did not reach KKT gap <= {tol}")
-    return point
-
-
-def _newton_on_support(cols: Columns, ms: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
-    """Equality-constrained Newton on the face identified by Frank-Wolfe."""
-    import numpy as np
-
-    n = len(cols[0])
-    lam = lam.copy()
-    for _ in range(40):
-        support = [j for j in range(len(cols)) if lam[j] > 1e-15]
-        k = len(support)
-        p = sum(lam[j] * ms[j] for j in support)
-        try:
-            pinv = np.linalg.inv(p)
-        except np.linalg.LinAlgError:
-            return lam
-        vs = np.array([cols[j] for j in support], dtype=float)
-        cross = vs @ pinv @ vs.T
-        g = np.diag(cross)
-        if g.max() - n <= 1e-15 and abs(g.min() - n) <= 1e-15:
-            break
-        h = -(cross ** 2)
-        a = np.zeros((k + 1, k + 1))
-        a[:k, :k] = h
-        a[:k, k] = 1.0
-        a[k, :k] = 1.0
-        rhs = np.concatenate([-(g - n), [0.0]])
-        try:
-            sol = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            break
-        delta = sol[:k]
-        step = 1.0
-        cur = lam[support]
-        neg = delta < 0
-        if np.any(neg):
-            step = min(1.0, float(0.95 * np.min(-cur[neg] / delta[neg])))
-        new = cur + step * delta
-        if np.any(new < 0):
-            new = np.clip(new, 0.0, None)
-        lam[:] = 0.0
-        lam[support] = new
-        total = lam.sum()
-        if total <= 0:
-            return lam
-        lam /= total
-        if np.linalg.norm(step * delta) < 1e-16:
-            break
-    return lam
-
-
-def _polish_hull_point(cols: Columns, lam: np.ndarray, tol: float) -> HullPoint:
-    """Exact rational Newton step on the support, then exact renormalization."""
-    support = [j for j in range(len(cols)) if lam[j] > 1e-12]
-    ws = [Fraction(float(lam[j])).limit_denominator(10**15) for j in support]
+    support = [j for j, w in enumerate(lam) if w > 1e-12]
+    ws = [Fraction(lam[j]).limit_denominator(10**15) for j in support]
     total = sum(ws)
     ws = [w / total for w in ws]
 
@@ -385,16 +203,18 @@ def _polish_hull_point(cols: Columns, lam: np.ndarray, tol: float) -> HullPoint:
             full[j] = w
         return HullPoint.from_weights(cols, full)
 
-    current = hull_point(ws)
+    point = hull_point(ws)
     try:
         polished = _exact_newton_step(cols, support, ws)
     except (ValueError, ZeroDivisionError):
         polished = None
     if polished is not None and all(w > 0 for w in polished):
         cand = hull_point(polished)
-        if kkt_gap(cand) <= max(kkt_gap(current), tol):
-            return cand
-    return current
+        if kkt_gap(cand) <= max(kkt_gap(point), tol):
+            point = cand
+    if kkt_gap(point) > tol:
+        raise ConvergenceFailure(f"hull maximizer did not reach KKT gap <= {tol}")
+    return point
 
 
 def _exact_newton_step(cols: Columns, support: list[int],

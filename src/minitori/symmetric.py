@@ -3,10 +3,10 @@ coordinates, and the package's one exact elimination kernel.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
-(elements of one shared field) or ``float``.  numpy is imported only when
-called, by the float-regime `inverse` and `determinant` (LAPACK) and by the
-`to_numpy`/`from_numpy` conversions; the float positive definiteness test is
-plain Python.
+(elements of one shared field) or ``float``.  Everything is plain Python: a
+float `inverse` or `determinant` is the exact one of the float entries lifted
+to Fractions, rounded once, and the float positive definiteness test is a
+pivoted LDL^t.
 
 Sym_n has one coordinate map, S -> (S_ik)_{i <= k} row by row: `SymMatrix.upper`
 reads it, `SymMatrix.from_upper` builds a matrix from it, and `rank_one_rows`
@@ -39,13 +39,10 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .scalars import (AlgebraicScalar, Rat, Scalar, bareiss, dot, exact_scalar,
                       integer_combinations)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FLOAT_PD_TOL = 1e-12
 
@@ -88,7 +85,7 @@ class SymMatrix:
                         regime = "float"
                 elif isinstance(x, (int, Fraction)):
                     pass
-                elif isinstance(x, numbers.Integral):  # numpy integers, say
+                elif isinstance(x, numbers.Integral):  # another Integral type (an int64, say)
                     x = Fraction(int(x))
                 elif isinstance(x, numbers.Real):
                     x = float(x)
@@ -134,14 +131,6 @@ class SymMatrix:
         n = len(values)
         z = Fraction(0)
         return cls([[values[i] if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_numpy(cls, arr: np.ndarray) -> "SymMatrix":
-        import numpy as np
-
-        arr = np.asarray(arr, dtype=float)
-        sym = 0.5 * (arr + arr.T)
-        return cls([[float(sym[i, j]) for j in range(arr.shape[0])] for i in range(arr.shape[0])])
 
     @classmethod
     def from_upper(cls, values: Sequence[Scalar]) -> "SymMatrix":
@@ -208,11 +197,6 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({[[str(x) for x in row] for row in self.entries]})"
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
@@ -389,15 +373,9 @@ def kernel(rows: Sequence[Sequence]) -> list[list]:
 def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     """Inverse of a SymMatrix, or of a square row list (returned as row lists).
 
-    Exact for rational/algebraic entries (float row lists are lifted exactly
-    to Fractions).  A float SymMatrix uses LAPACK, importing numpy when
-    called, as the float `determinant` does.
+    Computed exactly, float entries lifted exactly to Fractions; the inverse
+    of a float SymMatrix is that exact inverse rounded once.
     """
-    if isinstance(m, SymMatrix) and m.regime == "float":
-        import numpy as np
-
-        arr = np.linalg.inv(m.to_numpy())
-        return SymMatrix.from_numpy(0.5 * (arr + arr.T))
     a, zero = _lift(m.entries if isinstance(m, SymMatrix) else m)
     n = len(a)
     one = zero + 1
@@ -406,19 +384,22 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     if len(_gauss_jordan(a, n)[0]) < n:
         raise ValueError("matrix is singular")
     inv = [row[n:] for row in a]
-    return SymMatrix(inv) if isinstance(m, SymMatrix) else inv
+    if not isinstance(m, SymMatrix):
+        return inv
+    if m.regime == "float":
+        inv = [[_round(x) for x in row] for row in inv]
+    return SymMatrix(inv)
 
 
 def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     """Determinant of a SymMatrix or of a square row list; exact for exact entries.
 
-    All-int entries give an int, by fraction-free elimination.
+    All-int entries give an int, by fraction-free elimination.  A float
+    SymMatrix gives the exact determinant of its entries, rounded once.
     """
     if isinstance(m, SymMatrix):
         if m.regime == "float":
-            import numpy as np
-
-            return float(np.linalg.det(m.to_numpy()))
+            return _round(determinant(m.entries))
         m = m.entries
     if all(type(x) is int for row in m for x in row):
         return bareiss([list(row) for row in m])[1]
@@ -430,6 +411,14 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     for _, p in pivots:
         det = det * p
     return det
+
+
+def _round(x: Fraction) -> float:
+    """The float nearest x; beyond the float range, an infinity of x's sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def is_positive_definite(s: SymMatrix):

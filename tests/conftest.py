@@ -10,7 +10,8 @@ import pytest
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
-from minitori.optimize import InfeasibleRegion
+from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
+                               _exact_newton_step, as_columns)
 from minitori.scalars import (_factorize, _homogeneous_value, exact_scalar,
                               poly_content_primitive, pseudo_divmod, sqrt_field,
                               squarefree_part)
@@ -156,6 +157,247 @@ def numpy_float_pd(arr):
         a[k + 1:, k] = 0.0
         a[k, k + 1:] = 0.0
     return True
+
+
+# ---------------------------------------------------------------------------
+# numpy float oracles: the W maximizer of the pencil tests, and the LAPACK
+# inverse and determinant and the numpy hull maximizer that the plain-Python
+# float regime replaced
+
+def as_array(m: SymMatrix) -> np.ndarray:
+    """The entries of m as a float array."""
+    return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+
+
+def from_array(arr) -> SymMatrix:
+    """The float SymMatrix of the symmetric part of an array."""
+    arr = np.asarray(arr, dtype=float)
+    return SymMatrix((0.5 * (arr + arr.T)).tolist())
+
+
+def lapack_inverse(m: SymMatrix) -> SymMatrix:
+    return from_array(np.linalg.inv(as_array(m)))
+
+
+def lapack_determinant(m: SymMatrix) -> float:
+    return float(np.linalg.det(as_array(m)))
+
+
+def maximize_logdet_W(slice_w, tol: float = 1e-10, max_iter: int = 200,
+                      initial=None) -> SymMatrix:
+    """The maximizer of logdet on the slice by damped Newton in slice
+    coordinates (closed-form gradient and Hessian of logdet), or raises.
+
+    Stationarity is <Q*^{-1}, Q_i> = 0 for every basis direction.  Raises
+    InfeasibleRegion when no PD point is found on the slice (a subgradient
+    ascent on the smallest eigenvalue), and ConvergenceFailure when max_iter
+    is exhausted.
+    """
+    s = slice_w.s
+    if s == 0:
+        if is_positive_definite(slice_w.q0) is True:
+            return slice_w.q0
+        raise InfeasibleRegion("the unique slice point is not positive definite")
+
+    q0 = as_array(slice_w.q0)
+    bases = [as_array(b) for b in slice_w.basis]
+    t = np.zeros(s) if initial is None else np.asarray(initial, dtype=float)
+
+    def qmat(tv):
+        q = q0.copy()
+        for ti, b in zip(tv, bases):
+            q += ti * b
+        return q
+
+    def lammin(tv):
+        return float(np.linalg.eigvalsh(qmat(tv)).min())
+
+    if lammin(t) <= 0.0:
+        scale = max(np.linalg.norm(b) for b in bases)
+        best_t, best_l = t.copy(), lammin(t)
+        for k in range(10 * max_iter):
+            w, v = np.linalg.eigh(qmat(t))
+            vec = v[:, 0]
+            g = np.array([vec @ b @ vec for b in bases])
+            ng = np.linalg.norm(g)
+            if ng == 0.0:
+                break
+            t = t + (0.5 / (scale * math.sqrt(k + 1.0))) * g / ng
+            lv = lammin(t)
+            if lv > best_l:
+                best_l, best_t = lv, t.copy()
+            if lv > 1e-8:
+                break
+        t = best_t
+        if lammin(t) <= 0.0:
+            raise InfeasibleRegion("no positive definite point found on the slice")
+
+    def logdet_np(q):
+        sign, val = np.linalg.slogdet(q)
+        return val if sign > 0 else -np.inf
+
+    q = qmat(t)
+    f = logdet_np(q)
+    for _ in range(max_iter):
+        qinv = np.linalg.inv(q)
+        g = np.array([np.tensordot(qinv, b) for b in bases])
+        if np.linalg.norm(g) <= tol:
+            return from_array(q)
+        h = np.empty((s, s))
+        for i in range(s):
+            qbq = qinv @ bases[i] @ qinv
+            for j in range(i, s):
+                h[i, j] = h[j, i] = -np.tensordot(qbq, bases[j])
+        step = np.linalg.solve(h, -g)
+        alpha = 1.0
+        while alpha > 1e-18:
+            tn = t + alpha * step
+            qn = qmat(tn)
+            try:
+                np.linalg.cholesky(qn)
+            except np.linalg.LinAlgError:
+                alpha *= 0.5
+                continue
+            fn = logdet_np(qn)
+            if fn >= f - 1e-14:
+                t, q, f = tn, qn, fn
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceFailure("line search stalled")
+    raise ConvergenceFailure(f"no convergence within {max_iter} Newton iterations")
+
+
+def lapack_kkt_gap(point: HullPoint) -> float:
+    pinv = np.linalg.inv(as_array(point.p))
+    return max(float(np.array(c) @ pinv @ np.array(c)) for c in point.y) - point.p.n
+
+
+def numpy_maximize_logdet_C(y, tol: float = 1e-10, max_iter: int = 200) -> HullPoint:
+    """The numpy hull maximizer: Frank-Wolfe with away steps and a bisection
+    line search, float Newton on the support, then the exact Newton step."""
+    cols = as_columns(y)
+    n = len(cols[0])
+    nn = len(cols)
+    if rank(cols) != n:
+        raise InfeasibleRegion("the hull contains no positive definite point")
+    ms = [np.outer(c, c).astype(float) for c in cols]
+    lam = np.full(nn, 1.0 / nn)
+    p = sum(w * m for w, m in zip(lam, ms))
+    switch_tol = max(tol, 1e-7)
+    for _ in range(max_iter):
+        pinv = np.linalg.inv(p)
+        g = np.array([np.tensordot(pinv, m) for m in ms])
+        s_idx = int(np.argmax(g))
+        gap = g[s_idx] - n
+        support = np.where(lam > 1e-14)[0]
+        v_idx = int(support[np.argmin(g[support])])
+        away_gap = n - g[v_idx]
+        if gap <= switch_tol:
+            break
+        if gap >= away_gap or lam[v_idx] >= 1.0 - 1e-16:
+            d, gamma_max, fw = ms[s_idx] - p, 1.0, True
+        else:
+            d, gamma_max, fw = p - ms[v_idx], lam[v_idx] / (1.0 - lam[v_idx]), False
+
+        def fprime(gamma):
+            q = p + gamma * d
+            try:
+                np.linalg.cholesky(q)
+                return float(np.tensordot(np.linalg.inv(q), d))
+            except np.linalg.LinAlgError:
+                return -math.inf
+
+        if fprime(gamma_max) >= 0:
+            gamma = gamma_max
+        else:
+            lo_g, hi_g = 0.0, gamma_max
+            for _ in range(80):
+                mid = 0.5 * (lo_g + hi_g)
+                if fprime(mid) > 0:
+                    lo_g = mid
+                else:
+                    hi_g = mid
+            gamma = 0.5 * (lo_g + hi_g)
+        if fw:
+            lam *= (1.0 - gamma)
+            lam[s_idx] += gamma
+        else:
+            lam *= (1.0 + gamma)
+            lam[v_idx] -= gamma
+            if gamma >= gamma_max * (1 - 1e-12):
+                lam[v_idx] = 0.0
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum()
+        p = sum(w * m for w, m in zip(lam, ms))
+
+    lam = _numpy_newton_on_support(cols, ms, lam)
+    support = [j for j in range(nn) if lam[j] > 1e-12]
+    ws = [Fraction(float(lam[j])).limit_denominator(10**15) for j in support]
+    total = sum(ws)
+    ws = [w / total for w in ws]
+
+    def hull_point(wlist) -> HullPoint:
+        full = [Fraction(0)] * nn
+        for j, w in zip(support, wlist):
+            full[j] = w
+        return HullPoint.from_weights(cols, full)
+
+    point = hull_point(ws)
+    try:
+        polished = _exact_newton_step(cols, support, ws)
+    except (ValueError, ZeroDivisionError):
+        polished = None
+    if polished is not None and all(w > 0 for w in polished):
+        cand = hull_point(polished)
+        if lapack_kkt_gap(cand) <= max(lapack_kkt_gap(point), tol):
+            point = cand
+    if lapack_kkt_gap(point) > tol:
+        raise ConvergenceFailure(f"hull maximizer did not reach KKT gap <= {tol}")
+    return point
+
+
+def _numpy_newton_on_support(cols, ms, lam):
+    """Equality-constrained float Newton on the face identified by Frank-Wolfe."""
+    n = len(cols[0])
+    lam = lam.copy()
+    for _ in range(40):
+        support = [j for j in range(len(cols)) if lam[j] > 1e-15]
+        k = len(support)
+        p = sum(lam[j] * ms[j] for j in support)
+        try:
+            pinv = np.linalg.inv(p)
+        except np.linalg.LinAlgError:
+            return lam
+        vs = np.array([cols[j] for j in support], dtype=float)
+        cross = vs @ pinv @ vs.T
+        g = np.diag(cross)
+        if g.max() - n <= 1e-15 and abs(g.min() - n) <= 1e-15:
+            break
+        a = np.zeros((k + 1, k + 1))
+        a[:k, :k] = -(cross ** 2)
+        a[:k, k] = 1.0
+        a[k, :k] = 1.0
+        rhs = np.concatenate([-(g - n), [0.0]])
+        try:
+            delta = np.linalg.solve(a, rhs)[:k]
+        except np.linalg.LinAlgError:
+            break
+        step = 1.0
+        cur = lam[support]
+        neg = delta < 0
+        if np.any(neg):
+            step = min(1.0, float(0.95 * np.min(-cur[neg] / delta[neg])))
+        new = np.clip(cur + step * delta, 0.0, None)
+        lam[:] = 0.0
+        lam[support] = new
+        total = lam.sum()
+        if total <= 0:
+            return lam
+        lam /= total
+        if np.linalg.norm(step * delta) < 1e-16:
+            break
+    return lam
 
 
 # minimal polynomials (low -> high) of the five irrational catalog fields, of

@@ -62,6 +62,8 @@ def _malformed(name):
             doc["blocks"][0]["block"] = [[1.0, 0.0], [0.0, 2.0]]
         elif name == "block-nan":  # NaN would pass every tolerance comparison
             doc["blocks"][0]["block"] = [[float("nan"), 0.0], [0.0, float("nan")]]
+        elif name == "block-index-boolean":  # int() read false as the index 0
+            doc["blocks"][0].update(r=False, s=False)
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
                                                "mixed-regimes", "interval-numbers",
@@ -89,6 +91,14 @@ def _malformed(name):
         doc["weights"][0]["interval"] = [23, 24]
     elif name == "coeffs-numbers":
         doc["weights"][0]["coeffs"] = [1, 0]
+    elif name == "y-float":  # int() truncated it to 1, and the certificate verified
+        doc["Y"][0][0] = 1.5
+    elif name == "y-boolean":
+        doc["Y"][0][0] = True
+    elif name == "y-string":
+        doc["Y"][0][0] = "1"
+    elif name == "n-float":
+        doc["n"] = 3.0
     elif name == "minpoly-not-integers":  # truncated to [-553, 0, 1], this verified
         for w in doc["weights"] + [x for row in doc["Q"]["rows"] for x in row]:
             w["minpoly"] = [-553.7, False, 1.9]
@@ -98,6 +108,7 @@ def _malformed(name):
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
              "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
+             "block-index-boolean", "y-float", "y-boolean", "y-string", "n-float",
              "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes",
              "weight-zero-denominator", "weight-boolean", "interval-numbers", "coeffs-numbers",
              "minpoly-not-integers")
@@ -118,6 +129,23 @@ def test_reduce_malformed_file_exits_65(name, tmp_path, capsys):
     assert main(["reduce", str(path), "-o", str(tmp_path / "out.json")]) == 65
     assert capsys.readouterr().err.startswith("parse error:")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exhaustive_embedding_of_a_rank_deficient_y(fmt, tmp_path, capsys):
+    # a zero column leaves rank(Y) = 2 < n: no embeddedness test, a falsified report
+    doc = _document("clifford-3")
+    doc["Y"][0] = [0, 0, 0]
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--format", fmt, "--exhaustive-embedding", str(path)]) == 1
+    out = capsys.readouterr().out
+    first, report = out.split("\n", 1)
+    assert first == "embeddedness: not applicable (rank(Y) < n)"
+    if fmt == "json":
+        assert json.loads(report)["reason"] == "rank"
+    else:
+        assert report.startswith("verdict: falsified (rank)\n")
 
 
 MALFORMED_GRAMS = {
@@ -220,8 +248,9 @@ def test_construct_rational_sampler_exhaustion_exits_2(capsys):
 
 
 # One command of each kind the benchmark workloads run, plus `verify` on a
-# Pythagorean (general) certificate.  Commands run in order, so later ones
-# read the files earlier ones write.
+# Pythagorean (general) certificate and `verify` and `reduce` on a Bryant
+# certificate whose Q is rewritten in floats.  Commands run in order, so later
+# ones read the files earlier ones write.
 NUMPY_FREE_COMMANDS = (
     ["catalog", "cubic-s7-a", "-o", "cubic.json"],
     ["verify", "cubic.json"],
@@ -237,16 +266,17 @@ NUMPY_FREE_COMMANDS = (
     ["enumerate", "--gram", "float.json", "--spectrum", "20"],
     ["enumerate", "--gram", "diag:3/2,2,5/2", "--shortest"],
     ["enumerate", "--gram", "I3", "--target", "2"],
+    ["verify", "bryant-float-q.json"],
+    ["reduce", "bryant-float-q.json", "-o", "bryant-float-q.reduced.json"],
 )
 
 NUMPY_CHECK = """
 import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 import minitori.cli
-assert "numpy" not in sys.modules, "import minitori.cli"
 for argv in json.loads(sys.argv[1]):
     code = minitori.cli.main(argv)
     assert code == 0, (argv, code)
-    assert "numpy" not in sys.modules, argv
 """
 
 
@@ -256,6 +286,9 @@ def test_commands_never_import_numpy(tmp_path):
         "".join(" ".join(str(c[i]) for c in cols) + "\n" for i in range(3)))
     (tmp_path / "float.json").write_text(
         json.dumps({"rows": [[1.0, 0.25, 0.0], [0.25, 1.5, 0.125], [0.0, 0.125, 2.0]]}))
+    doc = json.loads(emit(bryant_2torus(Bryant2TorusParams(m=2, n=5, rho=0.3))))
+    doc["Q"] = {"regime": "float", "rows": [[0.04, -0.016], [-0.016, 0.04]]}
+    (tmp_path / "bryant-float-q.json").write_text(json.dumps(doc))
     src = str(Path(minitori.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (PENCIL_SETS, closed_form_pencil, flattened_caratheodory_weights,
-                      gram_schmidt_slice, pencil_columns)
+from conftest import (PENCIL_SETS, as_array, closed_form_pencil,
+                      flattened_caratheodory_weights, gram_schmidt_slice, maximize_logdet_W,
+                      numpy_maximize_logdet_C, pencil_columns)
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
                                build_slice, caratheodory_reduce,
-                               kkt_gap, maximize_logdet_C, maximize_logdet_W,
+                               kkt_gap, maximize_logdet_C,
                                pencil_maximize, rank4_lagrange, rank4_quartic)
 from minitori.scalars import isolate_real_roots, sqrt_field
 from minitori.symmetric import (SymMatrix, determinant, inverse, is_positive_definite, rank,
@@ -159,12 +160,12 @@ class TestMaximizeW:
     def test_identity_slice(self):
         sl = build_slice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         q = maximize_logdet_W(sl)
-        assert np.allclose(q.to_numpy(), np.eye(3), atol=1e-12)
+        assert np.allclose(as_array(q), np.eye(3), atol=1e-12)
 
     def test_quartic_matches_catalog(self):
         from minitori.constructions import catalog
-        ref = catalog("quartic-s7").q.to_numpy()
-        got = maximize_logdet_W(build_slice(QUARTIC_Y)).to_numpy()
+        ref = as_array(catalog("quartic-s7").q)
+        got = as_array(maximize_logdet_W(build_slice(QUARTIC_Y)))
         assert np.max(np.abs(got - ref)) <= 1e-8
 
     def test_degenerate_pattern_infeasible(self):
@@ -179,19 +180,19 @@ class TestMaximizeW:
         rng = np.random.default_rng(17)
         for y in feasible_random_sets(seed=100, count=4):
             sl = build_slice(y)
-            base = maximize_logdet_W(sl).to_numpy()
+            base = as_array(maximize_logdet_W(sl))
             for _ in range(5):
                 init = rng.normal(scale=0.1, size=sl.s)
-                other = maximize_logdet_W(sl, initial=init).to_numpy()
+                other = as_array(maximize_logdet_W(sl, initial=init))
                 assert np.max(np.abs(other - base)) <= 1e-8
 
     def test_stationarity(self):
         for y in (RANK5_Y, QUARTIC_Y):
             sl = build_slice(y)
             q = maximize_logdet_W(sl)
-            qinv = np.linalg.inv(q.to_numpy())
+            qinv = np.linalg.inv(as_array(q))
             for b in sl.basis:
-                assert abs(np.tensordot(qinv, b.to_numpy())) <= 1e-9
+                assert abs(np.tensordot(qinv, as_array(b))) <= 1e-9
 
 
 class TestMaximizeC:
@@ -225,7 +226,7 @@ class TestMaximizeC:
                 continue
             assert kkt_gap(hp) <= 1e-8
             # support points land on the hyper-ellipsoid of (n P)^{-1}
-            pinv = np.linalg.inv(hp.p.to_numpy())
+            pinv = np.linalg.inv(as_array(hp.p))
             for j in hp.support:
                 v = np.array(hp.support and cols[j])
                 assert abs(v @ pinv @ v - n) <= 1e-6
@@ -254,9 +255,40 @@ class TestMaximizeC:
 
     def test_duality_consistency(self):
         for y in (RANK5_Y, QUARTIC_Y, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            qstar = maximize_logdet_W(build_slice(y)).to_numpy()
+            qstar = as_array(maximize_logdet_W(build_slice(y)))
             hp = maximize_logdet_C(y, tol=1e-10, max_iter=500)
-            assert np.max(np.abs(hp.p.to_numpy() - np.linalg.inv(qstar) / 3)) <= 1e-8
+            assert np.max(np.abs(as_array(hp.p) - np.linalg.inv(qstar) / 3)) <= 1e-8
+
+
+class TestHullMaximizerOracle:
+    """The plain-Python hull maximizer against the numpy one it replaced."""
+
+    def test_matches_the_numpy_maximizer(self):
+        rng = random.Random(41)
+        compared = 0
+        for _ in range(60):
+            n = rng.choice([2, 3, 4])
+            cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+            cols += [tuple(rng.randint(-3, 3) for _ in range(n))
+                     for _ in range(rng.randint(1, 2 * n))]
+            if any(not any(c) for c in cols):
+                continue
+            hp = maximize_logdet_C(cols, tol=1e-10, max_iter=400)
+            assert kkt_gap(hp) <= 1e-10
+            try:
+                ref = numpy_maximize_logdet_C(cols, tol=1e-10, max_iter=400)
+            except (ConvergenceFailure, np.linalg.LinAlgError):
+                continue  # the numpy maximizer fails on 2 of the 57 sets
+            assert np.max(np.abs(as_array(hp.p) - as_array(ref.p))) <= 1e-8
+            compared += 1
+        assert compared >= 50
+
+    def test_one_class_twice_in_the_support(self):
+        # (1, 0) and (-1, 0) are one +- class: the split of its weight is not
+        # unique and the bordered Newton system is singular
+        hp = maximize_logdet_C([(1, 0), (0, 1), (-1, 0), (1, 1)])
+        assert kkt_gap(hp) <= 1e-10
+        assert abs(float(hp.weights[0] + hp.weights[2]) - 1 / 3) <= 1e-9
 
 
 def pencil_sets(seed, count, n):
@@ -319,8 +351,8 @@ class TestPencil:
         for y in sets:
             sl = build_slice(y)
             res = pencil_maximize(sl)
-            qn = maximize_logdet_W(sl, tol=1e-12, max_iter=400).to_numpy()
-            qa = sl.q0.to_numpy() + float(res.t0) * sl.basis[0].to_numpy()
+            qn = as_array(maximize_logdet_W(sl, tol=1e-12, max_iter=400))
+            qa = as_array(sl.q0) + float(res.t0) * as_array(sl.basis[0])
             assert np.max(np.abs(qa - qn)) <= 1e-9
 
     def test_n4_pencils_match_newton(self):
@@ -330,10 +362,10 @@ class TestPencil:
         for sl, res in sets:
             assert is_positive_definite(res.qstar) is True
             try:
-                qn = maximize_logdet_W(sl, tol=1e-12, max_iter=400).to_numpy()
+                qn = as_array(maximize_logdet_W(sl, tol=1e-12, max_iter=400))
             except np.linalg.LinAlgError:  # a singular Newton system on some n = 4 slices
                 continue
-            qa = sl.q0.to_numpy() + float(res.t0) * sl.basis[0].to_numpy()
+            qa = as_array(sl.q0) + float(res.t0) * as_array(sl.basis[0])
             assert np.max(np.abs(qa - qn)) <= 1e-9
             compared += 1
         assert compared >= 3

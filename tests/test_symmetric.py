@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -383,3 +384,70 @@ class TestNumpyScalars:
             assert m.regime == "float"
             assert m == SymMatrix([[2.5, 1.0], [1.0, 3.0]])
             assert all(type(x) is float for row in m.entries for x in row)
+
+
+# ---------------------------------------------------------------------------
+# float inverse and determinant: the exact ones rounded once
+
+from conftest import lapack_determinant, lapack_inverse  # noqa: E402
+
+
+def _rounded(x) -> float:
+    """A sympy rational rounded once to a float (int / int rounds correctly),
+    an infinity beyond the float range."""
+    try:
+        return int(x.p) / int(x.q)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _sympy_lift(rows):
+    return sympy.Matrix([[sympy.Rational(*x.as_integer_ratio()) for x in row] for row in rows])
+
+
+@st.composite
+def well_conditioned_grams(draw):
+    """Symmetric float row lists, n = 1..6, with a diagonal that dominates
+    every row by at least 1, scaled by 10^-8, 1 or 10^8."""
+    n = draw(st.integers(1, 6))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.floats(-1, 1, allow_nan=False))
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from((1.0, -1.0))) * (
+            sum(map(abs, rows[i])) + 1 + draw(st.floats(0, 2, allow_nan=False)))
+    scale = draw(st.sampled_from((1e-8, 1.0, 1e8)))
+    return [[x * scale for x in row] for row in rows]
+
+
+class TestFloatInverseDeterminant:
+    @settings(max_examples=150, deadline=None)
+    @given(float_grams())
+    def test_the_exact_lift_rounded_once(self, rows):
+        m = SymMatrix(rows)
+        exact = _sympy_lift(rows)
+        det = exact.det()
+        assert determinant(m) == _rounded(det)
+        if det == 0:
+            with pytest.raises(ValueError):
+                inverse(m)
+            return
+        inv = exact.inv()
+        assert inverse(m) == SymMatrix([[_rounded(inv[i, j]) for j in range(m.n)]
+                                        for i in range(m.n)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(well_conditioned_grams())
+    def test_agrees_with_lapack(self, rows):
+        m = SymMatrix(rows)
+        ref = lapack_determinant(m)
+        assert abs(determinant(m) - ref) <= 1e-12 * abs(ref)
+        got, want = inverse(m), lapack_inverse(m)
+        big = max(abs(x) for row in want.entries for x in row)
+        assert all(abs(x - y) <= 1e-12 * big for row, wrow in zip(got.entries, want.entries)
+                   for x, y in zip(row, wrow))
+
+    def test_beyond_the_float_range(self):
+        assert determinant(SymMatrix([[1e200, 0.0], [0.0, -1e200]])) == -math.inf
+        assert inverse(SymMatrix([[1e-320]])) == SymMatrix([[math.inf]])
