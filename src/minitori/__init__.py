@@ -9,9 +9,10 @@ equation system exactly or at tolerance, tests embeddedness, and reduces the
 target sphere dimension by convex-combination reduction.
 
 Sym_n has one coordinate map, the upper triangle (S_ik)_{i <= k} row by row
-(`SymMatrix.upper`, `SymMatrix.from_upper`, `rank_one_rows`), and exact
-linear algebra one elimination kernel; the directions of an affine slice of
-the PD cone are a primitive integer kernel basis (`build_slice`).
+(`SymMatrix.upper`, `SymMatrix.from_upper`, `rank_one_rows`), and all exact
+linear algebra one elimination kernel (`scalars.pivot`, `scalars.eliminate`),
+where exactness is argued once; the directions of an affine slice of the PD
+cone are a primitive integer kernel basis (`build_slice`).
 
 The package is plain Python with no runtime dependency: float inverses and
 determinants are the exact ones rounded once, and the hull maximizer

@@ -36,7 +36,7 @@ from typing import AbstractSet, Optional, Sequence
 
 from .lattices import canonical_class
 from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
-from .scalars import cofactors, exact_scalar
+from .scalars import eliminate, exact_scalar
 from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, rank
 
 DEFAULT_TOL = 1e-10
@@ -539,12 +539,13 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     # exhaustive search: solve the angles on an invertible subset
     assert basis_picks is not None
     # angle system: m_i = <Y_{basis_i}, u>, i.e. rows of the matrix B are the
-    # basis columns, so u = adj(B) m / det B: |u_i| < 1 iff |(adj B m)_i| < |det B|,
-    # and <Y_j, u> is an integer iff det B divides <Y_j, adj B m>
-    bt = [cols[p] for p in basis_picks]
-    cof = [cofactors(bt, i) for i in range(n)]
-    det = sum(x * y for x, y in zip(bt[0], cof[0]))
-    adj = list(zip(*cof))
+    # basis columns, so u = adj m / det: |u_i| < 1 iff |(adj m)_i| < |det|,
+    # and <Y_j, u> is an integer iff det divides <Y_j, adj m>.  A fraction-free
+    # Gauss-Jordan pass on [B | I] leaves [t I | t B^-1], t its last pivot,
+    # so det = t and adj = t B^-1 (both +/- those of B)
+    a = [list(cols[p]) + [int(i == j) for j in range(n)] for i, p in enumerate(basis_picks)]
+    det = eliminate(a, n)[0][-1][1]
+    adj = [row[n:] for row in a]
     size = abs(det)
     rest = [cols[j] for j in range(nn) if j not in basis_picks]
     bounds = [sum(abs(x) for x in cols[p]) for p in basis_picks]

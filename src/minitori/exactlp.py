@@ -4,19 +4,19 @@ Solves  find x >= 0 with A x = b  over the rationals.  Deterministic: Bland's
 pivoting (lowest eligible index, ties in the ratio test to the lowest basic
 index) guarantees termination and reproducibility.
 
-The tableau runs in integers by integer-preserving pivoting with one running
-divisor (Edmonds 1967; Bareiss, Math. Comp. 1968).  One lcm D clears every
-denominator of [A | I | b]; the divisor d starts at 1, and a pivot on p
-replaces each other row x by (p x - f y) / d, with y the pivot row and f its
-entry in the pivot column, then sets d = p.  Every entry stays an integer
-minor of the initial matrix, so each division is exact.  A row whose basic
-variable is its own artificial is D d times the rational tableau's row, and
-every other row, like the reduced-cost row up to the factor D, is d times
-it.  A pivot in the drive-out phase can be negative; the whole tableau is then
-negated, so d stays positive.  Each row is thus a positive multiple of the
-rational one, so every sign, every ratio (compared by cross-multiplication)
-and so every basis are those of the rational simplex, and the solution is
-x_j = T[r][-1] / d.
+The tableau runs in integers through the package's one elimination step,
+`scalars.pivot` (Edmonds 1967; Bareiss, Math. Comp. 1968), where its
+exactness is argued.  One lcm D clears every denominator of [A | I | b], and
+the reduced costs of the sum of the artificials are held as row m of the
+tableau.  The divisor d starts at 1; a pivot on p replaces each other row x,
+row m included, by (p x - f y) / d, with y the pivot row and f its entry in
+the pivot column, then sets d = p.  A row whose basic variable is its own
+artificial is D d times the rational tableau's row, and every other row, like
+the reduced-cost row up to the factor D, is d times it.  A pivot in the
+drive-out phase can be negative; the whole tableau is then negated, so d
+stays positive.  Each row is thus a positive multiple of the rational one, so
+every sign, every ratio (compared by cross-multiplication) and so every basis
+are those of the rational simplex, and the solution is x_j = T[r][-1] / d.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .scalars import pivot
 
 
 def feasible_point(a_rows: Sequence[Sequence[Fraction]],
@@ -48,37 +50,23 @@ def feasible_point(a_rows: Sequence[Sequence[Fraction]],
                  + [D if j == i else 0 for j in range(m)]
                  + [rhs[i].numerator * (s // rhs[i].denominator)])
     basis = [n + i for i in range(m)]
-    # reduced-cost row for the sum of the artificials
-    z = [sum(col) for col in zip(*T)]
+    # row m: the reduced costs of the sum of the artificials
+    T.append([sum(col) for col in zip(*T)])
     d = 1
 
-    def pivot(row: int, col: int) -> None:
-        nonlocal d, z
+    def step(row: int, col: int) -> None:
+        nonlocal d
         p = T[row][col]
-        prow = T[row]
-        for r in range(m):
-            if r != row:
-                f = T[r][col]
-                if f:
-                    T[r] = [(p * x - f * y) // d for x, y in zip(T[r], prow)]
-                elif p != d:
-                    T[r] = [p * x // d for x in T[r]]
-        f = z[col]
-        if f:
-            z = [(p * x - f * y) // d for x, y in zip(z, prow)]
-        elif p != d:
-            z = [p * x // d for x in z]
+        pivot(T, row, col, d, (r for r in range(m + 1) if r != row))
         if p < 0:
             # keep d > 0, so every row stays a positive multiple of its rational row
-            for r in range(m):
-                T[r] = [-x for x in T[r]]
-            z = [-x for x in z]
+            T[:] = [[-x for x in r] for r in T]
             p = -p
         d = p
         basis[row] = col
 
     while True:
-        enter = next((j for j in range(n) if z[j] > 0), None)
+        enter = next((j for j in range(n) if T[m][j] > 0), None)
         if enter is None:
             break
         leave = None
@@ -96,20 +84,24 @@ def feasible_point(a_rows: Sequence[Sequence[Fraction]],
                     leave = r
         if leave is None:
             break  # unbounded phase-1 direction cannot happen, but bail safely
-        pivot(leave, enter)
+        step(leave, enter)
 
-    if z[ncols] != 0:
+    if T[m][ncols] != 0:
         return None
     # drive any artificial still in the basis (at zero level) out if possible
     for r in range(m):
         if basis[r] >= n:
             enter = next((j for j in range(n) if T[r][j] != 0), None)
             if enter is not None:
-                pivot(r, enter)
+                step(r, enter)
+    # Invariant: every right-hand side T[r][ncols] is >= 0.  The rows start
+    # signed so; the ratio test picks each phase-1 pivot so that none turns
+    # negative; a drive-out pivot is on a row whose right-hand side is 0 (its
+    # artificial is basic at zero level), so it only rescales the others by
+    # |p| / d > 0.  So with d > 0 the basic solution is nonnegative.
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = Fraction(T[r][ncols], d)
-    if any(v < 0 for v in x):
-        return None
+    assert all(v >= 0 for v in x), "phase 1 kept every right-hand side nonnegative"
     return x

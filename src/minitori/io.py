@@ -2,7 +2,7 @@
 
 Scalars are encoded per regime: rationals as canonical "p/q" strings, floats
 as native JSON numbers (repr round-trips binary64 exactly; parsing refuses
-NaN and infinities), algebraic scalars as
+NaN, infinities, booleans and strings), algebraic scalars as
 {"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
 the minimal polynomial low-to-high.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x) byte for byte.
@@ -57,18 +57,25 @@ def _integer(obj) -> int:
     return obj
 
 
+def _float(obj) -> float:
+    """A JSON number as a finite float, or a format error: float() would read
+    true or "0.5", and NaN passes every tolerance comparison of the verifier."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):  # bool is an int
+        raise CertificateFormatError(f"expected a number, not {obj!r}")
+    try:
+        x = float(obj)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise CertificateFormatError(f"non-finite scalar {obj!r}")
+    return x
+
+
 def _decode_scalar(obj, field_cache: dict):
     if isinstance(obj, str):
         return _rational(obj)
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):  # bool is an int
-        try:
-            x = float(obj)
-        except OverflowError:
-            x = math.inf
-        if not math.isfinite(x):
-            # NaN would pass every tolerance comparison of the verifier
-            raise CertificateFormatError(f"non-finite scalar {obj!r}")
-        return x
+    if isinstance(obj, (int, float)):
+        return _float(obj)
     if isinstance(obj, dict):
         try:
             minpoly = tuple(_integer(c) for c in obj["minpoly"])
@@ -201,7 +208,8 @@ def parse(text: str):
         try:
             m = [[0.0] * (2 * big_n) for _ in range(2 * big_n)]
             for item in doc["blocks"]:
-                write_block(m, _integer(item["r"]), _integer(item["s"]), item["block"])
+                write_block(m, _integer(item["r"]), _integer(item["s"]),
+                            [[_float(x) for x in row] for row in item["block"]])
             gram = GramOperator(m)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc

@@ -3,8 +3,9 @@
 Norm enumeration is the Fincke-Pohst recursion (Math. Comp. 1985) run on
 Python integers only.  The Gram Q is scaled to the integer matrix
 M = den * Q (float entries are lifted exactly: binary floats are dyadic
-rationals).  Bareiss's fraction-free elimination (Math. Comp. 1968), taken
-from the last coordinate to the first, gives the positive minors
+rationals).  One fraction-free pass of the package's elimination kernel
+(`scalars.eliminate`, where its exactness is argued), taken from the last
+coordinate to the first, gives the positive minors
 D_0 = 1, D_1, ..., D_n = det M of M's trailing principal blocks and integer
 row numerators b_kj (j < k) with
 
@@ -14,7 +15,7 @@ row numerators b_kj (j < k) with
 So coordinate 0 is fixed first and each level's range is an integer
 inequality |D_{n-k} v_k + S_k| <= isqrt(r_k) whose right side r_k is an
 integer too: the share of v^t M v fixed by v_0..v_{k-1}, times D_{n-k}, is
-the integer value of a Bareiss Schur complement.  `math.isqrt` and floor
+the integer value of a fraction-free Schur complement.  `math.isqrt` and floor
 division decide every range exactly, so no float enters and completeness is
 certified for every rational or float Gram.  A lower bound on v^t M v cuts
 the innermost level down to at most two short intervals (one more isqrt),
@@ -34,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
-from .scalars import Rat
+from .scalars import Rat, eliminate
 from .symmetric import SymMatrix, is_positive_definite
 
 FOUR_PI_SQ = 4 * math.pi * math.pi
@@ -90,27 +91,24 @@ def _integer_gram(q: SymMatrix) -> tuple[list[list[int]], int]:
 
 
 def _levels(m: list[list[int]]) -> list[tuple[int, int, list[int]]]:
-    """Bareiss elimination of M from its last coordinate to its first.
+    """Fraction-free elimination of M from its last coordinate to its first.
 
     Entry k is (lo, hi, b): the minors D_{n-1-k} and D_{n-k} of M's trailing
     principal blocks and the integer numerators b_kj (j < k), so that
-    v^t M v = sum_k (hi_k v_k + sum_{j<k} b_kj v_j)^2 / (lo_k hi_k).  A
-    nonpositive minor means M is not positive definite (Sylvester).
+    v^t M v = sum_k (hi_k v_k + sum_{j<k} b_kj v_j)^2 / (lo_k hi_k), read
+    from a Gauss pass without exchanges on M with its indices reversed: each
+    pivot row keeps its values from its own step.  A nonpositive minor means
+    M is not positive definite (Sylvester).
     """
     n = len(m)
-    a = [row[:] for row in m]
+    a = [row[::-1] for row in reversed(m)]
+    pivots, _ = eliminate(a, n, jordan=False, exchange=False)
+    if any(p <= 0 for _, p in pivots):
+        raise ValueError("matrix is not positive definite")
     levels: list = [None] * n
     prev = 1
-    for k in range(n - 1, -1, -1):
-        piv = a[k][k]
-        if piv <= 0:
-            raise ValueError("matrix is not positive definite")
-        row = a[k][:k]
-        levels[k] = (prev, piv, row)
-        for i in range(k):
-            ai, aik = a[i], a[i][k]
-            for j in range(k):
-                ai[j] = (piv * ai[j] - aik * row[j]) // prev
+    for t, (_, piv) in enumerate(pivots):
+        levels[n - 1 - t] = (prev, piv, a[t][:t:-1])
         prev = piv
     return levels
 

@@ -12,10 +12,17 @@ An algebraic scalar is stored as integer numerators over one positive
 denominator, in lowest terms, so field arithmetic runs in integers: products
 are integer convolutions reduced modulo the primitive minimal polynomial
 (each reduction step scales by its leading coefficient L), rational operands
-only rescale the numerators, and the inverse is Cramer's rule on the integer
-multiplication matrix with Bareiss determinants (`bareiss`, the package's
-one integer elimination kernel, which also gives `symmetric.rank` on
-rational rows).
+only rescale the numerators, and the inverse is one Gauss-Jordan pass on the
+integer multiplication matrix.
+
+The package's one exact elimination kernel is here, beside the field
+arithmetic it runs on: `pivot`, one step x <- (p x - f y) / d, whose
+docstring argues exactness, and `eliminate`, which runs those steps.
+Integer rows are eliminated fraction-free; rows over Q or Q(w) take one
+inverse per pivot.  The exact matrix functions of `symmetric`,
+`AlgebraicScalar.inverse`, the embeddedness adjugate, the exact LP and the
+Fincke-Pohst levels all run through it.  Zero tests are exact, so no
+elimination narrows an isolating interval.
 
 Polynomials are integer coefficient lists.  Real roots are isolated by Sturm
 sequences of primitive integer polynomials (pseudo-remainders) and bisection
@@ -277,46 +284,73 @@ def _homogeneous_value(p: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def bareiss(a: list[list[int]]) -> tuple[int, int]:
-    """(rank, determinant) of an integer matrix, reducing its rows `a` in place.
+# ---------------------------------------------------------------------------
+# the elimination kernel
 
-    Bareiss's fraction-free elimination (Math. Comp. 1968) to row echelon
-    form: each column pivots on its first nonzero entry at or below the
-    current row, and a column with none is skipped.  After k pivots each
-    entry right of the k-th pivot column and below the k-th pivot row is a
-    (k+1) x (k+1) minor of the row-exchanged matrix, so every division by
-    the previous pivot is exact.  The determinant is that of a square
-    matrix (0 when it is singular), and 0 for any other shape.
+def pivot(a: list[list], top: int, col: int, d, rows) -> None:
+    """One fraction-free step: each row x = a[r], r in `rows`, becomes
+    (p x - f y) / d, with y = a[top] the pivot row, p = y[col], f = x[col].
+
+    Over the integers d is the previous pivot, up to sign, so every entry is
+    +/- an integer minor of the initial rows and `//` divides exactly
+    (Bareiss, Math. Comp. 1968; Edmonds 1967).  Field rows come with
+    p = d = 1 (the pivot row scaled by 1/p): the step is x - f y.
     """
+    y = a[top]
+    p = y[col]
+    unit = d == 1 and p == 1
+    for r in rows:
+        x = a[r]
+        f = x[col]
+        if unit:
+            if f:
+                a[r] = [u - f * v if v else u for u, v in zip(x, y)]
+        elif f:
+            a[r] = [(p * u - f * v) // d for u, v in zip(x, y)]
+        elif p != d:
+            a[r] = [p * u // d for u in x]
+
+
+def eliminate(a: list[list], ncols: int, jordan: bool = True,
+              exchange: bool = True) -> tuple[list, int]:
+    """Reduce the rows `a` (all ints, or all in one field) in place to echelon
+    form in the columns < ncols; return the pivots as (column, value) pairs
+    and the sign of the row exchanges.
+
+    With `exchange` a column pivots on its first nonzero entry at or below
+    the current row, or is skipped; without it column k pivots on row k and a
+    zero pivot ends the pass (as the last pivot).  With `jordan` every other
+    row is cleared, without it only the rows below, so each pivot row keeps
+    its values from its own step.  The k-th integer pivot is the k x k
+    leading minor of the exchanged rows in the pivot columns, and a Jordan
+    pass leaves the last pivot in every pivot column; a field pivot is
+    reported before its row is scaled, a ratio of consecutive minors.
+    """
+    pivots: list = []
+    sign, d = 1, 1
     m = len(a)
-    ncols = len(a[0]) if a else 0
-    sign, prev, top = 1, 1, 0
-    for k in range(ncols):
+    for col in range(ncols):
+        top = len(pivots)
         if top == m:
             break
-        r = next((r for r in range(top, m) if a[r][k]), None)
-        if r is None:
-            continue
-        if r != top:
-            a[top], a[r] = a[r], a[top]
-            sign = -sign
-        pivot_row = a[top]
-        piv = pivot_row[k]
-        for i in range(top + 1, m):
-            ai, aik = a[i], a[i][k]
-            for j in range(k + 1, ncols):
-                ai[j] = (piv * ai[j] - aik * pivot_row[j]) // prev
-        prev = piv
-        top += 1
-    return top, sign * prev if top == m == ncols else 0
-
-
-def cofactors(rows: Sequence[Sequence[int]], i: int) -> list[int]:
-    """The cofactors (-1)^(i+j) det(rows without row i and column j) of row i
-    of a square integer matrix; sum_j rows[i][j] * cofactor_j is its determinant."""
-    others = [row for r, row in enumerate(rows) if r != i]
-    return [(-1) ** (i + j) * bareiss([list(row[:j]) + list(row[j + 1:]) for row in others])[1]
-            for j in range(len(rows))]
+        if exchange:
+            r = next((r for r in range(top, m) if a[r][col]), None)
+            if r is None:
+                continue
+            if r != top:
+                a[top], a[r] = a[r], a[top]
+                sign = -sign
+        p = a[top][col]
+        pivots.append((col, p))
+        if not p:
+            break
+        if type(p) is not int:
+            inv = 1 / p
+            a[top] = [x * inv if x else x for x in a[top]]
+        pivot(a, top, col, d, (r for r in range(m) if r != top) if jordan
+              else range(top + 1, m))
+        d = a[top][col]  # the next divisor: p, or 1 over a field
+    return pivots, sign
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +650,7 @@ class AlgebraicScalar:
     of) its leading coefficient L and the denominator by the same factor.
     An int or Fraction operand of + - * / and == only rescales the
     numerators.  The inverse solves the integer system of multiplication by
-    the element, by Cramer's rule with Bareiss determinants.
+    the element with the fraction-free kernel `eliminate`.
 
     Signs and approximations evaluate the element over the isolating interval
     (a/D, b/D) by interval Horner in integers.  Every intermediate interval
@@ -708,13 +742,13 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """1/self by Cramer's rule on the integer multiplication matrix.
+        """1/self by a Gauss-Jordan pass on the integer multiplication matrix.
 
         Column j of M is C_j = L^j (A w^j mod minpoly) for A = den * self, an
         integer vector (C_{j+1} = L shift(C_j) - top(C_j) minpoly), and
         M diag(L^-j) is the matrix of multiplication by A.  A^-1 = sum x_j w^j
-        with x_j = L^j (adj M)_{j0} / det M, and det M is the expansion of
-        the cofactors of row 0 along that row.
+        with x_j = L^j z_j, M z = e_0; the pass on [M | e_0] leaves row j as
+        t z_j, t its last pivot.
         """
         num, den = self.num, self.den
         if not any(num[1:]):
@@ -730,12 +764,10 @@ class AlgebraicScalar:
             t = col[-1]
             col = [lead * x - t * m for x, m in zip([0] + col[:-1], mp)]
             cols.append(col)
-        rows = list(zip(*cols))
-        cof = cofactors(rows, 0)
-        det = sum(x * y for x, y in zip(rows[0], cof))
-        if det < 0:
-            det, cof = -det, [-x for x in cof]
-        return _element(self.field, [den * lead ** j * x for j, x in enumerate(cof)], det)
+        a = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
+        t = eliminate(a, len(num))[0][-1][1]
+        s = den if t > 0 else -den
+        return _element(self.field, [s * lead ** j * row[-1] for j, row in enumerate(a)], abs(t))
 
     def __truediv__(self, other):
         if isinstance(other, AlgebraicScalar):

@@ -1,37 +1,32 @@
 """Symmetric matrices over the three scalar regimes, their upper-triangle
-coordinates, and the package's one exact elimination kernel.
+coordinates, and exact linear algebra on row lists.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
 (elements of one shared field) or ``float``.  Everything is plain Python: a
 float `inverse` or `determinant` is the exact one of the float entries lifted
 to Fractions, rounded once, and the float positive definiteness test is a
-pivoted LDL^t.
+pivoted LDL^t with a tolerance.
 
 Sym_n has one coordinate map, S -> (S_ik)_{i <= k} row by row: `SymMatrix.upper`
 reads it, `SymMatrix.from_upper` builds a matrix from it, and `rank_one_rows`
 gives the coordinates [v_i v_k]_{i <= k} of each v v^t, so a linear condition
 on sums of rank-one matrices is a system on these rows.
 
-All exact linear algebra, over Q or over one field Q(w), runs through one
-Gauss-Jordan routine, `_gauss_jordan`, on row lists (int entries are lifted to
-Fractions first).  `rank`, `solve` (free variables 0), `kernel` (one basis
-vector per free column), `inverse` and `determinant` are thin functions over
-it, and take SymMatrix rows or plain row lists.  A matrix has exactly one
-reduced row echelon form, and the determinant is the signed product of the
-pivots, so every result is the same as that of any other exact elimination.
-The one exception to the routine is the integer kernel `scalars.bareiss`,
-Bareiss's fraction-free elimination: it computes the determinant of an
-all-int matrix (the integer minors of the embeddedness test), and the rank
-of rows without algebraic entries, each row first scaled to integers by the
-lcm of its denominators.
-Zero tests are exact (Fraction or coefficient comparisons); no sign is taken,
-so elimination never narrows a field's isolating interval.
+`rank`, `solve` (free variables 0), `kernel` (one basis vector per free
+column), `inverse`, `determinant` and the exact `is_positive_definite` are
+thin functions over the kernel `scalars.eliminate`, where exactness is
+argued; they take SymMatrix rows or plain row lists.  Rows with an algebraic
+entry are eliminated over its field; any other row is scaled to integers by
+the lcm of its denominators (floats lifted exactly), which keeps the rank,
+the solutions, the kernel and the signs of the leading minors.  A matrix has
+one reduced row echelon form, so every result is that of any other exact
+elimination.
 
 `is_positive_definite` makes one pass without row exchanges: S is positive
-definite iff every leading pivot d_k = D_k / D_{k-1} (D_k the k-th leading
-principal minor) is > 0, which by Sylvester's criterion is the same test as
-D_k > 0 for all k.  Algebraic pivots get certified signs.
+definite iff every pivot is > 0, a ratio D_k / D_{k-1} of leading principal
+minors over a field and the scaled D_k over the integers, so both are
+Sylvester's test D_k > 0 for all k.  Algebraic pivots get certified signs.
 """
 
 from __future__ import annotations
@@ -39,10 +34,10 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .scalars import (AlgebraicScalar, Rat, Scalar, bareiss, dot, exact_scalar,
-                      integer_combinations)
+from .scalars import (AlgebraicField, AlgebraicScalar, Rat, Scalar, dot, eliminate,
+                      exact_scalar, integer_combinations)
 
 FLOAT_PD_TOL = 1e-12
 
@@ -261,80 +256,45 @@ def trace_inner(s1: SymMatrix, s2: SymMatrix) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: one Gauss-Jordan kernel over Q or one field Q(w)
+# exact linear algebra over the kernel `scalars.eliminate`
 
-def _lift(rows) -> tuple[list[list], Scalar]:
-    """Fresh row lists over one exact field, and that field's zero.
-
-    Entries become Fractions (1/int would be a float), or elements of the
-    field of the algebraic entries when there are any.
-    """
+def _kernel_rows(rows) -> tuple[list[list], Optional[AlgebraicField], int]:
+    """Fresh rows for `eliminate`: elements of the field of an algebraic entry,
+    else each row times the lcm of its denominators (field None, and the
+    scale is the product of those lcms)."""
     field = next((x.field for row in rows for x in row if isinstance(x, AlgebraicScalar)), None)
-    if field is None:
-        return ([[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows],
-                Fraction(0))
-    return ([[x if isinstance(x, AlgebraicScalar) else field.from_rational(x) for x in row]
-             for row in rows], field.from_rational(0))
+    if field is not None:
+        return ([[x if isinstance(x, AlgebraicScalar) else field.from_rational(x) for x in row]
+                 for row in rows], field, 1)
+    out, scale = [], 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        fr = [x if type(x) is Fraction else Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (den // x.denominator) for x in fr])
+        scale *= den
+    return out, None, scale
 
 
-def _gauss_jordan(a: list[list], ncols: int, exchange: bool = True) -> tuple[list, int]:
-    """Reduce the rows `a` in place to reduced row echelon form in columns < ncols.
-
-    Returns the pivots as (column, value before scaling) pairs and the sign of
-    the row permutation.  Each pivot row is scaled by one inverse of its
-    pivot and then cleared from every other row.  A column's pivot is its
-    first nonzero entry at or below the current row.  Without `exchange`,
-    column k pivots on row k and a zero there ends the pass; it is returned
-    as the last pivot value (the values are then the ratios of consecutive
-    leading principal minors).
-    """
-    pivots: list = []
-    sign = 1
-    m = len(a)
-    for col in range(ncols):
-        top = len(pivots)
-        if top == m:
-            break
-        if exchange:
-            r = next((r for r in range(top, m) if a[r][col]), None)
-            if r is None:
-                continue
-            if r != top:
-                a[top], a[r] = a[r], a[top]
-                sign = -sign
-        p = a[top][col]
-        pivots.append((col, p))
-        if not p:
-            break
-        inv = 1 / p
-        row = a[top] = [x * inv if x else x for x in a[top]]
-        for r in range(m):
-            f = a[r][col]
-            if f and r != top:
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], row)]
-    return pivots, sign
+def _reduced(rows, ncols: int) -> tuple[list[list], list[int], Scalar, Callable]:
+    """A Gauss-Jordan pass: the rows, their pivot columns, the zero, and the map
+    from an entry of a pivot row to its value over the pivot (field pivots
+    are 1; integer rows hold the last pivot t, and x stands for x / t)."""
+    a, field, _ = _kernel_rows(rows)
+    pivots, _ = eliminate(a, ncols)
+    cols = [col for col, _ in pivots]
+    if field is not None:
+        return a, cols, field.from_rational(0), lambda x: x
+    t = pivots[-1][1] if pivots else 1
+    return a, cols, Fraction(0), lambda x: Fraction(x, t)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an exact matrix given by its rows (float rows are lifted exactly).
-
-    Without algebraic entries each row is scaled by the lcm of its
-    denominators, which keeps the rank, and `scalars.bareiss` eliminates the
-    integer rows.
-    """
-    if any(isinstance(x, AlgebraicScalar) for row in rows for x in row):
-        a, _ = _lift(rows)
-        return len(_gauss_jordan(a, len(a[0]))[0])
-    return bareiss([_integer_row(row) for row in rows])[0]
-
-
-def _integer_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its entries' denominators."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    fr = [x if type(x) is Fraction else Fraction(x) for x in row]
-    den = math.lcm(*(x.denominator for x in fr))
-    return [x.numerator * (den // x.denominator) for x in fr]
+    """Rank of an exact matrix given by its rows (float rows are lifted exactly)."""
+    a, _, _ = _kernel_rows(rows)
+    return len(eliminate(a, len(a[0]) if a else 0, jordan=False)[0])
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
@@ -343,29 +303,27 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
     None means the system is inconsistent.  The entries of x are field
     elements whenever any input is algebraic, Fractions otherwise.
     """
-    a, zero = _lift([list(row) + [b] for row, b in zip(rows, rhs)])
-    ncols = len(a[0]) - 1
-    pivots, _ = _gauss_jordan(a, ncols)
-    if any(row[ncols] for row in a[len(pivots):]):
+    ncols = len(rows[0])
+    a, cols, zero, over = _reduced([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in a[len(cols):]):
         return None
     x = [zero] * ncols
-    for row, (col, _) in zip(a, pivots):
-        x[col] = row[ncols]
+    for row, col in zip(a, cols):
+        x[col] = over(row[ncols])
     return x
 
 
 def kernel(rows: Sequence[Sequence]) -> list[list]:
     """A basis of the kernel: one vector per free column, 1 at that column and
     0 at every other free column (none when the columns are independent)."""
-    a, zero = _lift(rows)
-    ncols = len(a[0])
-    cols = [col for col, _ in _gauss_jordan(a, ncols)[0]]
+    ncols = len(rows[0])
+    a, cols, zero, over = _reduced(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in cols):
         z = [zero] * ncols
         z[free] = zero + 1
         for row, col in zip(a, cols):
-            z[col] = -row[free]
+            z[col] = -over(row[free])
         basis.append(z)
     return basis
 
@@ -376,14 +334,15 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
     Computed exactly, float entries lifted exactly to Fractions; the inverse
     of a float SymMatrix is that exact inverse rounded once.
     """
-    a, zero = _lift(m.entries if isinstance(m, SymMatrix) else m)
-    n = len(a)
-    one = zero + 1
-    for i, row in enumerate(a):
-        row.extend(one if j == i else zero for j in range(n))
-    if len(_gauss_jordan(a, n)[0]) < n:
+    rows = m.entries if isinstance(m, SymMatrix) else m
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    a, cols, _, over = _reduced([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(rows)], n)
+    if len(cols) < n:
         raise ValueError("matrix is singular")
-    inv = [row[n:] for row in a]
+    inv = [[over(x) for x in row[n:]] for row in a]
     if not isinstance(m, SymMatrix):
         return inv
     if m.regime == "float":
@@ -394,23 +353,29 @@ def inverse(m: Union[SymMatrix, Sequence[Sequence]]):
 def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
     """Determinant of a SymMatrix or of a square row list; exact for exact entries.
 
-    All-int entries give an int, by fraction-free elimination.  A float
-    SymMatrix gives the exact determinant of its entries, rounded once.
+    The signed product of the field pivots, or the signed last integer pivot
+    over the scale, so all-int entries give an int.  A float SymMatrix gives
+    the exact determinant of its entries, rounded once.
     """
     if isinstance(m, SymMatrix):
         if m.regime == "float":
             return _round(determinant(m.entries))
         m = m.entries
-    if all(type(x) is int for row in m for x in row):
-        return bareiss([list(row) for row in m])[1]
-    a, zero = _lift(m)
-    pivots, sign = _gauss_jordan(a, len(a))
-    if len(pivots) < len(a):
-        return zero
-    det = zero + sign
-    for _, p in pivots:
-        det = det * p
-    return det
+    a, field, scale = _kernel_rows(m)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    pivots, sign = eliminate(a, n, jordan=False)
+    if field is not None:
+        det = field.from_rational(sign if len(pivots) == n else 0)
+        for _, p in pivots:
+            det = det * p
+        return det
+    if len(pivots) < n:
+        det = 0
+    else:
+        det = sign * pivots[-1][1] if n else 1
+    return det if all(type(x) is int for row in m for x in row) else Fraction(det, scale)
 
 
 def _round(x: Fraction) -> float:
@@ -432,8 +397,8 @@ def is_positive_definite(s: SymMatrix):
     """
     if s.regime == "float":
         return _float_pd([list(row) for row in s.entries])
-    a, _ = _lift(s.entries)
-    return all(p > 0 for _, p in _gauss_jordan(a, s.n, exchange=False)[0])
+    a, _, _ = _kernel_rows(s.entries)
+    return all(p > 0 for _, p in eliminate(a, s.n, jordan=False, exchange=False)[0])
 
 
 def _float_pd(a: list[list[float]]):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
@@ -15,8 +16,8 @@ from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
 from minitori.scalars import (_factorize, _homogeneous_value, exact_scalar,
                               poly_content_primitive, pseudo_divmod, sqrt_field,
                               squarefree_part)
-from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, _gauss_jordan, _lift, determinant,
-                                inverse, is_positive_definite, kernel, rank, solve, trace_inner)
+from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
+                                is_positive_definite, kernel, rank, solve, trace_inner)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -579,11 +580,15 @@ def fraction_rational_points(q: SymMatrix, u0, count: int, seed: int,
     return points
 
 
-def gauss_jordan_rank(rows) -> int:
-    """Oracle for `symmetric.rank`: the number of Gauss-Jordan pivots of the
-    rows lifted to Fractions (or to the field of their algebraic entries)."""
-    a, _ = _lift(rows)
-    return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
+def sympy_rank(rows) -> int:
+    """Oracle for `symmetric.rank`: sympy's exact rank of int, Fraction or
+    float rows, each float lifted by `float.as_integer_ratio` (which raises
+    on NaN and infinities)."""
+    def lift(x):
+        if isinstance(x, float):
+            return sympy.Rational(*x.as_integer_ratio())
+        return sympy.Rational(x.numerator, x.denominator)
+    return sympy.Matrix([[lift(x) for x in row] for row in rows]).rank()
 
 
 # ---------------------------------------------------------------------------

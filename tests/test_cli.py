@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -15,11 +16,17 @@ from minitori.io import emit
 from conftest import PENCIL_SETS, pencil_columns
 
 
-@pytest.mark.parametrize("name", sorted(PENCIL_SETS))
-def test_construct_pencil_exits_zero(name, tmp_path, capsys):
+def _pencil_file(name, tmp_path) -> Path:
+    """The 3 x N vector file of a pencil set, one row per coordinate."""
     cols = pencil_columns(name)
     y = tmp_path / "y.txt"
     y.write_text("".join(" ".join(str(c[i]) for c in cols) + "\n" for i in range(3)))
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_SETS))
+def test_construct_pencil_exits_zero(name, tmp_path, capsys):
+    y = _pencil_file(name, tmp_path)
     out = tmp_path / "cert.json"
     assert main(["construct", "pencil", "--Y", str(y), "-o", str(out)]) == 0
     assert out.exists()
@@ -27,6 +34,30 @@ def test_construct_pencil_exits_zero(name, tmp_path, capsys):
     assert "embeddedness:" in printed
     # the eigenfunction index is reported for the rational certificate only
     assert ("eigenfunction index" in printed) == (name == "rank5-deg1")
+
+
+# sha256 of the certificate file each command writes.  An algebraic scalar is
+# written with its field's isolating interval as refined so far, so these pin
+# every sign query of the construction too, not only the exact values.
+PINNED_SHA256 = {
+    "rank4-deg2": "ceb5e5c9421f4b889de64cfea50b92ef27b23babaca4c9da7e09a616b48d4e16",
+    "rank4-deg3": "58597dd3be5befbcdb8d5545fb75eb5f4d75613418439897f6e2ae73eba131b1",
+    "rank4-deg4": "2de4154d0af42e3ae5fa9f5460fb899189aaef43dccc0b9a597152f0a6526e2c",
+    "rank5-deg1": "69e275c3abdbc3aaab9ee5c6d36706dd5bc0b43de08b2f1679caa1132f568b0f",
+    "rank5-deg2": "0424b48e4135db8c7fcc5460f43e24e0c8a6e814e980bc2b9cb0cc837aaa88b2",
+    "quartic-s7": "1dc946c0c8044f7bed0467aebefe2cd69fd94778f0e6ae70b0379410437937df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_certificate_bytes_are_pinned(name, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    if name in PENCIL_SETS:
+        argv = ["construct", "pencil", "--Y", str(_pencil_file(name, tmp_path))]
+    else:
+        argv = ["catalog", name]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[name]
 
 
 def _document(cert_id):
@@ -64,6 +95,9 @@ def _malformed(name):
             doc["blocks"][0]["block"] = [[float("nan"), 0.0], [0.0, float("nan")]]
         elif name == "block-index-boolean":  # int() read false as the index 0
             doc["blocks"][0].update(r=False, s=False)
+        elif name == "block-string-and-boolean":  # float() read these, and it verified
+            x = str(doc["blocks"][0]["block"][0][0])
+            doc["blocks"][0]["block"] = [[x, False], [False, x]]
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
                                                "mixed-regimes", "interval-numbers",
@@ -108,7 +142,7 @@ def _malformed(name):
 MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-list",
              "reducible-minpoly", "conjugate-field", "empty-Y",
              "block-out-of-range", "block-not-2x2", "block-not-scalar", "block-nan",
-             "block-index-boolean", "y-float", "y-boolean", "y-string", "n-float",
+             "block-index-boolean", "block-string-and-boolean", "y-float", "y-boolean", "y-string", "n-float",
              "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes",
              "weight-zero-denominator", "weight-boolean", "interval-numbers", "coeffs-numbers",
              "minpoly-not-integers")

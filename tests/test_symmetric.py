@@ -7,7 +7,7 @@ import pytest
 
 from minitori.scalars import sqrt_field
 from minitori.symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
-from conftest import gauss_jordan_rank, random_rational_pd
+from conftest import random_rational_pd, sympy_rank
 
 
 class TestTraceInner:
@@ -261,12 +261,12 @@ def rank_rows(draw):
 
 
 class TestRankOracle:
-    """The fraction-free integer rank against the Gauss-Jordan rank it replaced."""
+    """The fraction-free integer rank against sympy's exact rank."""
 
     @settings(max_examples=150, deadline=None)
     @given(rank_rows())
-    def test_matches_gauss_jordan(self, rows):
-        assert rank(rows) == gauss_jordan_rank(rows)
+    def test_matches_sympy(self, rows):
+        assert rank(rows) == sympy_rank(rows)
 
     def test_shapes(self):
         assert rank([]) == rank([[]]) == rank([[], []]) == 0
@@ -281,7 +281,7 @@ class TestRankOracle:
         with pytest.raises(Exception) as got:
             rank(rows)
         with pytest.raises(Exception) as want:
-            gauss_jordan_rank(rows)
+            sympy_rank(rows)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
