@@ -29,11 +29,11 @@ from .optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                        Rank4Critical, build_slice, caratheodory_reduce,
                        columns_from_matrix, kkt_gap, maximize_logdet_C,
                        pencil_maximize, rank4_lagrange)
-from .certificates import (EmbeddednessResult, EtaSystem, GramOperator,
-                           MatrixData, UnverifiedCertificate,
-                           VerificationReport, embeddedness, eta_sets,
-                           is_homogeneous, reduce_target_dimension,
-                           verify_full, verify_matrix_data)
+from .certificates import (EmbeddednessResult, GramOperator, MatrixData,
+                           UnverifiedCertificate, VerificationReport,
+                           embeddedness, is_homogeneous,
+                           reduce_target_dimension, verify_full,
+                           verify_matrix_data)
 from .constructions import (Bryant2TorusParams, CATALOG_IDS, ConstructionError,
                             IrrationalityReport, PythagoreanParams,
                             PythagoreanResult, RationalPipelineConfig,

@@ -1,5 +1,5 @@
-"""Immersion certificates: matrix data, eta-sets, the full equation system,
-embeddedness and target-dimension reduction.
+"""Immersion certificates: matrix data, the full equation system of a
+coefficient operator, embeddedness and target-dimension reduction.
 
 A homogeneous immersion is certified by matrix data {n, N, Q, Y, weights}:
 Q the dual-lattice Gram matrix in integer coordinates (so Y_j^t Q Y_j = 1),
@@ -19,6 +19,10 @@ the pullback metric of x = (Theta_1, ..., Theta_N) A in Fourier modes, the
 constraints are one pair of scalar equations and one pair of matrix equations
 per +/- class of frequencies eta = Y_r +/- Y_s, plus the zero-frequency
 equation sum_r a_r Y_r Y_r^t = Q^{-1}/n and positive semidefiniteness.
+`GramOperator` holds the operator as the file format does, by 2 x 2 blocks:
+the diagonal blocks a_r I2 by the a_r, and the nonzero blocks B_rs above the
+diagonal.  `verify_full` reads the frequency classes off the blocks in one
+pass, and only the PSD margin assembles the matrix.
 
 All equation systems are evaluated in Y-coordinates; correctness under the
 generator change is the congruence invariance of the rank-one sums.  The
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .lattices import canonical_class
 from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
@@ -228,26 +232,7 @@ def _is_inverse_over_n(q: SymMatrix, w: SymMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# eta-sets
-
-@dataclass(frozen=True)
-class EtaSystem:
-    """All +/- classes of frequency vectors Y_r +/- Y_s with their realizations.
-
-    entries maps the sign-canonicalized eta (first nonzero entry positive) to
-    the tuple of realizations (r, s, sigma) with Y_r + sigma Y_s = +/- eta.
-    Every unordered pair r < s appears under exactly two keys.
-    """
-
-    entries: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]
-    y: Columns
-
-    def orientation(self, eta: tuple[int, ...], real: tuple[int, int, int]) -> int:
-        """+1 when Y_r + sigma Y_s equals eta itself, -1 when it equals -eta."""
-        r, s, sigma = real
-        v = tuple(a + sigma * b for a, b in zip(self.y[r], self.y[s]))
-        return 1 if v == eta else -1
-
+# general certificates: the coefficient operator A A^t
 
 def has_proportional_columns(y) -> bool:
     """True iff two columns are equal up to sign (the same +/- class)."""
@@ -255,99 +240,68 @@ def has_proportional_columns(y) -> bool:
     return len(set(classes)) < len(classes)
 
 
-def eta_sets(y) -> EtaSystem:
-    """Group every sum/difference Y_r +/- Y_s (r < s) by the +/- class of its value."""
-    cols = as_columns(y)
-    nn = len(cols)
-    if has_proportional_columns(cols):
-        raise ValueError("columns must be pairwise non-proportional")
-    out: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    for r in range(nn):
-        for s in range(r + 1, nn):
-            for sigma in (1, -1):
-                v = tuple(a + sigma * b for a, b in zip(cols[r], cols[s]))
-                key = canonical_class(v)
-                out.setdefault(key, []).append((r, s, sigma))
-    entries = {k: tuple(v) for k, v in sorted(out.items())}
-    return EtaSystem(entries=entries, y=cols)
-
-
-# ---------------------------------------------------------------------------
-# general certificates: the coefficient operator A A^t
-
 class GramOperator:
-    """The 2N x 2N PSD coefficient operator of a (possibly non-homogeneous) immersion.
+    """The 2N x 2N PSD coefficient operator A A^t of a (possibly non-homogeneous)
+    immersion, held as its 2 x 2 blocks.
 
-    Stored as the assembled float matrix, a tuple of rows of finite floats;
-    diagonal 2x2 blocks must be scalar multiples of the identity (the
-    structural constraint forced by the frequency-2Y_r modes).  Symmetry and
-    the diagonal blocks are checked to 1e-12 relative to the largest entry.
+    `diagonal` is (a_1, ..., a_N): the diagonal blocks are a_r I2, the
+    structural constraint forced by the frequency-2Y_r modes.  `blocks` maps
+    each (r, s) with r < s whose block B_rs is nonzero to B_rs as two rows, in
+    (r, s) order; the block at (s, r) is its transpose, so the operator is
+    symmetric by construction.  The constructor takes the blocks as
+    ((r, s), block) pairs, a later pair replacing an earlier one; a block
+    given at (s, r) is stored transposed, a zero block is dropped, and every
+    entry must be a finite float.
     """
 
-    __slots__ = ("N", "matrix")
+    __slots__ = ("diagonal", "blocks")
 
-    def __init__(self, matrix: Sequence[Sequence[float]]):
-        arr = [[float(x) for x in row] for row in matrix]
-        n2 = len(arr)
-        if n2 % 2 or any(len(row) != n2 for row in arr):
-            raise ValueError("expected a 2N x 2N matrix")
-        # NaN would pass every tolerance test below (each comparison is False)
-        if not all(math.isfinite(x) for row in arr for x in row):
-            raise ValueError("matrix entries must be finite")
-        tol = 1e-12 * max([1.0] + [abs(x) for row in arr for x in row])
-        if any(abs(arr[i][j] - arr[j][i]) > tol for i in range(n2) for j in range(i)):
-            raise ValueError("matrix must be symmetric")
-        self.N = n2 // 2
-        self.matrix = tuple(tuple(0.5 * (x + y) for x, y in zip(row, col))
-                            for row, col in zip(arr, zip(*arr)))
-        for r in range(self.N):
-            (b00, b01), (b10, b11) = self.block(r, r)
-            if abs(b00 - b11) > tol or abs(b01) > tol or abs(b10) > tol:
-                raise ValueError(f"diagonal block {r} is not a scalar multiple of I2")
+    def __init__(self, diagonal: Sequence[float], blocks: Iterable = ()):
+        self.diagonal = tuple(float(a) for a in diagonal)
+        n = len(self.diagonal)
+        stored = {}
+        for (r, s), blk in blocks:
+            if len(blk) != 2 or any(len(row) != 2 for row in blk):
+                raise ValueError("a block must be 2 x 2")
+            if r == s or not (0 <= r < n and 0 <= s < n):
+                raise ValueError(f"({r}, {s}) is not an off-diagonal block of {n} classes")
+            b = [[float(x) for x in row] for row in blk]
+            stored[min(r, s), max(r, s)] = tuple(map(tuple, b if r < s else zip(*b)))
+        # NaN would pass every tolerance test of the verifier (each comparison is False)
+        if not all(math.isfinite(x) for x in self.diagonal + _entries(stored.values())):
+            raise ValueError("operator entries must be finite")
+        self.blocks = {k: b for k, b in sorted(stored.items()) if any(map(any, b))}
 
-    @classmethod
-    def from_blocks(cls, n_classes: int, diagonal: Sequence[float],
-                    off_blocks: dict[tuple[int, int], Sequence[Sequence[float]]]
-                    ) -> "GramOperator":
-        m = [[0.0] * (2 * n_classes) for _ in range(2 * n_classes)]
-        for r, a in enumerate(diagonal):
-            m[2 * r][2 * r] = m[2 * r + 1][2 * r + 1] = float(a)
-        for (r, s), blk in off_blocks.items():
-            write_block(m, r, s, blk)
-        return cls(m)
+    @property
+    def N(self) -> int:
+        return len(self.diagonal)
 
-    def block(self, r: int, s: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        m = self.matrix
-        return ((m[2 * r][2 * s], m[2 * r][2 * s + 1]),
-                (m[2 * r + 1][2 * s], m[2 * r + 1][2 * s + 1]))
-
-    def a(self, r: int) -> float:
-        return self.matrix[2 * r][2 * r]
+    @property
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        """The assembled 2N x 2N matrix, row by row."""
+        m = [[0.0] * (2 * self.N) for _ in range(2 * self.N)]
+        for r, a in enumerate(self.diagonal):
+            m[2 * r][2 * r] = m[2 * r + 1][2 * r + 1] = a
+        for (r, s), b in self.blocks.items():
+            for i in range(2):
+                for j in range(2):
+                    m[2 * r + i][2 * s + j] = m[2 * s + j][2 * r + i] = b[i][j]
+        return tuple(map(tuple, m))
 
     def __eq__(self, other):
         if not isinstance(other, GramOperator):
             return NotImplemented
-        return self.N == other.N and self.matrix == other.matrix
+        return self.diagonal == other.diagonal and self.blocks == other.blocks
 
 
-def write_block(m: list[list[float]], r: int, s: int, blk: Sequence[Sequence[float]]) -> None:
-    """Write the 2x2 block (r, s) of the row lists m, and its transpose at (s, r)."""
-    if len(blk) != 2 or any(len(row) != 2 for row in blk):
-        raise ValueError("a block must be 2 x 2")
-    if not (0 <= r < len(m) // 2 and 0 <= s < len(m) // 2):
-        raise ValueError(f"block ({r}, {s}) is out of range")
-    b = [[float(x) for x in row] for row in blk]
-    for i in range(2):
-        m[2 * r + i][2 * s:2 * s + 2] = b[i]
-    for i in range(2):  # for r == s the transpose is written last
-        for j in range(2):
-            m[2 * s + j][2 * r + i] = b[i][j]
+def _entries(blocks) -> tuple[float, ...]:
+    """The entries of 2 x 2 blocks, block by block, row by row."""
+    return tuple(x for b in blocks for row in b for x in row)
 
 
 def is_homogeneous(gram: GramOperator, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-diagonal 2x2 block vanishes within tol."""
-    return all(abs(x) <= tol for i, row in enumerate(gram.matrix)
-               for j, x in enumerate(row) if i // 2 != j // 2)
+    return all(abs(x) <= tol for x in _entries(gram.blocks.values()))
 
 
 def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
@@ -356,18 +310,19 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
 
     Per +/- frequency class eta the Fourier expansion of |x|^2 - 1 and of the
     pullback metric gives, over all realizations Y_r + sigma Y_s = o * eta
-    (o the orientation, B the (r,s) block of A A^t, K = Y_r Y_s^t + Y_s Y_r^t):
+    (r < s, o the orientation, B the (r,s) block of A A^t, K = Y_r Y_s^t + Y_s Y_r^t):
 
         norm, cos:    sum_{sigma=+1} (B11 - B22)    + sum_{sigma=-1} (B11 + B22)
         norm, sin:    sum_{sigma=+1} o (B12 + B21)  + sum_{sigma=-1} o (B21 - B12)
         metric, cos:  sum_{sigma=+1} -(B11 - B22) K + sum_{sigma=-1} (B11 + B22) K
         metric, sin:  sum_{sigma=+1} -o (B12+B21) K + sum_{sigma=-1} o (B21 - B12) K
 
-    plus the zero-frequency equation sum_r a_r Y_r Y_r^t = Q^{-1}/n (the euta
-    residual, compared within tol * max(1, max |(Q^{-1}/n)_ij|)), the unit
-    norm of every class, and PSD of the assembled operator: psd_margin is its
-    smallest eigenvalue.  Two columns equal up to sign falsify the certificate
-    as "proportional_columns", as in `verify_matrix_data`.
+    (`frequency_coefficients`), plus the zero-frequency equation
+    sum_r a_r Y_r Y_r^t = Q^{-1}/n (the euta residual, compared within
+    tol * max(1, max |(Q^{-1}/n)_ij|)), the unit norm of every class, and PSD
+    of the assembled operator: psd_margin is its smallest eigenvalue.  Two
+    columns equal up to sign falsify the certificate as
+    "proportional_columns", as in `verify_matrix_data`.
     """
     q, y = geometry
     cols = as_columns(y)
@@ -384,12 +339,7 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     except ValueError:
         return VerificationReport("falsified", "singular_gram", residuals, None, tol)
 
-    euta = [[0.0] * n for _ in range(n)]
-    for r, c in enumerate(cols):
-        a = gram.a(r)
-        for i in range(n):
-            for j in range(n):
-                euta[i][j] += a * (c[i] * c[j])
+    euta = SymMatrix.rank_one_sum(cols, gram.diagonal).entries
     residuals["euta"] = max(abs(x - v / n) for row, vrow in zip(euta, qinv)
                             for x, v in zip(row, vrow))
     scales = {"euta": _entry_scale([[v / n for v in row] for row in qinv])}
@@ -398,11 +348,11 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     if has_proportional_columns(cols):
         # the frequency classes Y_r +/- Y_s are undefined: one of them is 0
         return _assemble_report(residuals, psd_margin, tol, "proportional_columns", None)
-    coeffs = frequency_coefficients(gram, cols)
-    residuals["eigen1"] = max((abs(v[0]) for v in coeffs.values()), default=0.0)
-    residuals["eigen2"] = max((abs(v[1]) for v in coeffs.values()), default=0.0)
-    residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs.values()), default=0.0)
-    residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs.values()), default=0.0)
+    coeffs = frequency_coefficients(gram, cols).values()
+    residuals["eigen1"] = max((abs(v[0]) for v in coeffs), default=0.0)
+    residuals["eigen2"] = max((abs(v[1]) for v in coeffs), default=0.0)
+    residuals["iso1"] = max((_max_abs(v[2]) for v in coeffs), default=0.0)
+    residuals["iso2"] = max((_max_abs(v[3]) for v in coeffs), default=0.0)
     return _assemble_report(residuals, psd_margin, tol, None, None, scales=scales)
 
 
@@ -452,7 +402,7 @@ def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:
 def frequency_coefficients(gram: GramOperator, y) -> dict:
     """Fourier data per +/- frequency class eta = Y_r +/- Y_s.
 
-    Returns eta -> (e1, e2, i1, i2) where the squared norm and the pullback
+    Returns eta -> [e1, e2, i1, i2] where the squared norm and the pullback
     metric of the immersion decompose as
 
         |x(u)|^2            = sum_r a_r + sum_eta [e1 cos th + e2 sin th]
@@ -461,37 +411,36 @@ def frequency_coefficients(gram: GramOperator, y) -> dict:
 
     with th = 2 pi <eta, u>; i1 and i2 are n x n row lists.  All four vanish
     for every eta exactly when the operator solves the eigenfunction and
-    isometry systems.
+    isometry systems.  One pass over the nonzero blocks B_rs in (r, s) order,
+    sigma = +1 before -1, keys each realization Y_r + sigma Y_s = o eta by its
+    class eta (`canonical_class`) and reads o as it adds the realization's
+    terms; a class with only zero blocks has four zero coefficients and is
+    left out.
     """
     cols = as_columns(y)
     n = len(cols[0])
-    system = eta_sets(cols)
-    out = {}
-    for eta, realizations in system.entries.items():
-        s_e1 = s_e2 = 0.0
-        m_i1 = [[0.0] * n for _ in range(n)]
-        m_i2 = [[0.0] * n for _ in range(n)]
-        for (r, s, sigma) in realizations:
-            o = system.orientation(eta, (r, s, sigma))
-            (b00, b01), (b10, b11) = gram.block(r, s)
-            yr, ys = cols[r], cols[s]
-            k = [[float(yr[i] * ys[j]) + float(yr[j] * ys[i]) for j in range(n)]
-                 for i in range(n)]
+    out: dict = {}
+    for (r, s), ((b00, b01), (b10, b11)) in gram.blocks.items():
+        yr, ys = cols[r], cols[s]
+        k = [[float(yr[i] * ys[j]) + float(yr[j] * ys[i]) for j in range(n)]
+             for i in range(n)]
+        for sigma in (1, -1):
+            v = tuple(a + sigma * b for a, b in zip(yr, ys))
+            eta = canonical_class(v)
+            o = 1 if v == eta else -1
             if sigma == 1:
-                s_e1 += b00 - b11
-                s_e2 += o * (b01 + b10)
-                c1 = -(b00 - b11)
-                c2 = -o * (b01 + b10)
+                e1, e2 = b00 - b11, o * (b01 + b10)
             else:
-                s_e1 += b00 + b11
-                s_e2 += o * (b10 - b01)
-                c1 = b00 + b11
-                c2 = o * (b10 - b01)
+                e1, e2 = b00 + b11, o * (b10 - b01)
+            acc = out.setdefault(eta, [0.0, 0.0, [[0.0] * n for _ in range(n)],
+                                       [[0.0] * n for _ in range(n)]])
+            acc[0] += e1
+            acc[1] += e2
+            c1, c2 = -sigma * e1, -sigma * e2  # the metric's are -sigma times the norm's
             for i in range(n):
                 for j in range(n):
-                    m_i1[i][j] += c1 * k[i][j]
-                    m_i2[i][j] += c2 * k[i][j]
-        out[eta] = (s_e1, s_e2, m_i1, m_i2)
+                    acc[2][i][j] += c1 * k[i][j]
+                    acc[3][i][j] += c2 * k[i][j]
     return out
 
 

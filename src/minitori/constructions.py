@@ -25,7 +25,8 @@ from .exactlp import feasible_point
 from .lattices import canonical_class, rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
                        exact_hull_weights, pencil_maximize, rank4_lagrange)
-from .scalars import AlgebraicField, AlgebraicScalar, Rat, sqrt_field
+from .scalars import (AlgebraicField, AlgebraicScalar, Rat, integer_combinations,
+                      sqrt_field)
 from .symmetric import SymMatrix, inverse, is_positive_definite, rank, rank_one_rows, solve
 
 
@@ -176,20 +177,16 @@ def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
 def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
     if len(cols) != 4:
         raise ValueError("a rank-4 set supports exactly 4 classes")
-    # choose an invertible column triple and normalize the fourth vector
-    picks = None
-    for cand in combinations(range(4), 3):
-        if rank([cols[j] for j in cand]) == 3:
-            picks = cand
-            break
-    if picks is None:
-        raise ValueError("rank(Y) < 3")
+    # choose an invertible column triple and normalize the fourth vector.
+    # rank{Y_j Y_j^t} = 4 > 3 = dim Sym_2 forces rank Y = 3, so the triple
+    # exists, and the fourth vector has two or three nonzero coordinates on
+    # it: a multiple of one Y_j would repeat Y_j Y_j^t up to a factor
+    picks = next(cand for cand in combinations(range(4), 3)
+                 if rank([cols[j] for j in cand]) == 3)
     rest = next(j for j in range(4) if j not in picks)
     p_mat = [[cols[j][i] for j in picks] for i in range(3)]  # columns Y_j, j in picks
     r = tuple(solve(p_mat, cols[rest]))
     nz = [i for i in range(3) if r[i] != 0]
-    if len(nz) < 2:
-        raise ValueError("degenerate fourth vector; rank condition violated")
     if len(nz) == 2:
         perm = (nz[0], next(i for i in range(3) if r[i] == 0), nz[1])
     else:
@@ -238,23 +235,17 @@ def _strictly_positive(weights) -> bool:
 
 
 def _congruence(qt: SymMatrix, a: list[list[Fraction]]) -> SymMatrix:
-    """A^t Q A for a rational 3x3 matrix A and (possibly algebraic) Q."""
-    n = 3
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                for l in range(n):
-                    coef = a[k][i] * a[l][j]
-                    if coef == 0:
-                        continue
-                    term = qt.entries[k][l] * coef
-                    acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    return SymMatrix(rows)
+    """A^t Q A for a rational 3x3 matrix A and (possibly algebraic) Q.
+
+    With A = M/d, M an integer matrix, entry (i, j) is the combination of the
+    Q_kl with the integer weights M_ki M_lj, over d^2; Q's numerators are
+    brought over one denominator once for all six entries."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    m = [[int(x * d) for x in row] for row in a]
+    q = [x for row in qt.entries for x in row]
+    weights = [[m[k][i] * m[l][j] for k in range(3) for l in range(3)]
+               for i in range(3) for j in range(i, 3)]
+    return SymMatrix.from_upper(integer_combinations(q, weights)).scale(Fraction(1, d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +457,7 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
                 f"a_{2*i+1} a_{2*i+2} = {bound:.3g}; the operator would not be PSD")
         if alpha[i] or beta[i]:
             off[(2 * i, 2 * i + 1)] = ((alpha[i], beta[i]), (beta[i], -alpha[i]))
-    gram = GramOperator.from_blocks(12, [float(a) for a in diag], off)
+    gram = GramOperator([float(a) for a in diag], off.items())
     report = verify_full(gram, (qmat, cols))
     if not report.verified:
         raise ConstructionError(f"family member failed verification: {report.reason}")

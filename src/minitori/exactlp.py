@@ -82,8 +82,9 @@ def feasible_point(a_rows: Sequence[Sequence[Fraction]],
                 best = T[leave][ncols] * t
                 if ratio < best or (ratio == best and basis[r] < basis[leave]):
                     leave = r
-        if leave is None:
-            break  # unbounded phase-1 direction cannot happen, but bail safely
+        # an entering column without a positive entry would make the phase-1
+        # objective, a sum of artificials, unbounded below
+        assert leave is not None, "a phase-1 objective is bounded below by 0"
         step(leave, enter)
 
     if T[m][ncols] != 0:

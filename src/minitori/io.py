@@ -6,6 +6,14 @@ NaN, infinities, booleans and strings), algebraic scalars as
 {"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
 the minimal polynomial low-to-high.  Emission is canonical, so
 emit(parse(emit(x))) == emit(x) byte for byte.
+
+A general certificate lists the 2 x 2 blocks of its operator A A^t as
+{"r", "s", "block"} objects: first every diagonal block a_r I2, then the
+nonzero blocks with r < s in (r, s) order.  `parse` also reads a block given
+at (s, r), as the transpose of the one at (r, s), and a diagonal block that
+is a_r I2 only to within 1e-12 times the largest entry of the operator, as
+a_r = b00: `GramOperator` holds exactly a_r and the blocks above the
+diagonal.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .certificates import GramOperator, MatrixData, write_block
+from .certificates import GramOperator, MatrixData
 from .scalars import AlgebraicField, AlgebraicScalar, format_rational, parse_rational
 from .symmetric import SymMatrix
 
@@ -132,14 +140,10 @@ def emit(cert: Union[MatrixData, tuple], metadata: dict | None = None) -> str:
         }
     else:
         gram, q, y, *own = cert
-        blocks = []
-        for r in range(gram.N):
-            blocks.append({"r": r, "s": r, "block": [[gram.a(r), 0.0], [0.0, gram.a(r)]]})
-        for r in range(gram.N):
-            for s in range(r + 1, gram.N):
-                b = gram.block(r, s)
-                if any(x != 0.0 for row in b for x in row):
-                    blocks.append({"r": r, "s": s, "block": [list(row) for row in b]})
+        blocks = [{"r": r, "s": r, "block": [[a, 0.0], [0.0, a]]}
+                  for r, a in enumerate(gram.diagonal)]
+        blocks += [{"r": r, "s": s, "block": [list(row) for row in b]}
+                   for (r, s), b in gram.blocks.items()]
         doc = {
             "format_version": FORMAT_VERSION,
             "kind": "general",
@@ -206,16 +210,38 @@ def parse(text: str):
         return data
     if kind == "general":
         try:
-            m = [[0.0] * (2 * big_n) for _ in range(2 * big_n)]
-            for item in doc["blocks"]:
-                write_block(m, _integer(item["r"]), _integer(item["s"]),
-                            [[_float(x) for x in row] for row in item["block"]])
-            gram = GramOperator(m)
+            gram = _gram_operator(doc["blocks"], big_n)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc
         _check_one_field(field_cache)
         return gram, q, y, dict(metadata)
     raise CertificateFormatError(f"unknown kind {kind!r}")
+
+
+def _gram_operator(items, big_n: int) -> GramOperator:
+    """The operator of a general certificate's blocks.  A diagonal block must
+    be a I2 to within 1e-12 times the largest entry of the operator, and is
+    read as a = b00; a missing one is 0.  Of two blocks at one place, or at
+    (r, s) and (s, r), the later one counts."""
+    diagonal, off = {}, []
+    for item in items:
+        r, s = _integer(item["r"]), _integer(item["s"])
+        block = [[_float(x) for x in row] for row in item["block"]]
+        if r != s:
+            off.append(((r, s), block))
+        elif not 0 <= r < big_n:
+            raise ValueError(f"block ({r}, {s}) is out of range")
+        else:
+            (b00, b01), (b10, b11) = block  # a ValueError unless 2 x 2
+            diagonal[r] = (b00, b01, b10, b11)
+    gram = GramOperator([diagonal[r][0] if r in diagonal else 0.0 for r in range(big_n)], off)
+    entries = [x for b in diagonal.values() for x in b]
+    entries += [x for b in gram.blocks.values() for row in b for x in row]
+    tol = 1e-12 * max([1.0] + [abs(x) for x in entries])
+    for r, (b00, b01, b10, b11) in sorted(diagonal.items()):
+        if abs(b00 - b11) > tol or abs(b01) > tol or abs(b10) > tol:
+            raise ValueError(f"diagonal block {r} is not a scalar multiple of I2")
+    return gram
 
 
 def _check_one_field(field_cache: dict) -> None:

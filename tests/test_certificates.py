@@ -269,7 +269,7 @@ def test_large_pythagorean_member_verifies_within_a_relative_tolerance():
     report = verify_full(res.gram, (res.q, res.y))
     assert report.verdict == "verified"
     assert report.residuals["euta"] > DEFAULT_TOL
-    m = [list(row) for row in res.gram.matrix]
-    m[0][0] = m[1][1] = m[0][0] * (1 + 1e-6)
-    report = verify_full(GramOperator(m), (res.q, res.y))
+    diagonal = list(res.gram.diagonal)
+    diagonal[0] *= 1 + 1e-6
+    report = verify_full(GramOperator(diagonal, res.gram.blocks.items()), (res.q, res.y))
     assert (report.verdict, report.reason) == ("falsified", "euta")

@@ -38,8 +38,27 @@ def test_construct_pencil_exits_zero(name, tmp_path, capsys):
 
 # sha256 of the certificate file each command writes.  An algebraic scalar is
 # written with its field's isolating interval as refined so far, so these pin
-# every sign query of the construction too, not only the exact values.
+# every sign query of the construction too, not only the exact values.  The
+# general (Pythagorean) and float (Bryant) files pin the float arithmetic of
+# their constructions.
+PINNED_ARGV = {
+    "pythagorean-3-4-5": ["construct", "pythagorean", "--triple", "3", "4", "5"],
+    "pythagorean-5-12-13": ["construct", "pythagorean", "--triple", "5", "12", "13"],
+    "pythagorean-8-15-17": ["construct", "pythagorean", "--triple", "8", "15", "17"],
+    "pythagorean-3-4-5-member": ["construct", "pythagorean", "--triple", "3", "4", "5",
+                                 "--r1", "0.01", "--phi1", "0.3", "--psi1", "0.7",
+                                 "--r2", "0.005"],
+    "bryant-exact": ["construct", "bryant", "--mn", "1", "3", "--rho-scaled", "1/2"],
+    "bryant-float": ["construct", "bryant", "--mn", "2", "5", "--rho", "0.3"],
+}
 PINNED_SHA256 = {
+    "pythagorean-3-4-5": "e6a446528364a4baee700206da0451099f3f2c2f489f7ee7638d9f13838c4c1a",
+    "pythagorean-5-12-13": "59f169b283f2b484de0a5df94b40e0df1e39a86db6fc70b99b84202f92bb6155",
+    "pythagorean-8-15-17": "de8fc27de3e7d2957f1236782aeed10c8eae02715115317a91d28080b492c7ee",
+    "pythagorean-3-4-5-member":
+        "84f4f7258a72acb5fe3763efc88c8a720e370e2ea5821014245c2477614a3ad2",
+    "bryant-exact": "700928cb992d12199d91cf970fe9842b16801ce27b95179f7c2cd4becac6483e",
+    "bryant-float": "b9accaae42a43892f9e4f0dcf2d71f85cfef292d2d0b530805e4e4672ffa8521",
     "rank4-deg2": "ceb5e5c9421f4b889de64cfea50b92ef27b23babaca4c9da7e09a616b48d4e16",
     "rank4-deg3": "58597dd3be5befbcdb8d5545fb75eb5f4d75613418439897f6e2ae73eba131b1",
     "rank4-deg4": "2de4154d0af42e3ae5fa9f5460fb899189aaef43dccc0b9a597152f0a6526e2c",
@@ -55,7 +74,7 @@ def test_certificate_bytes_are_pinned(name, tmp_path, capsys):
     if name in PENCIL_SETS:
         argv = ["construct", "pencil", "--Y", str(_pencil_file(name, tmp_path))]
     else:
-        argv = ["catalog", name]
+        argv = PINNED_ARGV.get(name, ["catalog", name])
     assert main(argv + ["-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[name]
 

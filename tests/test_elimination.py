@@ -11,15 +11,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from minitori.certificates import embeddedness
 from minitori.lattices import _levels
 from minitori.scalars import AlgebraicField, AlgebraicScalar, eliminate, sqrt_field
-from minitori.symmetric import (SymMatrix, determinant, inverse, is_positive_definite, kernel,
-                                rank, solve)
+from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
+                                is_positive_definite, kernel, rank, solve)
 from conftest import CATALOG_FIELDS
 
 SQRT_DS = (2, 3, 5)
@@ -97,6 +97,28 @@ def _rref(rows, ncols, dom):
     return red.to_list(), cols
 
 
+def _diagonal_pivots(rows) -> list[Fraction]:
+    """The pivots of the float rows lifted exactly, in the order of the float
+    LDL^t of `is_positive_definite` (`symmetric._float_pd`): each step takes
+    the first largest remaining diagonal entry, and the last pivot taken is
+    the first one <= 0."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, pivots = len(a), []
+    for k in range(n):
+        j = max(range(k, n), key=lambda i: a[i][i])
+        a[k], a[j] = a[j], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        pivots.append(a[k][k])
+        if a[k][k] <= 0:
+            break
+        for i in range(k + 1, n):
+            c = a[i][k] / a[k][k]
+            for m in range(k + 1, n):
+                a[i][m] -= c * a[k][m]
+    return pivots
+
+
 class TestKernelAgainstSympy:
     @settings(max_examples=100, deadline=None)
     @given(systems())
@@ -167,14 +189,25 @@ class TestKernelAgainstSympy:
 
     @settings(max_examples=100, deadline=None)
     @given(systems(square=True, min_rows=1))
+    # float rows that symmetrize to the singular [[2, 2], [2, 2]] and [[6, 0], [0, 0]]
+    @example(([[-2.0, 0.0], [2.0, -2.0]], 2, sympy.QQ))
+    @example(([[0.0, 0.0], [0.0, -3.0]], 2, sympy.QQ))
     def test_positive_definite(self, case):
         rows, n, dom = case
         # symmetrize, and shift the diagonal so that both verdicts occur
         rows = [[rows[i][j] + rows[j][i] + (3 * n if i == j else 0) for j in range(n)]
                 for i in range(n)]
+        got = is_positive_definite(SymMatrix(rows))
+        if got is None:
+            # the borderline verdict of float rows: the exact rows must have a
+            # pivot within FLOAT_PD_TOL of 0 relative to their largest diagonal
+            assert SymMatrix(rows).regime == "float"
+            scale = max(abs(Fraction(rows[i][i])) for i in range(n))
+            assert any(abs(p) <= FLOAT_PD_TOL * scale for p in _diagonal_pivots(rows))
+            return
         want = all(dom.to_sympy(_domain([r[:k] for r in rows[:k]], k, dom).det()).is_positive
                    for k in range(1, n + 1))
-        assert is_positive_definite(SymMatrix(rows)) is want
+        assert got is want
 
     def test_shapes(self):
         assert rank([]) == rank([[]]) == rank([[], []]) == 0

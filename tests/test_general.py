@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from minitori.certificates import GramOperator, is_homogeneous, verify_full
+from minitori.certificates import (GramOperator, frequency_coefficients, is_homogeneous,
+                                   verify_full)
 from minitori.cli import main
 from minitori.constructions import PythagoreanParams, pythagorean_family
-from minitori.io import emit, parse
+from minitori.io import CertificateFormatError, emit, parse
 
 # the three Pythagorean members of the benchmark, and a non-homogeneous one
 MEMBERS = {
@@ -98,19 +99,52 @@ def test_psd_margin_of_an_operator_connecting_every_class(members):
     res = members["3-4-5"]
     rng = np.random.default_rng(4)
     off = {(r, r + 1): rng.uniform(-0.02, 0.02, (2, 2)).tolist() for r in range(11)}
-    gram = GramOperator.from_blocks(12, [res.gram.a(r) for r in range(12)], off)
+    gram = GramOperator(res.gram.diagonal, off.items())
     margin = verify_full(gram, (res.q, res.y)).psd_margin
     smallest = float(np.linalg.eigvalsh(np.array(gram.matrix)).min())
     assert abs(margin - smallest) <= 1e-12
 
 
+def test_frequency_coefficients_expand_the_norm_and_the_metric(members):
+    """numpy oracle: with Theta(u) = (cos th_r, sin th_r)_r, th_r = 2 pi <Y_r, u>,
+    |x(u)|^2 = Theta^t M Theta and G(u) = J^t M J (J the Jacobian of Theta)
+    equal their Fourier expansions from `frequency_coefficients`, for an
+    operator with about half of its 66 blocks nonzero; several of the
+    realizations share a frequency class."""
+    res = members["3-4-5"]
+    rng = np.random.default_rng(7)
+    off = {(r, s): rng.uniform(-0.02, 0.02, (2, 2)).tolist()
+           for r in range(12) for s in range(r + 1, 12) if rng.random() < 0.5}
+    gram = GramOperator(res.gram.diagonal, off.items())
+    coeffs = frequency_coefficients(gram, res.y)
+    assert len(coeffs) < 2 * len(off)
+    y, m = np.array(res.y, dtype=float), np.array(gram.matrix)
+    eta = np.array(list(coeffs), dtype=float)
+    g0 = sum(a * np.outer(c, c) for a, c in zip(gram.diagonal, y))
+    for u in rng.uniform(-1, 1, (5, 3)):
+        th, ph = 2 * np.pi * y @ u, 2 * np.pi * eta @ u
+        theta = np.ravel(np.column_stack([np.cos(th), np.sin(th)]))
+        jac = (2 * np.pi * np.ravel(np.column_stack([-np.sin(th), np.cos(th)]))[:, None]
+               * np.repeat(y, 2, axis=0))
+        norm2 = sum(gram.diagonal) + sum(v[0] * np.cos(p) + v[1] * np.sin(p)
+                                         for v, p in zip(coeffs.values(), ph))
+        metric = 4 * np.pi ** 2 * (g0 + sum((np.array(v[2]) * np.cos(p)
+                                             + np.array(v[3]) * np.sin(p)) / 2
+                                            for v, p in zip(coeffs.values(), ph)))
+        assert abs(theta @ m @ theta - norm2) <= 1e-12
+        want = jac.T @ m @ jac
+        assert np.abs(want - metric).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_entries_are_rejected(bad, members):
     """NaN passes every tolerance comparison, so it must be refused up front."""
-    m = [list(row) for row in members["3-4-5"].gram.matrix]
-    m[0][0] = m[1][1] = bad
+    gram = members["3-4-5-member"].gram
     with pytest.raises(ValueError, match="finite"):
-        GramOperator(m)
+        GramOperator((bad,) + gram.diagonal[1:], gram.blocks.items())
+    (r, s), ((b00, b01), (b10, b11)) = next(iter(gram.blocks.items()))
+    with pytest.raises(ValueError, match="finite"):
+        GramOperator(gram.diagonal, [((r, s), ((b00, b01), (b10, bad)))])
 
 
 def test_verify_reports_proportional_columns(tmp_path, capsys):
@@ -131,23 +165,50 @@ def test_is_homogeneous_reads_the_off_diagonal_blocks(members):
     assert not is_homogeneous(members["3-4-5-member"].gram)
 
 
-class TestSymmetryTolerance:
-    """The symmetry check is relative to the largest entry, like the check of
-    the diagonal blocks."""
+def test_blocks_are_stored_above_the_diagonal(members):
+    """A block given at (s, r) is the transpose of the one at (r, s); zero
+    blocks are dropped, and the assembled matrix holds B_rs and its transpose."""
+    gram = members["3-4-5-member"].gram
+    flipped = [((s, r), tuple(zip(*b))) for (r, s), b in gram.blocks.items()]
+    zero = ((3, 7), ((0.0, -0.0), (0.0, 0.0)))
+    assert GramOperator(gram.diagonal, flipped + [zero]) == gram
+    # of two blocks at one place the later counts, also at (r, s) and (s, r)
+    (r, s), b = next(iter(gram.blocks.items()))
+    later = GramOperator(gram.diagonal, [((r, s), b), ((s, r), ((1.0, 2.0), (3.0, 4.0)))])
+    assert later.blocks == {(r, s): ((1.0, 3.0), (2.0, 4.0))}
+    m = gram.matrix
+    for (r, s), b in gram.blocks.items():
+        for i in range(2):
+            for j in range(2):
+                assert m[2 * r + i][2 * s + j] == m[2 * s + j][2 * r + i] == b[i][j]
+    with pytest.raises(ValueError, match="off-diagonal"):
+        GramOperator(gram.diagonal, [((2, 2), ((1.0, 0.0), (0.0, 1.0)))])
+
+
+class TestDiagonalBlockTolerance:
+    """A file's diagonal block must be a I2 to within 1e-12 times the largest
+    entry of the operator; it is read as a = b00."""
 
     @staticmethod
-    def _scaled(members, factor):
-        return [[factor * x for x in row] for row in members["3-4-5-member"].gram.matrix]
+    def _scaled(members, shift):
+        """The 3-4-5 member's file scaled by 10^6, with `shift` times its
+        largest entry added to the entry b11 of the first diagonal block."""
+        res = members["3-4-5-member"]
+        doc = json.loads(emit((res.gram, res.q, res.y)))
+        for item in doc["blocks"]:
+            item["block"] = [[1e6 * x for x in row] for row in item["block"]]
+        largest = max(abs(x) for item in doc["blocks"] for row in item["block"] for x in row)
+        assert largest > 1e4  # so that the deviations below exceed 1e-12
+        assert (doc["blocks"][0]["r"], doc["blocks"][0]["s"]) == (0, 0)
+        doc["blocks"][0]["block"][1][1] += shift * largest
+        return json.dumps(doc), doc["blocks"][0]["block"][0][0]
 
-    def test_small_asymmetry_of_a_large_operator_is_accepted(self, members):
-        m = self._scaled(members, 1e6)
-        assert m[0][2] != 0.0  # an off-diagonal block entry
-        m[0][2] += 1e-10
-        gram = GramOperator(m)
-        assert gram.matrix[0][2] == gram.matrix[2][0]
+    def test_small_deviation_of_a_large_operator_is_accepted(self, members):
+        text, a = self._scaled(members, 1e-13)
+        gram = parse(text)[0]
+        assert gram.diagonal[0] == gram.matrix[1][1] == a
 
-    def test_relative_asymmetry_is_rejected(self, members):
-        m = self._scaled(members, 1e6)
-        m[0][2] += 1e-6 * max(abs(x) for row in m for x in row)
-        with pytest.raises(ValueError, match="symmetric"):
-            GramOperator(m)
+    def test_relative_deviation_is_rejected(self, members):
+        text, _ = self._scaled(members, 1e-11)
+        with pytest.raises(CertificateFormatError, match="scalar multiple"):
+            parse(text)
