@@ -4,7 +4,9 @@ The commands are one table, `COMMANDS`.  Each `main` call builds a fresh parser
 of the branch its argv names, or of the whole tree when argv names no command.
 
 Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
-infeasible/construction failure, 64 usage error, 65 malformed file.
+infeasible/construction failure, 64 usage error, 65 malformed file, 141
+standard output closed early (128 + SIGPIPE; e.g. piped into `head`), with
+no traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ EXIT_FALSIFIED = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 class UsageError(Exception):
@@ -262,25 +266,26 @@ def cmd_enumerate(args) -> int:
         print("error: gram matrix is not positive definite", file=sys.stderr)
         return EXIT_INDETERMINATE
     if args.spectrum is not None:
-        for line in spectrum(gram, args.spectrum):
-            print(f"eigenvalue {line.eigenvalue:.12g}  multiplicity {line.multiplicity}"
-                  f"  (|xi|^2 = {line.norm})")
+        sys.stdout.write("".join(f"eigenvalue {line.eigenvalue:.12g}  multiplicity "
+                                 f"{line.multiplicity}  (|xi|^2 = {line.norm})\n"
+                                 for line in spectrum(gram, args.spectrum)))
         return EXIT_VERIFIED
     if args.shortest:
         lam, classes = shortest_vectors(gram)
-        print(f"lambda_1 = {lam}")
-        for c in classes:
-            print(" ", c)
+        _write_classes(f"lambda_1 = {lam}", classes)
         return EXIT_VERIFIED
     if target is None:
         print("error: one of --target, --shortest, --spectrum is required", file=sys.stderr)
         return EXIT_USAGE
     classes = enumerate_norm(gram, target)
-    print(f"{len(classes)} classes of norm {classes.target}"
-          + ("" if classes.complete else " (INCOMPLETE: box bound hit)"))
-    for c in classes:
-        print(" ", c)
+    _write_classes(f"{len(classes)} classes of norm {classes.target}"
+                   + ("" if classes.complete else " (INCOMPLETE: box bound hit)"), classes)
     return EXIT_VERIFIED
+
+
+def _write_classes(header: str, classes) -> None:
+    """The header, then one class a line, indented by two spaces: one write."""
+    sys.stdout.write(header + "\n" + "".join(f"  {c}\n" for c in classes))
 
 
 def cmd_reduce(args) -> int:
@@ -398,7 +403,14 @@ def main(argv=None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`minitori ... | head`): send what is still
+        # buffered to devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

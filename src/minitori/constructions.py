@@ -425,8 +425,7 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
     if params.diagonal is None:
         diag = feasible_diagonal_centroid(p, q, r)
     else:
-        diag = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x)
-                     for x in params.diagonal)
+        diag = tuple(Fraction(x) for x in params.diagonal)
         if len(diag) != 12:
             raise ValueError("diagonal needs 12 entries")
         for row in _diagonal_constraints(p, q, r):

@@ -21,6 +21,14 @@ certified for every rational or float Gram.  A lower bound on v^t M v cuts
 the innermost level down to at most two short intervals (one more isqrt),
 so a shell lower <= v^t Q v <= upper costs no more than its outer levels.
 
+A spectrum needs the first `count` distinct values, so it searches a
+growing radius.  Every value of v^t M v is a multiple of the content
+g = gcd(m_ii, 2 m_ij) of M, so the count-th distinct value lambda_count of
+v^t Q v is at least count * g/den.  The radius starts at the larger of that
+exact bound and the smallest diagonal entry, at most doubles per round, and
+a round runs only while it is below lambda_count: the final radius is below
+max(min diagonal, 2 lambda_count), or equal to the start.
+
 Vectors are reported one representative per +/- pair, the representative
 having a positive leading nonzero entry, sorted lexicographically: while
 v_0..v_{k-1} are all zero, v_k is kept >= 0 (> 0 at the innermost level),
@@ -246,20 +254,38 @@ class SpectrumLine(NamedTuple):
     norm: Fraction
 
 
+def _content(m: list[list[int]]) -> int:
+    """g = gcd(m_ii, 2 m_ij): every value of v^t M v is a multiple of g."""
+    n = len(m)
+    return math.gcd(*(m[i][i] for i in range(n)),
+                    *(2 * m[i][j] for i in range(n) for j in range(i + 1, n)))
+
+
 def _distinct_norms(q: SymMatrix, count: int, box_bound: int) -> list[tuple[Fraction, int]]:
     """First `count` distinct nonzero values of v^t Q v with class counts.
 
-    The search radius doubles from the shortest diagonal entry; each round
-    enumerates only the new shell and keeps the values already found.  For
-    float Grams values are clustered as in `_lines`, and a line is returned
-    only once the search covers its whole cluster.
+    The radius starts at max(min diagonal, count * g/den), where
+    count * g/den <= lambda_count (module docstring; for a float Gram the
+    lines of `_lines` have distinct first values, so it bounds the count-th
+    line too).  After a
+    round that finds L < count lines the radius grows to min(2, count/L)
+    times itself (2 when L = 0), rounded down to a multiple of g/den: never
+    below the exact bound radius + (count - L) g/den, since L <= radius *
+    den/g.  A round runs only while the radius is below lambda_count, so the
+    final radius is the start or below 2 lambda_count.  Each round
+    enumerates only the new shell and keeps the values already found.  A
+    line is returned only once the search covers its reach (its whole
+    cluster, for a float Gram), and lines form greedily from the smallest
+    value up, so the lines returned do not depend on the radii searched.
     """
     m, den = _integer_gram(q)
     cluster = q.regime == "float"
-    bound = Fraction(min(m[i][i] for i in range(q.n)), den)
+    g = _content(m)
+    steps = max(min(m[i][i] for i in range(q.n)) // g, count)  # the radius is steps * g/den
     counts: dict[int, int] = {}
     searched = 0
     while True:
+        bound = Fraction(steps * g, den)
         reach = bound + Fraction(max(1, bound), _CLUSTER) if cluster else bound
         upper = math.floor(reach * den)
         _fincke_pohst(m, searched + 1, upper, box_bound, counts)
@@ -267,7 +293,7 @@ def _distinct_norms(q: SymMatrix, count: int, box_bound: int) -> list[tuple[Frac
         lines = [line for line in _lines(counts, den, cluster) if line[0] <= bound]
         if len(lines) >= count:
             return lines[:count]
-        bound = bound * 2
+        steps = min(2 * steps, steps * count // len(lines)) if lines else 2 * steps
 
 
 def spectrum(q_dual: SymMatrix, count: int, box_bound: int = DEFAULT_BOX_BOUND) -> list[SpectrumLine]:
@@ -276,6 +302,10 @@ def spectrum(q_dual: SymMatrix, count: int, box_bound: int = DEFAULT_BOX_BOUND) 
     q_dual is the Gram matrix of the dual lattice in integer coordinates.
     The zero eigenvalue (constants) opens the list with multiplicity 1;
     each nonzero eigenvalue has multiplicity 2 * (number of +/- classes).
+    The search radius (`_distinct_norms`) starts at the larger of the
+    smallest diagonal entry and (count - 1) * g/den, an exact lower bound on
+    the last norm (g the content of den * q_dual), and ends at that start or
+    below twice the last norm.
     """
     if is_positive_definite(q_dual) is not True:
         raise ValueError("Gram matrix must be positive definite")

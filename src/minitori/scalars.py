@@ -287,18 +287,34 @@ def _homogeneous_value(p: Sequence[int], num: int, den: int) -> int:
 # ---------------------------------------------------------------------------
 # the elimination kernel
 
-def pivot(a: list[list], top: int, col: int, d, rows) -> None:
+def pivot(a: list[list], top: int, col: int, d, rows, echelon: bool = False) -> None:
     """One fraction-free step: each row x = a[r], r in `rows`, becomes
     (p x - f y) / d, with y = a[top] the pivot row, p = y[col], f = x[col].
 
     Over the integers d is the previous pivot, up to sign, so every entry is
     +/- an integer minor of the initial rows and `//` divides exactly
     (Bareiss, Math. Comp. 1968; Edmonds 1967).  Field rows come with
-    p = d = 1 (the pivot row scaled by 1/p): the step is x - f y.
+    p = d = 1 (the pivot row scaled by 1/p): the step is x - f y.  In an
+    `echelon` step every row is zero left of `col`, so only x[col:] is
+    updated, in place; otherwise each changed row is rebuilt whole.
     """
     y = a[top]
     p = y[col]
     unit = d == 1 and p == 1
+    if echelon:
+        cols = range(col, len(y))
+        for r in rows:
+            x = a[r]
+            f = x[col]
+            if unit:
+                if f:
+                    for j in cols:
+                        if y[j]:
+                            x[j] -= f * y[j]
+            elif f or p != d:
+                for j in cols:
+                    x[j] = (p * x[j] - f * y[j]) // d
+        return
     for r in rows:
         x = a[r]
         f = x[col]
@@ -347,8 +363,10 @@ def eliminate(a: list[list], ncols: int, jordan: bool = True,
         if type(p) is not int:
             inv = 1 / p
             a[top] = [x * inv if x else x for x in a[top]]
-        pivot(a, top, col, d, (r for r in range(m) if r != top) if jordan
-              else range(top + 1, m))
+        if jordan:
+            pivot(a, top, col, d, (r for r in range(m) if r != top))
+        else:
+            pivot(a, top, col, d, range(top + 1, m), echelon=True)
         d = a[top][col]  # the next divisor: p, or 1 over a field
     return pivots, sign
 

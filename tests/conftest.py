@@ -11,6 +11,7 @@ import sympy
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
+from minitori.lattices import _CLUSTER, _fincke_pohst, _integer_gram, _lines
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns)
 from minitori.scalars import (_factorize, _homogeneous_value, exact_scalar,
@@ -72,6 +73,27 @@ def box_norm_counts(q: SymMatrix, bound: Fraction) -> dict:
             if val <= bound:
                 counts[val] = counts.get(val, 0) + 1
     return {val: c // 2 for val, c in counts.items()}
+
+
+def reference_distinct_norms(q: SymMatrix, count: int,
+                             box_bound: int = 10**6) -> list[tuple[Fraction, int]]:
+    """The search loop `lattices._distinct_norms` had before it started at the
+    value-lattice bound: the radius starts at the smallest diagonal entry and
+    doubles until `count` lines lie within it."""
+    m, den = _integer_gram(q)
+    cluster = q.regime == "float"
+    bound = Fraction(min(m[i][i] for i in range(q.n)), den)
+    counts: dict[int, int] = {}
+    searched = 0
+    while True:
+        reach = bound + Fraction(max(1, bound), _CLUSTER) if cluster else bound
+        upper = math.floor(reach * den)
+        _fincke_pohst(m, searched + 1, upper, box_bound, counts)
+        searched = upper
+        lines = [line for line in _lines(counts, den, cluster) if line[0] <= bound]
+        if len(lines) >= count:
+            return lines[:count]
+        bound = bound * 2
 
 
 def random_rational_pd(rng: random.Random, n: int, num_max: int = 5, den_max: int = 4,

@@ -1,18 +1,21 @@
 import hashlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import minitori
-from minitori.cli import COMMANDS, UsageError, build_parser, main
+from minitori.cli import COMMANDS, UsageError, build_parser, load_gram, main
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
+from minitori.lattices import enumerate_norm, shortest_vectors, spectrum
 from conftest import PENCIL_SETS, pencil_columns
 
 
@@ -251,6 +254,62 @@ def test_enumerate_malformed_flags_exit_64(argv, capsys):
     assert main(["enumerate"] + argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def _printed(*lines) -> str:
+    """What `print` writes for each tuple of arguments in `lines`."""
+    out = io.StringIO()
+    for args in lines:
+        print(*args, file=out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gram", "I6", "--target", "25"],
+    ["--gram", "diag:3/2,2,5/2,3,7/2", "--shortest"],
+    ["--gram", "I4", "--spectrum", "80"],
+    ["--gram", "fg.json", "--spectrum", "12"],
+    ["--gram", "fg.json", "--target", "3/2"],
+])
+def test_enumerate_writes_the_per_line_print_bytes(argv, tmp_path, monkeypatch, capsys):
+    # each list is one write; its bytes are those of one print per line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fg.json").write_text(
+        json.dumps({"rows": [[1.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 2.0]]}))
+    assert main(["enumerate"] + argv) == 0
+    gram = load_gram(argv[1])
+    if argv[2] == "--spectrum":
+        want = _printed(*((f"eigenvalue {line.eigenvalue:.12g}  multiplicity {line.multiplicity}"
+                           f"  (|xi|^2 = {line.norm})",) for line in spectrum(gram, int(argv[3]))))
+    elif argv[2] == "--shortest":
+        lam, classes = shortest_vectors(gram)
+        want = _printed((f"lambda_1 = {lam}",), *((" ", c) for c in classes))
+    else:
+        classes = enumerate_norm(gram, Fraction(argv[3]))
+        want = _printed((f"{len(classes)} classes of norm {classes.target}",),
+                        *((" ", c) for c in classes))
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [["--target", "25"], ["--spectrum", "5"]],
+                         ids=["long", "short"])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_exits_141_without_a_traceback(argv, unbuffered):
+    # the read end is closed before the command starts, so its first write
+    # fails; buffered, a short output fails only at the flush in main, and is
+    # still buffered when the interpreter exits
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "minitori.cli", "enumerate", "--gram", "I6",
+                               *argv], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [

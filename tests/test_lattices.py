@@ -1,17 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from minitori import lattices
 from minitori.lattices import (FOUR_PI_SQ, eigenfunction_index,
                                enumerate_norm, rational_points_on_ellipsoid,
                                shortest_vectors, spectrum)
 from minitori.symmetric import SymMatrix
 from conftest import (box_enumerate_norm, box_norm_counts, box_ranges, fraction_rational_points,
-                      random_rational_pd)
+                      random_rational_pd, reference_distinct_norms)
 
 SEEDS = st.integers(0, 2**32 - 1).map(random.Random)  # seeded data generators
 BOX_CAP = 4000  # most integer points the brute-force oracles may scan
@@ -217,6 +219,59 @@ class TestKernelProperties:
         for pos, line in enumerate(lines[1:], start=1):
             assert eigenfunction_index(q, line.norm) == pos
             assert eigenfunction_index(q, line.eigenvalue) == pos
+
+
+def _check_search_radii(q, k):
+    """`spectrum` against the doubling loop it replaced, and the radii it searched:
+    the first is max(min diagonal, count * g/den), which is at most
+    lambda_count, and the last is that start or below 2 lambda_count.
+    Returns the largest v^t M v of each round."""
+    count = k - 1
+    with mock.patch.object(lattices, "_fincke_pohst", wraps=lattices._fincke_pohst) as fp:
+        lines = spectrum(q, k)
+    uppers = [call.args[2] for call in fp.call_args_list]
+    want = reference_distinct_norms(q, count)
+    assert [(l.norm, l.multiplicity) for l in lines[1:]] == [(v, 2 * c) for v, c in want]
+    assert [l.eigenvalue for l in lines[1:]] == [FOUR_PI_SQ * float(v) for v, _ in want]
+    m, den = lattices._integer_gram(q)
+    g = math.gcd(*(m[i][j] * (1 if i == j else 2) for i in range(q.n) for j in range(i, q.n)))
+    lam = want[-1][0]
+    assert Fraction(count * g, den) <= lam  # the value-lattice bound is a lower bound
+
+    def upper(bound):  # the largest v^t M v a round with this radius enumerates
+        if q.regime == "float":
+            bound += Fraction(max(1, bound), lattices._CLUSTER)
+        return math.floor(bound * den)
+
+    start = max(Fraction(min(m[i][i] for i in range(q.n)), den), Fraction(count * g, den))
+    assert uppers[0] == upper(start) >= count * g
+    assert uppers == sorted(set(uppers))
+    assert uppers[-1] == upper(start) or uppers[-1] < upper(2 * lam)
+    return uppers
+
+
+class TestSearchRadius:
+    """`_distinct_norms` starts at the value-lattice bound; its lines are those
+    of the doubling search from the smallest diagonal entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 81), st.sampled_from([1, 2, 4, 7]), st.booleans(),
+           SEEDS)
+    def test_matches_the_doubling_search(self, n, k, den_max, as_float, rnd):
+        q = random_rational_pd(rnd, n, den_max=den_max, box_cap=30 if n <= 3 else 4)
+        _check_search_radii(_to_float(q) if as_float else q, k)
+
+    @pytest.mark.parametrize("rows, k, rounds", [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 80, 1),  # every integer
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 40, 1),  # A4, g = 2
+        ([[1.0, 0.25, 0.0], [0.25, 1.5, 0.125], [0.0, 0.125, 2.0]], 40, 2),
+        ([[Fraction(3, 2), 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, Fraction(5, 2), 0, 0],
+          [0, 0, 0, 3, 0], [0, 0, 0, 0, Fraction(7, 2)]], 61, 2),
+        ([[10, 9], [9, 10]], 2, 1),  # the start is the diagonal, above 2 lambda_1 = 4
+        ([[1.0, 0.0, 0.0], [0.0, 2 + 5e-10, 0.0], [0.0, 0.0, 2 + 2.2e-9]], 4, 3),
+    ])
+    def test_benchmark_and_edge_grams(self, rows, k, rounds):
+        assert len(_check_search_radii(SymMatrix(rows), k)) == rounds
 
 
 class TestRationalPoints:
