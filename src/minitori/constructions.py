@@ -10,10 +10,14 @@
   in S^7 degenerating to S^5 at the endpoints.
 * catalog: six exactly verified certificates (rational through quartic
   irrational), with the published numerical approximations kept as metadata.
+  An irrational entry is data, (Y, field, exact critical parameter): the
+  parametrization of the route that finds the critical point derives Q, and
+  exact hull membership the weights.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +28,8 @@ from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_d
 from .exactlp import feasible_point
 from .lattices import canonical_class, rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
-                       exact_hull_weights, pencil_maximize, rank4_lagrange)
-from .scalars import (AlgebraicField, AlgebraicScalar, Rat, integer_combinations,
-                      sqrt_field)
+                       exact_hull_weights, pencil_maximize, rank4_lagrange, rank4_point)
+from .scalars import AlgebraicField, AlgebraicScalar, Rat, integer_combinations
 from .symmetric import SymMatrix, inverse, is_positive_definite, rank, rank_one_rows, solve
 
 
@@ -175,12 +178,33 @@ def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
 
 
 def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
+    r, back = _rank4_chart(cols)
+    candidates = []
+    for point in rank4_lagrange(r).points:
+        qt = _chart_matrix(point)
+        if is_positive_definite(qt) is True:
+            candidates.append((qt, point[0]))
+    if not candidates:
+        raise InfeasibleRegion("no critical point of the rank-4 system is positive definite")
+    if len(candidates) > 1:
+        raise AssertionError("multiple PD critical points contradict strict concavity")
+    qt, a = candidates[0]
+    return _certificate(cols, _congruence(qt, back), a, "rank4")
+
+
+def _rank4_chart(cols: Columns) -> tuple[tuple[Fraction, Fraction, Fraction], list[list]]:
+    """The unit-diagonal chart of a rank-4 set: the normalized fourth vector r
+    that `rank4_lagrange` takes, and the rational matrix B that carries a
+    chart matrix Q~ back to Q = B^t Q~ B (`_congruence`).
+
+    rank{Y_j Y_j^t} = 4 > 3 = dim Sym_2 forces rank Y = 3, so an invertible
+    column triple P exists, and the fourth vector P r has two or three
+    nonzero coordinates r: a multiple of one Y_j would repeat Y_j Y_j^t up to
+    a factor.  With two, a permutation moves the zero coordinate to the
+    middle; B inverts P with its columns so permuted.
+    """
     if len(cols) != 4:
         raise ValueError("a rank-4 set supports exactly 4 classes")
-    # choose an invertible column triple and normalize the fourth vector.
-    # rank{Y_j Y_j^t} = 4 > 3 = dim Sym_2 forces rank Y = 3, so the triple
-    # exists, and the fourth vector has two or three nonzero coordinates on
-    # it: a multiple of one Y_j would repeat Y_j Y_j^t up to a factor
     picks = next(cand for cand in combinations(range(4), 3)
                  if rank([cols[j] for j in cand]) == 3)
     rest = next(j for j in range(4) if j not in picks)
@@ -191,20 +215,14 @@ def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
         perm = (nz[0], next(i for i in range(3) if r[i] == 0), nz[1])
     else:
         perm = (0, 1, 2)
-    crit = rank4_lagrange(tuple(r[i] for i in perm))
-    candidates = []
-    for a, b, c in crit.points:
-        qt = SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]])
-        if is_positive_definite(qt) is True:
-            candidates.append((qt, a))
-    if not candidates:
-        raise InfeasibleRegion("no critical point of the rank-4 system is positive definite")
-    if len(candidates) > 1:
-        raise AssertionError("multiple PD critical points contradict strict concavity")
-    qt, a = candidates[0]
-    # undo the coordinate permutation and the column-triple normalization
-    p_total = [[row[perm[j]] for j in range(3)] for row in p_mat]
-    return _certificate(cols, _congruence(qt, inverse(p_total)), a, "rank4")
+    back = inverse([[row[perm[j]] for j in range(3)] for row in p_mat])
+    return tuple(r[i] for i in perm), back
+
+
+def _chart_matrix(point) -> SymMatrix:
+    """The unit-diagonal matrix [[1, a, b], [a, 1, c], [b, c, 1]] of a chart point."""
+    a, b, c = point
+    return SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]])
 
 
 def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, AlgebraicScalar],
@@ -541,144 +559,96 @@ def bryant_2torus(params: Bryant2TorusParams) -> MatrixData:
 # ---------------------------------------------------------------------------
 # catalog
 
-def _catalog_clifford3() -> MatrixData:
-    third = Fraction(1, 3)
-    return MatrixData(q=SymMatrix.identity(3),
-                      y=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                      weights=(third, third, third),
-                      metadata={"id": "clifford-3", "degree": 1,
-                                "description": "Clifford 3-torus in S^5",
-                                "embedded": "embedded"})
+_STANDARD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-
-def _catalog_quadratic_s9() -> MatrixData:
-    f = sqrt_field(10801)
-    w = f.generator()
-    t0 = (Fraction(39337) - 137 * w) / 443880
-    q0 = SymMatrix([[1, Fraction(-343, 1233), Fraction(397, 1233)],
-                    [Fraction(-343, 1233), 1, Fraction(1048, 1233)],
-                    [Fraction(397, 1233), Fraction(1048, 1233), 1]])
-    q1 = SymMatrix([[0, 10, 6], [10, 0, 1], [6, 1, 0]])
-    q = SymMatrix([[f.from_rational(q0.entries[i][j]) + t0 * q1.entries[i][j]
-                    for j in range(3)] for i in range(3)])
-    weights = (
-        (Fraction(12773) - 107 * w) * Fraction(3, 48040),
-        (Fraction(1105) - 7 * w) * Fraction(27, 38432),
-        (541 * w - Fraction(52459)) * Fraction(3, 192160),
-        (Fraction(121721) + 481 * w) * Fraction(1, 576480),
-        (191 * w + Fraction(2791)) * Fraction(7, 576480),
-    )
-    return MatrixData(
-        q=q, y=((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 12, -15), (6, 9, -12)),
-        weights=weights,
-        metadata={"id": "quadratic-s9", "degree": 2, "minpoly": [-10801, 0, 1],
-                  "description": "quadratic irrational minimal flat 3-torus in S^9",
-                  "embedded": "embedded",
-                  "approx_weights": [0.10320893, 0.26521218, 0.05879432,
-                                     0.29785994, 0.27492463]})
-
-
-def _catalog_quadratic_s7() -> MatrixData:
-    f = sqrt_field(553)
-    w = f.generator()
-    q12 = (115 - w) / 144
-    q13 = (16 - w) / 54
-    one = f.from_rational(1)
-    q = SymMatrix([[one, q12, q13], [q12, one, q12], [q13, q12, one]])
-    base = 38 - w
-    weights = (base * Fraction(2, 99), base * (w - 13) / 1782,
-               base * Fraction(2, 99), base * (w + 17) / 1782)
-    return MatrixData(
-        q=q, y=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-3, 4, -3)),
-        weights=weights,
-        metadata={"id": "quadratic-s7", "degree": 2, "minpoly": [-553, 0, 1],
-                  "description": "quadratic irrational minimal flat 3-torus in S^7",
-                  "embedded": "embedded",
-                  "approx_weights": [0.29260703, 0.08547337, 0.29260703, 0.32931257]})
-
-
-def _catalog_cubic_s7_a() -> MatrixData:
-    f = AlgebraicField((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64)))
-    a = f.generator()
-    sixteenth = Fraction(1, 16)
-    g = (2 * a - 5) * (10 * a - 11) / ((20 * a - 29) * 3) * sixteenth
-    h = -(5 * a - 2) * (10 * a - 11) / ((20 * a - 29) * 3) * sixteenth
-    one16 = f.from_rational(sixteenth)
-    a16 = a * sixteenth
-    q = SymMatrix([[one16, a16, g], [a16, one16, h], [g, h, one16]])
-    weights = (
-        -(25 * a * a - 95 * a + 76) / ((a * a - 1) * (5 * a - 7) * (20 * a - 29) * 6),
-        -(430 * a * a - 1235 * a + 883) / ((a * a - 1) * (5 * a - 7) * (20 * a - 29) * 15),
-        (5 * a - 9) * 3 / ((a + 1) * (5 * a - 7) * 10),
-        (10 * a - 11) * 4 / ((a + 1) * (5 * a - 7) * 15),
-    )
-    return MatrixData(
-        q=q, y=((4, 0, 0), (0, 4, 0), (0, 0, 4), (-5, 2, -3)),
-        weights=weights,
-        metadata={"id": "cubic-s7-a", "degree": 3, "minpoly": [-33, 149, -160, 50],
-                  "description": "cubic irrational minimal flat 3-torus in S^7 (immersed, not embedded)",
-                  "embedded": "not_embedded", "root_approx": 0.321061,
-                  "approx_weights": [0.0733429, 0.323914, 0.31128, 0.291462]})
-
-
-def _catalog_cubic_s7_b() -> MatrixData:
-    f = AlgebraicField((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2)))
-    a = f.generator()
-    quarter = Fraction(1, 4)
-    g = -(3 * a + 5) * (15 * a + 23) / ((15 * a + 17) * 8) * quarter
-    h = -(5 * a + 3) * (15 * a + 23) / ((15 * a + 17) * 8) * quarter
-    one4 = f.from_rational(quarter)
-    a4 = a * quarter
-    q = SymMatrix([[one4, a4, g], [a4, one4, h], [g, h, one4]])
-    weights = (
-        -(225 * a * a + 420 * a + 139) * 8 / ((a * a - 1) * (15 * a - 1) * (15 * a + 17) * 27),
-        -(45 * a * a + 60 * a + 7) * 8 / ((a * a - 1) * (15 * a - 1) * (15 * a + 17) * 5),
-        -(15 * a + 11) * 16 / ((a + 1) * (15 * a - 1) * 45),
-        -(15 * a + 23) * 4 / ((a + 1) * (15 * a - 1) * 45),
-    )
-    return MatrixData(
-        q=q, y=((2, 0, 0), (0, 2, 0), (0, 0, 2), (5, 3, 4)),
-        weights=weights,
-        metadata={"id": "cubic-s7-b", "degree": 3, "minpoly": [-253, -291, 765, 675],
-                  "description": "cubic irrational minimal flat 3-torus in S^7",
-                  "embedded": "not_embedded", "root_approx": -0.501137,
-                  "approx_weights": [0.0733429, 0.31128, 0.291462, 0.323914]})
-
-
-def _catalog_quartic_s7() -> MatrixData:
-    data, report = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 8)))
-    meta = {"id": "quartic-s7", "degree": 4,
-            "minpoly": list(report.minpoly),
-            "description": "quartic irrational minimal flat 3-torus in S^7",
-            "embedded": "embedded", "root_approx": -0.149201,
-            "approx_weights": [0.30459, 0.26971, 0.0934204, 0.332279]}
-    return MatrixData(q=data.q, y=data.y, weights=data.weights, metadata=meta)
-
-
-_CATALOG_BUILDERS = {
-    "clifford-3": _catalog_clifford3,
-    "quadratic-s9": _catalog_quadratic_s9,
-    "quadratic-s7": _catalog_quadratic_s7,
-    "cubic-s7-a": _catalog_cubic_s7_a,
-    "cubic-s7-b": _catalog_cubic_s7_b,
-    "quartic-s7": _catalog_quartic_s7,
+# id -> (Y, the field of Q and the critical parameter, published metadata).
+# The field is a minimal polynomial (low -> high) and an isolating interval of
+# its generator w; the critical parameter is written in the power basis 1, w,
+# w^2, ...: t0 on the pencil of a rank-5 set, a = Q~_12 on the unit-diagonal
+# chart of a rank-4 set (`_worked_q`).  The Clifford torus is rational and
+# written out; quartic-s7 has no field here, because `construct_pencil_3torus`
+# solves for it, the catalog's end-to-end check of the rank-4 route.
+_CATALOG = {
+    "clifford-3": (_STANDARD, None, {
+        "description": "Clifford 3-torus in S^5", "embedded": "embedded"}),
+    "quadratic-s9": (
+        _STANDARD + ((6, 12, -15), (6, 9, -12)),
+        ((-10801, 0, 1), (103, 104), (Fraction(39337, 443880), Fraction(-137, 443880))), {
+            "description": "quadratic irrational minimal flat 3-torus in S^9",
+            "embedded": "embedded",
+            "approx_weights": [0.10320893, 0.26521218, 0.05879432, 0.29785994, 0.27492463]}),
+    "quadratic-s7": (
+        _STANDARD + ((-3, 4, -3),),
+        ((-553, 0, 1), (23, 24), (Fraction(115, 144), Fraction(-1, 144))), {
+            "description": "quadratic irrational minimal flat 3-torus in S^7",
+            "embedded": "embedded",
+            "approx_weights": [0.29260703, 0.08547337, 0.29260703, 0.32931257]}),
+    "cubic-s7-a": (
+        ((4, 0, 0), (0, 4, 0), (0, 0, 4), (-5, 2, -3)),
+        ((-33, 149, -160, 50), (Fraction(5, 16), Fraction(21, 64)), (0, 1)), {
+            "description": "cubic irrational minimal flat 3-torus in S^7 (immersed, not embedded)",
+            "embedded": "not_embedded", "root_approx": 0.321061,
+            "approx_weights": [0.0733429, 0.323914, 0.31128, 0.291462]}),
+    "cubic-s7-b": (
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2), (5, 3, 4)),
+        ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2)), (0, 1)), {
+            "description": "cubic irrational minimal flat 3-torus in S^7",
+            "embedded": "not_embedded", "root_approx": -0.501137,
+            "approx_weights": [0.0733429, 0.31128, 0.291462, 0.323914]}),
+    "quartic-s7": (_STANDARD + ((5, 7, 8),), None, {
+        "description": "quartic irrational minimal flat 3-torus in S^7",
+        "embedded": "embedded", "root_approx": -0.149201,
+        "approx_weights": [0.30459, 0.26971, 0.0934204, 0.332279]}),
 }
 
-CATALOG_IDS = tuple(_CATALOG_BUILDERS)
+CATALOG_IDS = tuple(_CATALOG)
 
 
 def catalog(cert_id: str) -> MatrixData:
-    """One of the six worked certificates, with exact field data."""
+    """One of the six worked certificates, with exact field data.
+
+    The route's own parametrization derives Q from the entry's critical
+    parameter (`_worked_q`), `exact_hull_weights` the weights (Q^{-1}/3 in
+    the hull), and the field the metadata's degree and minimal polynomial.
+    `io.emit` writes each field's isolating interval as it stands, so nothing
+    here asks a sign or an approximation beyond the signs `exact_hull_weights`
+    certifies.
+    """
     try:
-        builder = _CATALOG_BUILDERS[cert_id]
+        y, critical, published = _CATALOG[cert_id]
     except KeyError:
         raise KeyError(f"unknown catalog id {cert_id!r}; known: {', '.join(CATALOG_IDS)}") from None
-    return builder()
+    meta = {"id": cert_id, **copy.deepcopy(published)}  # the table's lists stay unshared
+    if cert_id == "clifford-3":
+        return MatrixData(q=SymMatrix.identity(3), y=y, weights=(Fraction(1, 3),) * 3,
+                          metadata={**meta, "degree": 1})
+    if critical is None:
+        data = construct_pencil_3torus(y)[0]
+        q, weights = data.q, data.weights
+    else:
+        q = _worked_q(y, *critical)
+        weights = tuple(exact_hull_weights(y, inverse(q).scale(Fraction(1, 3))))
+    field = q[0, 0].field
+    return MatrixData(q=q, y=y, weights=weights,
+                      metadata={**meta, "degree": field.degree, "minpoly": list(field.minpoly)})
+
+
+def _worked_q(y: Columns, minpoly: tuple[int, ...], interval: tuple[Rat, Rat],
+              parameter: tuple[Rat, ...]) -> SymMatrix:
+    """Q at the critical parameter x, an element of the field (minpoly,
+    interval), through the parametrization of the route that finds it: Q0 +
+    x Q1 on the pencil (`build_slice`), or the chart point (x, b(x), c(x))
+    (`rank4_point`) taken back by the congruence.  Four vectors span at most
+    four dimensions of Y_j Y_j^t, so a pencil set has at least five, and the
+    rank-4 chart takes exactly four."""
+    x = AlgebraicField(minpoly, interval).element(parameter)
+    if len(y) == 4:
+        r, back = _rank4_chart(y)
+        return _congruence(_chart_matrix(rank4_point(r, x)), back)
+    pencil = build_slice(y)
+    return pencil.q0 + pencil.basis[0].scale(x)
 
 
 def catalog_descriptions() -> list[tuple[str, str]]:
-    out = []
-    for cid in CATALOG_IDS:
-        data = catalog(cid)
-        out.append((cid, data.metadata.get("description", "")))
-    return out
+    """(id, description) of every entry, read from the table."""
+    return [(cid, published["description"]) for cid, (_, _, published) in _CATALOG.items()]

@@ -308,7 +308,7 @@ class Rank4Critical:
 
     The matrices are parameterized as [[1,a,b],[a,1,c],[b,c,1]]; eliminating
     the multiplier from the Lagrange system leaves a quartic in a together
-    with closed forms b(a), c(a) (`_rank4_point`).  `points` holds every real
+    with closed forms b(a), c(a) (`rank4_point`).  `points` holds every real
     critical point (a, b(a), c(a)) exactly, in increasing order of a: a is a
     Fraction, or the generator of the field of its minimal polynomial.  For
     r2 = 0 the system degenerates to the one block-diagonal rational point
@@ -320,7 +320,7 @@ class Rank4Critical:
     points: tuple[tuple, ...]
 
 
-def _rank4_point(r: tuple[Fraction, Fraction, Fraction], a) -> tuple:
+def rank4_point(r: tuple[Fraction, Fraction, Fraction], a) -> tuple:
     """(a, b(a), c(a)): b and c solve two of the three Lagrange equations and
     the slice constraint, as (a r2 + r1) and (a r1 + r2) times one factor."""
     r1, r2, r3 = r
@@ -375,7 +375,7 @@ def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
         raise ValueError("the normalization requires r1 and r3 nonzero")
     rr = (r1, r2, r3)
     if r2 == 0:
-        return Rank4Critical(r=rr, quartic=(), points=(_rank4_point(rr, Fraction(0)),))
+        return Rank4Critical(r=rr, quartic=(), points=(rank4_point(rr, Fraction(0)),))
     quartic = rank4_quartic(rr)
     if len(quartic) <= 1:
         raise ValueError("degenerate stationarity polynomial")
@@ -390,7 +390,7 @@ def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
             interval = refine_root(factor, lo, hi, Fraction(1, 10**6))
             roots.append(AlgebraicField(factor, interval).generator())
     return Rank4Critical(r=rr, quartic=quartic,
-                         points=tuple(_rank4_point(rr, a) for a in roots))
+                         points=tuple(rank4_point(rr, a) for a in roots))
 
 
 # ---------------------------------------------------------------------------

@@ -258,31 +258,34 @@ def trace_inner(s1: SymMatrix, s2: SymMatrix) -> Scalar:
 # ---------------------------------------------------------------------------
 # exact linear algebra over the kernel `scalars.eliminate`
 
-def _kernel_rows(rows) -> tuple[list[list], Optional[AlgebraicField], int]:
+def _kernel_rows(rows) -> tuple[list[list], Optional[AlgebraicField], int, bool]:
     """Fresh rows for `eliminate`: elements of the field of an algebraic entry,
     else each row times the lcm of its denominators (field None, and the
-    scale is the product of those lcms)."""
-    field = next((x.field for row in rows for x in row if isinstance(x, AlgebraicScalar)), None)
-    if field is not None:
-        return ([[x if isinstance(x, AlgebraicScalar) else field.from_rational(x) for x in row]
-                 for row in rows], field, 1)
-    out, scale = [], 1
+    scale is the product of those lcms); and whether every entry is an int.
+    One pass reads the entry types of each row."""
+    out, scale, ints = [], 1, True
     for row in rows:
-        if all(type(x) is int for x in row):
+        types = set(map(type, row))
+        if types <= {int}:
             out.append(list(row))
             continue
+        if AlgebraicScalar in types:
+            field = next(x.field for x in row if isinstance(x, AlgebraicScalar))
+            return ([[x if isinstance(x, AlgebraicScalar) else field.from_rational(x)
+                      for x in r] for r in rows], field, 1, False)
+        ints = False
         fr = [x if type(x) is Fraction else Fraction(x) for x in row]
         den = math.lcm(*(x.denominator for x in fr))
         out.append([x.numerator * (den // x.denominator) for x in fr])
         scale *= den
-    return out, None, scale
+    return out, None, scale, ints
 
 
 def _reduced(rows, ncols: int) -> tuple[list[list], list[int], Scalar, Callable]:
     """A Gauss-Jordan pass: the rows, their pivot columns, the zero, and the map
     from an entry of a pivot row to its value over the pivot (field pivots
     are 1; integer rows hold the last pivot t, and x stands for x / t)."""
-    a, field, _ = _kernel_rows(rows)
+    a, field, _, _ = _kernel_rows(rows)
     pivots, _ = eliminate(a, ncols)
     cols = [col for col, _ in pivots]
     if field is not None:
@@ -293,7 +296,7 @@ def _reduced(rows, ncols: int) -> tuple[list[list], list[int], Scalar, Callable]
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of an exact matrix given by its rows (float rows are lifted exactly)."""
-    a, _, _ = _kernel_rows(rows)
+    a = _kernel_rows(rows)[0]
     return len(eliminate(a, len(a[0]) if a else 0, jordan=False)[0])
 
 
@@ -361,7 +364,7 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
         if m.regime == "float":
             return _round(determinant(m.entries))
         m = m.entries
-    a, field, scale = _kernel_rows(m)
+    a, field, scale, ints = _kernel_rows(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
@@ -375,7 +378,7 @@ def determinant(m: Union[SymMatrix, Sequence[Sequence]]) -> Scalar:
         det = 0
     else:
         det = sign * pivots[-1][1] if n else 1
-    return det if all(type(x) is int for row in m for x in row) else Fraction(det, scale)
+    return det if ints else Fraction(det, scale)
 
 
 def _round(x: Fraction) -> float:
@@ -397,7 +400,7 @@ def is_positive_definite(s: SymMatrix):
     """
     if s.regime == "float":
         return _float_pd([list(row) for row in s.entries])
-    a, _, _ = _kernel_rows(s.entries)
+    a = _kernel_rows(s.entries)[0]
     return all(p > 0 for _, p in eliminate(a, s.n, jordan=False, exchange=False)[0])
 
 

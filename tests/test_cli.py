@@ -67,6 +67,11 @@ PINNED_SHA256 = {
     "rank4-deg4": "2de4154d0af42e3ae5fa9f5460fb899189aaef43dccc0b9a597152f0a6526e2c",
     "rank5-deg1": "69e275c3abdbc3aaab9ee5c6d36706dd5bc0b43de08b2f1679caa1132f568b0f",
     "rank5-deg2": "0424b48e4135db8c7fcc5460f43e24e0c8a6e814e980bc2b9cb0cc837aaa88b2",
+    "clifford-3": "f9b1c74a3af5b33347b2f90663f056f66588f32079833fb11ff282266a150c17",
+    "quadratic-s9": "abfb96839c2c0522b3635137bbd509aae31c5923da0b5b41e6c30195431483bb",
+    "quadratic-s7": "98a9d7524cf1f34f82c84a0cf617d823559444bcab8cc5d28132823f8c9a48f5",
+    "cubic-s7-a": "e4c71f95b981b39b552bdb335bf8c05f390054de1c5a9e362b2003c7e4f11e3d",
+    "cubic-s7-b": "99c47e105e05d613c32f2c5bfc21f567a37df4105747d20c71aa7264b235ad88",
     "quartic-s7": "1dc946c0c8044f7bed0467aebefe2cd69fd94778f0e6ae70b0379410437937df",
 }
 
@@ -462,3 +467,24 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["minitori", "catalog", "--list"])
     assert main() == 0
     assert "quartic-s7" in capsys.readouterr().out
+
+
+CATALOG_LIST = """\
+clifford-3     Clifford 3-torus in S^5
+quadratic-s9   quadratic irrational minimal flat 3-torus in S^9
+quadratic-s7   quadratic irrational minimal flat 3-torus in S^7
+cubic-s7-a     cubic irrational minimal flat 3-torus in S^7 (immersed, not embedded)
+cubic-s7-b     cubic irrational minimal flat 3-torus in S^7
+quartic-s7     quartic irrational minimal flat 3-torus in S^7
+"""
+
+
+def test_catalog_list_reads_the_table(monkeypatch, capsys):
+    import minitori.constructions as cons
+
+    def refuse(*args):
+        raise AssertionError("catalog --list built a certificate")
+    for name in ("construct_pencil_3torus", "exact_hull_weights", "build_slice"):
+        monkeypatch.setattr(cons, name, refuse)
+    assert main(["catalog", "--list"]) == 0
+    assert capsys.readouterr().out == CATALOG_LIST

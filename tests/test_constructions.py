@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minitori.constructions import (PythagoreanParams, _diagonal_constraints,
-                                    _maximal_minors, construct_pencil_3torus,
+                                    _maximal_minors, catalog, construct_pencil_3torus,
                                     feasible_diagonal_centroid, pythagorean_family)
 from conftest import centroid_by_subsystems, pythagorean_constraints_displayed
 
@@ -76,3 +76,32 @@ class TestRank4Route:
         assert {name: len(log) for name, log in calls.items()} == {
             "isolate_real_roots": 1, "irreducible_factors": 1}
         assert report.degree == degree
+
+
+class TestCatalog:
+    """The worked examples.  Each irrational entry is derived from its critical
+    parameter; the construction, which solves for that point, must land on the
+    same Q."""
+
+    @pytest.mark.parametrize("cid", ["quadratic-s9", "cubic-s7-a", "cubic-s7-b", "quartic-s7"])
+    def test_same_exact_certificate(self, cid):
+        data = catalog(cid)
+        built, report = construct_pencil_3torus(data.y)
+        assert built.q == data.q
+        assert built.weights == data.weights
+        assert report.degree == data.metadata["degree"]
+
+    def test_quadratic_s7_in_another_generator(self):
+        # the entry's field is generated by sqrt(553), the route's by the
+        # chart coordinate a = (115 - sqrt(553))/144 itself
+        data = catalog("quadratic-s7")
+        built, report = construct_pencil_3torus(data.y)
+        assert report.degree == data.q[0, 0].field.degree == 2
+        assert report.minpoly != data.q[0, 0].field.minpoly
+        for got, want in zip(built.q.upper() + list(built.weights),
+                             data.q.upper() + list(data.weights)):
+            assert abs(float(got) - float(want)) <= 1e-15
+
+    def test_metadata_is_not_shared_between_calls(self):
+        catalog("cubic-s7-a").metadata["approx_weights"].append(0.0)
+        assert len(catalog("cubic-s7-a").metadata["approx_weights"]) == 4
