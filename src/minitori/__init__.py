@@ -12,7 +12,8 @@ Sym_n has one coordinate map, the upper triangle (S_ik)_{i <= k} row by row
 (`SymMatrix.upper`, `SymMatrix.from_upper`, `rank_one_rows`), and all exact
 linear algebra one elimination kernel (`scalars.pivot`, `scalars.eliminate`),
 where exactness is argued once; the directions of an affine slice of the PD
-cone are a primitive integer kernel basis (`build_slice`).
+cone are a primitive integer kernel basis (`build_slice`), and hull
+membership over Q or Q(w) is one integer simplex (`exact_hull_weights`).
 
 The package is plain Python with no runtime dependency: float inverses and
 determinants are the exact ones rounded once, and the hull maximizer

@@ -151,12 +151,15 @@ def _summarize(data: MatrixData) -> None:
     degree = data.metadata.get("degree")
     if degree is not None:
         print(f"extension degree = {degree}")
-    emb = embeddedness(data.y, exhaustive=_exhaustive_is_cheap(data.y))
-    print(f"embeddedness: {emb.status}"
-          + (f" (witness {tuple(str(x) for x in emb.witness)})" if emb.witness else ""))
+    print(_embeddedness_line(embeddedness(data.y, exhaustive=_exhaustive_is_cheap(data.y))))
     k = _eigenfunction_index_if_cheap(data)
     if k is not None:
         print(f"eigenfunction index k = {k}")
+
+
+def _embeddedness_line(emb) -> str:
+    return (f"embeddedness: {emb.status}"
+            + (f" (witness {tuple(str(x) for x in emb.witness)})" if emb.witness else ""))
 
 
 def _exhaustive_is_cheap(y) -> bool:
@@ -178,19 +181,27 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_verify(args) -> int:
-    # NaN passes every tolerance comparison, and a negative tolerance fails them all
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol!r}")
+def _read_certificate(path: str):
+    """The certificate in the file `path`, or the exit code after saying on
+    stderr why the file could not be read (64) or parsed (65)."""
     try:
-        with open(args.path) as fh:
-            cert = cio.parse(fh.read())
+        with open(path) as fh:
+            return cio.parse(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except cio.CertificateFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+
+
+def cmd_verify(args) -> int:
+    # NaN passes every tolerance comparison, and a negative tolerance fails them all
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol!r}")
+    cert = _read_certificate(args.path)
+    if isinstance(cert, int):
+        return cert
     if isinstance(cert, MatrixData):
         report = verify_matrix_data(cert, tol=args.tol)
     else:
@@ -199,9 +210,7 @@ def cmd_verify(args) -> int:
     if args.exhaustive_embedding:
         yy = cert.y if isinstance(cert, MatrixData) else cert[2]
         try:
-            emb = embeddedness(yy, exhaustive=True)
-            print(f"embeddedness: {emb.status}"
-                  + (f" (witness {tuple(str(x) for x in emb.witness)})" if emb.witness else ""))
+            print(_embeddedness_line(embeddedness(yy, exhaustive=True)))
         except ValueError:  # rank(Y) < n: the columns of Y immerse no n-torus
             print("embeddedness: not applicable (rank(Y) < n)")
     _print_report(report, args.format)
@@ -289,15 +298,9 @@ def _write_classes(header: str, classes) -> None:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        with open(args.path) as fh:
-            cert = cio.parse(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except cio.CertificateFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    cert = _read_certificate(args.path)
+    if isinstance(cert, int):
+        return cert
     if not isinstance(cert, MatrixData):
         print("error: reduce expects a homogeneous certificate", file=sys.stderr)
         return EXIT_FALSIFIED

@@ -25,7 +25,6 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
-from .exactlp import feasible_point
 from .lattices import canonical_class, rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
                        exact_hull_weights, pencil_maximize, rank4_lagrange, rank4_point)
@@ -61,15 +60,14 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     Scales Q so e_1 lies on the hyper-ellipsoid, samples rational points on
     it by projection through e_1, clears denominators with a single integer
     mu (points pushing the running lcm past max_denominator are discarded),
-    and solves the exact rational LP
+    and decides the exact hull membership
 
         sum_j lambda_j R_j R_j^t = Q^{-1}/n,   lambda >= 0
 
-    on integers: its rows are the coordinates `rank_one_rows` of the integer
-    columns Y_j = mu R_j, which the span test (`rank`) and the LP share, and
-    its right-hand side is mu^2 Q^{-1}/n.  That is the rational system times
-    mu^2 on both sides, so Bland's rule makes the same pivots and lambda is
-    the same.
+    on integers, as `exact_hull_weights` of the integer columns Y_j = mu R_j
+    and the target mu^2 Q^{-1}/n; the span test is the `rank` of the same
+    `rank_one_rows`.  That is the rational system times mu^2 on both sides,
+    so Bland's rule makes the same pivots and lambda is the same.
 
     Zero-weight columns are dropped; the result is the verified matrix data
     {Q/mu^2, mu R} of the mu-scaled torus.  A quadric with too few sampled
@@ -110,15 +108,13 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
         kept.append(pt)
 
     cols = [tuple(x.numerator * (mu // x.denominator) for x in pt) for pt in kept]
-    rows = list(zip(*rank_one_rows(cols)))
-    span_rank = rank(rows)
+    span_rank = rank(rank_one_rows(cols))
     if span_rank < n * (n + 1) // 2:
         raise ConstructionError(
             f"sampled points span only {span_rank}/{n*(n+1)//2} of Sym_n; "
             "retry with more samples or a different seed")
 
-    target = inverse(qs).scale(Fraction(mu * mu, n))
-    lam = feasible_point(rows, target.upper())
+    lam = exact_hull_weights(cols, inverse(qs).scale(Fraction(mu * mu, n)))
     if lam is None:
         raise ConstructionError(
             "the convex-combination LP is infeasible for the sampled points; "

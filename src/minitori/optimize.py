@@ -13,7 +13,8 @@ Two feasible sets drive every construction in this package:
 * ``C_Y``: the convex hull of the rank-one matrices Y_j Y_j^t.  Maximized by
   Frank-Wolfe with away steps (the D-optimal-design structure) in plain
   Python floats, finished by one exact rational Newton step on the
-  identified support.
+  identified support.  Membership of an exact point is one integer LP
+  (`exact_hull_weights`), for a point over Q or over a field Q(w) alike.
 
 The pencil maximizer (a one-dimensional slice, n <= 5) and the rank-4
 Lagrange system (n = 3) find their critical points one way: the real roots
@@ -440,36 +441,17 @@ def caratheodory_reduce(point: HullPoint) -> HullPoint:
 
 
 # ---------------------------------------------------------------------------
-# exact hull membership (used by the pencil construction)
+# exact hull membership (the construction routes and the catalog)
 
 def exact_hull_weights(cols: Columns, p: SymMatrix):
     """Nonnegative weights with sum lambda_j Y_j Y_j^t = P, or None.
 
-    Rational P: decided by exact LP.  Algebraic P: decided by enumerating
-    linearly independent subsets (complete by Caratheodory for cones) and
-    solving in the field with certified positivity.
+    One exact LP over the coordinates of Sym_n: its rows are the transpose of
+    `rank_one_rows(cols)` and its right-hand side the coordinates of P, which
+    may lie in Q or in one field Q(w) (`exactlp.feasible_point`).  The
+    weights are Fractions, or elements of the field of P.  A float P raises
+    TypeError.
     """
-    vec_cols = rank_one_rows(cols)
-    target = p.upper()
-    if p.regime == "rational":
-        return feasible_point(list(zip(*vec_cols)), target)
-    if p.regime != "algebraic":
+    if not p.is_exact():
         raise TypeError("exact membership needs exact scalars")
-    field = p.entries[0][0].field
-    full = rank(vec_cols)
-    from itertools import combinations
-    # Caratheodory for cones: any conic representation is supported on some
-    # linearly independent subset, and every such subset extends to maximal rank
-    for subset in combinations(range(len(cols)), full):
-        sub = [vec_cols[j] for j in subset]
-        if rank(sub) != full:
-            continue
-        lam = solve(list(zip(*sub)), target)
-        if lam is None:
-            continue
-        if all(l.sign() >= 0 for l in lam):
-            out = [field.from_rational(0)] * len(cols)
-            for j, l in zip(subset, lam):
-                out[j] = l
-            return out
-    return None
+    return feasible_point(list(zip(*rank_one_rows(cols))), p.upper())

@@ -922,12 +922,13 @@ def exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, AlgebraicScalar))
 
 
-def _common_numerators(xs: Sequence[Scalar], field: Optional[AlgebraicField]
-                       ) -> tuple[list[list[int]], int]:
+def common_numerators(xs: Sequence[Scalar], field: Optional[AlgebraicField]
+                      ) -> tuple[list[list[int]], int]:
     """Integer numerator vectors of the exact x_j over one common denominator.
 
     The x_j are ints, Fractions or elements of `field` (None: all rational);
-    a rational one gets the numerator vector (p, 0, ..., 0).
+    a rational one gets the numerator vector (p, 0, ..., 0).  The integer form
+    of `integer_combinations`, `dot` and the exact LP's right-hand side.
     """
     deg = 1 if field is None else field.degree
     parts = []
@@ -955,7 +956,7 @@ def integer_combinations(xs: Sequence[Scalar], rows: Sequence[Sequence[int]]) ->
     rational, else an element of the field.
     """
     field = _field_of(xs)
-    scaled, den = _common_numerators(xs, field)
+    scaled, den = common_numerators(xs, field)
     out = []
     for row in rows:
         num = [0] * (1 if field is None else field.degree)
@@ -974,8 +975,8 @@ def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     summed before one reduction modulo the minimal polynomial.
     """
     field = _field_of(list(xs) + list(ys))
-    a, da = _common_numerators(xs, field)
-    b, db = _common_numerators(ys, field)
+    a, da = common_numerators(xs, field)
+    b, db = common_numerators(ys, field)
     c = [0] * (1 if field is None else 2 * field.degree - 1)
     for u, v in zip(a, b):
         for i, x in enumerate(u):

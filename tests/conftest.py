@@ -8,17 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import strategies as st
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
 from minitori.lattices import _CLUSTER, _fincke_pohst, _integer_gram, _lines
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns)
-from minitori.scalars import (_factorize, _homogeneous_value, exact_scalar,
-                              poly_content_primitive, pseudo_divmod, sqrt_field,
+from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
+                              exact_scalar, poly_content_primitive, pseudo_divmod, sqrt_field,
                               squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
-                                is_positive_definite, kernel, rank, solve, trace_inner)
+                                is_positive_definite, kernel, rank, rank_one_rows, solve,
+                                trace_inner)
 
 
 def box_enumerate_norm(q: SymMatrix, target: Fraction):
@@ -434,6 +436,21 @@ CATALOG_FIELDS = (
     ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
 )
 
+# Q(sqrt 2), Q(sqrt 5) and the cubic and quartic catalog fields, each built
+# afresh by its factory: sign queries narrow a field's interval in place
+TEST_FIELDS = ((lambda: sqrt_field(2)), (lambda: sqrt_field(5)),
+               *((lambda data=data: AlgebraicField(*data)) for data in CATALOG_FIELDS[2:]))
+
+
+def draw_field_element(draw, field, nonnegative=False):
+    """A hypothesis draw: an element of `field` with small rational
+    coordinates, zero one time in four; its absolute value if `nonnegative`."""
+    if draw(st.integers(0, 3)) == 0:
+        return field.from_rational(0)
+    x = field.element(draw(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                                    min_size=field.degree, max_size=field.degree)))
+    return abs(x) if nonnegative else x
+
 
 # ---------------------------------------------------------------------------
 # field arithmetic in Q(w) on Fraction coefficient lists (low -> high): an
@@ -619,13 +636,15 @@ def sympy_rank(rows) -> int:
 
 def fraction_feasible_point(a_rows, b):
     """Oracle for `exactlp.feasible_point`: the phase-1 simplex with Bland's
-    rule on a dense Fraction tableau, as it ran before the integer tableau."""
+    rule on a dense Fraction tableau, as it ran before the integer tableau.
+    A right-hand side in a field Q(w) runs through the same tableau in field
+    arithmetic, its comparisons taking certified signs."""
     m = len(a_rows)
     if m == 0:
         return []
     n = len(a_rows[0])
     A = [[Fraction(x) for x in row] for row in a_rows]
-    rhs = [Fraction(x) for x in b]
+    rhs = [x if isinstance(x, AlgebraicScalar) else Fraction(x) for x in b]
     for i in range(m):
         if rhs[i] < 0:
             A[i] = [-x for x in A[i]]
@@ -684,6 +703,29 @@ def fraction_feasible_point(a_rows, b):
     if any(v < 0 for v in x):
         return None
     return x
+
+
+def reference_exact_hull_weights(cols, p):
+    """Oracle for `optimize.exact_hull_weights`: the subset enumeration it
+    replaced.  By Caratheodory for cones any conic representation of P is
+    supported on a linearly independent subset of the Y_j Y_j^t, and every
+    such subset extends to one of maximal rank; each is solved exactly and
+    the first with every weight >= 0 (certified signs) is returned."""
+    vec_cols = rank_one_rows(cols)
+    target = p.upper()
+    zero = target[0] - target[0]
+    full = rank(vec_cols)
+    for subset in itertools.combinations(range(len(cols)), full):
+        sub = [vec_cols[j] for j in subset]
+        if rank(sub) != full:
+            continue
+        lam = solve(list(zip(*sub)), target)
+        if lam is not None and all(x >= 0 for x in lam):
+            out = [zero] * len(cols)
+            for j, x in zip(subset, lam):
+                out[j] = x
+            return out
+    return None
 
 
 # ---------------------------------------------------------------------------

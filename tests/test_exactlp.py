@@ -1,15 +1,17 @@
 """Direct tests of the exact phase-1 simplex `exactlp.feasible_point`: against
 scipy, against the dense Fraction tableau it replaced (kept in conftest as the
-oracle), and on the 21 x 126 system of the I6 shell at mu = 2."""
+oracle, which also runs a right-hand side in Q(w) in field arithmetic), and on
+the 21 x 126 system of the I6 shell at mu = 2."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_feasible_point
+from conftest import TEST_FIELDS, draw_field_element, fraction_feasible_point
 from minitori.exactlp import feasible_point
 from minitori.lattices import enumerate_norm
+from minitori.scalars import sqrt_field
 from minitori.symmetric import SymMatrix
 
 # mixed denominators, and zeros often enough for sparse rows
@@ -42,6 +44,21 @@ def linear_programs(draw):
     else:
         b = draw(st.lists(RHS, min_size=m, max_size=m))
     return a, b
+
+
+@st.composite
+def field_programs(draw):
+    """A x = b as in `linear_programs`, with b in a field Q(w): A x for a drawn
+    x >= 0 in the field, or drawn freely, or a rational b lifted into it."""
+    a, b = draw(linear_programs())
+    field = draw(st.sampled_from(TEST_FIELDS))()
+    kind = draw(st.sampled_from(["combination", "free", "lifted"]))
+    if kind == "lifted":
+        return a, [field.from_rational(v) for v in b]
+    if kind == "free":
+        return a, [draw_field_element(draw, field) for _ in a]
+    x = [draw_field_element(draw, field, nonnegative=True) for _ in a[0]]
+    return a, [sum((c * v for c, v in zip(row, x)), field.from_rational(0)) for row in a]
 
 
 def _assert_feasible(a, b, x):
@@ -107,6 +124,68 @@ class TestAgainstFractionTableau:
 
     def test_empty_system(self):
         assert feasible_point([], []) == []
+
+    def test_ratio_tie_goes_to_the_lowest_basic_index(self):
+        # x0 enters on row 2; then x1 ties rows 1 and 2 at ratio 2, and Bland's
+        # rule takes row 2, whose basic x0 has a lower index than row 1's
+        # artificial; taking the lower row ends at (0, 4/3, 1/3, 2/3, 0)
+        a = [[Fraction(x) for x in row] for row in ((0, 0, 2, 2, 1), (2, 2, 0, 2, 0),
+                                                     (2, 1, 2, 0, 0))]
+        b = [Fraction(2), Fraction(4), Fraction(2)]
+        assert feasible_point(a, b) == fraction_feasible_point(a, b) == [1, 0, 0, 1, 0]
+        # the same tie between elements of Q(sqrt 2): every ratio times 1 + sqrt 2
+        u = 1 + sqrt_field(2).generator()
+        assert feasible_point(a, [u * v for v in b]) == [u, 0, 0, u, 0]
+
+
+class TestFieldRightHandSide:
+    """b in Q(w): its coordinates are integer columns of the one tableau, and
+    only the row signs, the ratio tests and the phase-1 zero test read them
+    as one field element."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_programs())
+    def test_same_output_as_the_field_tableau(self, lp):
+        a, b = lp
+        x = feasible_point(a, b)
+        assert x == fraction_feasible_point(a, b)
+        if x is not None:
+            field = b[0].field
+            assert all(v.field == field for v in x)
+            _assert_feasible(a, b, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(linear_programs())
+    def test_rational_b_lifted_into_a_field(self, lp):
+        # the same pivots as the rational tableau, so the same solution
+        a, b = lp
+        field = sqrt_field(2)
+        x = feasible_point(a, [field.from_rational(v) for v in b])
+        want = feasible_point(a, b)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert [v.as_fraction() for v in x] == want
+
+    def test_rational_part_of_the_wrong_sign(self):
+        # the row sign is the sign of the element, not of its rational part
+        r2 = sqrt_field(2).generator()
+        assert feasible_point([[Fraction(1)]], [r2 - 1]) == [r2 - 1]
+        assert feasible_point([[Fraction(1)]], [1 - r2]) is None
+        assert feasible_point([[Fraction(1), Fraction(-1)]], [1 - r2]) == [0, r2 - 1]
+        assert feasible_point([[Fraction(-1)]], [1 - r2]) == [r2 - 1]
+
+    def test_ratio_test_reads_the_whole_element(self):
+        # x0 enters with ratios sqrt 2 (rational part 0) and 1: row 1 leaves
+        r2 = sqrt_field(2).generator()
+        a = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(1), Fraction(0), Fraction(1)]]
+        b = [r2, 1]
+        assert feasible_point(a, b) == fraction_feasible_point(a, b) == [1, r2 - 1, 0]
+
+    def test_phase_one_zero_test_reads_every_coordinate(self):
+        # x0 = 1 leaves the artificial sum sqrt 2, whose rational part is 0
+        r2 = sqrt_field(2).generator()
+        assert feasible_point([[Fraction(1)], [Fraction(1)]], [1, 1 + r2]) is None
+        assert feasible_point([[Fraction(1)], [Fraction(1)]], [1 + r2, 1 + r2]) == [1 + r2]
 
 
 def test_i6_shell_at_mu_2():

@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (PENCIL_SETS, as_array, closed_form_pencil,
-                      flattened_caratheodory_weights, gram_schmidt_slice, maximize_logdet_W,
-                      numpy_maximize_logdet_C, pencil_columns)
+from conftest import (PENCIL_SETS, TEST_FIELDS, as_array, closed_form_pencil,
+                      draw_field_element, flattened_caratheodory_weights,
+                      fraction_feasible_point, gram_schmidt_slice, maximize_logdet_W,
+                      numpy_maximize_logdet_C, pencil_columns, reference_exact_hull_weights)
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
-                               build_slice, caratheodory_reduce,
+                               build_slice, caratheodory_reduce, exact_hull_weights,
                                kkt_gap, maximize_logdet_C,
                                pencil_maximize, rank4_lagrange, rank4_quartic)
 from minitori.scalars import isolate_real_roots, sqrt_field
 from minitori.symmetric import (SymMatrix, determinant, inverse, is_positive_definite, rank,
-                                trace_inner)
+                                rank_one_rows, trace_inner)
 
 RANK5_Y = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 12, -15), (6, 9, -12))
 QUARTIC_Y = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 8))
@@ -476,6 +479,64 @@ class TestCaratheodory:
             red = caratheodory_reduce(hp)
             assert len(red.support) <= len(hp.support)
             assert _weighted_sum(red) == hp.p
+
+
+@st.composite
+def hull_problems(draw):
+    """Integer Y (n = 2, 3; N = n .. n(n+1)/2 + 3 nonzero vectors) and a
+    target P over a field Q(w): sum c_j Y_j Y_j^t with c_j >= 0 (some zero, so
+    P is often on a face of the cone); that sum with one coordinate shifted
+    by a field element (either verdict); or with P_11 set to a negative
+    element, outside the positive semidefinite cone and so infeasible."""
+    n = draw(st.integers(2, 3))
+    size = draw(st.integers(n, n * (n + 1) // 2 + 3))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    cols = tuple(tuple(v) for v in draw(st.lists(vector, min_size=size, max_size=size)))
+    field = draw(st.sampled_from(TEST_FIELDS))()
+    coeffs = [draw_field_element(draw, field, nonnegative=True) for _ in cols]
+    values = SymMatrix.rank_one_sum(cols, coeffs).upper()
+    kind = draw(st.sampled_from(["combination", "shifted", "negative"]))
+    if kind == "shifted":
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = values[i] + draw_field_element(draw, field)
+    elif kind == "negative":
+        values[0] = -abs(draw_field_element(draw, field)) - field.from_rational(Fraction(1, 7))
+    return cols, SymMatrix.from_upper(values), kind
+
+
+class TestExactHullWeights:
+    """One integer LP decides hull membership for a rational or an algebraic
+    P, against the subset enumeration it replaced (`conftest`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hull_problems())
+    def test_against_the_subset_enumeration(self, problem):
+        cols, p, kind = problem
+        lam = exact_hull_weights(cols, p)
+        ref = reference_exact_hull_weights(cols, p)
+        assert (lam is None) == (ref is None)
+        if kind == "combination":
+            assert lam is not None
+        if kind == "negative":
+            assert lam is None
+        if lam is None:
+            return
+        assert SymMatrix.rank_one_sum(cols, lam) == p
+        assert all(x.sign() >= 0 for x in lam)
+        if rank(rank_one_rows(cols)) == len(cols):
+            assert lam == ref  # independent rank-one rows: the weights are unique
+
+    @settings(max_examples=100, deadline=None)
+    @given(hull_problems(), st.integers(1, 6))
+    def test_rational_target_is_the_fraction_tableau(self, problem, den):
+        cols, p, _ = problem
+        q = SymMatrix.from_upper([Fraction(round(float(x) * den), den) for x in p.upper()])
+        want = fraction_feasible_point(list(zip(*rank_one_rows(cols))), q.upper())
+        assert exact_hull_weights(cols, q) == want
+
+    def test_float_target_raises(self):
+        with pytest.raises(TypeError):
+            exact_hull_weights(((1, 0), (0, 1)), SymMatrix([[0.5, 0.0], [0.0, 0.5]]))
 
 
 def _weighted_sum(point):
