@@ -4,9 +4,11 @@ The commands are one table, `COMMANDS`.  Each `main` call builds a fresh parser
 of the branch its argv names, or of the whole tree when argv names no command.
 
 Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
-infeasible/construction failure, 64 usage error, 65 malformed file, 141
-standard output closed early (128 + SIGPIPE; e.g. piped into `head`), with
-no traceback.
+infeasible/construction failure (also `enumerate --shortest` or `--spectrum`
+stopped by the coordinate box bound; `--target` reports an incomplete list
+in its header and exits 0), 64 usage error, 65 malformed file, 141 standard
+output closed early (128 + SIGPIPE; e.g. piped into `head`), with no
+traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .constructions import (Bryant2TorusParams, ConstructionError, PythagoreanPa
                             RationalPipelineConfig, catalog, catalog_descriptions,
                             bryant_2torus, construct_pencil_3torus, construct_rational,
                             pythagorean_family)
-from .lattices import eigenfunction_index, enumerate_norm, shortest_vectors, spectrum
+from .lattices import (EnumerationIncomplete, eigenfunction_index, enumerate_norm,
+                       shortest_vectors, spectrum)
 from .optimize import InfeasibleRegion, columns_from_matrix
 from .scalars import parse_rational
 from .symmetric import SymMatrix, determinant, is_positive_definite
@@ -274,15 +277,19 @@ def cmd_enumerate(args) -> int:
     if is_positive_definite(gram) is not True:
         print("error: gram matrix is not positive definite", file=sys.stderr)
         return EXIT_INDETERMINATE
-    if args.spectrum is not None:
-        sys.stdout.write("".join(f"eigenvalue {line.eigenvalue:.12g}  multiplicity "
-                                 f"{line.multiplicity}  (|xi|^2 = {line.norm})\n"
-                                 for line in spectrum(gram, args.spectrum)))
-        return EXIT_VERIFIED
-    if args.shortest:
-        lam, classes = shortest_vectors(gram)
-        _write_classes(f"lambda_1 = {lam}", classes)
-        return EXIT_VERIFIED
+    try:
+        if args.spectrum is not None:
+            sys.stdout.write("".join(f"eigenvalue {line.eigenvalue:.12g}  multiplicity "
+                                     f"{line.multiplicity}  (|xi|^2 = {line.norm})\n"
+                                     for line in spectrum(gram, args.spectrum)))
+            return EXIT_VERIFIED
+        if args.shortest:
+            lam, classes = shortest_vectors(gram)
+            _write_classes(f"lambda_1 = {lam}", classes)
+            return EXIT_VERIFIED
+    except EnumerationIncomplete as exc:  # the coordinate box bound stopped the search
+        print(f"error: enumeration incomplete: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
     if target is None:
         print("error: one of --target, --shortest, --spectrum is required", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,14 @@ certified for every rational or float Gram.  A lower bound on v^t M v cuts
 the innermost level down to at most two short intervals (one more isqrt),
 so a shell lower <= v^t Q v <= upper costs no more than its outer levels.
 
+The innermost level is no recursive call: its parent runs it inside its own
+loop (as Schnorr-Euchner, Math. Prog. 1994, close the last level in its
+parent).  With v_0..v_{n-3} fixed, the innermost shift S_{n-1} = base +
+b_{n-1,n-2} v_{n-2} is linear in the parent's coordinate, so each parent
+value costs a few integer operations and emits its innermost spans whole.
+Counts of values (the spectrum and `eigenfunction_index`) are collected per
+span and tallied once, at the end of the enumeration.
+
 A spectrum needs the first `count` distinct values, so it searches a
 growing radius.  Every value of v^t M v is a multiple of the content
 g = gcd(m_ii, 2 m_ij) of M, so the count-th distinct value lambda_count of
@@ -38,6 +46,7 @@ and every level runs upwards, so no class is visited twice.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -128,13 +137,61 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
     A list `out` receives the canonical vectors in lexicographic order; a dict
     `out` receives, per value v^t M v, the number of classes attaining it.
     Results found before EnumerationIncomplete is raised stay in `out`.
+
+    Levels 0..last-2 recurse, one call per node.  Level last-1 runs the
+    innermost level inside its own loop: with v_0..v_{last-2} fixed, the
+    innermost shift S_last = base + b_{last,last-1} x is linear in that
+    level's coordinate x, so each x costs two isqrt and a few floor
+    divisions, and the innermost coordinate's spans are emitted whole.  A
+    dict `out` gets its counts in bulk: the spans' values are collected in
+    visiting order and counted once, when the enumeration ends or raises.
     """
     levels = _levels(m)
     last = len(m) - 1
-    vec = [0] * len(m)
+    vec = [0] * last
     as_vectors = isinstance(out, list)
     lower = max(lower, 1)
     widest = 2 * box_bound + 1
+    _, hi_in, row_in = levels[last]  # the innermost level has lo = D_0 = 1
+    hi_upper, hi_lower = hi_in * upper, hi_in * lower
+    step = row_in[last - 1] if last else 0  # the innermost shift's slope in x
+    values: list[int] = []  # dict mode: v^t M v of every class found, in visiting order
+
+    def innermost(lo: int, hi: int, xlo: int, xhi: int, shift: int, done: int, base: int,
+                  head: tuple, free: bool) -> None:
+        # the loop of level last-1 over xlo..xhi (minors lo, hi, shift
+        # S_{last-1}, done and free of its node, head = v_0..v_{last-2}) with
+        # the innermost level inline: its shift S_last = base + step x
+        t = hi * xlo + shift
+        inner = base + step * xlo
+        lo_done = lo * done
+        for x in range(xlo, xhi + 1):
+            done_x = (lo_done + t * t) // hi
+            t += hi
+            s = math.isqrt(hi_upper - done_x)  # |hi_in y + inner| <= s
+            ylo, yhi = -((s + inner) // hi_in), (s - inner) // hi_in
+            if yhi - ylo > widest:
+                raise EnumerationIncomplete(
+                    f"coordinate range at level {last} exceeds the box bound {box_bound}")
+            if not (free or x):  # all earlier coordinates are 0: keep y positive
+                ylo = max(ylo, 1)
+            # v^t M v = (done_x + u^2) / hi_in >= lower needs |u| >= tmin, u = hi_in y + inner
+            need = hi_lower - done_x
+            if need > 0:
+                tmin = math.isqrt(need - 1) + 1
+                spans = ((ylo, (-tmin - inner) // hi_in),
+                         (max(ylo, -((inner - tmin) // hi_in)), yhi))
+            else:
+                spans = ((ylo, yhi),)
+            for a, b in spans:
+                if a <= b:
+                    if as_vectors:
+                        prefix = head + (x,) if last else head  # n = 1 has no coordinate last-1
+                        out.extend([prefix + (y,) for y in range(a, b + 1)])
+                    else:
+                        values.extend([(done_x + u * u) // hi_in for u in
+                                       range(hi_in * a + inner, hi_in * b + inner + 1, hi_in)])
+            inner += step
 
     def level(k: int, done: int, free: bool) -> None:
         # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
@@ -148,34 +205,28 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             raise EnumerationIncomplete(
                 f"coordinate range at level {k} exceeds the box bound {box_bound}")
         if not free:  # all earlier coordinates are 0: keep the first nonzero one positive
-            xlo = max(xlo, 0 if k < last else 1)
-        if k < last:
-            for x in range(xlo, xhi + 1):
-                vec[k] = x
-                t = hi * x + shift
-                level(k + 1, (lo * done + t * t) // hi, free or x != 0)
-            vec[k] = 0
+            xlo = max(xlo, 0)
+        if k == last - 1:
+            base = 0
+            for j in range(k):
+                base += row_in[j] * vec[j]
+            innermost(lo, hi, xlo, xhi, shift, done, base, tuple(vec[:k]), free)
             return
-        # innermost level (lo = 1): v^t M v = (done + t^2) / hi >= lower needs |t| >= tmin
-        spans = ((xlo, xhi),)
-        need = hi * lower - done
-        if need > 0:
-            tmin = math.isqrt(need - 1) + 1
-            spans = ((xlo, (-tmin - shift) // hi), (max(xlo, -((shift - tmin) // hi)), xhi))
-        if as_vectors:
-            prefix = tuple(vec[:last])
-            for a, b in spans:
-                out.extend([prefix + (x,) for x in range(a, b + 1)])
-        else:
-            for a, b in spans:
-                t = hi * a + shift
-                for _ in range(a, b + 1):
-                    val = (done + t * t) // hi
-                    out[val] = out.get(val, 0) + 1
-                    t += hi
+        for x in range(xlo, xhi + 1):
+            vec[k] = x
+            t = hi * x + shift
+            level(k + 1, (lo * done + t * t) // hi, free or x != 0)
+        vec[k] = 0
 
-    if upper >= lower:
-        level(0, 0, False)
+    try:
+        if upper >= lower:
+            if last:
+                level(0, 0, False)
+            else:  # n = 1: a virtual coordinate last-1 with the one value 0
+                innermost(1, 1, 0, 0, 0, 0, 0, (), False)
+    finally:
+        for val, c in Counter(values).items():
+            out[val] = out.get(val, 0) + c
     return out
 
 

@@ -680,9 +680,12 @@ class AlgebraicScalar:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: AlgebraicField, coeffs: Sequence[Rat]):
-        c = [Fraction(x) for x in coeffs]
-        den = math.lcm(*(x.denominator for x in c))
-        num = [x.numerator * (den // x.denominator) for x in c]
+        if all(type(x) is int for x in coeffs):  # already numerators over den = 1
+            num, den = list(coeffs), 1
+        else:
+            c = [Fraction(x) for x in coeffs]
+            den = math.lcm(*(x.denominator for x in c))
+            num = [x.numerator * (den // x.denominator) for x in c]
         deg = field.degree
         if len(num) > deg:
             den *= _reduce_mod(field.minpoly, num)

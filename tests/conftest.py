@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
-from minitori.lattices import _CLUSTER, _fincke_pohst, _integer_gram, _lines
+from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _integer_gram,
+                               _levels, _lines)
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
@@ -75,6 +77,67 @@ def box_norm_counts(q: SymMatrix, bound: Fraction) -> dict:
             if val <= bound:
                 counts[val] = counts.get(val, 0) + 1
     return {val: c // 2 for val, c in counts.items()}
+
+
+# The Fincke-Pohst kernel as it was before its innermost level ran inside
+# its parent's loop: one recursive call per node at every level, one count
+# per class in dict mode.  The oracle of the kernel's visiting order.
+def reference_fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
+                            out: Union[list, dict]) -> Union[list, dict]:
+    """One vector per +/- class with lower <= v^t M v <= upper, M integral PD.
+
+    A list `out` receives the canonical vectors in lexicographic order; a dict
+    `out` receives, per value v^t M v, the number of classes attaining it.
+    Results found before EnumerationIncomplete is raised stay in `out`.
+    """
+    levels = _levels(m)
+    last = len(m) - 1
+    vec = [0] * len(m)
+    as_vectors = isinstance(out, list)
+    lower = max(lower, 1)
+    widest = 2 * box_bound + 1
+
+    def level(k: int, done: int, free: bool) -> None:
+        # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
+        lo, hi, row = levels[k]
+        shift = 0
+        for j in range(k):
+            shift += row[j] * vec[j]
+        s = math.isqrt(lo * (hi * upper - done))  # |hi x + shift| <= s
+        xlo, xhi = -((s + shift) // hi), (s - shift) // hi
+        if xhi - xlo > widest:
+            raise EnumerationIncomplete(
+                f"coordinate range at level {k} exceeds the box bound {box_bound}")
+        if not free:  # all earlier coordinates are 0: keep the first nonzero one positive
+            xlo = max(xlo, 0 if k < last else 1)
+        if k < last:
+            for x in range(xlo, xhi + 1):
+                vec[k] = x
+                t = hi * x + shift
+                level(k + 1, (lo * done + t * t) // hi, free or x != 0)
+            vec[k] = 0
+            return
+        # innermost level (lo = 1): v^t M v = (done + t^2) / hi >= lower needs |t| >= tmin
+        spans = ((xlo, xhi),)
+        need = hi * lower - done
+        if need > 0:
+            tmin = math.isqrt(need - 1) + 1
+            spans = ((xlo, (-tmin - shift) // hi), (max(xlo, -((shift - tmin) // hi)), xhi))
+        if as_vectors:
+            prefix = tuple(vec[:last])
+            for a, b in spans:
+                out.extend([prefix + (x,) for x in range(a, b + 1)])
+        else:
+            for a, b in spans:
+                t = hi * a + shift
+                for _ in range(a, b + 1):
+                    val = (done + t * t) // hi
+                    out[val] = out.get(val, 0) + 1
+                    t += hi
+
+    if upper >= lower:
+        level(0, 0, False)
+    return out
 
 
 def reference_distinct_norms(q: SymMatrix, count: int,

@@ -87,6 +87,38 @@ def test_certificate_bytes_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[name]
 
 
+# sha256 of the stdout of the six `enumerate` commands of the `spectrum`
+# benchmark workload (the random Gram and target are those of seed 0); they
+# pin every class list and spectrum line of the Fincke-Pohst kernel
+SPECTRUM_GRAMS = {
+    "a4.json": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "float.json": [[1.0, 0.25, 0.0], [0.25, 1.5, 0.125], [0.0, 0.125, 2.0]],
+    "random.json": [["7/2", "-1/3", "1/2", "-1/3"], ["-1/3", "4", "1/2", "-1/6"],
+                    ["1/2", "1/2", "2", "-1/2"], ["-1/3", "-1/6", "-1/2", "2"]],
+}
+PINNED_ENUMERATE_SHA256 = {
+    "I4 --spectrum 80": "aa79ab838d6a782879bafbb9ad26780d4b5175f44a4600828b42a849eb8b0a8c",
+    "I6 --target 25": "928efefcd7988e5cb6b82f62f361e94d90b3f8492bf29bd8459949befd0a55fc",
+    "a4.json --spectrum 40": "d4979911b6b5c71830d9ef75fc456e373e3a490412fb1923fadc51172acb27d2",
+    "float.json --spectrum 40":
+        "e1c19aba08f8839f65df71602d24d4d6aa20b7a9babcbf5e6c8517fcfd0a5412",
+    "diag:3/2,2,5/2,3,7/2 --shortest":
+        "12bbfce63c1337318013e8623fc28488be877e33238d65ec7448afe38c586047",
+    "random.json --target 7/2": "28b42796e5a7fddb00ade4626f23c45e32441517a5c2c73f3ee24de645db366e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ENUMERATE_SHA256))
+def test_enumerate_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
+    for name, rows in SPECTRUM_GRAMS.items():
+        (tmp_path / name).write_text(json.dumps({"rows": rows}))
+    monkeypatch.chdir(tmp_path)
+    gram, *flags = command.split()
+    assert main(["enumerate", "--gram", gram, *flags]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_ENUMERATE_SHA256[command]
+
+
 def _document(cert_id):
     return json.loads(emit(catalog(cert_id)))
 
@@ -315,6 +347,23 @@ def test_a_closed_pipe_exits_141_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("flags", [["--shortest"], ["--spectrum", "3"]])
+def test_an_incomplete_enumeration_exits_2_without_a_traceback(flags, tmp_path):
+    # a Gram this close to singular needs coordinates beyond the box bound
+    gram = tmp_path / "thin.json"
+    near = "99999999999999/100000000000000"
+    gram.write_text(json.dumps({"rows": [["1", near], [near, "1"]]}))
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "minitori.cli", "enumerate", "--gram", str(gram),
+                           *flags], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: enumeration incomplete: ")
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

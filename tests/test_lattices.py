@@ -1,5 +1,6 @@
 import math
 import random
+from copy import copy
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from minitori.lattices import (FOUR_PI_SQ, eigenfunction_index,
                                shortest_vectors, spectrum)
 from minitori.symmetric import SymMatrix
 from conftest import (box_enumerate_norm, box_norm_counts, box_ranges, fraction_rational_points,
-                      random_rational_pd, reference_distinct_norms)
+                      random_rational_pd, reference_distinct_norms, reference_fincke_pohst)
 
 SEEDS = st.integers(0, 2**32 - 1).map(random.Random)  # seeded data generators
 BOX_CAP = 4000  # most integer points the brute-force oracles may scan
@@ -79,6 +80,61 @@ class TestEnumerate:
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError):
             enumerate_norm(SymMatrix.diag([1, -1]), 1)
+
+
+def _contents(out):
+    """The classes of a list `out`; the (value, count) pairs of a dict, in order."""
+    return list(out) if isinstance(out, list) else list(out.items())
+
+
+def _run_kernel(kernel, m, lower, upper, box_bound, out):
+    """(message of EnumerationIncomplete or None, `_contents` of `out` afterwards)."""
+    try:
+        kernel(m, lower, upper, box_bound, out)
+    except lattices.EnumerationIncomplete as exc:
+        return str(exc), _contents(out)
+    return None, _contents(out)
+
+
+class TestKernelAgainstReference:
+    """`_fincke_pohst`, its innermost level run inside its parent's loop,
+    against the recursive kernel with one call per node it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 4, 7]),
+           st.sampled_from(["list", "dict", "dict with counts"]),
+           st.sampled_from([0, 1, 2, 3, 5, 10**6]), SEEDS)
+    def test_matches_the_recursive_kernel(self, n, den_max, mode, box_bound, rnd):
+        q = random_rational_pd(rnd, n, num_max=5 if n <= 3 else 2, den_max=den_max,
+                               box_cap=30 if n <= 3 else 1)
+        m, _ = lattices._integer_gram(q)
+        d = min(m[i][i] for i in range(n))
+        upper = rnd.randint(0, 3 * d)
+        lower = rnd.randint(-d, upper + d)  # at most 0, inside the shell, or above upper
+        # list mode: every class, in lexicographic order; dict mode: every count,
+        # added to those already there, keys in the order of first appearance.
+        # A box bound that cuts the search: the same message and partial `out`
+        out = {"list": [], "dict": {}, "dict with counts": {upper + 1: 5, 1: 1}}[mode]
+        want = _run_kernel(reference_fincke_pohst, m, lower, upper, box_bound, copy(out))
+        assert _run_kernel(lattices._fincke_pohst, m, lower, upper, box_bound, copy(out)) == want
+        if want[0] is not None:
+            # the raise comes before the first class: a level's range is widest,
+            # up to one, at its all-zero prefix, which is visited first, and that
+            # range is even, so it passes the odd bound 2 box_bound + 1 only if
+            # every other range of the level does
+            assert want[1] == _contents(out)
+
+    @pytest.mark.parametrize("m, lower, upper, count", [
+        ([[1]], 4, 4, 1),  # n = 1: one node of the innermost loop
+        ([[1]], -2, 100, 10),
+        ([[3]], 13, 26, 0),
+        ([[int(i == j) for j in range(6)] for i in range(6)], 25, 25, 3906),
+    ])
+    def test_edge_shapes(self, m, lower, upper, count):
+        for out in ([], {}):
+            got = lattices._fincke_pohst(m, lower, upper, 10**6, out)
+            assert got == reference_fincke_pohst(m, lower, upper, 10**6, type(out)())
+            assert (len(got) if isinstance(got, list) else sum(got.values())) == count
 
 
 class TestShortest:

@@ -504,6 +504,18 @@ class TestAlgebraicScalarOracle:
             assert field.interval == (oracle.lo, oracle.hi)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ORACLE_FIELDS),
+           st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=9))
+    def test_integer_coefficients_skip_the_fraction_lift(self, spec, ints):
+        # int lists (the exact LP's certified signs) are numerators over den = 1
+        minpoly, interval = spec
+        x = AlgebraicField(minpoly, interval).element(ints)
+        y = AlgebraicField(minpoly, interval).element([Fraction(c) for c in ints])
+        assert (x.num, x.den) == (y.num, y.den)
+        assert x.coeffs == field_reduce(minpoly, [Fraction(c) for c in ints])
+        assert all(type(c) is int for c in x.num) and type(x.den) is int
+
+    @settings(max_examples=100, deadline=None)
     @given(field_elements(1), RATIONAL_OPERANDS)
     def test_equal_elements_hash_alike(self, case, r):
         field, (ca,) = case
