@@ -128,9 +128,8 @@ class TestKernelAgainstReference:
         ([[1]], 4, 4, 1),  # n = 1: one node of the innermost loop
         ([[1]], -2, 100, 10),
         ([[3]], 13, 26, 0),
-        ([[int(i == j) for j in range(6)] for i in range(6)], 25, 25, 3906),
     ])
-    def test_edge_shapes(self, m, lower, upper, count):
+    def test_one_dimension(self, m, lower, upper, count):
         for out in ([], {}):
             got = lattices._fincke_pohst(m, lower, upper, 10**6, out)
             assert got == reference_fincke_pohst(m, lower, upper, 10**6, type(out)())
