@@ -29,27 +29,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .scalars import AlgebraicScalar, Scalar, common_numerators, pivot
+from .scalars import AlgebraicScalar, Scalar, _element, common_numerators, pivot
 
 
-def feasible_point(a_rows: Sequence[Sequence[Fraction]],
+def feasible_point(a_rows: Sequence[Sequence[Union[int, Fraction]]],
                    b: Sequence[Scalar]) -> Optional[list]:
     """A nonnegative basic solution of A x = b, or None if infeasible: Fractions,
-    or elements of b's field, whose interval the certified signs may narrow."""
+    or elements of b's field, whose interval the certified signs may narrow.
+    The entries of A are ints or Fractions."""
     m = len(a_rows)
     if m == 0:
         return []
     n = len(a_rows[0])
     field = next((x.field for x in b if isinstance(x, AlgebraicScalar)), None)
     rhs, den = common_numerators(b, field)
-    A = [[Fraction(x) for x in row] for row in a_rows]
-    D = math.lcm(den, *(x.denominator for row in A for x in row))
+    D = math.lcm(den, *(x.denominator for row in a_rows for x in row))
 
     def sign(v: Sequence[int]) -> int:
         """The certified sign of the element with coordinates v."""
-        return (v[0] > 0) - (v[0] < 0) if field is None else field.element(v).sign()
+        return (v[0] > 0) - (v[0] < 0) if field is None else _element(field, v, 1).sign()
 
     # tableau [D A | D I | D b] with artificial variables n..n+m-1, each row
     # signed so that its right-hand side is nonnegative; objective: minimize
@@ -58,7 +58,7 @@ def feasible_point(a_rows: Sequence[Sequence[Fraction]],
     T = []
     for i in range(m):
         s = D if sign(rhs[i]) >= 0 else -D
-        T.append([x.numerator * (s // x.denominator) for x in A[i]]
+        T.append([x.numerator * (s // x.denominator) for x in a_rows[i]]
                  + [D if j == i else 0 for j in range(m)]
                  + [c * (s // den) for c in rhs[i]])
     basis = [n + i for i in range(m)]
@@ -116,8 +116,7 @@ def feasible_point(a_rows: Sequence[Sequence[Fraction]],
     for r in range(m):
         if basis[r] < n:
             v = T[r][ncols:]
-            x[basis[r]] = (Fraction(v[0], d) if field is None
-                           else field.element([Fraction(c, d) for c in v]))
+            x[basis[r]] = Fraction(v[0], d) if field is None else _element(field, v, d)
     # a field value's sign would be one more query that may narrow the interval
     assert field is not None or all(v >= 0 for v in x), \
         "phase 1 kept every right-hand side nonnegative"

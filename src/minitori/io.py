@@ -79,6 +79,16 @@ def _float(obj) -> float:
     return x
 
 
+def _list(obj, length: int | None = None) -> list:
+    """A JSON list, of `length` entries when given, or a format error: a
+    string would be read character by character."""
+    if not isinstance(obj, list):
+        raise CertificateFormatError(f"expected a list, not {obj!r}")
+    if length is not None and len(obj) != length:
+        raise CertificateFormatError(f"expected {length} entries, not {len(obj)}")
+    return obj
+
+
 def _decode_scalar(obj, field_cache: dict):
     if isinstance(obj, str):
         return _rational(obj)
@@ -86,11 +96,10 @@ def _decode_scalar(obj, field_cache: dict):
         return _float(obj)
     if isinstance(obj, dict):
         try:
-            minpoly = tuple(_integer(c) for c in obj["minpoly"])
-            lo = _rational(obj["interval"][0])
-            hi = _rational(obj["interval"][1])
-            coeffs = [_rational(c) for c in obj["coeffs"]]
-        except (KeyError, IndexError, ValueError) as exc:
+            minpoly = tuple(_integer(c) for c in _list(obj["minpoly"]))
+            lo, hi = (_rational(x) for x in _list(obj["interval"], 2))
+            coeffs = [_rational(c) for c in _list(obj["coeffs"])]
+        except (KeyError, ValueError) as exc:
             raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
         key = (minpoly, lo, hi)
         if key not in field_cache:

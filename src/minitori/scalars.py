@@ -35,18 +35,30 @@ isolating interval at most 1/L wide, and a quartic without one splits into
 quadratics exactly when its resolvent cubic has an integer root.  No
 divisors are enumerated.
 
+`sturm_sequence`, `isolate_real_roots` and `irreducible_factors` are pure
+functions of a polynomial's coefficient values, so they answer from one
+bounded memo keyed by the coefficient tuple (`_memoized`): a field built
+again from a minimal polynomial already seen proves its irreducibility and
+counts its roots by lookups.  The memo is safe to share because its answers
+are immutable tuples of ints and Fractions, and it never holds a field: a
+field's isolating interval is mutable state that `io.emit` writes.
+
 Sign determination for algebraic scalars is certified: the value is evaluated
 by interval Horner over the generator's isolating interval, which is bisected
-until the sign is unambiguous.  The evaluation runs in integers over the
-common denominator of the interval; every integer interval is the rational
-one times a positive integer, so each decision, and so the narrowing, is
-that of exact rational interval arithmetic.  A nonzero element of the field
-cannot vanish at the generator (the minimal polynomial is irreducible), so
-the loop terminates.
+until the sign is unambiguous.  The field holds that interval as integer
+numerators a < b over one denominator d; a halving evaluates the minimal
+polynomial once at (a + b) / 2d and doubles the other endpoint and d, and
+the evaluation runs in integers over d.  Every integer interval is the
+rational one times a positive integer, so each decision, and so the
+narrowing, is that of exact rational interval arithmetic, and `interval`
+reports the same reduced Fractions.  A nonzero element of the field cannot
+vanish at the generator (the minimal polynomial is irreducible), so the loop
+terminates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -152,9 +164,33 @@ def poly_gcd(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the polynomial memo
+
+@functools.lru_cache(maxsize=256)
+def _polynomial_memo(kernel, p: tuple):
+    return kernel(p)
+
+
+def _memoized(kernel):
+    """`kernel`, a pure function of a polynomial's coefficient values whose
+    result is immutable, through the one bounded memo `_polynomial_memo`.
+
+    The key is tuple(p), so a list, a tuple or Fractions of equal values hit
+    the same entry, and the cached value is returned itself.  The memo holds
+    polynomial data only (ints, Fractions, tuples), never a field, whose
+    interval is mutable.
+    """
+    @functools.wraps(kernel)
+    def memoized(p):
+        return _polynomial_memo(kernel, tuple(p))
+    return memoized
+
+
+# ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation, in integers
 
-def sturm_sequence(p: Sequence[Rat]) -> list[tuple[int, ...]]:
+@_memoized
+def sturm_sequence(p: Sequence[Rat]) -> tuple[tuple[int, ...], ...]:
     """The Sturm sequence p, p', -rem(p, p'), ... of a rational polynomial, as
     primitive integer polynomials.
 
@@ -166,13 +202,13 @@ def sturm_sequence(p: Sequence[Rat]) -> list[tuple[int, ...]]:
     """
     p = _positive_primitive(p)
     if not p:
-        return []
+        return ()
     seq = [p]
     deriv = [i * c for i, c in enumerate(p)][1:]
     while deriv:
         seq.append(_positive_primitive(deriv))
         deriv = [-c for c in pseudo_divmod(seq[-2], seq[-1])[1]]
-    return seq
+    return tuple(seq)
 
 
 def _sign_variations(seq, num: int, den: int) -> int:
@@ -193,7 +229,7 @@ def count_real_roots(p, lo: Rat, hi: Rat) -> int:
             - _sign_variations(seq, hi.numerator, hi.denominator))
 
 
-def _squarefree_sturm(p) -> list[tuple[int, ...]]:
+def _squarefree_sturm(p) -> tuple[tuple[int, ...], ...]:
     """The Sturm sequence of p / gcd(p, p'), the squarefree part of p, whose
     first term is that part as a primitive integer polynomial."""
     seq = sturm_sequence(p)
@@ -203,7 +239,8 @@ def _squarefree_sturm(p) -> list[tuple[int, ...]]:
     return seq
 
 
-def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
+@_memoized
+def isolate_real_roots(p) -> tuple[tuple[Fraction, Fraction], ...]:
     """Disjoint open intervals, each containing exactly one real root of p.
 
     Intervals are returned in increasing order and have endpoints that are
@@ -216,7 +253,7 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     """
     seq = _squarefree_sturm(p)
     if len(seq) < 2:
-        return []
+        return ()
     p = seq[0]
     lead = abs(p[-1])
     bound = Fraction(lead + max(abs(c) for c in p[:-1]), lead)
@@ -240,7 +277,7 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
         split(mid, b, den, vm, count - (va - vm))
 
     split(-b0, b0, den0, v0, v0 - _sign_variations(seq, b0, den0))
-    return out
+    return tuple(out)
 
 
 def refine_root(p, lo: Rat, hi: Rat, width: Rat) -> tuple[Fraction, Fraction]:
@@ -438,7 +475,8 @@ def _quadratic_pair(p: tuple[int, ...]):
     return None
 
 
-def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
+@_memoized
+def irreducible_factors(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The irreducible factors over Q of an integer polynomial of degree 1 to 4.
 
     Factors are primitive integer polynomials with positive leading
@@ -460,7 +498,7 @@ def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
     roots = rational_roots(prim)
     if not roots:
         split = _quadratic_pair(prim) if deg == 4 else None
-        return list(split) if split else [prim]
+        return split or (prim,)
     factors: list[tuple[int, ...]] = []
     work = prim
     for r in roots:
@@ -473,7 +511,7 @@ def irreducible_factors(p: Sequence[int]) -> list[tuple[int, ...]]:
             _, work = poly_content_primitive(q)
     if len(work) > 1:
         factors.append(work)
-    return factors
+    return tuple(factors)
 
 
 def irreducible_degree_le4(p: Sequence[int]) -> bool:
@@ -509,7 +547,11 @@ class AlgebraicField:
     The generator is pinned by an isolating interval (lo, hi) containing
     exactly one real root of the minimal polynomial.  The interval only ever
     shrinks (bisection keeping the sign change), so the designated root never
-    changes; narrowing is an internal cache shared by all elements.
+    changes; narrowing is an internal cache shared by all elements.  It is
+    stored as integer numerators a < b over one denominator d > 0: a halving
+    evaluates the minimal polynomial once, by homogeneous Horner, at
+    (a + b) / 2d and doubles the other endpoint and d, so every decision is
+    the rational one and `interval` gives the same reduced Fractions.
 
     The interval is part of the certificate file format (`io.emit` writes it
     as it stands), so it reflects the field's refinement history: every sign
@@ -517,7 +559,7 @@ class AlgebraicField:
     adding such a query before emission can change the emitted bytes.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_flo_sign")
+    __slots__ = ("minpoly", "_a", "_b", "_d", "_lo_positive")
 
     def __init__(self, minpoly: Sequence[int], interval: tuple[Rat, Rat]):
         content, prim = poly_content_primitive(minpoly)
@@ -531,15 +573,17 @@ class AlgebraicField:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if not lo < hi:
             raise ValueError("empty isolating interval")
-        flo = _homogeneous_value(prim, lo.numerator, lo.denominator)
-        fhi = _homogeneous_value(prim, hi.numerator, hi.denominator)
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        flo = _homogeneous_value(prim, a, d)
+        fhi = _homogeneous_value(prim, b, d)
         if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
             raise ValueError("interval endpoints must bracket a sign change")
         if count_real_roots(prim, lo, hi) != 1:
             raise ValueError("interval must isolate exactly one root")
         self.minpoly = prim
-        self._lo, self._hi = lo, hi
-        self._flo_sign = 1 if flo > 0 else -1
+        self._a, self._b, self._d = a, b, d
+        self._lo_positive = flo > 0
 
     @property
     def degree(self) -> int:
@@ -547,23 +591,25 @@ class AlgebraicField:
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        return Fraction(self._a, self._d), Fraction(self._b, self._d)
 
     def refine(self) -> None:
         """Halve the isolating interval, preserving the sign change.
 
-        The sign of the minpoly at the midpoint num/den is that of
-        den^d minpoly(num/den), an integer.
+        The midpoint is (a + b) / 2d; the sign of the minpoly there is that of
+        (2d)^deg minpoly((a + b) / 2d), an integer.
         """
-        mid = (self._lo + self._hi) / 2
-        fm = _homogeneous_value(self.minpoly, mid.numerator, mid.denominator)
+        a, b = self._a, self._b
+        mid = a + b
+        fm = _homogeneous_value(self.minpoly, mid, 2 * self._d)
         if fm == 0:
             # cannot happen for an irreducible minpoly of degree >= 2
             raise ArithmeticError("rational root of an irreducible polynomial")
-        if (1 if fm > 0 else -1) == self._flo_sign:
-            self._lo = mid
+        if (fm > 0) == self._lo_positive:
+            self._a, self._b = mid, 2 * b
         else:
-            self._hi = mid
+            self._a, self._b = 2 * a, mid
+        self._d *= 2
 
     def generator(self) -> "AlgebraicScalar":
         return _element(self, [0, 1] + [0] * (self.degree - 2), 1)
@@ -581,7 +627,8 @@ class AlgebraicField:
                 and self._overlaps(other))
 
     def _overlaps(self, other: "AlgebraicField") -> bool:
-        return self._lo < other._hi and other._lo < self._hi
+        d, e = self._d, other._d
+        return self._a * e < other._b * d and other._a * d < self._b * e
 
     def __hash__(self):
         return hash(self.minpoly)
@@ -838,10 +885,8 @@ class AlgebraicScalar:
     def _interval_value(self) -> tuple[int, int, int]:
         """(vlo, vhi, s): the value's Horner interval over the isolating
         interval is [vlo/s, vhi/s], with s > 0."""
-        lo, hi = self.field.interval
-        dd = math.lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (dd // lo.denominator)
-        b = hi.numerator * (dd // hi.denominator)
+        field = self.field
+        a, b, dd = field._a, field._b, field._d
         vlo = vhi = self.num[-1]
         pw = 1
         for n in self.num[-2::-1]:

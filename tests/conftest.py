@@ -18,8 +18,8 @@ from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
-                              exact_scalar, poly_content_primitive, pseudo_divmod, sqrt_field,
-                              squarefree_part)
+                              _polynomial_memo, exact_scalar, poly_content_primitive,
+                              pseudo_divmod, sqrt_field, squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
                                 is_positive_definite, kernel, rank, rank_one_rows, solve,
                                 trace_inner)
@@ -1217,3 +1217,11 @@ def pencil_columns(name) -> list:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(autouse=True)
+def cold_polynomial_memo():
+    """Each test starts with the polynomial memo of `scalars` empty, as a CLI
+    process does, so no test depends on what an earlier test computed (a test
+    that blocks a kernel would otherwise pass on a cached answer)."""
+    _polynomial_memo.cache_clear()

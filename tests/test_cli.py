@@ -119,6 +119,35 @@ def test_enumerate_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_ENUMERATE_SHA256[command]
 
 
+def test_certify_commands_repeat_byte_for_byte_in_one_process(tmp_path, monkeypatch, capsys):
+    # the catalog, verify and reduce commands of every catalog id, twice in
+    # one interpreter: the second round answers its Sturm sequences, root
+    # isolations and factorings from the polynomial memo the first filled,
+    # and every field is built afresh, so stdout, exit codes and files repeat
+    from minitori.constructions import CATALOG_IDS
+
+    rounds = []
+    for name in ("first", "second"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        results = []
+        for cid in CATALOG_IDS:
+            f, r = f"{cid}.json", f"{cid}.reduced.json"
+            for argv in (["catalog", cid, "-o", f], ["verify", f],
+                         ["verify", "--format", "json", "--exhaustive-embedding", f],
+                         ["reduce", f, "-o", r], ["verify", r]):
+                code = main(argv)
+                results.append((argv, code, capsys.readouterr().out))
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        rounds.append((results, files))
+    (first, first_files), (second, second_files) = rounds
+    assert len(first) == 30 and all(code == 0 for _, code, _ in first)
+    assert len(first_files) == 12
+    assert second == first
+    assert second_files == first_files
+
+
 def _document(cert_id):
     return json.loads(emit(catalog(cert_id)))
 
@@ -157,6 +186,15 @@ def _malformed(name):
         elif name == "block-string-and-boolean":  # float() read these, and it verified
             x = str(doc["blocks"][0]["block"][0][0])
             doc["blocks"][0]["block"] = [[x, False], [False, x]]
+        return json.dumps(doc)
+    if name == "interval-extra-endpoint":
+        # every isolating interval of quadratic-s9 with a third entry "7",
+        # which the parser used to ignore
+        doc = _document("quadratic-s9")
+        scalars = doc["weights"] + [x for row in doc["Q"]["rows"] for x in row]
+        for x in scalars:
+            if isinstance(x, dict):
+                x["interval"].append("7")
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
                                                "mixed-regimes", "interval-numbers",
@@ -204,7 +242,7 @@ MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-li
              "block-index-boolean", "block-string-and-boolean", "y-float", "y-boolean", "y-string", "n-float",
              "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes",
              "weight-zero-denominator", "weight-boolean", "interval-numbers", "coeffs-numbers",
-             "minpoly-not-integers")
+             "minpoly-not-integers", "interval-extra-endpoint")
 
 
 @pytest.mark.parametrize("name", MALFORMED)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG_FIELDS
 from minitori.certificates import MatrixData, reduce_target_dimension
 from minitori.constructions import CATALOG_IDS, catalog
-from minitori.io import emit, parse
+from minitori.io import CertificateFormatError, emit, parse
 from minitori.scalars import AlgebraicField
 from minitori.symmetric import SymMatrix
 
@@ -65,3 +65,36 @@ def test_algebraic_scalars_round_trip(weights):
     assert back.weights == data.weights
     assert back.weights[0].field.interval == (lo, hi)
     assert emit(back) == text
+
+
+def _one_class(weight) -> str:
+    """A homogeneous certificate with one class, n = N = 1, Q = [1] and the
+    given JSON weight (parse checks the format only, not the equations)."""
+    return json.dumps({"format_version": 1, "kind": "homogeneous", "n": 1, "N": 1,
+                       "Q": {"regime": "rational", "rows": [["1"]]}, "Y": [[1]],
+                       "weights": [weight], "metadata": {}})
+
+
+SQRT2 = {"minpoly": [-2, 0, 1], "interval": ["1", "2"], "coeffs": ["0", "1"]}
+
+
+def test_an_algebraic_scalar_parses_from_lists():
+    (w,) = parse(_one_class(SQRT2)).weights
+    assert w.field.minpoly == (-2, 0, 1) and w.field.interval == (1, 2)
+    assert w * w == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"interval": "12"},             # read as ["1", "2"], and the weight was sqrt 2
+    {"coeffs": "01"},               # read as ["0", "1"]
+    {"minpoly": "1"},
+    {"interval": ["1", "2", "7"]},  # the third endpoint was ignored
+    {"interval": ["1"]},
+    {"interval": []},
+    {"interval": {"1": "2"}},
+    {"coeffs": {"0": "1"}},
+    {"minpoly": None},
+])
+def test_algebraic_scalar_fields_must_be_lists(change):
+    with pytest.raises(CertificateFormatError):
+        parse(_one_class({**SQRT2, **change}))

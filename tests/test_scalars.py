@@ -153,7 +153,7 @@ class TestRootKernelsAgainstFractionOracle:
     @given(rational_polys)
     def test_isolate_real_roots(self, p):
         assert 1 <= len(p) - 1 <= 6
-        assert isolate_real_roots(p) == fraction_isolate_real_roots(p)
+        assert isolate_real_roots(p) == tuple(fraction_isolate_real_roots(p))
 
     @settings(max_examples=100, deadline=None)
     @given(rational_polys, st.integers(-40, 40), st.integers(0, 40), st.integers(1, 8))
@@ -174,10 +174,10 @@ class TestRootKernelsAgainstFractionOracle:
         # x (x - 1): the first midpoint 0 of the Cauchy interval (-2, 2) is a
         # root and moves to -1; x (x + 1): it moves twice, to -1, then -3/2
         p = _poly_from_roots([Fraction(0), Fraction(1)], 1)
-        assert isolate_real_roots(p) == [(-1, Fraction(1, 2)), (Fraction(1, 2), 2)]
+        assert isolate_real_roots(p) == ((-1, Fraction(1, 2)), (Fraction(1, 2), 2))
         p = _poly_from_roots([Fraction(0), Fraction(-1)], 1)
-        assert isolate_real_roots(p) == [(Fraction(-3, 2), Fraction(-5, 8)),
-                                         (Fraction(-5, 8), Fraction(1, 4))]
+        assert isolate_real_roots(p) == ((Fraction(-3, 2), Fraction(-5, 8)),
+                                         (Fraction(-5, 8), Fraction(1, 4)))
 
     def test_refine_stops_on_a_midpoint_root(self):
         p = [Fraction(-1, 4), 0, 1]  # roots +-1/2
@@ -356,7 +356,7 @@ class TestIntegerRootKernels:
         got, want = irreducible_factors(coeffs), reference_irreducible_factors(coeffs)
         assert sorted(got) == sorted(want)
         if len(got) != 2 or len(got[0]) != 3:  # only a quadratic pair is listed sorted
-            assert got == want
+            assert got == tuple(want)
         prim = tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
         if len(prim) == 5 and not rational_roots(prim):
             prim = tuple(c // math.gcd(*prim) for c in prim)
@@ -403,7 +403,7 @@ class TestIntegerRootKernels:
 
     def test_quartic_split_into_quadratics(self):
         # (2x^2 + 3x + 5)(3x^2 - x + 7): no rational root
-        assert irreducible_factors([35, 16, 26, 7, 6]) == [(5, 3, 2), (7, -1, 3)]
+        assert irreducible_factors([35, 16, 26, 7, 6]) == ((5, 3, 2), (7, -1, 3))
 
     def test_quartic_split_no_factoring(self, monkeypatch):
         def no_factoring(n):
@@ -412,9 +412,9 @@ class TestIntegerRootKernels:
         monkeypatch.setattr(scalars, "_factorize", no_factoring)
         # (2x^2 + 3x + 5)^2, x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1), and
         # (x - 2)^2 (3x + 1)^2 with a double rational root each
-        assert irreducible_factors([25, 30, 29, 12, 4]) == [(5, 3, 2), (5, 3, 2)]
-        assert irreducible_factors([1, 0, 1, 0, 1]) == [(1, -1, 1), (1, 1, 1)]
-        assert irreducible_factors([4, 20, 13, -30, 9]) == [(1, 3), (1, 3), (-2, 1), (-2, 1)]
+        assert irreducible_factors([25, 30, 29, 12, 4]) == ((5, 3, 2), (5, 3, 2))
+        assert irreducible_factors([1, 0, 1, 0, 1]) == ((1, -1, 1), (1, 1, 1))
+        assert irreducible_factors([4, 20, 13, -30, 9]) == ((1, 3), (1, 3), (-2, 1), (-2, 1))
 
     @settings(max_examples=100, deadline=None)
     @given(int_polys(max_deg=6), int_polys(max_deg=3))
@@ -559,3 +559,167 @@ class TestAlgebraicScalarOracle:
         x = sqrt_field(2).from_rational(Fraction(1, 2))
         assert x == Fraction(1, 2)
         assert len({x, Fraction(1, 2)}) == 1
+
+
+# isolating intervals of every real root of the oracle fields' minimal
+# polynomials, root by root; most endpoints are not dyadic, so the field's
+# integer endpoints start over denominators such as 3, 5, 7 or 63
+ROOT_INTERVALS = {
+    (-2, 0, 1): (((1, 2), (Fraction(4, 3), Fraction(3, 2))),
+                 ((Fraction(-3, 2), Fraction(-4, 3)), (Fraction(-10, 7), Fraction(-7, 5)))),
+    (-10801, 0, 1): (((103, 104), (Fraction(311, 3), 104)),
+                     ((-104, Fraction(-311, 3)),)),
+    (-553, 0, 1): (((23, 24), (Fraction(47, 2), Fraction(71, 3))),),
+    (-33, 149, -160, 50): (((Fraction(5, 16), Fraction(21, 64)), (Fraction(1, 5), Fraction(1, 3))),
+                           ((Fraction(13, 10), Fraction(4, 3)),),
+                           ((Fraction(3, 2), Fraction(5, 3)),)),
+    (-253, -291, 765, 675): (((Fraction(-33, 64), Fraction(-1, 2)), (Fraction(-3, 5), Fraction(-1, 3))),
+                             ((Fraction(3, 5), Fraction(2, 3)),)),
+    (-1507, -10730, -1079, 23240, 14700): (
+        ((Fraction(-5, 32), Fraction(-9, 64)), (Fraction(-1, 5), Fraction(-1, 7))),
+        ((Fraction(3, 5), Fraction(5, 7)),),
+        ((Fraction(-9, 10), Fraction(-8, 9)),)),
+}
+
+
+@st.composite
+def root_intervals(draw):
+    """(minpoly, root index, interval) from ROOT_INTERVALS."""
+    minpoly = draw(st.sampled_from(sorted(ROOT_INTERVALS)))
+    root = draw(st.integers(0, len(ROOT_INTERVALS[minpoly]) - 1))
+    return minpoly, root, draw(st.sampled_from(ROOT_INTERVALS[minpoly][root]))
+
+
+class TestIntegerEndpoints:
+    """The field's isolating interval held as integers a, b over one d against
+    the Fraction interval oracle (conftest)."""
+
+    def test_every_interval_isolates_its_root(self):
+        for minpoly, roots in ROOT_INTERVALS.items():
+            for i, intervals in enumerate(roots):
+                for lo, hi in intervals:
+                    assert fraction_count_real_roots(minpoly, lo, hi) == 1
+                    # disjoint from every interval of another root
+                    assert all(hi <= olo or ohi <= lo for j, others in enumerate(roots)
+                               if j != i for olo, ohi in others)
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_intervals(), st.lists(st.one_of(
+        st.just(("refine",)),
+        st.tuples(st.just("sign"), st.lists(SMALL_RATIONALS, min_size=4, max_size=4)),
+        st.tuples(st.just("approx"), st.lists(SMALL_RATIONALS, min_size=4, max_size=4),
+                  st.sampled_from([Fraction(1, 10**17), Fraction(1, 1000), Fraction(3, 7)]))),
+        max_size=12))
+    def test_refine_sign_and_approx_match_the_oracle(self, spec, ops):
+        minpoly, _, interval = spec
+        field = AlgebraicField(minpoly, interval)
+        oracle = IntervalOracle(minpoly, interval)
+        assert field.interval == (oracle.lo, oracle.hi)
+        deg = len(minpoly) - 1
+        for op in ops:
+            if op[0] == "refine":
+                field.refine()
+                oracle.refine()
+            else:
+                coeffs = op[1][:deg]
+                x, want = field.element(coeffs), field_reduce(minpoly, coeffs)
+                if op[0] == "sign":
+                    assert x.sign() == oracle.sign(want)
+                else:
+                    assert x.approx(op[2]) == oracle.approx(want, op[2])
+            assert field.interval == (oracle.lo, oracle.hi)
+            assert all(type(e) is Fraction for e in field.interval)
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_intervals(), root_intervals(), st.integers(0, 12), st.integers(0, 12))
+    def test_fields_are_equal_when_their_intervals_overlap(self, one, other, k1, k2):
+        minpoly, root, interval = one
+        other_minpoly, other_root, other_interval = other
+        if other_minpoly != minpoly:  # the same polynomial, any of its roots
+            other_root, other_interval = 0, ROOT_INTERVALS[minpoly][0][-1]
+        f, g = AlgebraicField(minpoly, interval), AlgebraicField(minpoly, other_interval)
+        for _ in range(k1):
+            f.refine()
+        for _ in range(k2):
+            g.refine()
+        (lo, hi), (glo, ghi) = f.interval, g.interval
+        assert (f == g) == (g == f) == (lo < ghi and glo < hi) == (root == other_root)
+        if f == g:
+            assert hash(f) == hash(g)
+            assert (f.generator() - g.generator()).is_zero()
+        assert f != AlgebraicField((-3, 0, 1), (1, 2))
+
+
+class TestPolynomialMemo:
+    """`sturm_sequence`, `isolate_real_roots` and `irreducible_factors` answer
+    from one memo keyed by the coefficient values: the oracles' answers on the
+    first and on every repeated call."""
+
+    @staticmethod
+    def _check(p, first=None):
+        seq, roots = sturm_sequence(p), isolate_real_roots(p)
+        want = fraction_sturm_sequence(p)
+        assert len(seq) == len(want)
+        for g, w in zip(seq, want):
+            ratio = Fraction(g[-1]) / w[-1]
+            assert ratio > 0 and list(g) == [ratio * c for c in w]
+        assert roots == tuple(fraction_isolate_real_roots(p))
+        if first is not None:
+            assert (seq, roots) == first
+        return seq, roots
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polys)
+    def test_repeated_calls_match_the_oracles(self, p):
+        scalars._polynomial_memo.cache_clear()
+        first = self._check(p)
+        self._check(p, first)
+        self._check(tuple(p), first)
+
+    @settings(max_examples=100, deadline=None)
+    @given(factoring_cases())
+    def test_equal_values_as_list_tuple_or_fractions(self, coeffs):
+        scalars._polynomial_memo.cache_clear()
+        want = reference_irreducible_factors(coeffs)
+        first = None
+        for p in (list(coeffs), tuple(coeffs), [Fraction(c) for c in coeffs],
+                  tuple(Fraction(2 * c, 2) for c in coeffs), list(coeffs)):
+            got = irreducible_factors(p)
+            assert sorted(got) == sorted(want)
+            assert all(type(c) is int for f in got for c in f)
+            first = self._check(p, first)
+        assert scalars._polynomial_memo.cache_info().hits > 0
+
+    def test_returned_values_cannot_change_the_next_result(self):
+        p = [-4, 0, 0, 0, 1]  # (x^2 - 2)(x^2 + 2)
+        seq, roots, factors = sturm_sequence(p), isolate_real_roots(p), irreducible_factors(p)
+        for value in (seq, roots, factors):
+            assert type(value) is tuple and all(type(x) is tuple for x in value)
+            with pytest.raises(TypeError):
+                value[0] = value[-1]
+            with pytest.raises(TypeError):
+                value[0][0] = 0
+        for value in (seq, roots, factors):
+            copy = list(value)
+            copy.reverse()
+            copy.append(None)
+        self._check(p)
+        assert irreducible_factors(p) == ((-2, 0, 1), (2, 0, 1))
+        assert scalars._polynomial_memo.cache_info().hits >= 3
+
+    def test_a_second_field_reuses_the_proof(self, monkeypatch):
+        minpoly, interval = CATALOG_FIELDS[4]
+        first = AlgebraicField(minpoly, interval)
+        first.refine()
+
+        def recomputed(*args):
+            raise AssertionError("the memo should have answered")
+
+        # the factoring and the Sturm sequence are not recomputed
+        monkeypatch.setattr(scalars, "rational_roots", recomputed)
+        monkeypatch.setattr(scalars, "pseudo_divmod", recomputed)
+        second = AlgebraicField(minpoly, interval)
+        assert second.interval == tuple(Fraction(x) for x in interval) != first.interval
+        assert second == first
+        with pytest.raises(ValueError):  # a memo hit still refuses a bad interval
+            AlgebraicField(minpoly, (Fraction(-1, 5), Fraction(1)))
