@@ -2,9 +2,10 @@
 
 Certificates are matrix data {Q, Y, weights} (homogeneous) or coefficient
 operators A A^t over a geometry (Q, Y) (general); this package constructs
-them (rational sampling + exact LP, the exact critical point of det on a
-one-parameter pencil (n <= 5) or on the rank-4 slice (n = 3), the
-Pythagorean and 2-torus families), verifies the full
+them (rational sampling + exact LP; from an integer vector set Y, the exact
+critical point of det on the slice W_Y, routed by its dimension s: the
+single point for s = 0, the pencil for s = 1 (n <= 5), the rank-4 chart for
+s = 2 and n = 3; the Pythagorean and 2-torus families), verifies the full
 equation system exactly or at tolerance, tests embeddedness, and reduces the
 target sphere dimension by convex-combination reduction.
 
@@ -25,11 +26,10 @@ from .scalars import (AlgebraicField, AlgebraicScalar, format_rational,
 from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, trace_inner
 from .lattices import (NormClassList, eigenfunction_index, enumerate_norm,
                        rational_points_on_ellipsoid, shortest_vectors, spectrum)
-from .optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
-                       InfeasibleRegion, NoCommonEllipsoid, PencilResult,
-                       Rank4Critical, build_slice, caratheodory_reduce,
-                       columns_from_matrix, kkt_gap, maximize_logdet_C,
-                       pencil_maximize, rank4_lagrange)
+from .optimize import (AffineSliceW, ConvergenceFailure, CriticalPoint, HullPoint,
+                       InfeasibleRegion, NoCommonEllipsoid, build_slice,
+                       caratheodory_reduce, columns_from_matrix, kkt_gap,
+                       maximize_logdet_C, pencil_maximize, rank4_lagrange)
 from .certificates import (EmbeddednessResult, GramOperator, MatrixData,
                            UnverifiedCertificate, VerificationReport,
                            embeddedness, is_homogeneous,

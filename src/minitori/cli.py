@@ -136,9 +136,10 @@ def _print_report(report, fmt: str) -> None:
 def _eigenfunction_index_if_cheap(data: MatrixData):
     if data.q.regime == "algebraic":  # lattice enumeration needs a rational or float Gram
         return None
+    n = data.q.n
     try:
-        det = float(determinant(data.q))
-        est = 4.0 / 3.0 * math.pi / math.sqrt(det)
+        det = float(determinant(data.q))  # lattice points ~ vol(unit n-ball) / sqrt(det)
+        est = math.pi ** (n / 2) / math.gamma(n / 2 + 1) / math.sqrt(det)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
     if est > 2e5:
@@ -358,8 +359,8 @@ COMMANDS = {
                  help="I<n>, diag:a,b,c or a JSON file with rational rows"),
             _arg("--seed", type=int, default=0), _arg("--samples", type=int, default=48),
             _arg("--max-denominator", type=int, default=10**4), _OUTPUT]),
-        "pencil": ("3-torus from an integer vector set", cmd_construct, [
-            _arg("--Y", required=True, help="text file: rows of the 3 x N matrix"), _OUTPUT]),
+        "pencil": ("torus from an integer vector set", cmd_construct, [
+            _arg("--Y", required=True, help="text file: rows of the n x N matrix"), _OUTPUT]),
         "pythagorean": ("non-homogeneous 12-class family", cmd_construct, [
             _arg("--triple", nargs=3, type=int, required=True, metavar=("P", "Q", "R")),
             *(_arg(f"--{name}", type=_finite_float, default=0.0)

@@ -1,9 +1,10 @@
 """End-to-end certificate pipelines and the worked-example catalog.
 
 * construct_rational: sampling + exact integer LP realization of any rational torus.
-* construct_pencil_3torus: the pencil (rank{Y_j Y_j^t} = 5, up to
-  quadratic) and rank-4 (up to quartic) constructions for 3-tori, fully
-  exact; the rank picks the route.
+* construct_pencil_3torus: the exact certificate of an integer vector set Y
+  in Z^n, routed by the dimension s of the slice W_Y: its single point
+  (s = 0), the pencil (s = 1, n <= 5) or the rank-4 chart (s = 2, n = 3),
+  with Q*^{-1}/n decided in the hull.
 * pythagorean_family: the non-homogeneous 12-class family over a primitive
   Pythagorean triple.
 * bryant_2torus: the classical one-parameter family of minimal flat 2-tori
@@ -27,9 +28,9 @@ from typing import Optional, Sequence, Union
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
 from .lattices import canonical_class, rational_points_on_ellipsoid
 from .optimize import (Columns, InfeasibleRegion, as_columns, build_slice,
-                       exact_hull_weights, pencil_maximize, rank4_lagrange, rank4_point)
-from .scalars import AlgebraicField, AlgebraicScalar, Rat, integer_combinations
-from .symmetric import SymMatrix, inverse, is_positive_definite, rank, rank_one_rows, solve
+                       exact_hull_weights, pencil_maximize, rank4_chart, rank4_maximize)
+from .scalars import AlgebraicField, AlgebraicScalar, Rat
+from .symmetric import SymMatrix, inverse, is_positive_definite, rank, rank_one_rows
 
 
 class ConstructionError(RuntimeError):
@@ -132,7 +133,7 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
 
 
 # ---------------------------------------------------------------------------
-# the pencil / rank-4 constructions for 3-tori
+# the exact constructions from an integer vector set, routed by the slice dimension
 
 @dataclass(frozen=True)
 class IrrationalityReport:
@@ -147,86 +148,38 @@ class IrrationalityReport:
 
 
 def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
-    """Certificate for an integer 3-torus vector set via det maximization.
+    """Certificate for a spanning integer vector set in Z^n via det maximization.
 
-    rank{Y_j Y_j^t} picks the route.  Rank 5: the slice is a line, and its
-    positive definite critical point (`pencil_maximize`) is at most
-    quadratic irrational.  Rank 4: the unit-diagonal Lagrange system yields a
-    quartic whose positive definite root (unique by strict concavity) gives
-    the certificate; the extension degree is the degree of that root's
-    minimal polynomial, at most 4.
-
-    Hull membership of Q*^{-1}/3 is decided exactly; failure raises
-    ConstructionError (the vector set supports no minimal immersion).
+    The dimension s = n(n+1)/2 - rank{Y_j Y_j^t} of the slice W_Y picks the
+    route, the metadata "construction": s = 0, "solve", the slice's single
+    point, if positive definite; s = 1, "pencil" (`pencil_maximize`, n <= 5);
+    s = 2 with n = 3, "rank4" (`rank4_maximize`).  Any other s raises
+    ValueError.  Hull membership of Q*^{-1}/n is decided exactly; failure
+    raises ConstructionError (Y supports no minimal immersion).  The name
+    predates n != 3 and stays, because the benchmark's tracer wraps it by name.
     """
     cols = as_columns(y)
-    n = len(cols[0])
-    if n != 3:
-        raise ValueError("this construction is specific to 3-tori")
-    k = rank(rank_one_rows(cols))
-    if k == 5:
-        res = pencil_maximize(build_slice(cols))
-        return _certificate(cols, res.qstar, res.t0, "pencil")
-    if k == 4:
-        return _rank4_route(cols)
-    raise ValueError(f"rank{{Y_j Y_j^t}} = {k}; only ranks 4 and 5 are supported "
-                     "(rank 6 determines Q by a rational linear solve, rank 3 is Clifford-type)")
-
-
-def _rank4_route(cols: Columns) -> tuple[MatrixData, IrrationalityReport]:
-    r, back = _rank4_chart(cols)
-    candidates = []
-    for point in rank4_lagrange(r).points:
-        qt = _chart_matrix(point)
-        if is_positive_definite(qt) is True:
-            candidates.append((qt, point[0]))
-    if not candidates:
-        raise InfeasibleRegion("no critical point of the rank-4 system is positive definite")
-    if len(candidates) > 1:
-        raise AssertionError("multiple PD critical points contradict strict concavity")
-    qt, a = candidates[0]
-    return _certificate(cols, _congruence(qt, back), a, "rank4")
-
-
-def _rank4_chart(cols: Columns) -> tuple[tuple[Fraction, Fraction, Fraction], list[list]]:
-    """The unit-diagonal chart of a rank-4 set: the normalized fourth vector r
-    that `rank4_lagrange` takes, and the rational matrix B that carries a
-    chart matrix Q~ back to Q = B^t Q~ B (`_congruence`).
-
-    rank{Y_j Y_j^t} = 4 > 3 = dim Sym_2 forces rank Y = 3, so an invertible
-    column triple P exists, and the fourth vector P r has two or three
-    nonzero coordinates r: a multiple of one Y_j would repeat Y_j Y_j^t up to
-    a factor.  With two, a permutation moves the zero coordinate to the
-    middle; B inverts P with its columns so permuted.
-    """
-    if len(cols) != 4:
-        raise ValueError("a rank-4 set supports exactly 4 classes")
-    picks = next(cand for cand in combinations(range(4), 3)
-                 if rank([cols[j] for j in cand]) == 3)
-    rest = next(j for j in range(4) if j not in picks)
-    p_mat = [[cols[j][i] for j in picks] for i in range(3)]  # columns Y_j, j in picks
-    r = tuple(solve(p_mat, cols[rest]))
-    nz = [i for i in range(3) if r[i] != 0]
-    if len(nz) == 2:
-        perm = (nz[0], next(i for i in range(3) if r[i] == 0), nz[1])
+    slice_w = build_slice(cols)
+    if slice_w.s == 0:
+        if is_positive_definite(slice_w.q0) is not True:
+            raise InfeasibleRegion("the single point of the slice is not positive definite")
+        return _certificate(cols, slice_w.q0, None, "solve")
+    if slice_w.s == 1:
+        crit, route = pencil_maximize(slice_w), "pencil"
+    elif slice_w.s == 2 and slice_w.n == 3:
+        crit, route = rank4_maximize(rank4_chart(cols)), "rank4"
     else:
-        perm = (0, 1, 2)
-    back = inverse([[row[perm[j]] for j in range(3)] for row in p_mat])
-    return tuple(r[i] for i in perm), back
+        raise ValueError(f"the slice W_Y has dimension s = {slice_w.s} (n = {slice_w.n}); "
+                         "only s = 0, s = 1 and, for n = 3, s = 2 are solved")
+    return _certificate(cols, crit.qstar, crit.t0, route)
 
 
-def _chart_matrix(point) -> SymMatrix:
-    """The unit-diagonal matrix [[1, a, b], [a, 1, c], [b, c, 1]] of a chart point."""
-    a, b, c = point
-    return SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]])
-
-
-def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, AlgebraicScalar],
+def _certificate(cols: Columns, qstar: SymMatrix, root: Union[None, Fraction, AlgebraicScalar],
                  construction: str) -> tuple[MatrixData, IrrationalityReport]:
-    """The verified certificate {Q*, Y, weights} with Q*^{-1}/3 in the hull,
-    and the report of the field of `root`, which generates Q*."""
-    weights = exact_hull_weights(cols, inverse(qstar).scale(Fraction(1, 3)))
-    if weights is None or not _strictly_positive(weights):
+    """The verified certificate {Q*, Y, weights} with Q*^{-1}/n in the hull,
+    and the report of the field of `root`, which generates Q* (rational unless algebraic)."""
+    weights = exact_hull_weights(cols, inverse(qstar).scale(Fraction(1, qstar.n)))
+    if weights is None or not all(w > 0 for w in weights):
         raise ConstructionError(
             "the inverse of the maximizer does not lie in the interior of the hull")
     if isinstance(root, AlgebraicScalar):
@@ -242,24 +195,6 @@ def _certificate(cols: Columns, qstar: SymMatrix, root: Union[Fraction, Algebrai
     if not ver.verified:
         raise ConstructionError(f"{construction} output failed verification: {ver.reason}")
     return data, report
-
-
-def _strictly_positive(weights) -> bool:
-    return all(w > 0 for w in weights)
-
-
-def _congruence(qt: SymMatrix, a: list[list[Fraction]]) -> SymMatrix:
-    """A^t Q A for a rational 3x3 matrix A and (possibly algebraic) Q.
-
-    With A = M/d, M an integer matrix, entry (i, j) is the combination of the
-    Q_kl with the integer weights M_ki M_lj, over d^2; Q's numerators are
-    brought over one denominator once for all six entries."""
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    m = [[int(x * d) for x in row] for row in a]
-    q = [x for row in qt.entries for x in row]
-    weights = [[m[k][i] * m[l][j] for k in range(3) for l in range(3)]
-               for i in range(3) for j in range(i, 3)]
-    return SymMatrix.from_upper(integer_combinations(q, weights)).scale(Fraction(1, d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +539,7 @@ def catalog(cert_id: str) -> MatrixData:
     """One of the six worked certificates, with exact field data.
 
     The route's own parametrization derives Q from the entry's critical
-    parameter (`_worked_q`), `exact_hull_weights` the weights (Q^{-1}/3 in
+    parameter (`_worked_q`), `exact_hull_weights` the weights (Q^{-1}/n in
     the hull), and the field the metadata's degree and minimal polynomial.
     `io.emit` writes each field's isolating interval as it stands, so nothing
     here asks a sign or an approximation beyond the signs `exact_hull_weights`
@@ -623,7 +558,7 @@ def catalog(cert_id: str) -> MatrixData:
         q, weights = data.q, data.weights
     else:
         q = _worked_q(y, *critical)
-        weights = tuple(exact_hull_weights(y, inverse(q).scale(Fraction(1, 3))))
+        weights = tuple(exact_hull_weights(y, inverse(q).scale(Fraction(1, q.n))))
     field = q[0, 0].field
     return MatrixData(q=q, y=y, weights=weights,
                       metadata={**meta, "degree": field.degree, "minpoly": list(field.minpoly)})
@@ -634,15 +569,11 @@ def _worked_q(y: Columns, minpoly: tuple[int, ...], interval: tuple[Rat, Rat],
     """Q at the critical parameter x, an element of the field (minpoly,
     interval), through the parametrization of the route that finds it: Q0 +
     x Q1 on the pencil (`build_slice`), or the chart point (x, b(x), c(x))
-    (`rank4_point`) taken back by the congruence.  Four vectors span at most
+    taken back to Y (`rank4_chart`).  Four vectors span at most
     four dimensions of Y_j Y_j^t, so a pencil set has at least five, and the
     rank-4 chart takes exactly four."""
     x = AlgebraicField(minpoly, interval).element(parameter)
-    if len(y) == 4:
-        r, back = _rank4_chart(y)
-        return _congruence(_chart_matrix(rank4_point(r, x)), back)
-    pencil = build_slice(y)
-    return pencil.q0 + pencil.basis[0].scale(x)
+    return (rank4_chart(y) if len(y) == 4 else build_slice(y)).at(x)
 
 
 def catalog_descriptions() -> list[tuple[str, str]]:

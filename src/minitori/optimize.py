@@ -8,18 +8,18 @@ Two feasible sets drive every construction in this package:
   Y_j^t S Y_j = 0 in the coordinates (S_ik)_{i <= k} of Sym_n
   (`symmetric.rank_one_rows`), taken by the one elimination kernel as a
   primitive integer kernel basis.  Its maximizer is found exactly on a
-  one-dimensional slice (`pencil_maximize`) and on the rank-4 slice
-  (`rank4_lagrange`).
+  one-dimensional slice (`pencil_maximize`) and on the two-dimensional slice
+  of a rank-4 set in Z^3 (`rank4_maximize`).
 * ``C_Y``: the convex hull of the rank-one matrices Y_j Y_j^t.  Maximized by
   Frank-Wolfe with away steps (the D-optimal-design structure) in plain
   Python floats, finished by one exact rational Newton step on the
   identified support.  Membership of an exact point is one integer LP
   (`exact_hull_weights`), for a point over Q or over a field Q(w) alike.
 
-The pencil maximizer (a one-dimensional slice, n <= 5) and the rank-4
-Lagrange system (n = 3) find their critical points one way: the real roots
-of a polynomial of degree <= 4, factored over Q, each root a Fraction or the
-generator of the field of its minimal polynomial.
+Both read the slice through one parametrization ``at(x)`` (`AffineSliceW`,
+`Rank4Chart`) at the real roots x of a polynomial of degree <= 4 factored
+over Q, each a Fraction or an element of the field of its minimal
+polynomial; one loop returns the first positive definite one.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .lattices import canonical_class
 from .scalars import (AlgebraicField, AlgebraicScalar, Rat, factor_min_poly,
-                      irreducible_factors, isolate_real_roots, poly_content_primitive,
-                      poly_gcd, poly_mul, poly_sub, pseudo_divmod, refine_root, sqrt_field,
-                      squarefree_part)
+                      integer_combinations, irreducible_factors, isolate_real_roots,
+                      poly_content_primitive, poly_gcd, poly_mul, poly_sub, pseudo_divmod,
+                      refine_root, sqrt_field, squarefree_part)
 from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite, kernel, rank,
                         rank_one_rows, solve)
 
@@ -93,6 +94,10 @@ class AffineSliceW:
     @property
     def n(self) -> int:
         return self.q0.n
+
+    def at(self, t) -> SymMatrix:
+        """Q0 + t Q1, the point of parameter t on a one-dimensional slice."""
+        return self.q0 + self.basis[0].scale(t)
 
 
 def build_slice(y) -> AffineSliceW:
@@ -238,43 +243,52 @@ def _exact_newton_step(cols: Columns, support: list[int],
 
 
 # ---------------------------------------------------------------------------
-# pencil maximizer (s = 1): the exact critical points of det(Q0 + t Q1)
+# exact critical points of det: the pencil (s = 1) and the rank-4 chart (n = 3, s = 2)
 
 @dataclass(frozen=True)
-class PencilResult:
-    """Exact maximizer data on a one-parameter slice Q0 + t Q1."""
+class CriticalPoint:
+    """The positive definite critical point of det on a slice: its parameter
+    t0 (a Fraction, or an element of the field of its minimal polynomial), the
+    matrix Q* at t0, and the degree of that minimal polynomial."""
 
     t0: Union[Fraction, AlgebraicScalar]
     qstar: SymMatrix
     degree: int
 
 
-def pencil_maximize(slice_w: AffineSliceW) -> PencilResult:
+def _first_positive_definite(chart, candidates: Iterable) -> CriticalPoint:
+    """The first candidate x at which `chart.at(x)` is positive definite, the
+    only one by the strict concavity of logdet.  None after it is tested: both
+    roots of a quadratic share one field, whose interval a sign test narrows.
+    """
+    for x in candidates:
+        q = chart.at(x)
+        if is_positive_definite(q) is True:
+            degree = x.field.degree if isinstance(x, AlgebraicScalar) else 1
+            return CriticalPoint(t0=x, qstar=q, degree=degree)
+    raise InfeasibleRegion("no critical point of det on the slice is positive definite")
+
+
+def pencil_maximize(slice_w: AffineSliceW) -> CriticalPoint:
     """Maximize det(Q0 + t Q1) exactly on a one-dimensional slice, n <= 5.
 
     p(t) = det(Q0 + t Q1) has degree <= n, so its coefficients solve the
     Vandermonde system of its values at t = 0, ..., n.  The critical points
     are the real roots of p', of degree <= 4, taken factor by factor
-    (`_factor_roots`).  logdet is strictly concave on the positive definite
-    part of the line, so at most one critical point is positive definite; the
-    degree is that of its minimal polynomial.  A p' of degree above 4 (n > 5)
-    raises ValueError.
+    (`_factor_roots`), and the first positive definite one is the maximizer.
+    A p' of degree above 4 (n > 5) raises ValueError.
     """
     if slice_w.s != 1:
         raise ValueError("pencil_maximize requires a one-dimensional slice")
     n = slice_w.n
-    q0, q1 = slice_w.q0, slice_w.basis[0]
-    values = [determinant(q0 + q1.scale(t)) for t in range(n + 1)]
+    values = [determinant(slice_w.at(t)) for t in range(n + 1)]
     coeffs = solve([[t ** k for k in range(n + 1)] for t in range(n + 1)], values)
     _, deriv = poly_content_primitive([k * c for k, c in enumerate(coeffs)][1:])
     if len(deriv) < 2:
         raise InfeasibleRegion("the determinant is constant or monotone on the pencil")
-    for factor in dict.fromkeys(irreducible_factors(deriv)):
-        for t0 in _factor_roots(factor):
-            qc = q0 + q1.scale(t0)
-            if is_positive_definite(qc) is True:
-                return PencilResult(t0=t0, qstar=qc, degree=len(factor) - 1)
-    raise InfeasibleRegion("no critical point of the pencil is positive definite")
+    roots = (t0 for factor in dict.fromkeys(irreducible_factors(deriv))
+             for t0 in _factor_roots(factor))
+    return _first_positive_definite(slice_w, roots)
 
 
 def _factor_roots(factor: tuple[int, ...]) -> list[Union[Fraction, AlgebraicScalar]]:
@@ -300,25 +314,55 @@ def _factor_roots(factor: tuple[int, ...]) -> list[Union[Fraction, AlgebraicScal
             for interval in isolate_real_roots(factor)]
 
 
-# ---------------------------------------------------------------------------
-# rank-4 Lagrange system (unit-diagonal parameterization)
-
 @dataclass(frozen=True)
-class Rank4Critical:
-    """Critical points of det on the slice through e1, e2, e3 and a rational r.
-
-    The matrices are parameterized as [[1,a,b],[a,1,c],[b,c,1]]; eliminating
-    the multiplier from the Lagrange system leaves a quartic in a together
-    with closed forms b(a), c(a) (`rank4_point`).  `points` holds every real
-    critical point (a, b(a), c(a)) exactly, in increasing order of a: a is a
-    Fraction, or the generator of the field of its minimal polynomial.  For
-    r2 = 0 the system degenerates to the one block-diagonal rational point
-    a = c = 0 and the quartic is empty.
-    """
+class Rank4Chart:
+    """The chart of a rank-4 set in Z^3 (s = 2): Q~ = [[1,a,b],[a,1,c],[b,c,1]]
+    through e1, e2, e3 and the normalized fourth vector r, with b(a), c(a) in
+    closed form (`rank4_point`), and the rational B with Q = B^t Q~ B."""
 
     r: tuple[Fraction, Fraction, Fraction]
-    quartic: tuple[int, ...]
-    points: tuple[tuple, ...]
+    back: tuple[tuple[Fraction, ...], ...]
+
+    def at(self, a) -> SymMatrix:
+        """B^t Q~ B at (a, b(a), c(a)): with B = M/d, entry (i, j) is the
+        combination of the Q~_kl with the integer weights M_ki M_lj, over d^2."""
+        _, b, c = rank4_point(self.r, a)
+        d = math.lcm(*(x.denominator for row in self.back for x in row))
+        m = [[int(x * d) for x in row] for row in self.back]
+        weights = [[m[k][i] * m[l][j] for k in range(3) for l in range(3)]
+                   for i in range(3) for j in range(i, 3)]
+        chart = (1, a, b, a, 1, c, b, c, 1)
+        return SymMatrix.from_upper(integer_combinations(chart, weights)).scale(Fraction(1, d * d))
+
+
+def rank4_chart(cols: Columns) -> Rank4Chart:
+    """The unit-diagonal chart of a rank-4 set.
+
+    rank{Y_j Y_j^t} = 4 > 3 = dim Sym_2 forces rank Y = 3, so an invertible
+    column triple P exists, and the fourth vector P r has two or three
+    nonzero coordinates r: a multiple of one Y_j would repeat Y_j Y_j^t up to
+    a factor.  With two, a permutation moves the zero coordinate to the
+    middle; B inverts P with its columns so permuted.
+    """
+    if len(cols) != 4:
+        raise ValueError("a rank-4 set supports exactly 4 classes")
+    picks = next(cand for cand in combinations(range(4), 3)
+                 if rank([cols[j] for j in cand]) == 3)
+    rest = next(j for j in range(4) if j not in picks)
+    p_mat = [[cols[j][i] for j in picks] for i in range(3)]  # columns Y_j, j in picks
+    r = tuple(solve(p_mat, cols[rest]))
+    nz = [i for i in range(3) if r[i] != 0]
+    if len(nz) == 2:
+        perm = (nz[0], next(i for i in range(3) if r[i] == 0), nz[1])
+    else:
+        perm = (0, 1, 2)
+    back = inverse([[row[perm[j]] for j in range(3)] for row in p_mat])
+    return Rank4Chart(r=tuple(r[i] for i in perm), back=tuple(tuple(row) for row in back))
+
+
+def rank4_maximize(chart: Rank4Chart) -> CriticalPoint:
+    """The positive definite critical point of det on a rank-4 chart."""
+    return _first_positive_definite(chart, rank4_lagrange(chart.r))
 
 
 def rank4_point(r: tuple[Fraction, Fraction, Fraction], a) -> tuple:
@@ -364,20 +408,22 @@ def rank4_quartic(r: Sequence[Rat]) -> tuple[int, ...]:
     return poly_content_primitive(num)[1]
 
 
-def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
-    """All real critical points (a, b(a), c(a)) of det on the rank-4 slice.
+def rank4_lagrange(r: Sequence[Rat]) -> tuple:
+    """The real critical parameters a of det on the chart through r, in
+    increasing order: each a Fraction, or the generator of the field of its
+    minimal polynomial.
 
     The quartic's real roots are isolated once and factored once; a root of
     an irreducible factor of degree >= 2 generates a field whose isolating
-    interval is first refined to width 10^-6.
+    interval is first refined to width 10^-6.  For r2 = 0 the system
+    degenerates to the one block-diagonal rational point a = c = 0.
     """
     r1, r2, r3 = (Fraction(x) for x in r)
     if r1 == 0 or r3 == 0:
         raise ValueError("the normalization requires r1 and r3 nonzero")
-    rr = (r1, r2, r3)
     if r2 == 0:
-        return Rank4Critical(r=rr, quartic=(), points=(rank4_point(rr, Fraction(0)),))
-    quartic = rank4_quartic(rr)
+        return (Fraction(0),)
+    quartic = rank4_quartic((r1, r2, r3))
     if len(quartic) <= 1:
         raise ValueError("degenerate stationarity polynomial")
     intervals = isolate_real_roots(quartic)
@@ -390,8 +436,7 @@ def rank4_lagrange(r: Sequence[Rat]) -> Rank4Critical:
         else:
             interval = refine_root(factor, lo, hi, Fraction(1, 10**6))
             roots.append(AlgebraicField(factor, interval).generator())
-    return Rank4Critical(r=rr, quartic=quartic,
-                         points=tuple(rank4_point(rr, a) for a in roots))
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -212,17 +212,15 @@ class SymMatrix:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def matmul(self, other: "SymMatrix") -> list[list]:
-        """Plain matrix product (generally not symmetric); returns nested lists.
-
-        Exact entries: each one is `scalars.dot` of a row and a column (a row
-        of the symmetric `other`), reduced once.
+        """Plain matrix product of exact matrices (generally not symmetric), as
+        nested lists: each entry is `scalars.dot` of a row and a column (a row
+        of the symmetric `other`), reduced once.  A float operand raises
+        TypeError.
         """
         self._check_dim(other)
-        if self.is_exact() and other.is_exact():
-            return [[dot(row, col) for col in other.entries] for row in self.entries]
-        n = self.n
-        return [[sum(self.entries[i][k] * other.entries[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
+        if not (self.is_exact() and other.is_exact()):
+            raise TypeError("matmul needs exact matrices")
+        return [[dot(row, col) for col in other.entries] for row in self.entries]
 
     def quad_form(self, v: Sequence) -> Scalar:
         """v^t S v."""

@@ -39,6 +39,31 @@ def test_construct_pencil_exits_zero(name, tmp_path, capsys):
     assert ("eigenfunction index" in printed) == (name == "rank5-deg1")
 
 
+def test_construct_pencil_builds_a_4_torus(tmp_path, capsys):
+    # the standard basis of Z^4 plus five vectors, one row per coordinate
+    y = tmp_path / "y.txt"
+    y.write_text("1 0 0 0 -1 -1 0 0 0\n0 1 0 0 1 0 0 1 -1\n"
+                 "0 0 1 0 0 -1 -1 1 -1\n0 0 0 1 0 -1 -1 1 0\n")
+    out = tmp_path / "cert.json"
+    assert main(["construct", "pencil", "--Y", str(y), "-o", str(out)]) == 0
+    assert ("classes N = 9, sphere dimension = 17\nextension degree = 1\n"
+            "embeddedness: embedded\n") in capsys.readouterr().out
+    assert json.loads(out.read_text())["metadata"]["construction"] == "pencil"
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("verdict: verified\n")
+
+
+def test_construct_pencil_refuses_a_three_dimensional_slice(tmp_path, capsys):
+    # the standard basis of Z^3 alone leaves s = 6 - 3 = 3 free directions
+    y = tmp_path / "y.txt"
+    y.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["construct", "pencil", "--Y", str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("construction failed: the slice W_Y has dimension s = 3")
+    assert captured.err.count("\n") == 1
+
+
 # sha256 of the certificate file each command writes.  An algebraic scalar is
 # written with its field's isolating interval as refined so far, so these pin
 # every sign query of the construction too, not only the exact values.  The

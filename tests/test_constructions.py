@@ -8,9 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minitori.constructions import (PythagoreanParams, _diagonal_constraints,
-                                    _maximal_minors, catalog, construct_pencil_3torus,
+from minitori.certificates import reduce_target_dimension
+from minitori.constructions import (PythagoreanParams, RationalPipelineConfig,
+                                    _diagonal_constraints, _maximal_minors, catalog,
+                                    construct_pencil_3torus, construct_rational,
                                     feasible_diagonal_centroid, pythagorean_family)
+from minitori.optimize import InfeasibleRegion
+from minitori.symmetric import SymMatrix
 from conftest import centroid_by_subsystems, pythagorean_constraints_displayed
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41)]
@@ -76,6 +80,51 @@ class TestRank4Route:
         assert {name: len(log) for name, log in calls.items()} == {
             "isolate_real_roots": 1, "irreducible_factors": 1}
         assert report.degree == degree
+
+
+STANDARD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# the standard basis of Z^4 plus five vectors: a pencil (s = 1) of nine classes
+N4_PENCIL = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 1, 0, 0),
+             (-1, 0, -1, -1), (0, 0, -1, -1), (0, 1, 1, 1), (0, -1, -1, 0))
+
+
+class TestRouteBySliceDimension:
+    """`construct_pencil_3torus` picks its route from the dimension s of W_Y."""
+
+    def test_single_point_is_the_reduced_rational_certificate(self):
+        # s = 0: six classes span Sym_3, so Q is the one point of the slice
+        rational = construct_rational(RationalPipelineConfig(q=SymMatrix.diag([1, 2, 3])))
+        reduced = reduce_target_dimension(rational)
+        assert len(reduced.y) == 6
+        built, report = construct_pencil_3torus(reduced.y)
+        assert built.q == reduced.q
+        assert built.weights == reduced.weights
+        assert built.metadata == {"construction": "solve", "degree": 1}
+        assert report.degree == 1
+
+    def test_single_point_must_be_positive_definite(self):
+        # the unit norms of e_i and e_i + e_j force Q = (3 I - J)/2, which is singular
+        with pytest.raises(InfeasibleRegion):
+            construct_pencil_3torus(STANDARD + ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+
+    def test_pencil_in_four_dimensions(self):
+        data, report = construct_pencil_3torus(N4_PENCIL)
+        assert (data.big_n, report.degree) == (9, 1)
+        assert data.metadata == {"construction": "pencil", "degree": 1}
+
+    @pytest.mark.parametrize("fourth, weights", [
+        ((0, 1, 1), (Fraction(1, 3), Fraction(2, 9), Fraction(2, 9), Fraction(2, 9))),
+        ((1, 1, 0), (Fraction(2, 9), Fraction(2, 9), Fraction(1, 3), Fraction(2, 9)))])
+    def test_chart_moves_the_zero_coordinate_to_the_middle(self, fourth, weights):
+        # r has a zero coordinate off the middle, so the chart permutes it there
+        data, report = construct_pencil_3torus(STANDARD + (fourth,))
+        assert data.weights == weights
+        assert (data.metadata["construction"], report.degree) == ("rank4", 1)
+
+    @pytest.mark.parametrize("y, s", [(STANDARD, 3), (N4_PENCIL[:8], 2)], ids=["s3", "n4-s2"])
+    def test_other_dimensions_are_refused(self, y, s):
+        with pytest.raises(ValueError, match=f"dimension s = {s} "):
+            construct_pencil_3torus(y)
 
 
 class TestCatalog:

@@ -14,8 +14,9 @@ from conftest import (PENCIL_SETS, TEST_FIELDS, as_array, closed_form_pencil,
 from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
                                InfeasibleRegion, NoCommonEllipsoid,
                                build_slice, caratheodory_reduce, exact_hull_weights,
-                               kkt_gap, maximize_logdet_C,
-                               pencil_maximize, rank4_lagrange, rank4_quartic)
+                               kkt_gap, maximize_logdet_C, pencil_maximize,
+                               rank4_chart, rank4_lagrange, rank4_maximize, rank4_point,
+                               rank4_quartic)
 from minitori.scalars import isolate_real_roots, sqrt_field
 from minitori.symmetric import (SymMatrix, determinant, inverse, is_positive_definite, rank,
                                 rank_one_rows, trace_inner)
@@ -390,22 +391,30 @@ def _stationary(r, a, b, c) -> bool:
     return all(x == 0 for x in cross) and on_slice == 0
 
 
+def rank4_sets():
+    """Four integer vectors in [-4, 4]^3 with rank{Y_j Y_j^t} = 4 (s = 2)."""
+    vectors = st.tuples(*[st.integers(-4, 4)] * 3)
+    return st.lists(vectors, min_size=4, max_size=4).filter(
+        lambda cols: rank(rank_one_rows(cols)) == 4)
+
+
 class TestRank4:
     def test_block_diagonal_branch(self):
-        crit = rank4_lagrange((1, 0, 1))
-        assert crit.quartic == ()
-        assert crit.points == ((0, Fraction(-1, 2), 0),)
-        assert _stationary(crit.r, *crit.points[0])
+        r = (Fraction(1), Fraction(0), Fraction(1))
+        assert rank4_lagrange(r) == (0,)
+        point = rank4_point(r, Fraction(0))
+        assert point == (0, Fraction(-1, 2), 0)
+        assert _stationary(r, *point)
 
     def test_known_point_among_candidates(self):
         from minitori.constructions import catalog
         ref = catalog("quartic-s7").q
-        crit = rank4_lagrange((5, 7, 8))
-        hits = [(a, b, c) for a, b, c in crit.points
+        r = (Fraction(5), Fraction(7), Fraction(8))
+        hits = [(a, b, c) for a, b, c in (rank4_point(r, a) for a in rank4_lagrange(r))
                 if SymMatrix([[1, a, b], [a, 1, c], [b, c, 1]]) == ref]
         assert len(hits) == 1
         a = hits[0][0]
-        assert a.field.minpoly == crit.quartic
+        assert a.field.minpoly == rank4_quartic(r)
         assert abs(float(a) - (-0.149201)) <= 1e-6
 
     def test_quartic_coefficients_scale(self):
@@ -419,17 +428,35 @@ class TestRank4:
         checked = 0
         for _ in range(6):
             r = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(3))
-            crit = rank4_lagrange(r)
-            assert len(crit.points) == len(isolate_real_roots(crit.quartic))
-            assert [float(p[0]) for p in crit.points] == sorted(float(p[0]) for p in crit.points)
-            for point in crit.points:
-                assert _stationary(crit.r, *point)
+            roots = rank4_lagrange(r)
+            assert len(roots) == len(isolate_real_roots(rank4_quartic(r)))
+            assert [float(a) for a in roots] == sorted(float(a) for a in roots)
+            for a in roots:
+                assert _stationary(r, *rank4_point(r, a))
                 checked += 1
         assert checked
 
     def test_requires_nonzero_r1_r3(self):
         with pytest.raises(ValueError):
             rank4_lagrange((0, 1, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank4_sets())
+    def test_at_most_one_candidate_is_positive_definite(self, cols):
+        # logdet is strictly concave on the positive definite part of the
+        # slice, so the first positive definite candidate is the only one
+        chart = rank4_chart(cols)
+        try:
+            roots = rank4_lagrange(chart.r)
+        except ValueError:  # a degenerate stationarity polynomial
+            return
+        pd = [a for a in roots if is_positive_definite(chart.at(a)) is True]
+        assert len(pd) <= 1
+        if pd:
+            crit = rank4_maximize(chart)
+            assert (crit.t0, crit.qstar) == (pd[0], chart.at(pd[0]))
+            for c in cols:
+                assert crit.qstar.quad_form(c) == 1
 
 
 class TestCaratheodory:

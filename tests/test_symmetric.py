@@ -86,6 +86,13 @@ class TestInverse:
                 for j in range(4):
                     assert prod[i][j] == (1 if i == j else 0)
 
+    def test_matmul_refuses_floats(self):
+        exact = SymMatrix.identity(2)
+        floats = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
+        for a, b in ((floats, exact), (exact, floats)):
+            with pytest.raises(TypeError):
+                a.matmul(b)
+
     def test_involution(self, rng):
         q = random_rational_pd(rng, 3)
         assert inverse(inverse(q)) == q
