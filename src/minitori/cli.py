@@ -269,6 +269,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    modes = [flag for flag, given in (("--target", args.target is not None),
+                                      ("--shortest", args.shortest),
+                                      ("--spectrum", args.spectrum is not None)) if given]
+    if len(modes) != 1:
+        raise UsageError("give exactly one of --target, --shortest, --spectrum"
+                         + (f" ({', '.join(modes)} given)" if modes else ""))
     if args.spectrum is not None and args.spectrum < 1:
         raise UsageError(f"--spectrum must be a positive integer, not {args.spectrum}")
     target = None if args.target is None else _rational_flag("--target", args.target)
@@ -291,18 +297,26 @@ def cmd_enumerate(args) -> int:
     except EnumerationIncomplete as exc:  # the coordinate box bound stopped the search
         print(f"error: enumeration incomplete: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    if target is None:
-        print("error: one of --target, --shortest, --spectrum is required", file=sys.stderr)
-        return EXIT_USAGE
     classes = enumerate_norm(gram, target)
     _write_classes(f"{len(classes)} classes of norm {classes.target}"
                    + ("" if classes.complete else " (INCOMPLETE: box bound hit)"), classes)
     return EXIT_VERIFIED
 
 
+def _class_template(n: int) -> str:
+    """The %-template that prints an integer n-tuple c as f"  {c}\\n" does."""
+    return "  (" + ", ".join(["%d"] * n) + ("," if n == 1 else "") + ")\n"
+
+
 def _write_classes(header: str, classes) -> None:
-    """The header, then one class a line, indented by two spaces: one write."""
-    sys.stdout.write(header + "\n" + "".join(f"  {c}\n" for c in classes))
+    """The header, then one class a line, indented by two spaces: one write.
+
+    The classes of one list share their length n, so every line goes through
+    one fixed-arity template (`_class_template`), built once per list.
+    """
+    rows = classes.classes
+    line = _class_template(len(rows[0]) if rows else 0)
+    sys.stdout.write(header + "\n" + "".join([line % c for c in rows]))
 
 
 def cmd_reduce(args) -> int:

@@ -20,6 +20,9 @@ division decide every range exactly, so no float enters and completeness is
 certified for every rational or float Gram.  A lower bound on v^t M v cuts
 the innermost level down to at most two short intervals (one more isqrt),
 so a shell lower <= v^t Q v <= upper costs no more than its outer levels.
+A one-value shell (lower = upper, every `enumerate_norm` on a rational
+Gram) costs one isqrt and one square test per innermost node: the innermost
+share must be a perfect square.
 
 The innermost level is no recursive call: its parent runs it inside its own
 loop (as Schnorr-Euchner, Math. Prog. 1994, close the last level in its
@@ -142,8 +145,13 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
     innermost level inside its own loop: with v_0..v_{last-2} fixed, the
     innermost shift S_last = base + b_{last,last-1} x is linear in that
     level's coordinate x, so each x costs two isqrt and a few floor
-    divisions, and the innermost coordinate's spans are emitted whole.  A
-    dict `out` gets its counts in bulk: the spans' values are collected in
+    divisions, and the innermost coordinate's spans are emitted whole.  When
+    lower == upper, a second inline loop runs instead: u = hi_in y + S_last
+    must satisfy u^2 = need exactly, need = hi_in upper - done_x, so each x
+    costs one isqrt s and the test s^2 == need, then keeps y = (+-s -
+    S_last)/hi_in where hi_in divides; the box bound is tested only where
+    s is large enough to break it, at the same node as in the general loop.
+    A dict `out` gets its counts in bulk: the values found are collected in
     visiting order and counted once, when the enumeration ends or raises.
     """
     levels = _levels(m)
@@ -154,6 +162,7 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
     widest = 2 * box_bound + 1
     _, hi_in, row_in = levels[last]  # the innermost level has lo = D_0 = 1
     hi_upper, hi_lower = hi_in * upper, hi_in * lower
+    s_wide = hi_in * widest // 2  # s <= s_wide: |u| <= s spans at most widest values of y
     step = row_in[last - 1] if last else 0  # the innermost shift's slope in x
     values: list[int] = []  # dict mode: v^t M v of every class found, in visiting order
 
@@ -193,6 +202,30 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
                                        range(hi_in * a + inner, hi_in * b + inner + 1, hi_in)])
             inner += step
 
+    def innermost_one_value(lo: int, hi: int, xlo: int, xhi: int, shift: int, done: int,
+                            base: int, head: tuple, free: bool) -> None:
+        # `innermost` for lower == upper: v^t M v = upper needs u^2 = need
+        # exactly (u = hi_in y + inner), so u = +-s with s = isqrt(need)
+        t = hi * xlo + shift
+        inner = base + step * xlo
+        lo_done = lo * done
+        for x in range(xlo, xhi + 1):
+            need = hi_upper - (lo_done + t * t) // hi
+            t += hi
+            s = math.isqrt(need)
+            if s > s_wide and (s - inner) // hi_in + (s + inner) // hi_in > widest:
+                raise EnumerationIncomplete(
+                    f"coordinate range at level {last} exceeds the box bound {box_bound}")
+            if s * s == need:
+                for u in (-s, s) if s else (0,):
+                    y, r = divmod(u - inner, hi_in)
+                    if not r and (free or x or y > 0):  # all earlier coordinates 0: y positive
+                        if as_vectors:
+                            out.append((head + (x,) if last else head) + (y,))
+                        else:
+                            values.append(upper)
+            inner += step
+
     def level(k: int, done: int, free: bool) -> None:
         # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
         lo, hi, row = levels[k]
@@ -210,7 +243,7 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             base = 0
             for j in range(k):
                 base += row_in[j] * vec[j]
-            innermost(lo, hi, xlo, xhi, shift, done, base, tuple(vec[:k]), free)
+            run_innermost(lo, hi, xlo, xhi, shift, done, base, tuple(vec[:k]), free)
             return
         for x in range(xlo, xhi + 1):
             vec[k] = x
@@ -218,12 +251,13 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             level(k + 1, (lo * done + t * t) // hi, free or x != 0)
         vec[k] = 0
 
+    run_innermost = innermost_one_value if lower == upper else innermost
     try:
         if upper >= lower:
             if last:
                 level(0, 0, False)
             else:  # n = 1: a virtual coordinate last-1 with the one value 0
-                innermost(1, 1, 0, 0, 0, 0, 0, (), False)
+                run_innermost(1, 1, 0, 0, 0, 0, 0, (), False)
     finally:
         for val, c in Counter(values).items():
             out[val] = out.get(val, 0) + c

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .lattices import canonical_class
@@ -408,35 +408,37 @@ def rank4_quartic(r: Sequence[Rat]) -> tuple[int, ...]:
     return poly_content_primitive(num)[1]
 
 
-def rank4_lagrange(r: Sequence[Rat]) -> tuple:
+def rank4_lagrange(r: Sequence[Rat]) -> Iterator[Union[Fraction, AlgebraicScalar]]:
     """The real critical parameters a of det on the chart through r, in
     increasing order: each a Fraction, or the generator of the field of its
     minimal polynomial.
 
-    The quartic's real roots are isolated once and factored once; a root of
-    an irreducible factor of degree >= 2 generates a field whose isolating
-    interval is first refined to width 10^-6.  For r2 = 0 the system
-    degenerates to the one block-diagonal rational point a = c = 0.
+    The quartic's real roots are isolated and its factors found at the call,
+    so a bad r raises there.  A root is matched to its irreducible factor,
+    and one of degree >= 2 gets a field whose isolating interval is first
+    refined to width 10^-6, only when the iterator reaches it: a caller that
+    stops at the positive definite root pays for no later one.  For r2 = 0
+    the system degenerates to the one block-diagonal rational point a = c = 0.
     """
     r1, r2, r3 = (Fraction(x) for x in r)
     if r1 == 0 or r3 == 0:
         raise ValueError("the normalization requires r1 and r3 nonzero")
     if r2 == 0:
-        return (Fraction(0),)
+        return iter((Fraction(0),))
     quartic = rank4_quartic((r1, r2, r3))
     if len(quartic) <= 1:
         raise ValueError("degenerate stationarity polynomial")
     intervals = isolate_real_roots(quartic)
     factors = irreducible_factors(quartic) if intervals else []
-    roots = []
-    for lo, hi in intervals:
-        factor = factor_min_poly(quartic, lo, hi, factors)
-        if len(factor) == 2:
-            roots.append(Fraction(-factor[0], factor[1]))
-        else:
-            interval = refine_root(factor, lo, hi, Fraction(1, 10**6))
-            roots.append(AlgebraicField(factor, interval).generator())
-    return tuple(roots)
+    return (_quartic_root(factor_min_poly(quartic, lo, hi, factors), lo, hi)
+            for lo, hi in intervals)
+
+
+def _quartic_root(factor: tuple[int, ...], lo: Fraction, hi: Fraction):
+    """The root of `factor` in (lo, hi): a Fraction, or its field's generator."""
+    if len(factor) == 2:
+        return Fraction(-factor[0], factor[1])
+    return AlgebraicField(factor, refine_root(factor, lo, hi, Fraction(1, 10**6))).generator()
 
 
 # ---------------------------------------------------------------------------

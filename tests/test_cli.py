@@ -9,9 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import minitori
-from minitori.cli import COMMANDS, UsageError, build_parser, load_gram, main
+from minitori.cli import COMMANDS, UsageError, _class_template, build_parser, load_gram, main
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
@@ -349,11 +351,31 @@ def test_verify_rejects_a_tolerance_that_decides_nothing_with_64(tol, negate, tm
     ["--gram", "I3", "--target", "-1"],
     ["--gram", "I3", "--target", "abc"],
     ["--gram", "I0", "--target", "1"],
+    ["--gram", "I2", "--target", "1", "--shortest"],  # more than one mode
+    ["--gram", "I2", "--target", "2", "--spectrum", "3"],
+    ["--gram", "I2", "--shortest", "--spectrum", "3"],
+    ["--gram", "I2", "--spectrum", "0", "--shortest", "--target", "1"],
+    ["--gram", "I2"],  # no mode
 ])
 def test_enumerate_malformed_flags_exit_64(argv, capsys):
     assert main(["enumerate"] + argv) == 64
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("usage error:") and err.count("\n") == 1
+    modes = [flag for flag in argv if flag in ("--target", "--shortest", "--spectrum")]
+    if len(modes) > 1:  # the message names every mode given, and nothing is printed
+        assert all(flag in err for flag in modes) and out == ""
+
+
+@given(st.lists(st.one_of(st.integers(-10, 10), st.integers(2**64, 2**70),
+                          st.integers(-2**70, -2**64)), min_size=1, max_size=7).map(tuple))
+def test_class_template_prints_a_tuple_as_an_f_string(c):
+    # n = 1 keeps the trailing comma; negative and wider than 64-bit entries
+    assert _class_template(len(c)) % c == f"  {c}\n"
+
+
+def test_an_empty_class_list_prints_only_its_header(capsys):
+    assert main(["enumerate", "--gram", "I1", "--target", "3"]) == 0
+    assert capsys.readouterr().out == "0 classes of norm 3\n"
 
 
 def _printed(*lines) -> str:

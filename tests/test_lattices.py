@@ -124,6 +124,26 @@ class TestKernelAgainstReference:
             # every other range of the level does
             assert want[1] == _contents(out)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 4, 7]),
+           st.sampled_from(["list", "dict", "dict with counts"]),
+           st.sampled_from([0, 1, 2, 3, 5, 10**6]), st.booleans(), SEEDS)
+    def test_one_value_shell_matches_the_recursive_kernel(self, n, den_max, mode, box_bound,
+                                                          attained, rnd):
+        # lower == upper runs the one-value innermost loop: one isqrt and one
+        # square test per node, the box bound checked only where it can bite
+        q = random_rational_pd(rnd, n, num_max=5 if n <= 3 else 2, den_max=den_max,
+                               box_cap=30 if n <= 3 else 1)
+        m, _ = lattices._integer_gram(q)
+        d = min(m[i][i] for i in range(n))
+        value = rnd.randint(-1, 3 * d)  # also 0 and -1, below the lower cut at 1
+        if attained:
+            v = [rnd.randint(-2, 2) for _ in range(n)]
+            value = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+        out = {"list": [], "dict": {}, "dict with counts": {value + 1: 5, value: 2}}[mode]
+        want = _run_kernel(reference_fincke_pohst, m, value, value, box_bound, copy(out))
+        assert _run_kernel(lattices._fincke_pohst, m, value, value, box_bound, copy(out)) == want
+
     @pytest.mark.parametrize("m, lower, upper, count", [
         ([[1]], 4, 4, 1),  # n = 1: one node of the innermost loop
         ([[1]], -2, 100, 10),

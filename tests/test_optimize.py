@@ -401,7 +401,7 @@ def rank4_sets():
 class TestRank4:
     def test_block_diagonal_branch(self):
         r = (Fraction(1), Fraction(0), Fraction(1))
-        assert rank4_lagrange(r) == (0,)
+        assert tuple(rank4_lagrange(r)) == (0,)
         point = rank4_point(r, Fraction(0))
         assert point == (0, Fraction(-1, 2), 0)
         assert _stationary(r, *point)
@@ -428,7 +428,7 @@ class TestRank4:
         checked = 0
         for _ in range(6):
             r = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(3))
-            roots = rank4_lagrange(r)
+            roots = tuple(rank4_lagrange(r))
             assert len(roots) == len(isolate_real_roots(rank4_quartic(r)))
             assert [float(a) for a in roots] == sorted(float(a) for a in roots)
             for a in roots:
