@@ -343,13 +343,11 @@ def cmd_catalog(args) -> int:
             print(f"{cid:14s} {desc}")
         return EXIT_VERIFIED
     if not args.id:
-        print("error: an id or --list is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("an id or --list is required")
     try:
         data = catalog(args.id)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc.args[0]) from None
     _write_or_print(cio.emit(data), args.output)
     return EXIT_VERIFIED
 

@@ -4,8 +4,13 @@ Scalars are encoded per regime: rationals as canonical "p/q" strings, floats
 as native JSON numbers (repr round-trips binary64 exactly; parsing refuses
 NaN, infinities, booleans and strings), algebraic scalars as
 {"minpoly": [...], "interval": ["lo", "hi"], "coeffs": ["p/q", ...]} with
-the minimal polynomial low-to-high.  Emission is canonical, so
-emit(parse(emit(x))) == emit(x) byte for byte.
+the minimal polynomial low-to-high; a matrix's "regime" must be that of its
+entries.  Emission is canonical, so emit(parse(emit(x))) == emit(x) byte for
+byte.  Algebraic coefficients go between "p/q" text and AlgebraicScalar's
+integer numerators over one denominator without Fractions.  `parse` checks a
+field's minpoly and interval only where their text is new in the file, and
+builds one field per value ("1/2" and "2/4" give one field object); `emit`
+renders each field once and writes json.dumps(indent=2)'s bytes (`_dumps`).
 
 A general certificate lists the 2 x 2 blocks of its operator A A^t as
 {"r", "s", "block"} objects: first every diagonal block a_r I2, then the
@@ -21,10 +26,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Union
 
 from .certificates import GramOperator, MatrixData
-from .scalars import AlgebraicField, AlgebraicScalar, format_rational, parse_rational
+from .scalars import AlgebraicField, AlgebraicScalar, _element, format_rational, parse_ratio
 from .symmetric import SymMatrix
 
 FORMAT_VERSION = 1
@@ -34,32 +38,30 @@ class CertificateFormatError(ValueError):
     """Malformed certificate file."""
 
 
-def _encode_scalar(x):
-    if isinstance(x, AlgebraicScalar):
-        lo, hi = x.field.interval
-        return {
-            "minpoly": [int(c) for c in x.field.minpoly],
-            "interval": [format_rational(lo), format_rational(hi)],
-            "coeffs": [format_rational(c) for c in x.coeffs],
-        }
-    if isinstance(x, float):
-        return x
-    return format_rational(x)
+def _encode_scalar(x, fields: dict):
+    """A scalar's JSON value; `fields` holds each rendered field's two lists, by id."""
+    if not isinstance(x, AlgebraicScalar):
+        return x if isinstance(x, float) else format_rational(x)
+    f, den = x.field, x.den
+    if id(f) not in fields:
+        fields[id(f)] = [*f.minpoly], [format_rational(e) for e in f.interval]
+    minpoly, interval = fields[id(f)]
+    return {"minpoly": minpoly, "interval": interval,
+            "coeffs": [format_rational(c, den) for c in x.num]}
 
 
-def _rational(text) -> Fraction:
-    """A 'p/q' string as a Fraction; anything else is a format error."""
+def _ratio(text) -> tuple[int, int]:
+    """A 'p/q' string as integers (p, q), q > 0; anything else is a format error."""
     if not isinstance(text, str):
         raise CertificateFormatError(f"rational scalars are 'p/q' strings, not {text!r}")
     try:
-        return parse_rational(text)
+        return parse_ratio(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateFormatError(f"bad rational {text!r}: {exc}") from exc
 
 
 def _integer(obj) -> int:
-    """A JSON integer, or a format error: int() would truncate 1.5 and read
-    true or "3"."""
+    """A JSON integer, or a format error (int() would truncate 1.5, read true or "3")."""
     if type(obj) is not int:  # bool is an int subclass
         raise CertificateFormatError(f"expected an integer, not {obj!r}")
     return obj
@@ -71,12 +73,11 @@ def _float(obj) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):  # bool is an int
         raise CertificateFormatError(f"expected a number, not {obj!r}")
     try:
-        x = float(obj)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise CertificateFormatError(f"non-finite scalar {obj!r}")
-    return x
+        if math.isfinite(x := float(obj)):
+            return x
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise CertificateFormatError(f"non-finite scalar {obj!r}")
 
 
 def _list(obj, length: int | None = None) -> list:
@@ -89,44 +90,49 @@ def _list(obj, length: int | None = None) -> list:
     return obj
 
 
-def _decode_scalar(obj, field_cache: dict):
+def _decode_scalar(obj, fields: dict):
+    """A Fraction, a float or a field element.  `fields` maps the repr of a (minpoly,
+    interval) as read (it tells 1 from true and 1.0) and (minpoly, lo, hi) to a field."""
     if isinstance(obj, str):
-        return _rational(obj)
+        return Fraction(*_ratio(obj))
     if isinstance(obj, (int, float)):
         return _float(obj)
-    if isinstance(obj, dict):
-        try:
+    if not isinstance(obj, dict):
+        raise CertificateFormatError(f"unsupported scalar encoding: {obj!r}")
+    text = repr((obj.get("minpoly"), obj.get("interval")))
+    field = fields.get(text)
+    try:
+        if field is None:
             minpoly = tuple(_integer(c) for c in _list(obj["minpoly"]))
-            lo, hi = (_rational(x) for x in _list(obj["interval"], 2))
-            coeffs = [_rational(c) for c in _list(obj["coeffs"])]
-        except (KeyError, ValueError) as exc:
-            raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
-        key = (minpoly, lo, hi)
-        if key not in field_cache:
-            try:
-                field_cache[key] = AlgebraicField(minpoly, (lo, hi))
-            except ValueError as exc:
-                raise CertificateFormatError(f"bad algebraic field: {exc}") from exc
-        return AlgebraicScalar(field_cache[key], coeffs)
-    raise CertificateFormatError(f"unsupported scalar encoding: {obj!r}")
+            lo, hi = (Fraction(*_ratio(x)) for x in _list(obj["interval"], 2))
+        pairs = [_ratio(c) for c in _list(obj["coeffs"])]
+    except (KeyError, ValueError) as exc:
+        raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
+    if field is None:
+        try:
+            field = fields.get((minpoly, lo, hi)) or AlgebraicField(minpoly, (lo, hi))
+        except ValueError as exc:
+            raise CertificateFormatError(f"bad algebraic field: {exc}") from exc
+        fields[text] = fields[minpoly, lo, hi] = field
+    den = math.lcm(*[q for _, q in pairs])
+    num = [p * (den // q) for p, q in pairs]
+    if len(num) == field.degree:
+        return _element(field, num, den)
+    return AlgebraicScalar(field, num)._scaled(1, den)  # reduced modulo the minpoly, or padded
 
 
-def _encode_matrix(q: SymMatrix) -> dict:
-    return {
-        "regime": q.regime,
-        "rows": [[_encode_scalar(x) for x in row] for row in q.entries],
-    }
-
-
-def _decode_matrix(obj, field_cache: dict) -> SymMatrix:
+def _decode_matrix(obj, fields: dict) -> SymMatrix:
     try:
         rows = obj["rows"]
     except (TypeError, KeyError) as exc:
         raise CertificateFormatError("matrix needs a 'rows' field") from exc
-    return SymMatrix([[_decode_scalar(x, field_cache) for x in row] for row in rows])
+    q = SymMatrix([[_decode_scalar(x, fields) for x in row] for row in rows])
+    if obj.get("regime", q.regime) != q.regime:
+        raise CertificateFormatError(f"matrix regime {obj['regime']!r}, entries {q.regime}")
+    return q
 
 
-def emit(cert: Union[MatrixData, tuple], metadata: dict | None = None) -> str:
+def emit(cert: MatrixData | tuple, metadata: dict | None = None) -> str:
     """Canonical JSON text for a homogeneous or general certificate.
 
     A general certificate is (GramOperator, Q, Y), or (GramOperator, Q, Y,
@@ -136,46 +142,50 @@ def emit(cert: Union[MatrixData, tuple], metadata: dict | None = None) -> str:
     query on an element of the field may have narrowed that interval, so
     removing or adding such a query before emission can change the bytes.
     """
+    fields: dict = {}
     if isinstance(cert, MatrixData):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "homogeneous",
-            "n": cert.n,
-            "N": cert.big_n,
-            "Q": _encode_matrix(cert.q),
-            "Y": [list(col) for col in cert.y],
-            "weights": [_encode_scalar(w) for w in cert.weights],
-            "metadata": _clean_metadata({**cert.metadata, **(metadata or {})}),
-        }
+        kind, q, y, big_n, own = "homogeneous", cert.q, cert.y, cert.big_n, cert.metadata
+        tail = {"weights": [_encode_scalar(w, fields) for w in cert.weights]}
     else:
-        gram, q, y, *own = cert
-        blocks = [{"r": r, "s": r, "block": [[a, 0.0], [0.0, a]]}
-                  for r, a in enumerate(gram.diagonal)]
-        blocks += [{"r": r, "s": s, "block": [list(row) for row in b]}
-                   for (r, s), b in gram.blocks.items()]
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "general",
-            "n": q.n,
-            "N": gram.N,
-            "Q": _encode_matrix(q),
-            "Y": [list(col) for col in y],
-            "blocks": blocks,
-            "metadata": _clean_metadata({**(own[0] if own else {}), **(metadata or {})}),
-        }
-    return json.dumps(doc, indent=2) + "\n"
+        (gram, q, y, *rest), kind = cert, "general"
+        big_n, own = gram.N, (rest[0] if rest else {})
+        tail = {"blocks": [{"r": r, "s": r, "block": [[a, 0.0], [0.0, a]]}
+                           for r, a in enumerate(gram.diagonal)]
+                + [{"r": r, "s": s, "block": [list(row) for row in b]}
+                   for (r, s), b in gram.blocks.items()]}
+    rows = [[_encode_scalar(x, fields) for x in row] for row in q.entries]
+    return _dumps({"format_version": FORMAT_VERSION, "kind": kind, "n": q.n, "N": big_n,
+                   "Q": {"regime": q.regime, "rows": rows}, "Y": [list(col) for col in y],
+                   **tail, "metadata": _clean_metadata({**own, **(metadata or {})})}) + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte (indent makes CPython < 3.13 encode in Python)."""
+    inner = pad + "  "
+    if isinstance(obj, dict):  # a number, boolean or None key is written as a string
+        items = [_string(_dumps(k) if isinstance(k, (int, float)) or k is None else k) + ": "
+                 + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_string(x) if type(x) is str else repr(x) if type(x) is int else _dumps(x, inner)
+                 for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)  # a float subclass (numpy's) prints as a float
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    return json.dumps(obj)  # null, true, false, NaN, Infinity; a TypeError for a non-JSON type
 
 
 def _clean_metadata(meta: dict) -> dict:
-    out = {}
-    for k, v in sorted(meta.items()):
-        if isinstance(v, Fraction):
-            out[k] = format_rational(v)
-        elif isinstance(v, (str, int, float, bool, type(None), list)):
-            out[k] = v
-        else:
-            out[k] = str(v)
-    return out
+    return {k: format_rational(v) if isinstance(v, Fraction) else
+            v if isinstance(v, (str, int, float, bool, type(None), list)) else str(v)
+            for k, v in sorted(meta.items())}
 
 
 def parse(text: str):
@@ -186,14 +196,11 @@ def parse(text: str):
         raise CertificateFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateFormatError("top level must be an object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CertificateFormatError(f"unsupported format_version {version!r}")
-    kind = doc.get("kind")
-    field_cache: dict = {}
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise CertificateFormatError(f"unsupported format_version {doc.get('format_version')!r}")
+    kind, field_cache = doc.get("kind"), {}
     try:
-        n = _integer(doc["n"])
-        big_n = _integer(doc["N"])
+        n, big_n = _integer(doc["n"]), _integer(doc["N"])
         q = _decode_matrix(doc["Q"], field_cache)
         y = tuple(tuple(_integer(x) for x in col) for col in doc["Y"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -215,23 +222,24 @@ def parse(text: str):
             raise CertificateFormatError(f"bad weights: {exc}") from exc
         if field_cache and (q.regime == "float" or any(isinstance(w, float) for w in weights)):
             raise CertificateFormatError("algebraic and float scalars in one certificate")
-        _check_one_field(field_cache)
-        return data
-    if kind == "general":
+    elif kind == "general":
         try:
-            gram = _gram_operator(doc["blocks"], big_n)
+            data = _gram_operator(doc["blocks"], big_n), q, y, dict(metadata)
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"bad blocks: {exc}") from exc
-        _check_one_field(field_cache)
-        return gram, q, y, dict(metadata)
-    raise CertificateFormatError(f"unknown kind {kind!r}")
+    else:
+        raise CertificateFormatError(f"unknown kind {kind!r}")
+    # one field Q(w): one minpoly, overlapping intervals (not, say, a conjugate field)
+    fields = list(field_cache.values())
+    if any(f != fields[0] for f in fields[1:]):
+        raise CertificateFormatError("algebraic scalars from more than one field")
+    return data
 
 
 def _gram_operator(items, big_n: int) -> GramOperator:
-    """The operator of a general certificate's blocks.  A diagonal block must
-    be a I2 to within 1e-12 times the largest entry of the operator, and is
-    read as a = b00; a missing one is 0.  Of two blocks at one place, or at
-    (r, s) and (s, r), the later one counts."""
+    """The operator of a general certificate's blocks.  A diagonal block must be a I2
+    to within 1e-12 times the largest entry of the operator, and is read as a = b00; a
+    missing one is 0.  Of two blocks at one place, or at (r, s) and (s, r), the later counts."""
     diagonal, off = {}, []
     for item in items:
         r, s = _integer(item["r"]), _integer(item["s"])
@@ -252,11 +260,3 @@ def _gram_operator(items, big_n: int) -> GramOperator:
             raise ValueError(f"diagonal block {r} is not a scalar multiple of I2")
     return gram
 
-
-def _check_one_field(field_cache: dict) -> None:
-    """All algebraic scalars of a certificate must lie in one field Q(w): the
-    same minimal polynomial and overlapping isolating intervals (so not, say,
-    a weight in a conjugate field)."""
-    fields = list(field_cache.values())
-    if any(f != fields[0] for f in fields[1:]):
-        raise CertificateFormatError("algebraic scalars from more than one field")

@@ -69,21 +69,33 @@ Rat = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # rational parsing / formatting ("p/q" wire format)
 
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse a 'p/q' (or plain 'p') string into integers (p, q), q > 0, not
+    necessarily coprime; errors are those of Fraction(int(p), int(q))."""
+    s = text.strip()
+    if "/" not in s:
+        return int(s), 1
+    num, den = s.split("/")
+    p, q = int(num), int(den)
+    if q > 0:
+        return p, q
+    if q:
+        return -p, -q
+    raise ZeroDivisionError(f"Fraction({p}, 0)")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' (or plain 'p') string into a Fraction."""
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    return Fraction(*parse_ratio(text))
 
 
-def format_rational(x: Rat) -> str:
-    """Canonical 'p/q' string (denominator omitted when 1)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Rat, den: int = 1) -> str:
+    """Canonical 'p/q' string of x / den, den > 0 (denominator omitted when 1)."""
+    if not isinstance(x, int):
+        x = Fraction(x)
+        x, den = x.numerator, x.denominator * den
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
                                    has_proportional_columns)
+from minitori.io import CertificateFormatError, _float, _integer, _list
 from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _integer_gram,
                                _levels, _lines)
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
@@ -498,6 +499,46 @@ CATALOG_FIELDS = (
     ((-253, -291, 765, 675), (Fraction(-33, 64), Fraction(-1, 2))),
     ((-1507, -10730, -1079, 23240, 14700), (Fraction(-5, 32), Fraction(-9, 64))),
 )
+
+
+def _reference_rational(text) -> Fraction:
+    """A certificate's 'p/q' string as a Fraction; anything else is a format error."""
+    if not isinstance(text, str):
+        raise CertificateFormatError(f"rational scalars are 'p/q' strings, not {text!r}")
+    try:
+        s = text.strip()
+        if "/" in s:
+            num, den = s.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateFormatError(f"bad rational {text!r}: {exc}") from exc
+
+
+def reference_decode_scalar(obj, field_cache: dict):
+    """Oracle for `io._decode_scalar`: every 'p/q' through Fraction, the field
+    cache keyed by the parsed (minpoly, lo, hi), the coefficients given to
+    AlgebraicScalar as Fractions."""
+    if isinstance(obj, str):
+        return _reference_rational(obj)
+    if isinstance(obj, (int, float)):
+        return _float(obj)
+    if isinstance(obj, dict):
+        try:
+            minpoly = tuple(_integer(c) for c in _list(obj["minpoly"]))
+            lo, hi = (_reference_rational(x) for x in _list(obj["interval"], 2))
+            coeffs = [_reference_rational(c) for c in _list(obj["coeffs"])]
+        except (KeyError, ValueError) as exc:
+            raise CertificateFormatError(f"bad algebraic scalar: {exc}") from exc
+        key = (minpoly, lo, hi)
+        if key not in field_cache:
+            try:
+                field_cache[key] = AlgebraicField(minpoly, (lo, hi))
+            except ValueError as exc:
+                raise CertificateFormatError(f"bad algebraic field: {exc}") from exc
+        return AlgebraicScalar(field_cache[key], coeffs)
+    raise CertificateFormatError(f"unsupported scalar encoding: {obj!r}")
+
 
 # Q(sqrt 2), Q(sqrt 5) and the cubic and quartic catalog fields, each built
 # afresh by its factory: sign queries narrow a field's interval in place

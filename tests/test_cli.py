@@ -225,7 +225,8 @@ def _malformed(name):
         return json.dumps(doc)
     doc = _document("quadratic-s7" if name in ("reducible-minpoly", "conjugate-field",
                                                "mixed-regimes", "interval-numbers",
-                                               "coeffs-numbers", "minpoly-not-integers")
+                                               "coeffs-numbers", "minpoly-not-integers",
+                                               "regime-mismatch")
                     else "clifford-3")
     if name == "format-version":
         doc["format_version"] = 2
@@ -257,6 +258,8 @@ def _malformed(name):
         doc["Y"][0][0] = "1"
     elif name == "n-float":
         doc["n"] = 3.0
+    elif name == "regime-mismatch":  # ignored, and the algebraic entries verified
+        doc["Q"]["regime"] = "float"
     elif name == "minpoly-not-integers":  # truncated to [-553, 0, 1], this verified
         for w in doc["weights"] + [x for row in doc["Q"]["rows"] for x in row]:
             w["minpoly"] = [-553.7, False, 1.9]
@@ -269,7 +272,7 @@ MALFORMED = ("invalid-json", "format-version", "weight-count", "weights-not-a-li
              "block-index-boolean", "block-string-and-boolean", "y-float", "y-boolean", "y-string", "n-float",
              "weight-nan", "q-inf", "q-int-overflow", "mixed-regimes",
              "weight-zero-denominator", "weight-boolean", "interval-numbers", "coeffs-numbers",
-             "minpoly-not-integers", "interval-extra-endpoint")
+             "minpoly-not-integers", "interval-extra-endpoint", "regime-mismatch")
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -364,6 +367,15 @@ def test_enumerate_malformed_flags_exit_64(argv, capsys):
     modes = [flag for flag in argv if flag in ("--target", "--shortest", "--spectrum")]
     if len(modes) > 1:  # the message names every mode given, and nothing is printed
         assert all(flag in err for flag in modes) and out == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-id", "unknown-id"])
+def test_catalog_without_a_known_id_exits_64(argv, capsys):
+    # both printed "error: ..." without the usage error prefix
+    assert main(["catalog"] + argv) == 64
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and err.count("\n") == 1 and out == ""
+    assert ("'bogus'" in err) == bool(argv)
 
 
 @given(st.lists(st.one_of(st.integers(-10, 10), st.integers(2**64, 2**70),
