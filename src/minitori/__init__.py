@@ -36,8 +36,7 @@ from .certificates import (EmbeddednessResult, GramOperator, MatrixData,
                            reduce_target_dimension, verify_full,
                            verify_matrix_data)
 from .constructions import (Bryant2TorusParams, CATALOG_IDS, ConstructionError,
-                            IrrationalityReport, PythagoreanParams,
-                            PythagoreanResult, RationalPipelineConfig,
+                            PythagoreanParams, PythagoreanResult, RationalPipelineConfig,
                             bryant_2torus, catalog, construct_pencil_3torus,
                             construct_rational, pythagorean_family)
 from .io import emit, parse

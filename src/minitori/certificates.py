@@ -451,7 +451,6 @@ def frequency_coefficients(gram: GramOperator, y) -> dict:
 class EmbeddednessResult:
     status: str  # "embedded" | "not_embedded" | "unknown"
     witness: Optional[tuple[Fraction, ...]]
-    certificate: Optional[str]
 
 
 def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
@@ -477,13 +476,12 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
         if d != 0 and basis_picks is None:
             basis_picks = picks
         if abs(d) == 1:
-            return EmbeddednessResult("embedded", None,
-                                      f"unimodular_minor{picks}")
+            return EmbeddednessResult("embedded", None)
     if nn == n:
         if not exhaustive:
-            return EmbeddednessResult("not_embedded", None, "determinant")
+            return EmbeddednessResult("not_embedded", None)
     elif not exhaustive:
-        return EmbeddednessResult("unknown", None, None)
+        return EmbeddednessResult("unknown", None)
 
     # exhaustive search: solve the angles on an invertible subset
     assert basis_picks is not None
@@ -519,7 +517,7 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
 
     rec(0, [])
     if not witnesses:
-        return EmbeddednessResult("embedded", None, "exhaustive")
+        return EmbeddednessResult("embedded", None)
 
     def simplicity(u):
         support = tuple(i for i, x in enumerate(u) if x != 0)
@@ -527,7 +525,7 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
         return (len(support), support, negatives, u)
 
     cands = sorted({canonical_class(u) for u in witnesses}, key=simplicity)
-    return EmbeddednessResult("not_embedded", cands[0], "exhaustive")
+    return EmbeddednessResult("not_embedded", cands[0])
 
 
 # ---------------------------------------------------------------------------

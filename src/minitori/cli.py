@@ -1,19 +1,22 @@
 """Command-line front end.
 
-The commands are one table, `COMMANDS`.  Each `main` call builds a fresh parser
-of the branch its argv names, or of the whole tree when argv names no command.
+The commands are one table, `COMMANDS`.  The first `main` call of a process
+builds its parser tree (`build_parser`, not at import), and every call parses
+with that one parser.
 
 Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
 infeasible/construction failure (also `enumerate --shortest` or `--spectrum`
 stopped by the coordinate box bound; `--target` reports an incomplete list
-in its header and exits 0), 64 usage error, 65 malformed file, 141 standard
-output closed early (128 + SIGPIPE; e.g. piped into `head`), with no
-traceback.
+in its header and exits 0), 64 usage error, 65 malformed file (also one that
+is not UTF-8, or whose JSON holds an integer beyond the interpreter's digit
+limit), 141 standard output closed early (128 + SIGPIPE; e.g. piped into
+`head`), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -59,11 +62,11 @@ def load_gram(spec: str) -> SymMatrix:
     if spec.startswith("diag:"):
         return SymMatrix.diag([_rational_flag("gram diag entry", v) for v in spec[5:].split(",")])
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read gram file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8, or an int beyond the digit limit
         raise cio.CertificateFormatError(f"gram file {spec!r}: {exc}") from exc
     rows = doc.get("rows") if isinstance(doc, dict) else doc
     try:
@@ -189,12 +192,12 @@ def _read_certificate(path: str):
     """The certificate in the file `path`, or the exit code after saying on
     stderr why the file could not be read (64) or parsed (65)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cio.parse(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cio.CertificateFormatError as exc:
+    except (cio.CertificateFormatError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
@@ -232,11 +235,7 @@ def cmd_construct(args) -> int:
                 raise UsageError(str(exc)) from exc
             data = construct_rational(cfg)
         elif args.what == "pencil":
-            data, report = construct_pencil_3torus(load_y(args.Y))
-            meta = dict(data.metadata)
-            if report.minpoly is not None:
-                meta["minpoly"] = list(report.minpoly)
-            data = MatrixData(q=data.q, y=data.y, weights=data.weights, metadata=meta)
+            data = construct_pencil_3torus(load_y(args.Y))
         elif args.what == "pythagorean":
             p, q, r = args.triple
             res = pythagorean_family(PythagoreanParams(
@@ -392,40 +391,31 @@ COMMANDS = {
 }
 
 
-def _add_branches(parser, dest: str, table: dict, argv) -> None:
-    """Sub-parsers for the one entry argv[0] names, or for every entry when it
-    names none, so that help and invalid-choice errors list them all."""
+def _add_branches(parser, dest: str, table: dict) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
-    if argv and argv[0] in table:
-        table, argv = {argv[0]: table[argv[0]]}, argv[1:]
-    else:
-        argv = None
     for name, (help_text, func, spec) in table.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if isinstance(spec, tuple):
-            _add_branches(p, *spec, argv)
+            _add_branches(p, *spec)
         else:
             for flags, kwargs in spec:
                 p.add_argument(*flags, **kwargs)
 
 
-def build_parser(argv=None) -> _Parser:
-    """The parser of the branch that argv (the arguments after the program
-    name) selects; with argv None, or naming no known command, every branch."""
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser of the whole `COMMANDS` tree, built on the first call."""
     parser = _Parser(prog="minitori",
                      description="Minimal isometric immersions of flat tori into spheres: "
                                  "construct, verify, enumerate and reduce certificates.")
-    _add_branches(parser, "command", COMMANDS, argv)
+    _add_branches(parser, "command", COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -135,19 +135,7 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
 # ---------------------------------------------------------------------------
 # the exact constructions from an integer vector set, routed by the slice dimension
 
-@dataclass(frozen=True)
-class IrrationalityReport:
-    """The field of a certificate: Q itself when rational (degree 1), else
-    the minimal polynomial of its generator, the generator's isolating
-    interval when the report is made, and a float approximation of it."""
-
-    degree: int
-    minpoly: Optional[tuple[int, ...]]        # low -> high; None when rational
-    root_interval: Optional[tuple[Fraction, Fraction]]
-    root_approx: Optional[float]
-
-
-def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
+def construct_pencil_3torus(y) -> MatrixData:
     """Certificate for a spanning integer vector set in Z^n via det maximization.
 
     The dimension s = n(n+1)/2 - rank{Y_j Y_j^t} of the slice W_Y picks the
@@ -175,26 +163,25 @@ def construct_pencil_3torus(y) -> tuple[MatrixData, IrrationalityReport]:
 
 
 def _certificate(cols: Columns, qstar: SymMatrix, root: Union[None, Fraction, AlgebraicScalar],
-                 construction: str) -> tuple[MatrixData, IrrationalityReport]:
-    """The verified certificate {Q*, Y, weights} with Q*^{-1}/n in the hull,
-    and the report of the field of `root`, which generates Q* (rational unless algebraic)."""
+                 construction: str) -> MatrixData:
+    """The verified certificate {Q*, Y, weights} with Q*^{-1}/n in the hull.
+
+    Its metadata holds the degree of the field of `root`, which generates Q*,
+    and, when `root` is algebraic, that field's minimal polynomial."""
     weights = exact_hull_weights(cols, inverse(qstar).scale(Fraction(1, qstar.n)))
     if weights is None or not all(w > 0 for w in weights):
         raise ConstructionError(
             "the inverse of the maximizer does not lie in the interior of the hull")
+    metadata = {"construction": construction, "degree": 1}
     if isinstance(root, AlgebraicScalar):
         field = root.field
-        interval = field.interval  # float() below may narrow it
-        report = IrrationalityReport(field.degree, field.minpoly, interval,
-                                     float(field.generator()))
-    else:
-        report = IrrationalityReport(1, None, None, None)
-    data = MatrixData(q=qstar, y=cols, weights=tuple(weights),
-                      metadata={"construction": construction, "degree": report.degree})
+        field.generator().approx()  # narrows the isolating interval the certificate records
+        metadata.update(degree=field.degree, minpoly=list(field.minpoly))
+    data = MatrixData(q=qstar, y=cols, weights=tuple(weights), metadata=metadata)
     ver = verify_matrix_data(data)
     if not ver.verified:
         raise ConstructionError(f"{construction} output failed verification: {ver.reason}")
-    return data, report
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +541,7 @@ def catalog(cert_id: str) -> MatrixData:
         return MatrixData(q=SymMatrix.identity(3), y=y, weights=(Fraction(1, 3),) * 3,
                           metadata={**meta, "degree": 1})
     if critical is None:
-        data = construct_pencil_3torus(y)[0]
+        data = construct_pencil_3torus(y)
         q, weights = data.q, data.weights
     else:
         q = _worked_q(y, *critical)

@@ -192,7 +192,7 @@ def parse(text: str):
     """Parse certificate JSON into MatrixData or (GramOperator, Q, Y, metadata)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
         raise CertificateFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateFormatError("top level must be an object")

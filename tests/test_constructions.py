@@ -76,10 +76,10 @@ class TestRank4Route:
         for name, log in calls.items():
             real = getattr(opt, name)
             monkeypatch.setattr(opt, name, lambda p, real=real, log=log: log.append(p) or real(p))
-        _, report = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), fourth))
+        data = construct_pencil_3torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), fourth))
         assert {name: len(log) for name, log in calls.items()} == {
             "isolate_real_roots": 1, "irreducible_factors": 1}
-        assert report.degree == degree
+        assert data.metadata["degree"] == degree
 
 
 STANDARD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -96,11 +96,10 @@ class TestRouteBySliceDimension:
         rational = construct_rational(RationalPipelineConfig(q=SymMatrix.diag([1, 2, 3])))
         reduced = reduce_target_dimension(rational)
         assert len(reduced.y) == 6
-        built, report = construct_pencil_3torus(reduced.y)
+        built = construct_pencil_3torus(reduced.y)
         assert built.q == reduced.q
         assert built.weights == reduced.weights
         assert built.metadata == {"construction": "solve", "degree": 1}
-        assert report.degree == 1
 
     def test_single_point_must_be_positive_definite(self):
         # the unit norms of e_i and e_i + e_j force Q = (3 I - J)/2, which is singular
@@ -108,8 +107,8 @@ class TestRouteBySliceDimension:
             construct_pencil_3torus(STANDARD + ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
 
     def test_pencil_in_four_dimensions(self):
-        data, report = construct_pencil_3torus(N4_PENCIL)
-        assert (data.big_n, report.degree) == (9, 1)
+        data = construct_pencil_3torus(N4_PENCIL)
+        assert data.big_n == 9
         assert data.metadata == {"construction": "pencil", "degree": 1}
 
     @pytest.mark.parametrize("fourth, weights", [
@@ -117,9 +116,9 @@ class TestRouteBySliceDimension:
         ((1, 1, 0), (Fraction(2, 9), Fraction(2, 9), Fraction(1, 3), Fraction(2, 9)))])
     def test_chart_moves_the_zero_coordinate_to_the_middle(self, fourth, weights):
         # r has a zero coordinate off the middle, so the chart permutes it there
-        data, report = construct_pencil_3torus(STANDARD + (fourth,))
+        data = construct_pencil_3torus(STANDARD + (fourth,))
         assert data.weights == weights
-        assert (data.metadata["construction"], report.degree) == ("rank4", 1)
+        assert data.metadata == {"construction": "rank4", "degree": 1}
 
     @pytest.mark.parametrize("y, s", [(STANDARD, 3), (N4_PENCIL[:8], 2)], ids=["s3", "n4-s2"])
     def test_other_dimensions_are_refused(self, y, s):
@@ -135,18 +134,18 @@ class TestCatalog:
     @pytest.mark.parametrize("cid", ["quadratic-s9", "cubic-s7-a", "cubic-s7-b", "quartic-s7"])
     def test_same_exact_certificate(self, cid):
         data = catalog(cid)
-        built, report = construct_pencil_3torus(data.y)
+        built = construct_pencil_3torus(data.y)
         assert built.q == data.q
         assert built.weights == data.weights
-        assert report.degree == data.metadata["degree"]
+        assert built.metadata["degree"] == data.metadata["degree"]
 
     def test_quadratic_s7_in_another_generator(self):
         # the entry's field is generated by sqrt(553), the route's by the
         # chart coordinate a = (115 - sqrt(553))/144 itself
         data = catalog("quadratic-s7")
-        built, report = construct_pencil_3torus(data.y)
-        assert report.degree == data.q[0, 0].field.degree == 2
-        assert report.minpoly != data.q[0, 0].field.minpoly
+        built = construct_pencil_3torus(data.y)
+        assert built.metadata["degree"] == data.q[0, 0].field.degree == 2
+        assert built.metadata["minpoly"] != list(data.q[0, 0].field.minpoly)
         for got, want in zip(built.q.upper() + list(built.weights),
                              data.q.upper() + list(data.weights)):
             assert abs(float(got) - float(want)) <= 1e-15
