@@ -34,12 +34,11 @@ margin comes from a cyclic Jacobi eigenvalue run on the assembled operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .lattices import canonical_class
-from .optimize import Columns, HullPoint, as_columns, caratheodory_reduce
+from .optimize import HullPoint, as_columns, caratheodory_reduce
 from .scalars import eliminate, exact_scalar
 from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, rank
 
@@ -53,19 +52,24 @@ class UnverifiedCertificate(ValueError):
 # ---------------------------------------------------------------------------
 # matrix data (homogeneous certificates)
 
-@dataclass(frozen=True)
 class MatrixData:
-    """Certificate {n, N, Q, Y, weights} of a homogeneous minimal immersion."""
+    """Certificate {n, N, Q, Y, weights} of a homogeneous minimal immersion.
 
-    q: SymMatrix
-    y: Columns
-    weights: tuple
-    metadata: dict = field(default_factory=dict, compare=False)
+    Y is normalized by `as_columns`; equality compares Q, Y and the weights,
+    not the metadata."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", as_columns(self.y))
-        if len(self.weights) != len(self.y):
+    __slots__ = ("q", "y", "weights", "metadata")
+
+    def __init__(self, q: SymMatrix, y, weights: tuple, metadata: Optional[dict] = None):
+        self.q, self.y, self.weights = q, as_columns(y), weights
+        self.metadata = {} if metadata is None else metadata
+        if len(weights) != len(self.y):
             raise ValueError("one weight per column required")
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixData):
+            return NotImplemented
+        return (self.q, self.y, self.weights) == (other.q, other.y, other.weights)
 
     @property
     def n(self) -> int:
@@ -86,8 +90,7 @@ class MatrixData:
 # ---------------------------------------------------------------------------
 # verification reports
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     verdict: str                      # "verified" | "falsified" | "indeterminate"
     reason: Optional[str]
     residuals: dict[str, float]
@@ -447,8 +450,7 @@ def frequency_coefficients(gram: GramOperator, y) -> dict:
 # ---------------------------------------------------------------------------
 # embeddedness
 
-@dataclass(frozen=True)
-class EmbeddednessResult:
+class EmbeddednessResult(NamedTuple):
     status: str  # "embedded" | "not_embedded" | "unknown"
     witness: Optional[tuple[Fraction, ...]]
 

@@ -66,7 +66,8 @@ def load_gram(spec: str) -> SymMatrix:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read gram file {spec!r}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or UTF-8, or an int beyond the digit limit
+    # invalid JSON or UTF-8, an int beyond the digit limit, or nesting beyond the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise cio.CertificateFormatError(f"gram file {spec!r}: {exc}") from exc
     rows = doc.get("rows") if isinstance(doc, dict) else doc
     try:

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
 from .lattices import canonical_class, rational_points_on_ellipsoid
@@ -40,19 +39,17 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # rational tori: sampling + exact LP
 
-@dataclass
 class RationalPipelineConfig:
-    q: SymMatrix
-    sample_count: int = 48
-    seed: int = 0
-    max_denominator: int = 10**4
+    __slots__ = ("q", "sample_count", "seed", "max_denominator")
 
-    def __post_init__(self):
-        n = self.q.n
-        if self.sample_count < n * (n + 1) // 2:
+    def __init__(self, q: SymMatrix, sample_count: int = 48, seed: int = 0,
+                 max_denominator: int = 10**4):
+        if sample_count < q.n * (q.n + 1) // 2:
             raise ValueError("sample_count must be at least n(n+1)/2")
-        if self.max_denominator < 1:
+        if max_denominator < 1:
             raise ValueError("max_denominator must be positive")
+        self.q, self.sample_count, self.seed, self.max_denominator = (
+            q, sample_count, seed, max_denominator)
 
 
 def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
@@ -187,8 +184,7 @@ def _certificate(cols: Columns, qstar: SymMatrix, root: Union[None, Fraction, Al
 # ---------------------------------------------------------------------------
 # Pythagorean non-homogeneous family
 
-@dataclass
-class PythagoreanParams:
+class PythagoreanParams(NamedTuple):
     """Parameters of the 12-class family over a primitive triple (p, q, r).
 
     diagonal: the 12 coefficients a_i (None selects the centroid of the
@@ -206,8 +202,7 @@ class PythagoreanParams:
     psi2: float = 0.0
 
 
-@dataclass(frozen=True)
-class PythagoreanResult:
+class PythagoreanResult(NamedTuple):
     gram: GramOperator
     q: SymMatrix
     y: Columns
@@ -402,8 +397,7 @@ def pythagorean_family(params: PythagoreanParams) -> PythagoreanResult:
 # ---------------------------------------------------------------------------
 # Bryant's 2-torus family
 
-@dataclass
-class Bryant2TorusParams:
+class Bryant2TorusParams(NamedTuple):
     """Family over the torus with modulus m/n < 1/2 (coprime integers).
 
     rho ranges over [0, 1/(2b)] with b = sqrt(n^2 - m^2)/n; rho_scaled, when

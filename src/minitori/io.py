@@ -192,7 +192,8 @@ def parse(text: str):
     """Parse certificate JSON into MatrixData or (GramOperator, Q, Y, metadata)."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
+    # JSONDecodeError, an int beyond the digit limit, or nesting beyond the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise CertificateFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateFormatError("top level must be an object")

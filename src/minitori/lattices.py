@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence, Union
@@ -71,13 +70,14 @@ class EnumerationIncomplete(RuntimeError):
     """Raised when the coordinate cap was hit before the ellipsoid bound."""
 
 
-@dataclass(frozen=True)
 class NormClassList:
     """All integer vectors (one per +/- class) with v^t Q v equal to `target`."""
 
-    target: Fraction
-    classes: tuple[tuple[int, ...], ...]
-    complete: bool = True
+    __slots__ = ("target", "classes", "complete")
+
+    def __init__(self, target: Fraction, classes: tuple[tuple[int, ...], ...],
+                 complete: bool = True):
+        self.target, self.classes, self.complete = target, classes, complete
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -25,10 +25,9 @@ polynomial; one loop returns the first positive definite one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .exactlp import feasible_point
 from .lattices import canonical_class
@@ -72,8 +71,7 @@ def columns_from_matrix(rows: Sequence[Sequence[int]]) -> Columns:
     return tuple(tuple(int(rows[i][j]) for i in range(n)) for j in range(nn))
 
 
-@dataclass(frozen=True)
-class AffineSliceW:
+class AffineSliceW(NamedTuple):
     """Slice of the PD cone: Q0 + span{Q1..Qs}, all passing through Y.
 
     Q0 is the unique solution of <Q, Y_j Y_j^t> = 1 lying in
@@ -127,8 +125,7 @@ def build_slice(y) -> AffineSliceW:
 # ---------------------------------------------------------------------------
 # C-maximizer: Frank-Wolfe with away steps + exact Newton polish
 
-@dataclass(frozen=True)
-class HullPoint:
+class HullPoint(NamedTuple):
     """Convex combination P = sum lambda_j Y_j Y_j^t with exact weights."""
 
     y: Columns
@@ -245,8 +242,7 @@ def _exact_newton_step(cols: Columns, support: list[int],
 # ---------------------------------------------------------------------------
 # exact critical points of det: the pencil (s = 1) and the rank-4 chart (n = 3, s = 2)
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """The positive definite critical point of det on a slice: its parameter
     t0 (a Fraction, or an element of the field of its minimal polynomial), the
     matrix Q* at t0, and the degree of that minimal polynomial."""
@@ -314,8 +310,7 @@ def _factor_roots(factor: tuple[int, ...]) -> list[Union[Fraction, AlgebraicScal
             for interval in isolate_real_roots(factor)]
 
 
-@dataclass(frozen=True)
-class Rank4Chart:
+class Rank4Chart(NamedTuple):
     """The chart of a rank-4 set in Z^3 (s = 2): Q~ = [[1,a,b],[a,1,c],[b,c,1]]
     through e1, e2, e3 and the normalized fourth vector r, with b(a), c(a) in
     closed form (`rank4_point`), and the rational B with Q = B^t Q~ B."""

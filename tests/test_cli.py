@@ -325,6 +325,24 @@ def test_undecodable_file_exits_65(kind, command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("command", [["verify"], ["reduce"],
+                                     ["enumerate", "--target", "1", "--gram"]], ids=" ".join)
+def test_nesting_beyond_the_recursion_limit_exits_65(command, tmp_path):
+    # json.loads raises RecursionError, which ended each command in a
+    # traceback with exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "minitori.cli", *command, str(path)],
+                          capture_output=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 65
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"parse error: ")
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhaustive_embedding_of_a_rank_deficient_y(fmt, tmp_path, capsys):
     # a zero column leaves rank(Y) = 2 < n: no embeddedness test, a falsified report
@@ -591,6 +609,26 @@ def test_commands_never_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NUMPY_CHECK, json.dumps(NUMPY_FREE_COMMANDS)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+# dataclasses alone pulls in inspect, ast, dis and tokenize, which nothing else
+# of the package loads; together they cost several milliseconds of every start
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+IMPORT_CHECK = """
+import json, sys
+before = set(sys.modules)  # what the interpreter loaded at start-up
+import minitori.cli
+print(json.dumps(sorted(set(sys.argv[1:]) & (set(sys.modules) - before))))
+"""
+
+
+def test_import_loads_no_dataclasses_machinery():
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK, *SLOW_IMPORTS],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def _benchmark_argvs():

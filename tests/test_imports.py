@@ -1,4 +1,5 @@
-"""Every name a module of the package or a test module imports is used in that module."""
+"""Every name a module of the package or a test module imports is used in that module,
+and the package imports no `dataclasses`."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import minitori
 
-SOURCES = (sorted(p for p in Path(minitori.__file__).parent.glob("*.py")
-                  if p.name != "__init__.py")  # __init__ imports to re-export
+PACKAGE = sorted(Path(minitori.__file__).parent.glob("*.py"))
+SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]  # __init__ imports to re-export
            + sorted(Path(__file__).parent.glob("*.py")))  # conftest.py included
 
 
@@ -35,3 +36,26 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_imports(source: str) -> set[str]:
+    """The top-level packages of the absolute imports of `source`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_the_imported_packages():
+    assert top_level_imports("import os.path\nfrom dataclasses import field\n"
+                             "from .io import emit\ndef f():\n    import json\n") == {
+        "os", "dataclasses", "json"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_dataclasses(path):
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start of the CLI
+    assert "dataclasses" not in top_level_imports(path.read_text())
