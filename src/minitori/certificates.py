@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
+from operator import mul
 from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .lattices import canonical_class
@@ -465,11 +467,8 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     The exhaustive path enumerates integer angle vectors through an
     invertible column subset and reports a witness point on failure.
     """
-    from itertools import combinations
-
     cols = as_columns(y)
-    n = len(cols[0])
-    nn = len(cols)
+    n, nn = len(cols[0]), len(cols)
     if rank(cols) != n:
         raise ValueError("rank(Y) must equal n")
     basis_picks = None
@@ -499,25 +498,14 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     rest = [cols[j] for j in range(nn) if j not in basis_picks]
     bounds = [sum(abs(x) for x in cols[p]) for p in basis_picks]
 
-    witnesses = []
-    ranges = [range(-(b - 1), b) for b in bounds]
-
-    def rec(idx, mvec):
-        if idx == n:
-            if all(v == 0 for v in mvec):
-                return
-            w = [sum(a * m for a, m in zip(row, mvec)) for row in adj]
-            if any(abs(x) >= size for x in w):
-                return
-            for col in rest:
-                if sum(y * x for y, x in zip(col, w)) % det:
-                    return
-            witnesses.append(tuple(Fraction(x, det) for x in w))
-            return
-        for v in ranges[idx]:
-            rec(idx + 1, mvec + [v])
-
-    rec(0, [])
+    # every integer angle vector of the box but 0 (the only one with w = 0);
+    # u = w / det is kept as the +/- class of w, its numerators over |det|
+    witnesses = set()
+    for mvec in product(*(range(-(b - 1), b) for b in bounds)):
+        w = [sum(map(mul, row, mvec)) for row in adj]
+        if max(map(abs, w)) < size and any(w) and \
+                all(sum(map(mul, col, w)) % det == 0 for col in rest):
+            witnesses.add(canonical_class(w))
     if not witnesses:
         return EmbeddednessResult("embedded", None)
 
@@ -526,8 +514,8 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
         negatives = sum(1 for x in u if x < 0)
         return (len(support), support, negatives, u)
 
-    cands = sorted({canonical_class(u) for u in witnesses}, key=simplicity)
-    return EmbeddednessResult("not_embedded", cands[0])
+    best = min(witnesses, key=simplicity)
+    return EmbeddednessResult("not_embedded", tuple(Fraction(x, size) for x in best))
 
 
 # ---------------------------------------------------------------------------

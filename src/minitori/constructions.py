@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .certificates import GramOperator, MatrixData, verify_full, verify_matrix_data
@@ -269,20 +268,21 @@ def _maximal_minors(rows: list[list[int]]) -> dict[int, int]:
 
     Built row by row: the minor of rows 0..k on a column set T is the Laplace
     expansion along row k, the sum over j in T of (-1)^(k + t) row[j] times
-    the minor of rows 0..k-1 on T - {j}, t the position of j in T.
+    the minor of rows 0..k-1 on T - {j}, t the position of j in T.  The sign
+    (-1)^k is folded into the support tuples (bit of j, mask of the columns
+    below j, signed entry), so one popcount of T - {j} below j gives the rest.
     """
     minors = {0: 1}
     for k, row in enumerate(rows):
-        support = [(1 << j, x) for j, x in enumerate(row) if x]
+        support = [(1 << j, (1 << j) - 1, -x if k % 2 else x) for j, x in enumerate(row) if x]
         grown: dict[int, int] = {}
+        get = grown.get
         for cols, sub in minors.items():
-            for bit, x in support:
+            for bit, below, x in support:
                 if cols & bit:
                     continue
-                term = x * sub
-                if (k + (cols & (bit - 1)).bit_count()) % 2:
-                    term = -term
-                grown[cols | bit] = grown.get(cols | bit, 0) + term
+                key = cols | bit
+                grown[key] = get(key, 0) + (-x if (cols & below).bit_count() % 2 else x) * sub
         minors = {cols: v for cols, v in grown.items() if v}
     return minors
 
@@ -299,35 +299,36 @@ def feasible_diagonal_centroid(p: int, q: int, r: int) -> tuple[Fraction, ...]:
     (-1)^(4-i) times the maximal minor of [A | b] on B - {B_i} and b.  All of
     them are read from one table of the maximal minors of [A | b]
     (`_maximal_minors`), and the basis gives a vertex iff D != 0 and every
-    D_i D >= 0.  These are integer sign tests; each vertex is kept as its
-    reduced integer ratios and only the 12 centroid coordinates become
-    Fractions.  (A singular column subset adds no vertex: a nonnegative
+    D_i D >= 0.  One pass over the table visits the bases with D != 0 (zero
+    minors are not stored) and walks each from its highest column down, so
+    (-1)^(4-i) alternates from + and, times sign(D), is one running sign s:
+    each D_i is looked up once, and the first s D_i < 0 ends the basis.  Each
+    vertex is kept as its reduced integer ratios and only the 12 centroid
+    coordinates become Fractions.  (A singular column subset adds no vertex: a nonnegative
     solution on dependent columns with the free variables 0 lives on its
     independent pivot columns, which extend to a basis.)
     """
     rows = _diagonal_constraints(p, q, r)
-    m, nvar = len(rows), len(rows[0]) - 1
+    nvar = len(rows[0]) - 1
     minors = _maximal_minors(rows)
-    b_bit = 1 << nvar
+    get, b_bit = minors.get, 1 << nvar
     vertices = set()
-    for basis in combinations(range(nvar), m):
-        bits = [1 << j for j in basis]
-        cols = sum(bits)
-        d = minors.get(cols, 0)
-        if not d:
+    for cols, d in minors.items():
+        if cols & b_bit:
             continue
-        # D_i * sign(D), with the sign of moving b to position i folded in
-        nums = [minors.get(cols ^ bit | b_bit, 0) for bit in bits]
-        nums = [x if (m - 1 - i) % 2 == (d < 0) else -x for i, x in enumerate(nums)]
-        if any(x < 0 for x in nums):
-            continue
-        d = abs(d)
-        vertex = []
-        for j, x in zip(basis, nums):
+        s, rest, vertex = (1 if d > 0 else -1), cols, ()
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            x = s * get(cols ^ 1 << j | b_bit, 0)
+            if x < 0:
+                break
             if x:
-                g = math.gcd(x, d)
-                vertex.append((j, x // g, d // g))
-        vertices.add(tuple(vertex))
+                vertex += ((j, x),)
+            s = -s
+        else:
+            d = abs(d)
+            vertices.add(tuple((j, x // g, d // g) for j, x in vertex for g in [math.gcd(x, d)]))
     if not vertices:
         raise ConstructionError("empty feasible polytope")
     den = math.lcm(*(dj for v in vertices for _, _, dj in v))

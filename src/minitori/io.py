@@ -19,6 +19,9 @@ at (s, r), as the transpose of the one at (r, s), and a diagonal block that
 is a_r I2 only to within 1e-12 times the largest entry of the operator, as
 a_r = b00: `GramOperator` holds exactly a_r and the blocks above the
 diagonal.
+
+`metadata` is emitted again as read by a writer that recurses per level, so
+`parse` refuses lists and objects nested deeper than METADATA_DEPTH in it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .scalars import AlgebraicField, AlgebraicScalar, _element, format_rational,
 from .symmetric import SymMatrix
 
 FORMAT_VERSION = 1
+METADATA_DEPTH = 64
 
 
 class CertificateFormatError(ValueError):
@@ -213,6 +217,11 @@ def parse(text: str):
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CertificateFormatError("metadata must be an object")
+    level, depth = [metadata], 1  # the containers of one level; metadata is level 1
+    while level := [c for x in level for c in (x.values() if isinstance(x, dict) else x)
+                    if isinstance(c, (list, dict))]:
+        if (depth := depth + 1) > METADATA_DEPTH:
+            raise CertificateFormatError(f"metadata nested deeper than {METADATA_DEPTH} levels")
     if kind == "homogeneous":
         if "weights" not in doc:
             raise CertificateFormatError("homogeneous certificate needs weights")

@@ -11,15 +11,15 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
-from minitori.certificates import (DEFAULT_TOL, VerificationReport, _assemble_report,
-                                   has_proportional_columns)
+from minitori.certificates import (DEFAULT_TOL, EmbeddednessResult, VerificationReport,
+                                   _assemble_report, has_proportional_columns)
 from minitori.io import CertificateFormatError, _float, _integer, _list
 from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _integer_gram,
-                               _levels, _lines)
+                               _levels, _lines, canonical_class)
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
-                              _polynomial_memo, exact_scalar, poly_content_primitive,
+                              _polynomial_memo, eliminate, exact_scalar, poly_content_primitive,
                               pseudo_divmod, sqrt_field, squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
                                 is_positive_definite, kernel, rank, rank_one_rows, solve,
@@ -1025,6 +1025,61 @@ def reference_irreducible_factors(p) -> list[tuple[int, ...]]:
     if len(work) > 1:
         factors.append(work)
     return factors
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive embeddedness search as it ran before the flat box loop
+
+
+def recursive_embeddedness(y) -> EmbeddednessResult:
+    """Oracle for `certificates.embeddedness(y, exhaustive=True)`: the same
+    unimodular-minor shortcut, then the box of integer angle vectors through
+    the first invertible column subset, walked by a recursion that copies the
+    partial vector at every level; the witness is the simplest canonical class."""
+    cols = as_columns(y)
+    n, nn = len(cols[0]), len(cols)
+    if rank(cols) != n:
+        raise ValueError("rank(Y) must equal n")
+    basis_picks = None
+    for picks in itertools.combinations(range(nn), n):
+        d = determinant([cols[p] for p in picks])
+        if d != 0 and basis_picks is None:
+            basis_picks = picks
+        if abs(d) == 1:
+            return EmbeddednessResult("embedded", None)
+    a = [list(cols[p]) + [int(i == j) for j in range(n)] for i, p in enumerate(basis_picks)]
+    det = eliminate(a, n)[0][-1][1]
+    adj = [row[n:] for row in a]
+    size = abs(det)
+    rest = [cols[j] for j in range(nn) if j not in basis_picks]
+    ranges = [range(-(b - 1), b) for b in (sum(abs(x) for x in cols[p]) for p in basis_picks)]
+    witnesses = []
+
+    def rec(idx, mvec):
+        if idx == n:
+            if all(v == 0 for v in mvec):
+                return
+            w = [sum(a * m for a, m in zip(row, mvec)) for row in adj]
+            if any(abs(x) >= size for x in w):
+                return
+            for col in rest:
+                if sum(y * x for y, x in zip(col, w)) % det:
+                    return
+            witnesses.append(tuple(Fraction(x, det) for x in w))
+            return
+        for v in ranges[idx]:
+            rec(idx + 1, mvec + [v])
+
+    rec(0, [])
+    if not witnesses:
+        return EmbeddednessResult("embedded", None)
+
+    def simplicity(u):
+        support = tuple(i for i, x in enumerate(u) if x != 0)
+        return (len(support), support, sum(1 for x in u if x < 0), u)
+
+    return EmbeddednessResult("not_embedded",
+                              min({canonical_class(u) for u in witnesses}, key=simplicity))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,17 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG_FIELDS, reference_verify_matrix_data
+from conftest import CATALOG_FIELDS, recursive_embeddedness, reference_verify_matrix_data
 from minitori.certificates import (DEFAULT_TOL, GramOperator, MatrixData, embeddedness,
                                    reduce_target_dimension, verify_full, verify_matrix_data)
 from minitori.constructions import (CATALOG_IDS, PythagoreanParams, RationalPipelineConfig,
                                     catalog, construct_rational, pythagorean_family)
 from minitori.io import emit, parse
 from minitori.scalars import AlgebraicField
-from minitori.symmetric import SymMatrix, trace_inner
+from minitori.symmetric import SymMatrix, rank, trace_inner
 
 EPS = Fraction(1, 10**12)
 STANDARD_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -79,6 +79,16 @@ class TestEmbeddedness:
         # no unimodular minor and N > n: only the exhaustive search decides
         y = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (5, 3, 4))
         assert embeddedness(y).status == "unknown"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n + 2)))
+    def test_exhaustive_search_matches_the_recursive_oracle(self, y):
+        # spanning Y with n = 2 or 3, N <= n + 2 and entries within +-4: a column
+        # sums to at most 12 in absolute value, so the box of angle vectors has
+        # at most 23^3 = 12,167 points (below 2 * 10^4)
+        assume(rank(y) == len(y[0]))
+        assert embeddedness(y, exhaustive=True) == recursive_embeddedness(y)
 
 
 class TestReduceTargetDimension:

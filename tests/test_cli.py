@@ -343,6 +343,28 @@ def test_nesting_beyond_the_recursion_limit_exits_65(command, tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["verify"], ["reduce"]], ids=" ".join)
+def test_metadata_nested_beyond_the_bound_exits_65(command, tmp_path):
+    # 499 nested lists parse (json.loads nests to about 990), but the
+    # recursive writer ran out of stack: `reduce` printed its summary line and
+    # ended in a RecursionError traceback with exit 1, and `verify` exited 0
+    doc = _document("clifford-3")
+    doc["metadata"]["deep"] = json.loads("[" * 499 + "]" * 499)
+    path = tmp_path / "deep-metadata.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "minitori.cli", *command, str(path),
+                           *(["-o", str(tmp_path / "out.json")] if command == ["reduce"] else [])],
+                          capture_output=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 65
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"parse error: metadata nested deeper than")
+    assert b"Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhaustive_embedding_of_a_rank_deficient_y(fmt, tmp_path, capsys):
     # a zero column leaves rank(Y) = 2 < n: no embeddedness test, a falsified report

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
@@ -10,19 +11,32 @@ from hypothesis import strategies as st
 
 from minitori.certificates import reduce_target_dimension
 from minitori.constructions import (PythagoreanParams, RationalPipelineConfig,
-                                    _diagonal_constraints, _maximal_minors, catalog,
-                                    construct_pencil_3torus, construct_rational,
-                                    feasible_diagonal_centroid, pythagorean_family)
+                                    _diagonal_constraints, _hypotenuse_multiplicity,
+                                    _maximal_minors, catalog, construct_pencil_3torus,
+                                    construct_rational, feasible_diagonal_centroid,
+                                    pythagorean_family)
 from minitori.optimize import InfeasibleRegion
 from minitori.symmetric import SymMatrix
 from conftest import centroid_by_subsystems, pythagorean_constraints_displayed
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41)]
+# Euclid's formula: (m^2 - k^2, 2mk, m^2 + k^2) for m > k >= 1 coprime and of
+# opposite parity, sorted; r <= 100 and the hypotenuse of no other primitive triple
+EUCLID_TRIPLES = sorted(
+    (min(m * m - k * k, 2 * m * k), max(m * m - k * k, 2 * m * k), m * m + k * k)
+    for m in range(2, 10) for k in range(1, m)
+    if gcd(m, k) == 1 and (m - k) % 2 and m * m + k * k <= 100
+    and _hypotenuse_multiplicity(m * m + k * k) == 1)
 
 
 class TestCentroid:
     @pytest.mark.parametrize("triple", TRIPLES, ids=str)
     def test_matches_subsystem_oracle(self, triple):
+        assert feasible_diagonal_centroid(*triple) == centroid_by_subsystems(*triple)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(EUCLID_TRIPLES))
+    def test_euclid_triples_match_subsystem_oracle(self, triple):
         assert feasible_diagonal_centroid(*triple) == centroid_by_subsystems(*triple)
 
     @pytest.mark.parametrize("triple", TRIPLES, ids=str)

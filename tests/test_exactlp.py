@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_FIELDS, draw_field_element, fraction_feasible_point
+from minitori import exactlp
 from minitori.exactlp import feasible_point
 from minitori.lattices import enumerate_norm
 from minitori.scalars import sqrt_field
@@ -188,7 +189,7 @@ class TestFieldRightHandSide:
         assert feasible_point([[Fraction(1)], [Fraction(1)]], [1 + r2, 1 + r2]) == [1 + r2]
 
 
-def test_i6_shell_at_mu_2():
+def _i6_shell_system():
     # Q = I6, mu = 2: the 126 classes v with |v|^2 = 4 give the points v / 2 on
     # the unit sphere; the LP writes Q^-1 / 6 as sum x_j (v_j / 2)(v_j / 2)^t
     n = 6
@@ -197,7 +198,24 @@ def test_i6_shell_at_mu_2():
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     a = [[Fraction(v[i] * v[j], 4) for v in shell] for i, j in pairs]
     b = [Fraction(int(i == j), n) for i, j in pairs]
+    return a, b, pairs
+
+
+def test_i6_shell_at_mu_2():
+    a, b, pairs = _i6_shell_system()
     x = feasible_point(a, b)
     assert x is not None
     _assert_feasible(a, b, x)
     assert sum(1 for v in x if v) <= len(pairs)
+
+
+def test_i6_shell_takes_558_pivots(monkeypatch):
+    # the count recorded with the tableau that still stored the artificial
+    # columns: Bland's rule reads none of them, so dropping them keeps the
+    # pivot sequence, and its length
+    a, b, _ = _i6_shell_system()
+    calls = []
+    monkeypatch.setattr(exactlp, "pivot",
+                        lambda *args, real=exactlp.pivot: calls.append(args[1:3]) or real(*args))
+    assert feasible_point(a, b) is not None
+    assert len(calls) == 558

@@ -231,3 +231,21 @@ def test_emit_writes_the_json_dumps_bytes(name, monkeypatch):
     text = emit(cert, metadata)
     monkeypatch.setattr(cio, "_dumps", lambda doc: json.dumps(doc, indent=2))
     assert emit(cert, metadata) == text
+
+
+def test_metadata_at_the_nesting_bound_round_trips():
+    # the metadata object is level 1, so 63 nested lists inside it reach the
+    # bound; every file parse accepts is emitted again, byte for byte
+    deep = json.loads("[" * (cio.METADATA_DEPTH - 1) + "]" * (cio.METADATA_DEPTH - 1))
+    text = emit(catalog("clifford-3"), {"deep": deep})
+    cert = parse(text)
+    assert cert.metadata["deep"] == deep
+    assert emit(cert) == text
+    doc = json.loads(text)
+    doc["metadata"]["deep"] = [deep]
+    with pytest.raises(CertificateFormatError, match="nested deeper than 64 levels"):
+        parse(json.dumps(doc))
+    # an object counts as a level like a list
+    doc["metadata"]["deep"] = {"k": deep}
+    with pytest.raises(CertificateFormatError, match="nested deeper"):
+        parse(json.dumps(doc))
