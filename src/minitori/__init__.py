@@ -7,14 +7,15 @@ critical point of det on the slice W_Y, routed by its dimension s: the
 single point for s = 0, the pencil for s = 1 (n <= 5), the rank-4 chart for
 s = 2 and n = 3; the Pythagorean and 2-torus families), verifies the full
 equation system exactly or at tolerance, tests embeddedness, and reduces the
-target sphere dimension by convex-combination reduction.
+target sphere dimension to the basic solution of the hull LP.
 
 Sym_n has one coordinate map, the upper triangle (S_ik)_{i <= k} row by row
 (`SymMatrix.upper`, `SymMatrix.from_upper`, `rank_one_rows`), and all exact
 linear algebra one elimination kernel (`scalars.pivot`, `scalars.eliminate`),
 where exactness is argued once; the directions of an affine slice of the PD
 cone are a primitive integer kernel basis (`build_slice`), and hull
-membership over Q or Q(w) is one integer simplex (`exact_hull_weights`).
+membership over Q or Q(w), and so its Caratheodory reduction, is one integer
+simplex (`exact_hull_weights`).
 
 The package is plain Python with no runtime dependency: float inverses and
 determinants are the exact ones rounded once, and the hull maximizer

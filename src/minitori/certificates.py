@@ -40,7 +40,7 @@ from operator import mul
 from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .lattices import canonical_class
-from .optimize import HullPoint, as_columns, caratheodory_reduce
+from .optimize import as_columns, caratheodory_reduce
 from .scalars import eliminate, exact_scalar
 from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, rank
 
@@ -521,20 +521,21 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
 # ---------------------------------------------------------------------------
 # target-dimension reduction
 
-def reduce_target_dimension(data: MatrixData, tol: float = DEFAULT_TOL) -> MatrixData:
-    """Deform a verified homogeneous certificate into at most n(n+1)/2 classes.
+def reduce_target_dimension(data: MatrixData) -> MatrixData:
+    """Rewrite a verified homogeneous certificate on at most n(n+1)/2 classes.
 
-    Caratheodory reduction of the weight vector preserves Q and P = Q^{-1}/n
-    exactly; the sphere dimension drops to 2N' - 1 <= n^2 + n - 1.
+    Q is kept, and the weights are those of `caratheodory_reduce` without its
+    zeros, in the input's regime: P = Q^{-1}/n is kept exactly (for float
+    weights, up to rounding each weight once), so the sphere dimension drops
+    to 2N' - 1 <= n^2 + n - 1, the paper's bound.  An unverified certificate
+    raises UnverifiedCertificate.
     """
-    report = verify_matrix_data(data, tol)
+    report = verify_matrix_data(data)
     if not report.verified:
         raise UnverifiedCertificate(f"certificate is {report.verdict}: {report.reason}")
-    point = HullPoint.from_weights(data.y, data.weights)
-    reduced = caratheodory_reduce(point)
-    keep = list(reduced.support)
-    new_y = tuple(data.y[j] for j in keep)
-    new_w = tuple(reduced.weights[j] for j in keep)
+    weights = caratheodory_reduce(data.y, data.weights)
+    keep = [j for j, w in enumerate(weights) if w]
     meta = dict(data.metadata)
     meta["reduced_from_classes"] = data.big_n
-    return MatrixData(q=data.q, y=new_y, weights=new_w, metadata=meta)
+    return MatrixData(q=data.q, y=[data.y[j] for j in keep],
+                      weights=tuple(weights[j] for j in keep), metadata=meta)

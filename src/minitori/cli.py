@@ -24,8 +24,8 @@ import sys
 from fractions import Fraction
 
 from . import io as cio
-from .certificates import (MatrixData, embeddedness, is_homogeneous, reduce_target_dimension,
-                           verify_full, verify_matrix_data)
+from .certificates import (MatrixData, UnverifiedCertificate, embeddedness, is_homogeneous,
+                           reduce_target_dimension, verify_full, verify_matrix_data)
 from .constructions import (Bryant2TorusParams, ConstructionError, PythagoreanParams,
                             RationalPipelineConfig, catalog, catalog_descriptions,
                             bryant_2torus, construct_pencil_3torus, construct_rational,
@@ -328,7 +328,7 @@ def cmd_reduce(args) -> int:
         return EXIT_FALSIFIED
     try:
         reduced = reduce_target_dimension(cert)
-    except Exception as exc:
+    except UnverifiedCertificate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     print(f"sphere dimension {cert.sphere_dim} -> {reduced.sphere_dim} "

@@ -14,7 +14,8 @@ Two feasible sets drive every construction in this package:
   Frank-Wolfe with away steps (the D-optimal-design structure) in plain
   Python floats, finished by one exact rational Newton step on the
   identified support.  Membership of an exact point is one integer LP
-  (`exact_hull_weights`), for a point over Q or over a field Q(w) alike.
+  (`exact_hull_weights`), for a point over Q or over a field Q(w) alike, and
+  its basic solution is the Caratheodory reduction of a combination.
 
 Both read the slice through one parametrization ``at(x)`` (`AffineSliceW`,
 `Rank4Chart`) at the real roots x of a polynomial of degree <= 4 factored
@@ -437,53 +438,7 @@ def _quartic_root(factor: tuple[int, ...], lo: Fraction, hi: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Caratheodory reduction (exact)
-
-def caratheodory_reduce(point: HullPoint) -> HullPoint:
-    """Rewrite the combination on at most n(n+1)/2 vectors, preserving P exactly.
-
-    Linear dependencies among the rank-one matrices are eliminated one at a
-    time, so the support drops to at most dim Sym_n = n(n+1)/2.  For
-    certificate data all Y_j Y_j^t lie on the hyperplane <Q, .> = 1, hence
-    eliminating a linear dependence also preserves the weight sum (take the
-    inner product with Q), and the reduced point is again a convex
-    combination.  Ties are broken toward the lowest index; float weights are
-    first lifted exactly to rationals.
-    """
-    n = point.p.n
-    bound = n * (n + 1) // 2
-    weights = [Fraction(w) if isinstance(w, (int, float, Fraction)) else w
-               for w in point.weights]
-    active = [j for j, w in enumerate(weights) if w]
-    while len(active) > bound:
-        dependences = kernel(list(zip(*rank_one_rows([point.y[j] for j in active]))))
-        if not dependences:
-            raise ValueError("no linear dependence found; invalid hull point")
-        z = dependences[0]
-        if not any(v > 0 for v in z):
-            z = [-v for v in z]
-        theta = None
-        pick = None
-        for idx, j in enumerate(active):
-            if z[idx] > 0:
-                ratio = weights[j] / z[idx]
-                if theta is None or ratio < theta:
-                    theta, pick = ratio, idx
-        assert theta is not None
-        new_active = []
-        for idx, j in enumerate(active):
-            weights[j] = weights[j] - theta * z[idx]
-            if idx == pick:
-                weights[j] = weights[j] - weights[j]  # exact zero in any scalar type
-            if weights[j]:
-                new_active.append(j)
-        active = new_active
-    out = [w if j in set(active) else (w - w) for j, w in enumerate(weights)]
-    return HullPoint(y=point.y, weights=tuple(out), p=point.p)
-
-
-# ---------------------------------------------------------------------------
-# exact hull membership (the construction routes and the catalog)
+# exact hull membership (the construction routes, the catalog and `reduce`)
 
 def exact_hull_weights(cols: Columns, p: SymMatrix):
     """Nonnegative weights with sum lambda_j Y_j Y_j^t = P, or None.
@@ -497,3 +452,26 @@ def exact_hull_weights(cols: Columns, p: SymMatrix):
     if not p.is_exact():
         raise TypeError("exact membership needs exact scalars")
     return feasible_point(list(zip(*rank_one_rows(cols))), p.upper())
+
+
+def caratheodory_reduce(cols: Columns, weights: Sequence) -> list:
+    """Nonnegative weights on at most n(n+1)/2 of the columns with the sum
+    P = sum w_j Y_j Y_j^t of the given nonnegative weights.
+
+    Caratheodory's theorem in Sym_n, of dimension n(n+1)/2, met by one basic
+    solution: for N <= n(n+1)/2 the weights are returned unchanged, else the
+    basic solution of `exact_hull_weights(cols, P)`, feasible by construction,
+    whose nonzero weights sit on linearly independent Y_j Y_j^t.  For
+    certificate data every Y_j Y_j^t lies on the hyperplane <Q, .> = 1, so the
+    weight sum <Q, P> is kept as well.  Float weights are lifted exactly for
+    the LP and its solution is rounded to floats once, so the output keeps the
+    input's regime.  The function keeps the theorem's name, by which the
+    benchmark's tracer wraps it.
+    """
+    n = len(cols[0])
+    if len(cols) <= n * (n + 1) // 2:
+        return list(weights)
+    floats = any(isinstance(w, float) for w in weights)
+    exact = [Fraction(w) for w in weights] if floats else weights
+    basic = exact_hull_weights(cols, SymMatrix.rank_one_sum(cols, exact))
+    return [float(w) for w in basic] if floats else basic

@@ -22,7 +22,7 @@ from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homo
                               _polynomial_memo, eliminate, exact_scalar, poly_content_primitive,
                               pseudo_divmod, sqrt_field, squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
-                                is_positive_definite, kernel, rank, rank_one_rows, solve,
+                                is_positive_definite, rank, rank_one_rows, solve,
                                 trace_inner)
 
 
@@ -1217,9 +1217,8 @@ def closed_form_pencil(slice_w):
 
 
 # ---------------------------------------------------------------------------
-# the affine slice and the Caratheodory reduction as they ran before the
-# upper-triangle coordinates: Fraction Gram-Schmidt in the trace inner product,
-# and rank-one matrices flattened to all n^2 entries
+# the affine slice as it ran before the upper-triangle coordinates: Fraction
+# Gram-Schmidt in the trace inner product
 
 
 def gram_schmidt_slice(cols):
@@ -1269,29 +1268,6 @@ def gram_schmidt_slice(cols):
             sign = 1 if next(v for v in ints if v) > 0 else -1
             basis.append(w.scale(Fraction(sign * den, g)))
     return q0, tuple(basis)
-
-
-def flattened_caratheodory_weights(point) -> tuple:
-    """Oracle for `optimize.caratheodory_reduce`: the reduced weights, each
-    linear dependence taken from the rank-one matrices' n^2 entries."""
-    n = point.p.n
-    bound = n * (n + 1) // 2
-    weights = [Fraction(w) if isinstance(w, (int, float, Fraction)) else w
-               for w in point.weights]
-    active = [j for j, w in enumerate(weights) if w]
-    while len(active) > bound:
-        columns = [[a * b for a in point.y[j] for b in point.y[j]] for j in active]
-        z = kernel(list(zip(*columns)))[0]
-        if not any(v > 0 for v in z):
-            z = [-v for v in z]
-        theta, pick = min((weights[j] / z[idx], idx) for idx, j in enumerate(active)
-                          if z[idx] > 0)
-        for idx, j in enumerate(active):
-            weights[j] = weights[j] - theta * z[idx]
-            if idx == pick:
-                weights[j] = weights[j] - weights[j]
-        active = [j for j in active if weights[j]]
-    return tuple(w if j in active else w - w for j, w in enumerate(weights))
 
 
 # 3 x N integer vector sets: the standard basis (times the scale) plus the

@@ -1,6 +1,7 @@
 """Direct tests of certificate verification, embeddedness and reduction."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from minitori.certificates import (DEFAULT_TOL, GramOperator, MatrixData, embedd
 from minitori.constructions import (CATALOG_IDS, PythagoreanParams, RationalPipelineConfig,
                                     catalog, construct_rational, pythagorean_family)
 from minitori.io import emit, parse
-from minitori.scalars import AlgebraicField
+from minitori.lattices import enumerate_norm
+from minitori.scalars import AlgebraicField, sqrt_field
 from minitori.symmetric import SymMatrix, rank, trace_inner
 
 EPS = Fraction(1, 10**12)
@@ -28,6 +30,23 @@ def _weighted_sum(data: MatrixData) -> SymMatrix:
         term = SymMatrix.rank_one(c).scale(w)
         acc = term if acc is None else acc + term
     return acc
+
+
+def _shell_certificate(n: int, norm: int, orbit_total) -> MatrixData:
+    """The classes of norm `norm` in Z^n as a certificate with Q = I/norm.
+
+    The signed permutations act on each orbit of classes (one multiset of
+    |Y_j|_i), so each orbit's Y_j Y_j^t sum to a multiple of I, which the
+    traces make |orbit| (norm/n) I.  So weights equal within an orbit give
+    sum w_j Y_j Y_j^t = (norm/n) I = Q^{-1}/n for any orbit totals of sum 1:
+    each call `orbit_total()` gives one total up to a common factor."""
+    cols = enumerate_norm(SymMatrix.identity(n), norm).classes
+    orbits = [tuple(sorted(map(abs, c))) for c in cols]
+    sizes = Counter(orbits)
+    totals = {orbit: orbit_total() for orbit in sizes}
+    scale = sum(totals.values())
+    weights = tuple(totals[orbit] / scale / sizes[orbit] for orbit in orbits)
+    return MatrixData(q=SymMatrix.identity(n).scale(Fraction(1, norm)), y=cols, weights=weights)
 
 
 class TestExactMeansExact:
@@ -109,6 +128,30 @@ class TestReduceTargetDimension:
         assert reduced.q == data.q
         assert _weighted_sum(reduced) == _weighted_sum(data)
         assert trace_inner(reduced.q, _weighted_sum(reduced)) == 1
+
+    @pytest.mark.parametrize("n, norm, before, after",
+                             [(4, 2, 12, 4), (4, 3, 16, 4), (5, 2, 20, 8), (6, 2, 30, 6)])
+    def test_uniform_shell_class_counts(self, n, norm, before, after):
+        # the simplex's basic solution; the elimination loop it replaced kept
+        # 8, 10, 12 and 18 classes
+        data = _shell_certificate(n, norm, lambda: Fraction(1))
+        assert data.big_n == before
+        reduced = reduce_target_dimension(data)
+        assert reduced.big_n == after
+        assert reduced.is_exact() and verify_matrix_data(reduced).verdict == "verified"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 4), st.booleans(), st.data())
+    def test_reduced_shells_verify_exactly(self, n, norm, irrational, data):
+        assume((n, norm) != (2, 3))  # Z^2 has no class of norm 3
+        ratio = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+        root2 = sqrt_field(2).generator()
+        cert = _shell_certificate(n, norm, lambda: data.draw(ratio) + (
+            root2 * data.draw(ratio) if irrational else 0))
+        reduced = reduce_target_dimension(cert)
+        assert reduced.q == cert.q
+        assert reduced.big_n <= n * (n + 1) // 2
+        assert reduced.is_exact() and verify_matrix_data(reduced).verdict == "verified"
 
 
 class TestRankOneSum:

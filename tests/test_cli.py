@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import minitori
+import minitori.certificates
 from minitori.cli import COMMANDS, _class_template, build_parser, load_gram, main
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
@@ -363,6 +364,44 @@ def test_metadata_nested_beyond_the_bound_exits_65(command, tmp_path):
     assert proc.stderr.startswith(b"parse error: metadata nested deeper than")
     assert b"Traceback" not in proc.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("rho, before, after", [("0.3", 4, 3), ("0.0", 3, 3)])
+def test_reduce_keeps_float_weights_verified(rho, before, after, tmp_path, capsys):
+    # the elimination loop returned every weight lifted to a Fraction, an
+    # exact certificate whose flat equation held only up to rounding: verify
+    # printed "falsified (flat)" and exited 1, for rho = 0.0 with nothing reduced
+    cert, reduced = tmp_path / "b.json", tmp_path / "r.json"
+    assert main(["construct", "bryant", "--mn", "2", "5", "--rho", rho, "-o", str(cert)]) == 0
+    assert main(["reduce", str(cert), "-o", str(reduced)]) == 0
+    assert main(["verify", str(reduced)]) == 0
+    assert f"(classes {before} -> {after})" in capsys.readouterr().out
+    weights = json.loads(reduced.read_text())["weights"]
+    assert len(weights) == after and all(isinstance(w, float) for w in weights)
+
+
+def test_reduce_of_a_falsified_certificate_exits_1(tmp_path, capsys):
+    doc = _document("clifford-3")
+    doc["weights"][0] = "1/2"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", str(path), "-o", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate is falsified: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_reduce_lets_an_unexpected_error_propagate(tmp_path, monkeypatch):
+    # only an unverified certificate exits 1; any other error is a bug, and a
+    # catch-all made it read as a falsified certificate
+    def broken(cols, weights):
+        raise RuntimeError("broken reduction")
+    monkeypatch.setattr(minitori.certificates, "caratheodory_reduce", broken)
+    path = tmp_path / "clifford-3.json"
+    path.write_text(json.dumps(_document("clifford-3")))
+    with pytest.raises(RuntimeError, match="broken reduction"):
+        main(["reduce", str(path), "-o", str(tmp_path / "out.json")])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (PENCIL_SETS, TEST_FIELDS, as_array, closed_form_pencil,
-                      draw_field_element, flattened_caratheodory_weights,
-                      fraction_feasible_point, gram_schmidt_slice, maximize_logdet_W,
-                      numpy_maximize_logdet_C, pencil_columns, reference_exact_hull_weights)
-from minitori.optimize import (AffineSliceW, ConvergenceFailure, HullPoint,
-                               InfeasibleRegion, NoCommonEllipsoid,
-                               build_slice, caratheodory_reduce, exact_hull_weights,
-                               kkt_gap, maximize_logdet_C, pencil_maximize,
+                      draw_field_element, fraction_feasible_point, gram_schmidt_slice,
+                      maximize_logdet_W, numpy_maximize_logdet_C, pencil_columns,
+                      reference_exact_hull_weights)
+from minitori.lattices import enumerate_norm
+from minitori.optimize import (AffineSliceW, ConvergenceFailure, InfeasibleRegion,
+                               NoCommonEllipsoid, build_slice, caratheodory_reduce,
+                               exact_hull_weights, kkt_gap, maximize_logdet_C, pencil_maximize,
                                rank4_chart, rank4_lagrange, rank4_maximize, rank4_point,
                                rank4_quartic)
 from minitori.scalars import isolate_real_roots, sqrt_field
@@ -459,53 +459,78 @@ class TestRank4:
                 assert crit.qstar.quad_form(c) == 1
 
 
+def _check_reduction(cols, weights) -> list:
+    """`caratheodory_reduce(cols, weights)`, checked: nonnegative weights, at
+    most n(n+1)/2 of them nonzero, with the same sum P = sum w_j Y_j Y_j^t,
+    and for N > n(n+1)/2 a basic solution (its Y_j Y_j^t linearly
+    independent); for N <= n(n+1)/2 the weights themselves.  Float weights
+    come back as the exact reduction of the lifted weights, each rounded
+    once."""
+    n = len(cols[0])
+    bound = n * (n + 1) // 2
+    out = caratheodory_reduce(cols, weights)
+    if any(isinstance(w, float) for w in weights):
+        weights = [Fraction(w) for w in weights]
+        exact = caratheodory_reduce(cols, weights)
+        assert out == [float(w) for w in exact]
+        out = exact
+    keep = [j for j, w in enumerate(out) if w]
+    assert all(out[j] > 0 for j in keep)
+    assert len(keep) <= bound
+    assert _weighted_sum(cols, out) == _weighted_sum(cols, weights)
+    if len(cols) > bound:
+        assert rank(rank_one_rows([cols[j] for j in keep])) == len(keep)
+    else:
+        assert out == list(weights)
+    return out
+
+
+@st.composite
+def reduction_problems(draw):
+    """A full shell of Z^n (norm 1, 2 or 3) or random integer Y (n ..
+    n(n+1)/2 + 4 nonzero vectors), spanning, n = 2 .. 5, with positive weights:
+    rationals, elements of Q(sqrt 2) or floats."""
+    n = draw(st.integers(2, 5))
+    vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    shell = st.integers(1, 3).map(lambda k: enumerate_norm(SymMatrix.identity(n), k).classes)
+    cols = draw((shell | st.lists(vector, min_size=n, max_size=n * (n + 1) // 2 + 4))
+                .filter(lambda c: c and rank(c) == n))  # Z^2 has no class of norm 3
+    kind = draw(st.sampled_from(["rational", "sqrt2", "float"]))
+    if kind == "float":
+        return cols, draw(st.lists(st.floats(1e-3, 1e3), min_size=len(cols),
+                                   max_size=len(cols)))
+    ratio = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    weights = draw(st.lists(ratio, min_size=len(cols), max_size=len(cols)))
+    if kind == "sqrt2":  # the simplex takes certified signs in Q(sqrt 2)
+        root2 = sqrt_field(2).generator()
+        weights = [root2 * w + draw(ratio) for w in weights]
+    return cols, weights
+
+
 class TestCaratheodory:
     def test_already_small(self):
-        hp = HullPoint.from_weights([(1, 0), (0, 1)], [Fraction(1, 2), Fraction(1, 2)])
-        red = caratheodory_reduce(hp)
-        assert red.weights == hp.weights
+        weights = [Fraction(1, 2), Fraction(1, 2)]
+        assert _check_reduction(((1, 0), (0, 1)), weights) == weights
 
     def test_spec_n2_example(self):
-        hp = HullPoint.from_weights([(1, 0), (0, 1), (1, 1), (1, -1)], [Fraction(1, 4)] * 4)
-        red = caratheodory_reduce(hp)
-        assert len(red.support) <= 3
-        assert _weighted_sum(red) == hp.p
+        _check_reduction(((1, 0), (0, 1), (1, 1), (1, -1)), [Fraction(1, 4)] * 4)
 
     def test_pythagorean_homogeneous(self):
         from minitori.constructions import pythagorean_columns
-        cols = pythagorean_columns(3, 4, 5)
-        w = [Fraction(1, 8)] * 4 + [Fraction(1, 16)] * 8
-        hp = HullPoint.from_weights(cols, w)
-        red = caratheodory_reduce(hp)
-        assert len(red.support) <= 6
-        assert _weighted_sum(red) == hp.p
-        assert sum(red.weights) == 1
+        out = _check_reduction(pythagorean_columns(3, 4, 5),
+                               [Fraction(1, 8)] * 4 + [Fraction(1, 16)] * 8)
+        assert sum(out) == 1  # every Y_j Y_j^t lies on <Q, .> = 1
 
-    def test_matches_the_flattened_oracle(self, rng):
-        root2 = sqrt_field(2).generator()
-        for n in (2, 3, 4):
-            dim = n * (n + 1) // 2
-            for _ in range(6):
-                cols = set()
-                while len(cols) < dim + rng.randint(1, 4):
-                    c = tuple(rng.randint(-3, 3) for _ in range(n))
-                    if any(c):
-                        cols.add(c)
-                w = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in cols]
-                if n == 3:  # weights in Q(sqrt 2): the ratio tests take certified signs
-                    w = [x * (root2 + rng.randint(-1, 2)) for x in w]
-                hp = HullPoint.from_weights(sorted(cols), w)
-                assert caratheodory_reduce(hp).weights == flattened_caratheodory_weights(hp)
+    @settings(max_examples=60, deadline=None)
+    @given(reduction_problems())
+    def test_basic_solution_with_the_same_sum(self, problem):
+        _check_reduction(*problem)
 
     def test_never_grows_support(self, rng):
         for _ in range(5):
             cols = [tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(6)]
             cols = [c for c in cols if any(c)]
-            w = [Fraction(1, len(cols))] * len(cols)
-            hp = HullPoint.from_weights(cols, w)
-            red = caratheodory_reduce(hp)
-            assert len(red.support) <= len(hp.support)
-            assert _weighted_sum(red) == hp.p
+            _check_reduction(cols, [Fraction(1, len(cols))] * len(cols))
 
 
 @st.composite
@@ -566,9 +591,9 @@ class TestExactHullWeights:
             exact_hull_weights(((1, 0), (0, 1)), SymMatrix([[0.5, 0.0], [0.0, 0.5]]))
 
 
-def _weighted_sum(point):
+def _weighted_sum(cols, weights):
     acc = None
-    for w, c in zip(point.weights, point.y):
+    for w, c in zip(weights, cols):
         term = SymMatrix.rank_one(c).scale(w)
         acc = term if acc is None else acc + term
     return acc
