@@ -142,6 +142,8 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     zero falsifies, and its float magnitude is recorded.  Float certificates
     compare within tol, the flat residual within tol * max(1, max |(Q^{-1}/n)_ij|),
     so that the test is relative to the size of the entries it compares.
+    The unit norms Y_j^t Q Y_j of all columns are one integer pass over Q's
+    coordinates for exact Q (`SymMatrix.quad_forms`).
 
     For exact data the convex-combination equation W = Q^{-1}/n, with
     W = sum w_j Y_j Y_j^t, is tested without inverting Q, as n Q W = I: it
@@ -170,9 +172,9 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     if has_proportional_columns(data.y):
         structural = structural or "proportional_columns"
 
-    # unit-norm equation for every column
-    for c in data.y:
-        record("unit_norm", data.q.quad_form(c) - 1)
+    # unit-norm equation for every column, one integer pass for exact Q
+    for v in data.q.quad_forms(data.y):
+        record("unit_norm", v - 1)
 
     # convex-combination equation: sum w_j Y_j Y_j^t = Q^{-1}/n
     acc = SymMatrix.rank_one_sum(data.y, data.weights) if exact else None
@@ -324,9 +326,10 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
 
     (`frequency_coefficients`), plus the zero-frequency equation
     sum_r a_r Y_r Y_r^t = Q^{-1}/n (the euta residual, compared within
-    tol * max(1, max |(Q^{-1}/n)_ij|)), the unit norm of every class, and PSD
-    of the assembled operator: psd_margin is its smallest eigenvalue.  Two
-    columns equal up to sign falsify the certificate as
+    tol * max(1, max |(Q^{-1}/n)_ij|)), the unit norm of every class (for
+    exact Q one integer pass over its coordinates, `SymMatrix.quad_forms`),
+    and PSD of the assembled operator: psd_margin is its smallest
+    eigenvalue.  Two columns equal up to sign falsify the certificate as
     "proportional_columns", as in `verify_matrix_data`.
     """
     q, y = geometry
@@ -337,7 +340,7 @@ def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
     residuals: dict[str, float] = {}
 
     # Q and Y are exact data (unless Q is a float matrix): no rounding here
-    residuals["unit_norm"] = max(abs(float(q.quad_form(c) - 1)) for c in cols)
+    residuals["unit_norm"] = max(abs(float(v - 1)) for v in q.quad_forms(cols))
     try:
         # the exact inverse of the float Q, rounded once: 1.0/d for diagonal Q
         qinv = inverse(SymMatrix([[float(x) for x in row] for row in q.entries])).entries

@@ -66,6 +66,10 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     `rank_one_rows`.  That is the rational system times mu^2 on both sides,
     so Bland's rule makes the same pivots and lambda is the same.
 
+    The points arrive as integer numerators over one lowest-terms denominator
+    (`rational_points_on_ellipsoid`), so the +/- dedupe, mu and the columns
+    are integer work: no Fraction is built before Q/mu^2 and the LP.
+
     Zero-weight columns are dropped; the result is the verified matrix data
     {Q/mu^2, mu R} of the mu-scaled torus.  A quadric with too few sampled
     points, a deficient span or an infeasible LP raise ConstructionError.
@@ -79,32 +83,33 @@ def construct_rational(cfg: RationalPipelineConfig) -> MatrixData:
     s = Fraction(q.entries[0][0])
     qs = q.scale(1 / s)
 
-    e1 = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-    points = [e1]
+    e1 = (1,) + (0,) * (n - 1)
+    points = [(e1, 1)]
     for i in range(1, n):
         if qs.entries[i][i] == 1:
-            points.append(tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)))
+            points.append((tuple(int(k == i) for k in range(n)), 1))
     try:
         points += rational_points_on_ellipsoid(qs, e1, cfg.sample_count, cfg.seed)
     except RuntimeError as exc:  # the quadric has too few sampled rational points
         raise ConstructionError(f"{exc}; retry with fewer samples or a different seed") from exc
 
+    # a point (nums, d) is in lowest terms, so d is the lcm of its denominators;
+    # on the quadric d^2 = nums^t Q nums, so nums alone names the point's class
     mu = 1
-    kept: list[tuple[Fraction, ...]] = []
+    kept: list[tuple[tuple[int, ...], int]] = []
     seen = set()
-    for pt in points:
-        canon = canonical_class(pt)
+    for nums, d in points:
+        canon = canonical_class(nums)
         if canon in seen:
             continue
-        d = math.lcm(*[x.denominator for x in pt])
         new_mu = math.lcm(mu, d)
         if new_mu > cfg.max_denominator:
             continue
         mu = new_mu
         seen.add(canon)
-        kept.append(pt)
+        kept.append((nums, d))
 
-    cols = [tuple(x.numerator * (mu // x.denominator) for x in pt) for pt in kept]
+    cols = [tuple(x * (mu // d) for x in nums) for nums, d in kept]
     span_rank = rank(rank_one_rows(cols))
     if span_rank < n * (n + 1) // 2:
         raise ConstructionError(

@@ -430,7 +430,7 @@ def eigenfunction_index(q_dual: SymMatrix, target: Union[Rat, float],
 
 def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
                                  seed: int, max_denominator: int = 4,
-                                 max_numerator: int = 4) -> list[tuple[Fraction, ...]]:
+                                 max_numerator: int = 4) -> list[tuple[tuple[int, ...], int]]:
     """Rational points on the quadric u^t Q u = 1, by projection through u0.
 
     A pseudo-random rational point u' on the coordinate hyperplane of u0's
@@ -442,11 +442,16 @@ def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
 
         u_k = (z0_k d^t M d - 2 (z0^t M d) d_k) / (c d^t M d),
 
-    one integer quadratic form, one bilinear form and n reduced Fractions per
-    sample (d with d^t M d = 0 is skipped).  Each coordinate of u' is drawn
-    as randint(-max_numerator, max_numerator) then randint(1,
+    one integer quadratic form, one bilinear form and one gcd per sample
+    (d with d^t M d = 0 is skipped).  Each point u is returned as the pair
+    (numerators, den), u = numerators / den in lowest terms: den > 0 and
+    gcd(den, *numerators) = 1, so den is the lcm of the denominators of u's
+    coordinates and equal points are equal pairs.  Each coordinate of u' is
+    drawn as randint(-max_numerator, max_numerator) then randint(1,
     max_denominator), the axis coordinate too before it is set to 0, so the
-    points depend on the seed alone.  Every output satisfies the quadric
+    points depend on the seed alone: the pair form takes the same draws in
+    the same order as Fraction coordinates would, and Fraction(x, den) per
+    numerator gives the same points.  Every output satisfies the quadric
     equation exactly.
     """
     import random
@@ -465,8 +470,8 @@ def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
         raise ValueError("u0 does not lie on the ellipsoid")
     axis = next(k for k in range(n) if z0[k])
     rng = random.Random(seed)
-    points: list[tuple[Fraction, ...]] = []
-    seen = {u0}
+    points: list[tuple[tuple[int, ...], int]] = []
+    seen = {(tuple(z0), c)}  # lowest terms: c is the lcm of reduced denominators
     tries = 0
     while len(points) < count:
         tries += 1
@@ -482,7 +487,10 @@ def rational_points_on_ellipsoid(q: SymMatrix, u0: Sequence[Rat], count: int,
         if qd == 0:
             continue
         two_b = 2 * sum(map(mul, mz0, d))
-        u = tuple(Fraction(z * qd - two_b * x, c * qd) for z, x in zip(z0, d))
+        nums = [z * qd - two_b * x for z, x in zip(z0, d)]
+        g = math.gcd(c * qd, *nums)
+        g = -g if qd < 0 else g
+        u = (tuple(x // g for x in nums), c * qd // g)
         if u in seen:
             continue
         seen.add(u)

@@ -237,6 +237,21 @@ class SymMatrix:
             acc = Fraction(0) if self._regime != "float" else 0.0
         return acc
 
+    def quad_forms(self, cols: Sequence[Sequence[int]]) -> list[Scalar]:
+        """[v^t S v for v in cols], for integer vectors v.
+
+        For exact S, one `scalars.integer_combinations` pass over the
+        coordinates (`upper`) for all vectors: S_ik is weighted by v_i v_k,
+        doubled off the diagonal, so no field product is taken.  A float S
+        runs `quad_form` per vector, the same float operations in the same
+        order and so the same bits, as `rank_one_sum` keeps its float path.
+        """
+        if self._regime == "float":
+            return [self.quad_form(v) for v in cols]
+        pairs = [(i, k, 1 if i == k else 2) for i, k in _upper_pairs(self.n)]
+        return integer_combinations(self.upper(), [[t * v[i] * v[k] for i, k, t in pairs]
+                                                   for v in cols])
+
 
 # ---------------------------------------------------------------------------
 # operations

@@ -11,13 +11,15 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
-from minitori.certificates import (DEFAULT_TOL, EmbeddednessResult, VerificationReport,
-                                   _assemble_report, has_proportional_columns)
+from minitori.certificates import (DEFAULT_TOL, EmbeddednessResult, MatrixData,
+                                   VerificationReport, _assemble_report,
+                                   has_proportional_columns, verify_matrix_data)
+from minitori.constructions import ConstructionError
 from minitori.io import CertificateFormatError, _float, _integer, _list
 from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _integer_gram,
                                _levels, _lines, canonical_class)
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
-                               _exact_newton_step, as_columns)
+                               _exact_newton_step, as_columns, exact_hull_weights)
 from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
                               _polynomial_memo, eliminate, exact_scalar, poly_content_primitive,
                               pseudo_divmod, sqrt_field, squarefree_part)
@@ -723,6 +725,64 @@ def fraction_rational_points(q: SymMatrix, u0, count: int, seed: int,
     return points
 
 
+def fraction_construct_rational(cfg) -> MatrixData:
+    """Oracle for `constructions.construct_rational`: the points as Fraction
+    tuples from `fraction_rational_points`, deduplicated by their +/- class
+    and cleared to integer columns by the lcm mu of their denominators, one
+    Fraction per coordinate, as the pipeline did before the integer route;
+    the LP and verification are the package's."""
+    q = cfg.q
+    if q.regime != "rational":
+        raise TypeError("the rational pipeline needs a rational Gram matrix")
+    if is_positive_definite(q) is not True:
+        raise ValueError("Gram matrix must be positive definite")
+    n = q.n
+    s = Fraction(q.entries[0][0])
+    qs = q.scale(1 / s)
+    e1 = tuple(Fraction(int(i == 0)) for i in range(n))
+    points = [e1] + [tuple(Fraction(int(k == i)) for k in range(n))
+                     for i in range(1, n) if qs.entries[i][i] == 1]
+    try:
+        points += fraction_rational_points(qs, e1, cfg.sample_count, cfg.seed)
+    except RuntimeError as exc:
+        raise ConstructionError(f"{exc}; retry with fewer samples or a different seed") from exc
+
+    mu = 1
+    kept = []
+    seen = set()
+    for pt in points:
+        canon = canonical_class(pt)
+        if canon in seen:
+            continue
+        new_mu = math.lcm(mu, *[x.denominator for x in pt])
+        if new_mu > cfg.max_denominator:
+            continue
+        mu = new_mu
+        seen.add(canon)
+        kept.append(pt)
+
+    cols = [tuple(x.numerator * (mu // x.denominator) for x in pt) for pt in kept]
+    span_rank = rank(rank_one_rows(cols))
+    if span_rank < n * (n + 1) // 2:
+        raise ConstructionError(
+            f"sampled points span only {span_rank}/{n*(n+1)//2} of Sym_n; "
+            "retry with more samples or a different seed")
+    lam = exact_hull_weights(cols, inverse(qs).scale(Fraction(mu * mu, n)))
+    if lam is None:
+        raise ConstructionError(
+            "the convex-combination LP is infeasible for the sampled points; "
+            "retry with more samples or a different seed")
+    data = MatrixData(q=qs.scale(Fraction(1, mu * mu)),
+                      y=tuple(col for col, w in zip(cols, lam) if w),
+                      weights=tuple(w for w in lam if w),
+                      metadata={"construction": "rational", "mu": mu,
+                                "seed": cfg.seed, "scale": str(s)})
+    report = verify_matrix_data(data)
+    if not report.verified:
+        raise ConstructionError(f"pipeline output failed verification: {report.reason}")
+    return data
+
+
 def sympy_rank(rows) -> int:
     """Oracle for `symmetric.rank`: sympy's exact rank of int, Fraction or
     float rows, each float lifted by `float.as_integer_ratio` (which raises
@@ -1087,9 +1147,10 @@ def recursive_embeddedness(y) -> EmbeddednessResult:
 
 
 def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Oracle for `certificates.verify_matrix_data`: Q is always inverted, the
-    weighted sum is accumulated one rank-one matrix at a time, and the
-    positive definiteness test always runs.  The float tolerance of the flat
+    """Oracle for `certificates.verify_matrix_data`: the unit norms are
+    `quad_form` one column at a time, Q is always inverted, the weighted sum
+    is accumulated one rank-one matrix at a time, and the positive
+    definiteness test always runs.  The float tolerance of the flat
     residual is relative, as in the function it checks."""
     n = data.n
     exact = data.is_exact()

@@ -188,6 +188,42 @@ class TestRankOneSum:
             [[repr(x) for x in row] for row in want.entries]
 
 
+class TestQuadForms:
+    """SymMatrix.quad_forms against quad_form, one column at a time."""
+
+    FIELDS = (lambda: sqrt_field(2),
+              *(lambda data=data: AlgebraicField(*data) for data in CATALOG_FIELDS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_quad_form(self, data):
+        n = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, 12))
+        col = st.tuples(*[st.integers(-9, 9)] * n)
+        cols = data.draw(st.lists(st.one_of(col, st.just((0,) * n)),
+                                  min_size=count, max_size=count))
+        if data.draw(st.booleans()):  # a repeated column
+            cols[data.draw(st.integers(0, count - 1))] = cols[0]
+        kind = data.draw(st.sampled_from(["rational", "float", "algebraic"]))
+        rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+        if kind == "float":
+            entry = st.floats(-1e6, 1e6)
+        elif kind == "rational":
+            entry = rationals
+        else:
+            field = data.draw(st.sampled_from(self.FIELDS))()
+            entry = st.lists(rationals, min_size=field.degree,
+                             max_size=field.degree).map(field.element)
+        upper = data.draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                                   max_size=n * (n + 1) // 2))
+        q = SymMatrix.from_upper(upper)
+        got = q.quad_forms(cols)
+        want = [q.quad_form(v) for v in cols]
+        assert got == want
+        if kind == "float":  # quad_form itself, so the same bits
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
 # ---------------------------------------------------------------------------
 # verify_matrix_data against the reference that always inverts Q
 
@@ -242,6 +278,8 @@ def _perturbed(data: MatrixData, kind: str, eps=EPS) -> MatrixData:
         y[1] = tuple(-x for x in y[0])
     elif kind == "rank-deficient-y":
         y = [c[:-1] + (0,) for c in y]
+    elif kind == "y-entry+":
+        y[-1] = y[-1][:-1] + (y[-1][-1] + 1,)
     elif kind == "float-weights":
         w = [float(x) for x in w]
     else:
@@ -251,7 +289,7 @@ def _perturbed(data: MatrixData, kind: str, eps=EPS) -> MatrixData:
 
 PERTURBATIONS = ("unchanged", "weight+", "weight-", "negated-weight", "zero-weight",
                  "q-diagonal+", "q-offdiagonal-", "singular-q", "indefinite-q",
-                 "proportional-columns", "rank-deficient-y", "float-weights")
+                 "proportional-columns", "rank-deficient-y", "y-entry+", "float-weights")
 
 
 def _assert_same_as_reference(text: str, kind: str, eps=EPS) -> str:

@@ -1,5 +1,6 @@
 """Direct tests of the construction pipelines' exact building blocks."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -10,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minitori.certificates import reduce_target_dimension
-from minitori.constructions import (PythagoreanParams, RationalPipelineConfig,
-                                    _diagonal_constraints, _hypotenuse_multiplicity,
-                                    _maximal_minors, catalog, construct_pencil_3torus,
-                                    construct_rational, feasible_diagonal_centroid,
-                                    pythagorean_family)
+from minitori.constructions import (ConstructionError, PythagoreanParams,
+                                    RationalPipelineConfig, _diagonal_constraints,
+                                    _hypotenuse_multiplicity, _maximal_minors, catalog,
+                                    construct_pencil_3torus, construct_rational,
+                                    feasible_diagonal_centroid, pythagorean_family)
+from minitori.io import emit
 from minitori.optimize import InfeasibleRegion
 from minitori.symmetric import SymMatrix
-from conftest import centroid_by_subsystems, pythagorean_constraints_displayed
+from conftest import (centroid_by_subsystems, fraction_construct_rational,
+                      pythagorean_constraints_displayed, random_rational_pd)
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41)]
 # Euclid's formula: (m^2 - k^2, 2mk, m^2 + k^2) for m > k >= 1 coprime and of
@@ -138,6 +141,32 @@ class TestRouteBySliceDimension:
     def test_other_dimensions_are_refused(self, y, s):
         with pytest.raises(ValueError, match=f"dimension s = {s} "):
             construct_pencil_3torus(y)
+
+
+def _construct_outcome(construct, cfg):
+    """The emitted certificate, or the ConstructionError's message."""
+    try:
+        return emit(construct(cfg))
+    except ConstructionError as exc:
+        return "ConstructionError", str(exc)
+
+
+class TestRationalRoute:
+    """`construct_rational` on integer (numerators, den) points against the
+    Fraction route it replaced, on Grams beyond the benchmark's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.sampled_from([1, 4]),
+           st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.one_of(st.integers(1, 10**4), st.integers(10**4, 10**40)))
+    def test_matches_the_fraction_route(self, n, gram_seed, den_max, seed, extra, max_den):
+        # mu grows with the Gram's denominators: the larger max_denominator
+        # and the integer Grams (den_max = 1) let more LPs run
+        q = random_rational_pd(random.Random(gram_seed), n, den_max=den_max)
+        cfg = RationalPipelineConfig(q, sample_count=n * (n + 1) // 2 + extra, seed=seed,
+                                     max_denominator=max_den)
+        assert _construct_outcome(construct_rational, cfg) == \
+            _construct_outcome(fraction_construct_rational, cfg)
 
 
 class TestCatalog:

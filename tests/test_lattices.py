@@ -349,10 +349,18 @@ class TestSearchRadius:
         assert len(_check_search_radii(SymMatrix(rows), k)) == rounds
 
 
+def _fractions(pairs):
+    """The sampler's (numerators, den) pairs as Fraction tuples, after checking
+    that each is in lowest terms with den > 0."""
+    for nums, den in pairs:
+        assert den > 0 and math.gcd(den, *nums) == 1
+    return [tuple(Fraction(x, den) for x in nums) for nums, den in pairs]
+
+
 class TestRationalPoints:
     def test_circle(self):
         q = SymMatrix.identity(2)
-        pts = rational_points_on_ellipsoid(q, (1, 0), 12, seed=5)
+        pts = _fractions(rational_points_on_ellipsoid(q, (1, 0), 12, seed=5))
         assert len(set(pts)) == 12
         for x, y in pts:
             assert x * x + y * y == 1
@@ -364,13 +372,13 @@ class TestRationalPoints:
 
     def test_sphere_exact(self):
         q = SymMatrix.identity(3)
-        pts = rational_points_on_ellipsoid(q, (0, 0, 1), 10, seed=1)
+        pts = _fractions(rational_points_on_ellipsoid(q, (0, 0, 1), 10, seed=1))
         for p in pts:
             assert sum(x * x for x in p) == 1
 
     def test_ellipse_exact(self):
         q = SymMatrix.diag([Fraction(1, 4), 1])
-        pts = rational_points_on_ellipsoid(q, (2, 0), 8, seed=9)
+        pts = _fractions(rational_points_on_ellipsoid(q, (2, 0), 8, seed=9))
         for x, y in pts:
             assert x * x / 4 + y * y == 1
 
@@ -428,6 +436,6 @@ class TestRationalPointsOracle:
     def test_matches_fraction_sampler(self, quadric, count, seed, max_den, max_num):
         q, u0 = quadric
         args = (q, u0, count, seed, max_den, max_num)
-        assert _outcome(rational_points_on_ellipsoid, *args) == \
+        assert _outcome(lambda *a: _fractions(rational_points_on_ellipsoid(*a)), *args) == \
             _outcome(fraction_rational_points, *args)
 
