@@ -1,27 +1,34 @@
 """Command-line front end.
 
-The commands are one table, `COMMANDS`.  The first `main` call of a process
-builds its parser tree (`build_parser`, not at import), and every call parses
-with that one parser.
+The commands are one table, `COMMANDS`.  `main` reads a well-formed argv
+straight from that table (`_parse_from_table`): command words, exact option
+strings and their values, with each argument's type, choices, nargs,
+store_true, default and required applied.  Everything it cannot decide alone
+(help, an abbreviated option, `--opt=value`, `--`, a value that starts with
+'-', an unknown or missing argument, a value its type or choices refuse)
+goes to the argparse tree of the same table (`build_parser`), which is built
+and imported only then, once per process, and which alone prints help and
+usage errors.  So a well-formed command loads no argparse.
 
 Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
 infeasible/construction failure (also `enumerate --shortest` or `--spectrum`
 stopped by the coordinate box bound; `--target` reports an incomplete list
-in its header and exits 0), 64 usage error, 65 malformed file (also one that
-is not UTF-8, or whose JSON holds an integer beyond the interpreter's digit
-limit), 141 standard output closed early (128 + SIGPIPE; e.g. piped into
-`head`), with no traceback.
+in its header and exits 0), 64 usage error (also an output file that cannot
+be written, or an `I<n>` Gram whose n is not an integer of ASCII digits),
+65 malformed file (also one that is not UTF-8, or whose JSON holds an
+integer beyond the interpreter's digit limit), 141 standard output closed
+early (128 + SIGPIPE; e.g. piped into `head`), with no traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import io as cio
 from .certificates import (MatrixData, UnverifiedCertificate, embeddedness, is_homogeneous,
@@ -48,17 +55,18 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def load_gram(spec: str) -> SymMatrix:
     """Gram matrix from 'I<n>', 'diag:a,b,c', or a JSON file {"rows": [...]}."""
-    if spec.startswith("I") and spec[1:].isdigit():
-        if int(spec[1:]) < 1:
+    if spec.startswith("I") and spec[1:].isdigit():  # isdigit() also holds for '²'
+        if not spec.isascii():
+            raise UsageError(f"gram {spec!r}: the dimension must be written in ASCII digits")
+        try:
+            n = int(spec[1:])
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise UsageError(f"gram I<n>: {exc}") from None
+        if n < 1:
             raise UsageError(f"gram {spec!r}: the dimension must be at least 1")
-        return SymMatrix.identity(int(spec[1:]))
+        return SymMatrix.identity(n)
     if spec.startswith("diag:"):
         return SymMatrix.diag([_rational_flag("gram diag entry", v) for v in spec[5:].split(",")])
     try:
@@ -111,12 +119,16 @@ def load_y(path: str):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the float flags: NaN and infinities are usage errors."""
+    """The `type` of the Pythagorean amplitudes and angles and of `--rho`: a
+    finite float, else argparse's ArgumentTypeError, so that text that is no
+    number, NaN and the infinities are usage errors.  (`--tol` is a plain
+    float; `cmd_verify` refuses its NaN.)"""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
+        import argparse
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return x
 
@@ -180,13 +192,20 @@ def _exhaustive_is_cheap(y) -> bool:
     return vol <= 2 * 10**5
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
+def _write_or_print(text: str, out: str | None) -> int:
+    """Write `text` to the file `out`, or without one to stdout; the exit code,
+    64 after saying on stderr why the file could not be written."""
+    if not out:
+        sys.stdout.write(text)  # outside the try: a closed pipe is an OSError too
+        return EXIT_VERIFIED
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"wrote {out}")
+    return EXIT_VERIFIED
 
 
 def _read_certificate(path: str):
@@ -246,10 +265,11 @@ def cmd_construct(args) -> int:
                             metadata={"construction": "pythagorean",
                                       "triple": list(args.triple),
                                       "homogeneous": is_homogeneous(res.gram)})
-            _write_or_print(text, args.output)
-            print(f"classes N = 12, sphere dimension = 23, "
-                  f"homogeneous = {is_homogeneous(res.gram)}")
-            return EXIT_VERIFIED
+            code = _write_or_print(text, args.output)
+            if code == EXIT_VERIFIED:
+                print(f"classes N = 12, sphere dimension = 23, "
+                      f"homogeneous = {is_homogeneous(res.gram)}")
+            return code
         elif args.what == "bryant":
             m, n = args.mn
             rho_scaled = (_rational_flag("--rho-scaled", args.rho_scaled)
@@ -263,9 +283,10 @@ def cmd_construct(args) -> int:
     except (ConstructionError, InfeasibleRegion, ValueError, TypeError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    _write_or_print(cio.emit(data), args.output)
-    _summarize(data)
-    return EXIT_VERIFIED
+    code = _write_or_print(cio.emit(data), args.output)
+    if code == EXIT_VERIFIED:
+        _summarize(data)
+    return code
 
 
 def cmd_enumerate(args) -> int:
@@ -333,8 +354,7 @@ def cmd_reduce(args) -> int:
         return EXIT_FALSIFIED
     print(f"sphere dimension {cert.sphere_dim} -> {reduced.sphere_dim} "
           f"(classes {cert.big_n} -> {reduced.big_n})")
-    _write_or_print(cio.emit(reduced), args.output)
-    return EXIT_VERIFIED
+    return _write_or_print(cio.emit(reduced), args.output)
 
 
 def cmd_catalog(args) -> int:
@@ -348,8 +368,7 @@ def cmd_catalog(args) -> int:
         data = catalog(args.id)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    _write_or_print(cio.emit(data), args.output)
-    return EXIT_VERIFIED
+    return _write_or_print(cio.emit(data), args.output)
 
 
 def _arg(*flags, **kwargs):
@@ -405,8 +424,15 @@ def _add_branches(parser, dest: str, table: dict) -> None:
 
 
 @functools.cache
-def build_parser() -> _Parser:
-    """The parser of the whole `COMMANDS` tree, built on the first call."""
+def build_parser():
+    """The argparse parser of the whole `COMMANDS` tree, built on the first call;
+    its errors raise `UsageError`."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="minitori",
                      description="Minimal isometric immersions of flat tori into spheres: "
                                  "construct, verify, enumerate and reduce certificates.")
@@ -414,9 +440,69 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_from_table(argv):
+    """The namespace argparse builds from `argv`, read straight from `COMMANDS`,
+    or None when the table cannot decide alone: `-h`, an abbreviation,
+    `--opt=value`, `--` or any token that starts with '-' and is not an exact
+    option string; an option value or positional that starts with '-'; an
+    unknown token; a missing required argument; a value that its type or
+    choices refuse."""
+    args, dest, table, i = {}, "command", COMMANDS, 0
+    while isinstance(table, dict):  # the command words
+        if i == len(argv) or argv[i] not in table:
+            return None
+        args[dest] = argv[i]
+        _, args["func"], spec = table[argv[i]]
+        dest, table = spec if isinstance(spec, tuple) else (None, spec)
+        i += 1
+    options, positionals, required = {}, [], set()
+    for flags, kw in table:
+        if flags[0].startswith("-"):  # an option; its long string, the last, names it
+            name = flags[-1][2:].replace("-", "_")
+            options.update(dict.fromkeys(flags, (name, kw)))
+            if kw.get("required"):
+                required.add(name)
+        else:
+            name = flags[0]
+            positionals.append((name, kw))
+            if kw.get("nargs") != "?":
+                required.add(name)
+        args[name] = False if kw.get("action") == "store_true" else kw.get("default")
+    positionals.reverse()  # popped from the end, so in table order
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            if argv[i] not in options:
+                return None
+            name, kw = options[argv[i]]
+            i += 1
+        elif positionals:
+            name, kw = positionals.pop()
+        else:
+            return None
+        required.discard(name)
+        if kw.get("action") == "store_true":
+            args[name] = True
+            continue
+        many = isinstance(kw.get("nargs"), int)  # a list of nargs values, else one value
+        count = kw["nargs"] if many else 1
+        values = argv[i:i + count]
+        if len(values) < count or any(v.startswith("-") for v in values):
+            return None
+        try:
+            values = [kw.get("type", str)(v) for v in values]
+        except Exception:  # argparse calls the type again: it reports what the type
+            return None    # refuses, and any other error propagates from there
+        if "choices" in kw and any(v not in kw["choices"] for v in values):
+            return None
+        args[name] = values if many else values[0]
+        i += count
+    return None if required else SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_from_table(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

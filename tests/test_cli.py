@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,12 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minitori
 import minitori.certificates
-from minitori.cli import COMMANDS, _class_template, build_parser, load_gram, main
+from minitori.cli import (COMMANDS, UsageError, _class_template, _parse_from_table, build_parser,
+                          load_gram, main)
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
@@ -404,6 +406,32 @@ def test_reduce_lets_an_unexpected_error_propagate(tmp_path, monkeypatch):
         main(["reduce", str(path), "-o", str(tmp_path / "out.json")])
 
 
+# every command that writes a certificate with -o; run in tmp_path
+WRITING_COMMANDS = {
+    "catalog": ["catalog", "clifford-3"],
+    "reduce": ["reduce", "clifford-3.json"],
+    "rational": ["construct", "rational", "--gram", "I3"],
+    "pencil": ["construct", "pencil", "--Y", "y.txt"],
+    "pythagorean": ["construct", "pythagorean", "--triple", "3", "4", "5"],
+    "bryant": ["construct", "bryant", "--mn", "1", "3", "--rho-scaled", "1/2"],
+}
+
+
+@pytest.mark.parametrize("out", ["missing/c.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_an_unwritable_output_exits_64(name, out, tmp_path, monkeypatch, capsys):
+    # the write raised FileNotFoundError or IsADirectoryError: a traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clifford-3.json").write_text(json.dumps(_document("clifford-3")))
+    _pencil_file("rank5-deg1", tmp_path)
+    assert main(WRITING_COMMANDS[name] + ["-o", out]) == 64
+    captured = capsys.readouterr()
+    # reduce prints its summary before it writes; nothing else reaches stdout
+    assert captured.out == ("sphere dimension 5 -> 5 (classes 3 -> 3)\n" if name == "reduce"
+                            else "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhaustive_embedding_of_a_rank_deficient_y(fmt, tmp_path, capsys):
     # a zero column leaves rank(Y) = 2 < n: no embeddedness test, a falsified report
@@ -610,6 +638,17 @@ def test_overflowing_amplitude_is_a_construction_failure(capsys):
     assert captured.out == ""
     assert captured.err.startswith("construction failed: block 0: alpha^2 + beta^2 = inf")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["I\u00b2", "I" + "1" * 4301], ids=["superscript", "4301-digits"])
+@pytest.mark.parametrize("command", [["enumerate", "--target", "1"], ["construct", "rational"]],
+                         ids=["enumerate", "construct"])
+def test_a_malformed_identity_gram_exits_64(command, spec, capsys):
+    # str.isdigit() holds for both, and int() refused them: enumerate ended in a
+    # ValueError traceback, and construct rational reported a failed construction
+    assert main(command + ["--gram", spec]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: gram ") and err.count("\n") == 1
 
 
 def test_construct_rational_sampler_exhaustion_exits_2(capsys):
@@ -837,8 +876,113 @@ PARSED_ARGV = {
 
 @pytest.mark.parametrize("argv", _benchmark_argvs(), ids=" ".join)
 def test_selected_branch_parses_like_the_full_tree(argv):
-    args = vars(build_parser().parse_args(argv))
-    assert {**args, "func": args["func"].__name__} == PARSED_ARGV[" ".join(argv)]
+    # the argparse tree, and the table parser that main() tries first: every
+    # benchmark argv takes the table path (vars(None) would raise TypeError)
+    for parsed in (build_parser().parse_args(argv), _parse_from_table(argv)):
+        args = vars(parsed)
+        assert {**args, "func": args["func"].__name__} == PARSED_ARGV[" ".join(argv)]
+
+
+def _leaves(table=COMMANDS, words=()):
+    """(command words, argument specs) of every command of the table."""
+    for name, (_, _, spec) in table.items():
+        if isinstance(spec, tuple):
+            yield from _leaves(spec[1], words + (name,))
+        else:
+            yield list(words + (name,)), spec
+
+
+LEAVES = list(_leaves())
+WORDS = sorted({word for words, _ in LEAVES for word in words})
+FLAGS = sorted({flag for _, spec in LEAVES for flags, _ in spec for flag in flags
+                if flag.startswith("-")})
+# help, abbreviations, --x=y, --, a lone dash and an attached short value
+ODD_FLAGS = ["-h", "--help", "--he", "--", "-", "--gr", "--s", "--rho-s", "--out", "--fo",
+             "--format=json", "--seed=1", "--list=x", "-ox.json"]
+VALUES = ["1", "-1", "0", "3", "1e-10", "nan", "inf", "1/2", "I4", "json", "text", "a.json", ""]
+TOKENS = st.sampled_from(WORDS + FLAGS + ODD_FLAGS + VALUES)
+
+
+def _values(kw):
+    """A value that the argument's choices or type accept, or any of VALUES."""
+    fits = (st.sampled_from(kw["choices"]) if "choices" in kw
+            else st.integers(0, 20).map(str) if kw.get("type") is int
+            else st.sampled_from(["0.3", "2", "1e-10"]) if "type" in kw
+            else st.sampled_from(["I4", "a.json", "1/2"]))
+    return st.one_of(fits, st.sampled_from(VALUES))
+
+
+@st.composite
+def _argvs(draw):
+    """The words of a command, then some of its arguments in any order, each
+    flag with as many drawn values as it takes, and up to two tokens of any
+    kind inserted anywhere."""
+    words, spec = draw(st.sampled_from(LEAVES))
+    groups = []
+    for flags, kw in spec:
+        if draw(st.booleans()):
+            nargs = kw.get("nargs")
+            count = (0 if kw.get("action") == "store_true"
+                     else nargs if isinstance(nargs, int) else 1)
+            flag = [draw(st.sampled_from(flags))] if flags[0].startswith("-") else []
+            groups.append(flag + draw(st.lists(_values(kw), min_size=count, max_size=count)))
+    argv = words + [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    return argv
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(st.one_of(_argvs(), st.lists(TOKENS, max_size=6)))
+def test_the_table_parses_like_the_full_tree(argv):
+    # whatever the table accepts argparse reads alike (repr: NaN is not equal
+    # to itself); whatever argparse refuses is one usage error line and exit 64
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            full = vars(build_parser().parse_args(argv))
+        except UsageError:
+            full = None
+        except SystemExit as exc:  # help was printed
+            assert exc.code == 0 and _parse_from_table(argv) is None
+            return
+    table = _parse_from_table(argv)
+    if table is not None:
+        assert repr(sorted(vars(table).items())) == repr(sorted((full or {}).items()))
+    if full is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 64
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
+
+
+# one well-formed argv of each command, run in order in one directory
+ARGPARSE_FREE_COMMANDS = (
+    ["catalog", "clifford-3", "-o", "c.json"],
+    ["verify", "c.json"],
+    ["reduce", "c.json", "-o", "r.json"],
+    ["construct", "bryant", "--mn", "1", "3", "--rho-scaled", "1/2"],
+    ["enumerate", "--gram", "I2", "--target", "1"],
+)
+ARGPARSE_CHECK = """
+import json, sys
+before = set(sys.modules)
+import minitori.cli as cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert cli.build_parser.cache_info().currsize == 0
+print(json.dumps(sorted({"argparse", "gettext", "locale"} & (set(sys.modules) - before))))
+"""
+
+
+def test_well_formed_commands_never_import_argparse(tmp_path):
+    src = str(Path(minitori.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_CHECK,
+                           json.dumps(ARGPARSE_FREE_COMMANDS)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_one_parser_per_process_built_on_first_use():
