@@ -6,12 +6,15 @@ Q the dual-lattice Gram matrix in integer coordinates (so Y_j^t Q Y_j = 1),
 Y the integer coordinates of the participating norm-1 classes, and weights
 the squared coefficients c_j^2 with sum 1 and sum c_j^2 Y_j Y_j^t = Q^{-1}/n.
 For exact data `verify_matrix_data` never inverts Q when the certificate
-holds: it builds W = sum c_j^2 Y_j Y_j^t with one primitive
-(`SymMatrix.rank_one_sum`) and tests n Q W = I, which holds exactly iff
-W = Q^{-1}/n.  With rank Y = n and every weight certified positive, W is then
-positive definite, hence so is Q = W^{-1}/n, and no elimination is needed.
-Q^{-1} and the elimination are computed only to report a failing or float
-certificate, so every report is that of inverting Q.
+holds: it tests n Q W = I for W = sum c_j^2 Y_j Y_j^t, which holds exactly
+iff W = Q^{-1}/n, on integer numerators alone (Q and the weights each over
+one common denominator, W's coordinates integer combinations of the weight
+numerators, each entry of n Q W one integer convolution sum reduced once by
+`symmetric.product_is_identity`).  With rank Y = n and every weight
+certified positive, W is then positive definite, hence so is Q = W^{-1}/n,
+and no elimination is needed.  Q^{-1} and the elimination are computed only
+to report a failing or float certificate, so every report is that of
+inverting Q.
 
 General (possibly non-homogeneous) immersions are certified by the 2N x 2N
 coefficient operator A A^t together with (Q, Y): writing the squared norm and
@@ -41,8 +44,10 @@ from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .lattices import canonical_class
 from .optimize import as_columns, caratheodory_reduce
-from .scalars import eliminate, exact_scalar
-from .symmetric import SymMatrix, determinant, inverse, is_positive_definite, rank
+from .scalars import (Scalar, _field_of, combination_numerators, common_numerators, eliminate,
+                      exact_scalar, from_numerators)
+from .symmetric import (SymMatrix, determinant, inverse, is_positive_definite,
+                        product_is_identity, quad_form_rows, rank, rank_one_rows)
 
 DEFAULT_TOL = 1e-10
 
@@ -142,8 +147,6 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     zero falsifies, and its float magnitude is recorded.  Float certificates
     compare within tol, the flat residual within tol * max(1, max |(Q^{-1}/n)_ij|),
     so that the test is relative to the size of the entries it compares.
-    The unit norms Y_j^t Q Y_j of all columns are one integer pass over Q's
-    coordinates for exact Q (`SymMatrix.quad_forms`).
 
     For exact data the convex-combination equation W = Q^{-1}/n, with
     W = sum w_j Y_j Y_j^t, is tested without inverting Q, as n Q W = I: it
@@ -154,6 +157,14 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     skipped.  In every other case, and for float data, Q^{-1} gives the flat
     residual and the test runs, so verdicts, reasons and residuals are those
     of inverting Q every time.
+
+    Exact data are checked on integer numerators (`_exact_equations`): the
+    unit norms, n Q W = I and sum w_j = 1 are integer identities, and a field
+    element is built only for a nonzero residual, whose float magnitude is
+    recorded.  No zero residual is approximated, so the isolating intervals
+    are narrowed only by what reads them: the nonzero residuals, then every
+    weight's approximation and sign, in that order.  Float data take the
+    unit norms from `SymMatrix.quad_forms`.
     """
     n = data.n
     exact = data.is_exact()
@@ -162,8 +173,11 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     scales: dict[str, float] = {}
 
     def record(key, diff):
+        if not diff:  # no approximation, so no interval is narrowed
+            residuals.setdefault(key, 0.0)
+            return
         residuals[key] = max(residuals.get(key, 0.0), abs(float(diff)))
-        if exact and diff:
+        if exact:
             nonzero.add(key)
 
     structural = None
@@ -172,13 +186,15 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     if has_proportional_columns(data.y):
         structural = structural or "proportional_columns"
 
-    # unit-norm equation for every column, one integer pass for exact Q
-    for v in data.q.quad_forms(data.y):
-        record("unit_norm", v - 1)
+    if exact:
+        unit_residuals, inverse_free, sum_residual = _exact_equations(data)
+    else:
+        unit_residuals = [v - 1 for v in data.q.quad_forms(data.y)]
+        inverse_free, sum_residual = False, None
+    for diff in unit_residuals:
+        record("unit_norm", diff)
 
     # convex-combination equation: sum w_j Y_j Y_j^t = Q^{-1}/n
-    acc = SymMatrix.rank_one_sum(data.y, data.weights) if exact else None
-    inverse_free = acc is not None and _is_inverse_over_n(data.q, acc)
     if inverse_free:
         residuals["flat"] = 0.0
     else:
@@ -186,8 +202,7 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
             qinv = inverse(data.q)
         except ValueError:
             return VerificationReport("falsified", "singular_gram", residuals, None, tol)
-        if acc is None:
-            acc = SymMatrix.rank_one_sum(data.y, data.weights)
+        acc = SymMatrix.rank_one_sum(data.y, data.weights)
         target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
         for i in range(n):
             for j in range(n):
@@ -195,10 +210,11 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
         if not exact:  # an exact residual fails whenever it is nonzero
             scales["flat"] = _entry_scale(target.entries)
 
-    wsum = None
-    for w in data.weights:
-        wsum = w if wsum is None else wsum + w
-    record("weight_sum", wsum - 1)
+    if sum_residual is None:
+        for w in data.weights:
+            sum_residual = w if sum_residual is None else sum_residual + w
+        sum_residual -= 1
+    record("weight_sum", sum_residual)
 
     borderline = None
     wmin_f = None
@@ -226,16 +242,38 @@ def verify_matrix_data(data: MatrixData, tol: float = DEFAULT_TOL) -> Verificati
     return _assemble_report(residuals, None, tol, structural, borderline, nonzero, scales)
 
 
+def _exact_equations(data: MatrixData) -> tuple[list, bool, Scalar]:
+    """The exact equations on integer numerators: the residuals
+    Y_j^t Q Y_j - 1, whether n Q W = I, and the residual sum w_j - 1.
+
+    Q's coordinates and the weights are each brought over one common
+    denominator.  A zero residual is the int 0; a nonzero one is built in the
+    field the scalar arithmetic would have given it (Q's, the first algebraic
+    weight's), so its float is the same.  Elements of different fields raise
+    TypeError, as the field arithmetic does.
+    """
+    q, y, weights = data.q, data.y, data.weights
+    upper = q.upper()
+    q_field = _field_of(upper)
+    q_num, q_den = common_numerators(upper, q_field)
+    unit_residuals = []
+    for num in combination_numerators(q_num, quad_form_rows(y)):
+        num[0] -= q_den
+        unit_residuals.append(from_numerators(q_field, num, q_den) if any(num) else 0)
+    w_field = _field_of(weights)
+    field = q_field or w_field
+    w_num, w_den = common_numerators(weights, field)
+    w = combination_numerators(w_num, zip(*rank_one_rows(y)))
+    inverse_free = product_is_identity(q_num, w, q.n, q.n, q_den * w_den, field)
+    total = combination_numerators(w_num, [[1] * len(w_num)])[0]
+    total[0] -= w_den
+    return (unit_residuals, inverse_free,
+            from_numerators(w_field, total, w_den) if any(total) else 0)
+
+
 def _entry_scale(rows) -> float:
     """max(1, max |x|) over the entries: the factor of a residual's tolerance."""
     return max([1.0] + [abs(float(x)) for row in rows for x in row])
-
-
-def _is_inverse_over_n(q: SymMatrix, w: SymMatrix) -> bool:
-    """True iff n Q W = I exactly, for exact Q and W."""
-    diagonal = Fraction(1, q.n)
-    return all(x == (diagonal if i == k else 0)
-               for i, row in enumerate(q.matmul(w)) for k, x in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

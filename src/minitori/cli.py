@@ -14,7 +14,8 @@ Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
 infeasible/construction failure (also `enumerate --shortest` or `--spectrum`
 stopped by the coordinate box bound; `--target` reports an incomplete list
 in its header and exits 0), 64 usage error (also an output file that cannot
-be written, or an `I<n>` Gram whose n is not an integer of ASCII digits),
+be written, or an `I<n>` Gram whose n is not an integer of ASCII digits or
+exceeds MAX_IDENTITY_DIM),
 65 malformed file (also one that is not UTF-8, or whose JSON holds an
 integer beyond the interpreter's digit limit), 141 standard output closed
 early (128 + SIGPIPE; e.g. piped into `head`), with no traceback.
@@ -49,6 +50,7 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+MAX_IDENTITY_DIM = 100  # the largest n of an `I<n>` Gram: its identity holds n^2 entries
 
 
 class UsageError(Exception):
@@ -56,7 +58,8 @@ class UsageError(Exception):
 
 
 def load_gram(spec: str) -> SymMatrix:
-    """Gram matrix from 'I<n>', 'diag:a,b,c', or a JSON file {"rows": [...]}."""
+    """Gram matrix from 'I<n>' (1 <= n <= MAX_IDENTITY_DIM, checked before the
+    identity is built), 'diag:a,b,c', or a JSON file {"rows": [...]}."""
     if spec.startswith("I") and spec[1:].isdigit():  # isdigit() also holds for '²'
         if not spec.isascii():
             raise UsageError(f"gram {spec!r}: the dimension must be written in ASCII digits")
@@ -66,6 +69,8 @@ def load_gram(spec: str) -> SymMatrix:
             raise UsageError(f"gram I<n>: {exc}") from None
         if n < 1:
             raise UsageError(f"gram {spec!r}: the dimension must be at least 1")
+        if n > MAX_IDENTITY_DIM:
+            raise UsageError(f"gram {spec!r}: the dimension must be at most {MAX_IDENTITY_DIM}")
         return SymMatrix.identity(n)
     if spec.startswith("diag:"):
         return SymMatrix.diag([_rational_flag("gram diag entry", v) for v in spec[5:].split(",")])

@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -988,7 +988,8 @@ def common_numerators(xs: Sequence[Scalar], field: Optional[AlgebraicField]
 
     The x_j are ints, Fractions or elements of `field` (None: all rational);
     a rational one gets the numerator vector (p, 0, ..., 0).  The integer form
-    of `integer_combinations`, `dot` and the exact LP's right-hand side.
+    of `integer_combinations`, of exact certificate verification and of the
+    exact LP's right-hand side.
     """
     deg = 1 if field is None else field.degree
     parts = []
@@ -1007,45 +1008,59 @@ def _field_of(xs: Sequence[Scalar]) -> Optional[AlgebraicField]:
     return next((x.field for x in xs if isinstance(x, AlgebraicScalar)), None)
 
 
+def from_numerators(field: Optional[AlgebraicField], num: Sequence[int], den: int) -> Scalar:
+    """num/den for integer numerators over den > 0: a Fraction of num[0] when
+    field is None (any further numerators are 0), else an element of field."""
+    return Fraction(num[0], den) if field is None else _element(field, num, den)
+
+
+def combination_numerators(scaled: Sequence[Sequence[int]],
+                           rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """[sum_j row[j] scaled[j] for row in rows]: integer combinations of the
+    numerator vectors `scaled` (all of one length), coefficient by coefficient."""
+    deg = len(scaled[0]) if scaled else 1
+    out = []
+    for row in rows:
+        num = [0] * deg
+        for t, s in zip(row, scaled):
+            if t:
+                for i, c in enumerate(s):
+                    num[i] += t * c
+        out.append(num)
+    return out
+
+
 def integer_combinations(xs: Sequence[Scalar], rows: Sequence[Sequence[int]]) -> list:
     """[sum_j row[j] x_j for row in rows], for exact x_j and integer rows.
 
     The x_j are ints, Fractions or elements of one field.  Their numerators
     are brought over one common denominator once, so each sum is an integer
-    dot product per coefficient, allocated once: a Fraction when every x_j is
-    rational, else an element of the field.
+    dot product per coefficient (`combination_numerators`), allocated once: a
+    Fraction when every x_j is rational, else an element of the field.
     """
     field = _field_of(xs)
     scaled, den = common_numerators(xs, field)
-    out = []
-    for row in rows:
-        num = [0] * (1 if field is None else field.degree)
-        for t, s in zip(row, scaled):
-            if t:
-                for i, c in enumerate(s):
-                    num[i] += t * c
-        out.append(Fraction(num[0], den) if field is None else _element(field, num, den))
-    return out
+    return [from_numerators(field, num, den) for num in combination_numerators(scaled, rows)]
 
 
-def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    """sum_j x_j y_j for exact scalars (ints, Fractions or elements of one field).
-
-    The products are integer convolutions over the two common denominators,
-    summed before one reduction modulo the minimal polynomial.
+def convolution_sum(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]],
+                    field: Optional[AlgebraicField]) -> tuple[list[int], int]:
+    """(c, s): sum_l u_l v_l for nonempty lists of integer coefficient vectors
+    (low to high; one length among the u_l, one among the v_l), the products
+    taken as polynomials in the generator and their sum reduced once modulo
+    field's minimal polynomial (`_reduce_mod`), so that c is s > 0 times the
+    remainder, of degree < field.degree.  For field None the vectors have one
+    entry, and c = [sum_l u_l[0] v_l[0]], s = 1.
     """
-    field = _field_of(list(xs) + list(ys))
-    a, da = common_numerators(xs, field)
-    b, db = common_numerators(ys, field)
-    c = [0] * (1 if field is None else 2 * field.degree - 1)
-    for u, v in zip(a, b):
+    if field is None:
+        return [sum(u[0] * v[0] for u, v in zip(us, vs))], 1
+    c = [0] * (len(us[0]) + len(vs[0]) - 1)
+    for u, v in zip(us, vs):
         for i, x in enumerate(u):
             if x:
                 for j, y in enumerate(v, i):
                     c[j] += x * y
-    if field is None:
-        return Fraction(c[0], da * db)
-    return _element(field, c, da * db * _reduce_mod(field.minpoly, c))
+    return c, _reduce_mod(field.minpoly, c)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ pivoted LDL^t with a tolerance.
 Sym_n has one coordinate map, S -> (S_ik)_{i <= k} row by row: `SymMatrix.upper`
 reads it, `SymMatrix.from_upper` builds a matrix from it, and `rank_one_rows`
 gives the coordinates [v_i v_k]_{i <= k} of each v v^t, so a linear condition
-on sums of rank-one matrices is a system on these rows.
+on sums of rank-one matrices is a system on these rows; `quad_form_rows`
+gives the integer rows whose dot products with S's coordinates are the v^t S v.
+`product_is_identity` tests scale A B = den I for exact A and B given by the
+integer numerators of their coordinates, with no field element built.
 
 `rank`, `solve` (free variables 0), `kernel` (one basis vector per free
 column), `inverse`, `determinant` and the exact `is_positive_definite` are
@@ -36,7 +39,7 @@ import numbers
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .scalars import (AlgebraicField, AlgebraicScalar, Rat, Scalar, dot, eliminate,
+from .scalars import (AlgebraicField, AlgebraicScalar, Rat, Scalar, convolution_sum, eliminate,
                       exact_scalar, integer_combinations)
 
 FLOAT_PD_TOL = 1e-12
@@ -54,6 +57,37 @@ def rank_one_rows(vectors: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
     """
     pairs = _upper_pairs(len(vectors[0]))
     return [[v[i] * v[k] for i, k in pairs] for v in vectors]
+
+
+def quad_form_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """[t v_i v_k]_{i <= k} for each integer vector v, t = 1 on the diagonal
+    and 2 off it: v^t S v is this row's dot product with S's coordinates."""
+    n = len(vectors[0]) if vectors else 0
+    pairs = [(i, k, 1 if i == k else 2) for i, k in _upper_pairs(n)]
+    return [[t * v[i] * v[k] for i, k, t in pairs] for v in vectors]
+
+
+def product_is_identity(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], n: int,
+                        scale: int, den: int, field: Optional[AlgebraicField]) -> bool:
+    """True iff scale A B = den I, for symmetric n x n matrices A and B given
+    by the integer numerator vectors of their coordinates (`upper`) in the
+    power basis of field (None: rational, one numerator each).
+
+    Entry (i, j) of A B is one `scalars.convolution_sum` over row i of A and
+    column j of B, reduced once, so no field element is built.
+    """
+    index = {}
+    for t, (i, j) in enumerate(_upper_pairs(n)):
+        index[i, j] = index[j, i] = t
+    lines = [[index[i, j] for j in range(n)] for i in range(n)]
+    cols = [[b[t] for t in line] for line in lines]  # B is symmetric: its rows
+    for i, line in enumerate(lines):
+        row = [a[t] for t in line]
+        for j, col in enumerate(cols):
+            c, s = convolution_sum(row, col, field)
+            if any(c[1:]) or scale * c[0] != (den * s if i == j else 0):
+                return False
+    return True
 
 
 class SymMatrix:
@@ -211,17 +245,6 @@ class SymMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def matmul(self, other: "SymMatrix") -> list[list]:
-        """Plain matrix product of exact matrices (generally not symmetric), as
-        nested lists: each entry is `scalars.dot` of a row and a column (a row
-        of the symmetric `other`), reduced once.  A float operand raises
-        TypeError.
-        """
-        self._check_dim(other)
-        if not (self.is_exact() and other.is_exact()):
-            raise TypeError("matmul needs exact matrices")
-        return [[dot(row, col) for col in other.entries] for row in self.entries]
-
     def quad_form(self, v: Sequence) -> Scalar:
         """v^t S v."""
         n = self.n
@@ -248,9 +271,7 @@ class SymMatrix:
         """
         if self._regime == "float":
             return [self.quad_form(v) for v in cols]
-        pairs = [(i, k, 1 if i == k else 2) for i, k in _upper_pairs(self.n)]
-        return integer_combinations(self.upper(), [[t * v[i] * v[k] for i, k, t in pairs]
-                                                   for v in cols])
+        return integer_combinations(self.upper(), quad_form_rows(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from minitori.lattices import (_CLUSTER, EnumerationIncomplete, _fincke_pohst, _
                                _levels, _lines, canonical_class)
 from minitori.optimize import (ConvergenceFailure, HullPoint, InfeasibleRegion,
                                _exact_newton_step, as_columns, exact_hull_weights)
-from minitori.scalars import (AlgebraicField, AlgebraicScalar, _factorize, _homogeneous_value,
-                              _polynomial_memo, eliminate, exact_scalar, poly_content_primitive,
+from minitori.scalars import (AlgebraicField, AlgebraicScalar, _element, _factorize, _field_of,
+                              _homogeneous_value, _polynomial_memo, _reduce_mod,
+                              common_numerators, eliminate, exact_scalar, poly_content_primitive,
                               pseudo_divmod, sqrt_field, squarefree_part)
 from minitori.symmetric import (FLOAT_PD_TOL, SymMatrix, determinant, inverse,
                                 is_positive_definite, rank, rank_one_rows, solve,
@@ -1217,6 +1218,117 @@ def reference_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> Verification
 
 
 # ---------------------------------------------------------------------------
+# the field-element n Q W = I test that the integer numerator test replaced
+
+
+def dot(xs, ys):
+    """sum_j x_j y_j for exact scalars (ints, Fractions or elements of one field).
+
+    The products are integer convolutions over the two common denominators,
+    summed before one reduction modulo the minimal polynomial.
+    """
+    field = _field_of(list(xs) + list(ys))
+    a, da = common_numerators(xs, field)
+    b, db = common_numerators(ys, field)
+    c = [0] * (1 if field is None else 2 * field.degree - 1)
+    for u, v in zip(a, b):
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v, i):
+                    c[j] += x * y
+    if field is None:
+        return Fraction(c[0], da * db)
+    return _element(field, c, da * db * _reduce_mod(field.minpoly, c))
+
+
+def matmul(a: SymMatrix, b: SymMatrix) -> list[list]:
+    """Plain matrix product of exact matrices (generally not symmetric), as
+    nested lists: each entry is `dot` of a row and a column (a row of the
+    symmetric b).  A float operand raises TypeError."""
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    if not (a.is_exact() and b.is_exact()):
+        raise TypeError("matmul needs exact matrices")
+    return [[dot(row, col) for col in b.entries] for row in a.entries]
+
+
+def matmul_verify_matrix_data(data, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Oracle for `certificates.verify_matrix_data`: exact data build W as
+    field elements (`SymMatrix.rank_one_sum`) and test n Q W = I with
+    `matmul`, every residual is approximated, zeros included, and the
+    weight sum is accumulated one weight at a time.  Q is inverted, and the
+    positive definiteness test runs, exactly when the function it checks
+    does them."""
+    n = data.n
+    exact = data.is_exact()
+    residuals: dict[str, float] = {}
+    nonzero: set[str] = set()
+    scales: dict[str, float] = {}
+
+    def record(key, diff):
+        residuals[key] = max(residuals.get(key, 0.0), abs(float(diff)))
+        if exact and diff:
+            nonzero.add(key)
+
+    structural = None
+    if rank(data.y) != n:
+        structural = "rank"
+    if has_proportional_columns(data.y):
+        structural = structural or "proportional_columns"
+
+    for v in data.q.quad_forms(data.y):
+        record("unit_norm", v - 1)
+
+    acc = SymMatrix.rank_one_sum(data.y, data.weights) if exact else None
+    inverse_free = acc is not None and all(
+        x == (Fraction(1, n) if i == k else 0)
+        for i, row in enumerate(matmul(data.q, acc)) for k, x in enumerate(row))
+    if inverse_free:
+        residuals["flat"] = 0.0
+    else:
+        try:
+            qinv = inverse(data.q)
+        except ValueError:
+            return VerificationReport("falsified", "singular_gram", residuals, None, tol)
+        if acc is None:
+            acc = SymMatrix.rank_one_sum(data.y, data.weights)
+        target = qinv.scale(Fraction(1, n) if acc.is_exact() and qinv.is_exact() else 1.0 / n)
+        for i in range(n):
+            for j in range(n):
+                record("flat", acc.entries[i][j] - target.entries[i][j])
+        if not exact:
+            scales["flat"] = max([1.0] + [abs(float(x)) for row in target.entries for x in row])
+
+    wsum = None
+    for w in data.weights:
+        wsum = w if wsum is None else wsum + w
+    record("weight_sum", wsum - 1)
+
+    borderline = None
+    wmin_f = None
+    for w in data.weights:
+        wf = float(w)
+        wmin_f = wf if wmin_f is None else min(wmin_f, wf)
+        if exact_scalar(w):
+            if not w > 0:
+                structural = structural or "weight_positivity"
+        elif wf <= tol:
+            if wf < -tol:
+                structural = structural or "weight_positivity"
+            else:
+                borderline = "weight_positivity"
+    residuals["min_weight"] = 0.0 if wmin_f is None or wmin_f > 0 else abs(min(wmin_f, 0.0))
+
+    if not (inverse_free and structural is None):
+        pd = is_positive_definite(data.q)
+        if pd is False:
+            structural = structural or "gram_not_pd"
+        elif pd is None:
+            borderline = borderline or "gram_pd"
+    return _assemble_report(residuals, None, tol, structural, borderline, nonzero, scales)
+
+
+# ---------------------------------------------------------------------------
 # the closed-form 3 x 3 pencil maximizer that `optimize.pencil_maximize` replaced
 
 
@@ -1241,7 +1353,7 @@ def closed_form_pencil(slice_w):
         else:
             raise InfeasibleRegion("the pencil is everywhere singular")
         q0 = q0 + q1.scale(shift)
-    m = inverse(q0).matmul(q1)
+    m = matmul(inverse(q0), q1)
     c1 = sum(m[i][i] for i in range(3))
     c2 = (c1 * c1 - sum(m[i][j] * m[j][i] for i in range(3) for j in range(3))) / 2
     c3 = Fraction(determinant(q1)) / Fraction(determinant(q0))

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 import minitori
 import minitori.certificates
-from minitori.cli import (COMMANDS, UsageError, _class_template, _parse_from_table, build_parser,
-                          load_gram, main)
+from minitori.cli import (COMMANDS, MAX_IDENTITY_DIM, UsageError, _class_template,
+                          _parse_from_table, build_parser, load_gram, main)
 from minitori.constructions import (Bryant2TorusParams, PythagoreanParams, bryant_2torus,
                                     catalog, pythagorean_family)
 from minitori.io import emit
 from minitori.lattices import enumerate_norm, shortest_vectors, spectrum
+from minitori.symmetric import SymMatrix
 from conftest import PENCIL_SETS, pencil_columns
 
 
@@ -115,6 +116,61 @@ def test_certificate_bytes_are_pinned(name, tmp_path, capsys):
         argv = PINNED_ARGV.get(name, ["catalog", name])
     assert main(argv + ["-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[name]
+
+
+# sha256 of the file `reduce` writes for each catalog certificate.  `reduce`
+# verifies first, and every approximation and sign query of that verification
+# (each weight's float and sign, in order) narrows the isolating intervals the
+# reduced file is written with, so these pin the order of those queries.
+PINNED_REDUCE_SHA256 = {
+    "clifford-3": "95ec935c3970730b7d6b10b03e497fd9cd848fee7a13f0d09afc6283ab2e3049",
+    "quadratic-s9": "76f4a850d3d7024d8a29615146eba3a29cf00962bf8e77f4ac6f557216f9e956",
+    "quadratic-s7": "db4d0f089987c835a89b64e691f027d1b6683a85aaf6dd1663f8b4c195432a9e",
+    "cubic-s7-a": "7323f73878d158974f004f45f1312ffd2df0710d8a8cb56c0eca192b6d6dd96f",
+    "cubic-s7-b": "16c4633600f4338dace9520048fe8ec980f8d508eeafbe7dfa13926220f1f32a",
+    "quartic-s7": "1fbf6525ed684646abb6d2174416387cf37b7c82f808117753dd6945f9800546",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(PINNED_REDUCE_SHA256))
+def test_reduced_catalog_bytes_are_pinned(cid, tmp_path, capsys):
+    cert, out = tmp_path / "cert.json", tmp_path / "reduced.json"
+    assert main(["catalog", cid, "-o", str(cert)]) == 0
+    assert main(["reduce", str(cert), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REDUCE_SHA256[cid]
+
+
+# `verify --format json` of quartic-s7 with its first weight's constant
+# coefficient raised by 1/10^6: n Q W = I fails, so the flat residual comes
+# from Q^{-1}, and the 17 digits of each nonzero residual depend on the
+# interval's refinement history up to its approximation
+MOVED_WEIGHT_REPORT = """{
+  "verdict": "falsified",
+  "reason": "flat",
+  "residuals": {
+    "unit_norm": "0.00000000000000000e+00",
+    "flat": "9.99999999999999955e-07",
+    "weight_sum": "9.99999999999999955e-07",
+    "min_weight": "0.00000000000000000e+00"
+  },
+  "psd_margin": null,
+  "tolerance": "1.00000000000000004e-10"
+}
+"""
+
+
+def test_a_moved_weight_reports_the_inverse_path_residuals(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["catalog", "quartic-s7", "-o", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    coeffs = doc["weights"][0]["coeffs"]
+    coeffs[0] = str(Fraction(coeffs[0]) + Fraction(1, 10**6))
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("verdict: falsified (flat)\n")
+    assert main(["verify", "--format", "json", str(cert)]) == 1
+    assert capsys.readouterr().out == MOVED_WEIGHT_REPORT
 
 
 # sha256 of the stdout of the six `enumerate` commands of the `spectrum`
@@ -649,6 +705,26 @@ def test_a_malformed_identity_gram_exits_64(command, spec, capsys):
     assert main(command + ["--gram", spec]) == 64
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: gram ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [f"I{MAX_IDENTITY_DIM + 1}", "I30000", "I" + "9" * 4300])
+@pytest.mark.parametrize("command", [["enumerate", "--target", "1"], ["construct", "rational"]],
+                         ids=["enumerate", "construct"])
+def test_an_identity_gram_beyond_the_cap_exits_64(command, spec, monkeypatch, capsys):
+    # the identity holds n^2 entries: I30000 would ask for about 10^9 Fractions
+    def forbidden(n):
+        raise AssertionError(f"built the identity of dimension {n}")
+
+    monkeypatch.setattr(SymMatrix, "identity", forbidden)
+    assert main(command + ["--gram", spec]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("usage error: gram ") and err.endswith(
+        f": the dimension must be at most {MAX_IDENTITY_DIM}\n")
+
+
+def test_the_identity_gram_at_the_cap_loads():
+    assert load_gram(f"I{MAX_IDENTITY_DIM}") == SymMatrix.identity(MAX_IDENTITY_DIM)
 
 
 def test_construct_rational_sampler_exhaustion_exits_2(capsys):

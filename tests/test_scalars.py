@@ -14,9 +14,9 @@ from conftest import (CATALOG_FIELDS, IntervalOracle, field_inverse, field_mul, 
                       reference_rational_roots)
 from minitori import scalars
 from minitori.optimize import build_slice
-from minitori.scalars import (AlgebraicField, count_real_roots, dot,
-                              factor_min_poly, format_rational, integer_combinations,
-                              irreducible_degree_le4, irreducible_factors,
+from minitori.scalars import (AlgebraicField, common_numerators, convolution_sum,
+                              count_real_roots, factor_min_poly, format_rational,
+                              integer_combinations, irreducible_degree_le4, irreducible_factors,
                               isolate_real_roots, parse_rational, poly_content_primitive,
                               poly_gcd, poly_mul, pseudo_divmod, rational_roots, refine_root,
                               sqrt_field, squarefree_part, sturm_sequence)
@@ -533,7 +533,7 @@ class TestAlgebraicScalarOracle:
     @settings(max_examples=150, deadline=None)
     @given(field_elements(6), st.lists(RATIONAL_OPERANDS, min_size=3, max_size=3),
            st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=4))
-    def test_dot_and_integer_combinations(self, case, rationals, rows):
+    def test_convolution_sum_and_integer_combinations(self, case, rationals, rows):
         field, coeffs = case
         mp = field.minpoly
         xs = [field.element(c) for c in coeffs[:3]]
@@ -542,12 +542,20 @@ class TestAlgebraicScalarOracle:
         def oracle_sum(terms):
             return field_reduce(mp, [sum(t[i] for t in terms) for i in range(field.degree)])
 
+        # sum_j x_j y_j on the numerators over the two common denominators:
+        # c / (s da db) is the reduced sum
         want = oracle_sum([field_mul(mp, a, b) for a, b in zip(coeffs[:3], coeffs[3:])])
-        assert dot(xs, ys).coeffs == want
-        # rational entries mixed in, and all-rational inputs (a Fraction)
-        mixed = [xs[0], rationals[1], xs[2]]
-        assert dot(mixed, ys) == xs[0] * ys[0] + rationals[1] * ys[1] + xs[2] * ys[2]
-        assert dot(rationals, rationals) == sum(Fraction(r) * r for r in rationals)
+        (a, da), (b, db) = common_numerators(xs, field), common_numerators(ys, field)
+        c, s = convolution_sum(a, b, field)
+        assert s > 0 and len(c) == field.degree
+        assert tuple(Fraction(x, s * da * db) for x in c) == want
+        # a rational operand has one numerator; field None takes no reduction
+        r, dr = common_numerators(rationals, None)
+        c, s = convolution_sum(r, b, field)
+        assert tuple(Fraction(x, s * dr * db) for x in c + [0] * (field.degree - len(c))) == \
+            oracle_sum([[Fraction(x) * y for y in field_reduce(mp, cb)]
+                        for x, cb in zip(rationals, coeffs[3:])])
+        assert convolution_sum(r, r, None) == ([sum(x[0] * x[0] for x in r)], 1)
         for got, row in zip(integer_combinations(xs, rows), rows):
             assert got.coeffs == oracle_sum([[t * c for c in field_reduce(mp, a)]
                                              for t, a in zip(row, coeffs[:3])])
