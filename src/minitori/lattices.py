@@ -32,6 +32,24 @@ value costs a few integer operations and emits its innermost spans whole.
 Counts of values (the spectrum and `eigenfunction_index`) are collected per
 span and tallied once, at the end of the enumeration.
 
+Structured Grams (Z^n, A_n, diagonal and banded ones) repeat whole
+subtrees, and each repeat is enumerated once.  Below a node of level k,
+every range is fixed by the shell's bounds, by `done` (the share of v^t M v
+fixed by v_0..v_{k-1}, times D_{n-k}), by `free` (whether one of them is
+nonzero) and by the shifts S_k..S_last of the open levels.  The fixed
+coordinates enter those shifts only as the v_j with j in
+active[k] = {j < k : b_ij != 0 for some i >= k}.  So (k, done, free,
+v_active) fixes the subtree: its suffixes v_k..v_last, its values and
+whether its box bound trips.  Where active[k] has fewer than k members (all
+b_kj are 0 for Z^n; only b_{k,k-1} survives for a tridiagonal Gram), level k
+keeps, per state, the span of the output its first visit appended; a repeat
+appends the same suffixes behind its own prefix, or the same values, and
+searches nothing.  Where active[k] holds every earlier coordinate, the state
+is the whole prefix, which the search visits once, so that level builds no
+key and runs unchanged.  Nodes still come in the same order and a repeat
+follows a complete first visit, so the output order, the counts and the
+results left when a box bound trips are those of the full search.
+
 A spectrum needs the first `count` distinct values, so it searches a
 growing radius.  Every value of v^t M v is a multiple of the content
 g = gcd(m_ii, 2 m_ij) of M, so the count-th distinct value lambda_count of
@@ -153,6 +171,18 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
     s is large enough to break it, at the same node as in the general loop.
     A dict `out` gets its counts in bulk: the values found are collected in
     visiting order and counted once, when the enumeration ends or raises.
+
+    Every shift sums only its nonzero b_kj.  A level k whose active set
+    (module docstring) misses some of v_0..v_{k-1} memoizes its subtrees by
+    (done, free, v_active): the first visit records the range (a, b) it
+    appended to the list `out` or to the values, and a repeat appends
+    prefix + v[k:] for v in out[a:b], or values[a:b].  Ranges, not copies,
+    are stored: the memo holds a key and two indices per state, never a
+    suffix.  A repeat comes only after its first visit ended without
+    raising, and it appends exactly what that search would have, so a raise
+    leaves the same partial results.  The recursive closure is a reference
+    cycle; it is broken on return, so `values` and the memo are freed at
+    once rather than by the cyclic collector.
     """
     levels = _levels(m)
     last = len(m) - 1
@@ -165,6 +195,16 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
     s_wide = hi_in * widest // 2  # s <= s_wide: |u| <= s spans at most widest values of y
     step = row_in[last - 1] if last else 0  # the innermost shift's slope in x
     values: list[int] = []  # dict mode: v^t M v of every class found, in visiting order
+    found = out if as_vectors else values  # what a subtree appends to
+    # per level, the nonzero terms (j, b_kj) of its shift; the innermost base
+    # is S_last without its slope term
+    terms = [[(j, b) for j, b in enumerate(row) if b] for _, _, row in levels]
+    base_terms = [(j, b) for j, b in terms[last] if j < last - 1]
+    # active[k]: the j < k with b_ij != 0 for some i >= k; a level with fewer
+    # than k of them keeps, per state, the span of `found` its subtree appended
+    active = [tuple(sorted({j for i in range(k, last + 1) for j, _ in terms[i] if j < k}))
+              for k in range(last)]
+    memos = [{} if len(act) < k else None for k, act in enumerate(active)]
 
     def innermost(lo: int, hi: int, xlo: int, xhi: int, shift: int, done: int, base: int,
                   head: tuple, free: bool) -> None:
@@ -227,11 +267,24 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             inner += step
 
     def level(k: int, done: int, free: bool) -> None:
-        # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
-        lo, hi, row = levels[k]
+        # coordinates 0..k-1 are fixed in vec; done = hi_k * (their share of v^t M v)
+        memo = memos[k]
+        if memo is not None:  # the subtree depends on vec only through vec[active[k]]
+            key = (done, free, *[vec[j] for j in active[k]])
+            span = memo.get(key)
+            if span is not None:  # a repeat: the first visit's results, in its order
+                a, b = span
+                if as_vectors:
+                    prefix = tuple(vec[:k])
+                    out.extend([prefix + v[k:] for v in out[a:b]])
+                else:
+                    values.extend(values[a:b])
+                return
+            start = len(found)
+        lo, hi, _ = levels[k]
         shift = 0
-        for j in range(k):
-            shift += row[j] * vec[j]
+        for j, b in terms[k]:
+            shift += b * vec[j]
         s = math.isqrt(lo * (hi * upper - done))  # |hi x + shift| <= s
         xlo, xhi = -((s + shift) // hi), (s - shift) // hi
         if xhi - xlo > widest:
@@ -241,15 +294,17 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             xlo = max(xlo, 0)
         if k == last - 1:
             base = 0
-            for j in range(k):
-                base += row_in[j] * vec[j]
+            for j, b in base_terms:
+                base += b * vec[j]
             run_innermost(lo, hi, xlo, xhi, shift, done, base, tuple(vec[:k]), free)
-            return
-        for x in range(xlo, xhi + 1):
-            vec[k] = x
-            t = hi * x + shift
-            level(k + 1, (lo * done + t * t) // hi, free or x != 0)
-        vec[k] = 0
+        else:
+            for x in range(xlo, xhi + 1):
+                vec[k] = x
+                t = hi * x + shift
+                level(k + 1, (lo * done + t * t) // hi, free or x != 0)
+            vec[k] = 0
+        if memo is not None:
+            memo[key] = (start, len(found))
 
     run_innermost = innermost_one_value if lower == upper else innermost
     try:
@@ -259,6 +314,7 @@ def _fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound: int,
             else:  # n = 1: a virtual coordinate last-1 with the one value 0
                 run_innermost(1, 1, 0, 0, 0, 0, 0, (), False)
     finally:
+        del level  # the recursive closure is a reference cycle: break it
         for val, c in Counter(values).items():
             out[val] = out.get(val, 0) + c
     return out

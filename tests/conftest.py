@@ -102,7 +102,7 @@ def reference_fincke_pohst(m: list[list[int]], lower: int, upper: int, box_bound
     widest = 2 * box_bound + 1
 
     def level(k: int, done: int, free: bool) -> None:
-        # coordinates 0..k-1 are fixed in vec; done = lo_k * (their share of v^t M v)
+        # coordinates 0..k-1 are fixed in vec; done = hi_k * (their share of v^t M v)
         lo, hi, row = levels[k]
         shift = 0
         for j in range(k):

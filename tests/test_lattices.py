@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from copy import copy
@@ -144,6 +145,53 @@ class TestKernelAgainstReference:
         want = _run_kernel(reference_fincke_pohst, m, value, value, box_bound, copy(out))
         assert _run_kernel(lattices._fincke_pohst, m, value, value, box_bound, copy(out)) == want
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(3, 6), st.sampled_from(["diagonal", "tridiagonal", "blocks"]),
+           st.booleans(), st.sampled_from([1, 2, 4]),
+           st.sampled_from(["list", "dict", "dict with counts"]),
+           st.sampled_from([0, 1, 2, 3, 4, 5, 10**6]), st.booleans(), SEEDS)
+    def test_structured_grams_match_the_recursive_kernel(self, n, shape, permuted, den_max,
+                                                         mode, box_bound, one_value, rnd):
+        # zero b_kj make levels whose subtree depends on few earlier coordinates:
+        # their repeated states are reused, with the same classes, order,
+        # counts, messages and partial results (n < 3 has no level to reuse)
+        m, _ = lattices._integer_gram(_structured_gram(rnd, n, shape, permuted, den_max))
+        d = min(m[i][i] for i in range(n))
+        upper = rnd.randint(d, 8 * d)
+        if one_value:
+            v = [rnd.randint(-3, 3) for _ in range(n)]
+            lower = upper = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+        else:
+            lower = rnd.randint(-d, upper)
+        out = {"list": [], "dict": {}, "dict with counts": {upper + 1: 5, upper: 2}}[mode]
+        want = _run_kernel(reference_fincke_pohst, m, lower, upper, box_bound, copy(out))
+        assert _run_kernel(lattices._fincke_pohst, m, lower, upper, box_bound, copy(out)) == want
+
+    @pytest.mark.parametrize("m, lower, upper", [
+        ([[1]], 1, 20),
+        ([[2, 1], [1, 2]], 1, 30),
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1, 30),  # A4: reuse
+        ([[int(i == j) for j in range(4)] for i in range(4)], 1, 80),
+        ([[int(i == j) for j in range(4)] for i in range(4)], 12, 12),
+        ([[5, 1, 2, 1], [1, 6, 1, 2], [2, 1, 7, 1], [1, 2, 1, 8]], 1, 40),  # dense: no memo
+    ])
+    @pytest.mark.parametrize("mode", ["list", "dict", "box bound cut"])
+    def test_leaves_no_reference_cycle(self, m, lower, upper, mode):
+        # the recursive closure (and the memo and `values` it holds) is freed
+        # on return, also when EnumerationIncomplete is raised
+        out = {} if mode == "dict" else []
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                lattices._fincke_pohst(m, lower, upper, 0 if mode == "box bound cut" else 10**6,
+                                       out)
+            except lattices.EnumerationIncomplete:
+                assert mode == "box bound cut"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("m, lower, upper, count", [
         ([[1]], 4, 4, 1),  # n = 1: one node of the innermost loop
         ([[1]], -2, 100, 10),
@@ -154,6 +202,62 @@ class TestKernelAgainstReference:
             got = lattices._fincke_pohst(m, lower, upper, 10**6, out)
             assert got == reference_fincke_pohst(m, lower, upper, 10**6, type(out)())
             assert (len(got) if isinstance(got, list) else sum(got.values())) == count
+
+
+def _structured_gram(rnd, n, shape, permuted, den_max):
+    """A rational PD Gram with zero b_kj: diagonal, tridiagonal or block
+    diagonal (blocks of 1-3 coordinates), or a symmetric permutation of one,
+    whose elimination order gives other zero patterns and fill-in.  Strictly
+    diagonally dominant, so every eigenvalue is at least 1/den_max."""
+    if shape == "diagonal":
+        coupled = set()
+    elif shape == "tridiagonal":
+        coupled = {(i, i + 1) for i in range(n - 1)}
+    else:
+        coupled, start = set(), 0
+        while start < n:
+            size = min(rnd.randint(1, 3), n - start)
+            coupled |= {(i, j) for i in range(start, start + size)
+                        for j in range(i + 1, start + size)}
+            start += size
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in coupled:
+        rows[i][j] = rows[j][i] = Fraction(rnd.randint(-2, 2), rnd.randint(1, den_max))
+    for i in range(n):
+        rows[i][i] = sum(abs(x) for x in rows[i]) + Fraction(rnd.randint(1, 3 * den_max),
+                                                             rnd.randint(1, den_max))
+    perm = rnd.sample(range(n), n) if permuted else list(range(n))
+    return SymMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+def _r4(t):
+    """Jacobi: the number of v in Z^4 with |v|^2 = t is 8 * (sum of the d | t with 4 not | d)."""
+    return 8 * sum(d for d in range(1, t + 1) if t % d == 0 and d % 4)
+
+
+def _r8(t):
+    """The number of v in Z^8 with |v|^2 = t: 16 * sum over d | t of (-1)^(t+d) d^3."""
+    return 16 * sum((-1) ** (t + d) * d ** 3 for d in range(1, t + 1) if t % d == 0)
+
+
+class TestSumsOfSquares:
+    """Enumeration on I4 and I8, where nearly every subtree is reused, against
+    the classical counts of representations by sums of four and eight squares."""
+
+    def test_four_squares(self):
+        q = SymMatrix.identity(4)
+        assert [len(enumerate_norm(q, t)) for t in range(1, 41)] == \
+            [_r4(t) // 2 for t in range(1, 41)]
+
+    def test_eight_squares(self):
+        q = SymMatrix.identity(8)
+        assert [len(enumerate_norm(q, t)) for t in range(1, 13)] == \
+            [_r8(t) // 2 for t in range(1, 13)]
+        assert _r8(12) // 2 == 15904
+
+    def test_four_square_spectrum(self):
+        lines = spectrum(SymMatrix.identity(4), 41)
+        assert [(l.norm, l.multiplicity) for l in lines[1:]] == [(t, _r4(t)) for t in range(1, 41)]
 
 
 class TestShortest:
