@@ -29,7 +29,7 @@ from .lattices import (NormClassList, eigenfunction_index, enumerate_norm,
                        rational_points_on_ellipsoid, shortest_vectors, spectrum)
 from .optimize import (AffineSliceW, ConvergenceFailure, CriticalPoint, HullPoint,
                        InfeasibleRegion, NoCommonEllipsoid, build_slice,
-                       caratheodory_reduce, columns_from_matrix, kkt_gap,
+                       caratheodory_reduce, kkt_gap,
                        maximize_logdet_C, pencil_maximize, rank4_lagrange)
 from .certificates import (EmbeddednessResult, GramOperator, MatrixData,
                            UnverifiedCertificate, VerificationReport,

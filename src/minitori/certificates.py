@@ -344,9 +344,9 @@ def _entries(blocks) -> tuple[float, ...]:
     return tuple(x for b in blocks for row in b for x in row)
 
 
-def is_homogeneous(gram: GramOperator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-diagonal 2x2 block vanishes within tol."""
-    return all(abs(x) <= tol for x in _entries(gram.blocks.values()))
+def is_homogeneous(gram: GramOperator) -> bool:
+    """True iff every off-diagonal 2x2 block vanishes within DEFAULT_TOL."""
+    return all(abs(x) <= DEFAULT_TOL for x in _entries(gram.blocks.values()))
 
 
 def verify_full(gram: GramOperator, geometry: tuple[SymMatrix, Sequence],
@@ -505,28 +505,30 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     immersion is embedded iff no nonzero u in (-1,1)^n has all angles
     integral.  A unimodular n x n minor certifies embeddedness; when N = n
     the condition is exactly |det Y| = 1 (Minkowski's convex body theorem).
-    The exhaustive path enumerates integer angle vectors through an
-    invertible column subset and reports a witness point on failure.
+    The exhaustive path walks the angles |m_i| < |Y_{p_i}|_1 on the invertible
+    column subset p of least box; every witness u has its angles there, so
+    the witness found does not depend on p or on the order of the columns.
     """
     cols = as_columns(y)
     n, nn = len(cols[0]), len(cols)
     if rank(cols) != n:
         raise ValueError("rank(Y) must equal n")
-    basis_picks = None
+    invertible = []
     for picks in combinations(range(nn), n):
         d = determinant([cols[p] for p in picks])
-        if d != 0 and basis_picks is None:
-            basis_picks = picks
         if abs(d) == 1:
             return EmbeddednessResult("embedded", None)
+        if d != 0:
+            invertible.append(picks)
     if nn == n:
         if not exhaustive:
             return EmbeddednessResult("not_embedded", None)
     elif not exhaustive:
         return EmbeddednessResult("unknown", None)
 
-    # exhaustive search: solve the angles on an invertible subset
-    assert basis_picks is not None
+    # exhaustive search: solve the angles on the invertible subset of least box
+    l1 = [sum(map(abs, c)) for c in cols]
+    basis_picks = min(invertible, key=lambda picks: math.prod(2 * l1[p] - 1 for p in picks))
     # angle system: m_i = <Y_{basis_i}, u>, i.e. rows of the matrix B are the
     # basis columns, so u = adj m / det: |u_i| < 1 iff |(adj m)_i| < |det|,
     # and <Y_j, u> is an integer iff det divides <Y_j, adj m>.  A fraction-free
@@ -537,7 +539,7 @@ def embeddedness(y, exhaustive: bool = False) -> EmbeddednessResult:
     adj = [row[n:] for row in a]
     size = abs(det)
     rest = [cols[j] for j in range(nn) if j not in basis_picks]
-    bounds = [sum(abs(x) for x in cols[p]) for p in basis_picks]
+    bounds = [l1[p] for p in basis_picks]
 
     # every integer angle vector of the box but 0 (the only one with w = 0);
     # u = w / det is kept as the +/- class of w, its numerators over |det|

@@ -14,8 +14,8 @@ Exit codes: 0 verified / success, 1 falsified, 2 indeterminate or
 infeasible/construction failure (also `enumerate --shortest` or `--spectrum`
 stopped by the coordinate box bound; `--target` reports an incomplete list
 in its header and exits 0), 64 usage error (also an output file that cannot
-be written, or an `I<n>` Gram whose n is not an integer of ASCII digits or
-exceeds MAX_IDENTITY_DIM),
+be written, a certificate of kind "general" given to `reduce`, or an `I<n>`
+Gram whose n is not an integer of ASCII digits or exceeds MAX_IDENTITY_DIM),
 65 malformed file (also one that is not UTF-8, or whose JSON holds an
 integer beyond the interpreter's digit limit), 141 standard output closed
 early (128 + SIGPIPE; e.g. piped into `head`), with no traceback.
@@ -40,7 +40,7 @@ from .constructions import (Bryant2TorusParams, ConstructionError, PythagoreanPa
                             pythagorean_family)
 from .lattices import (EnumerationIncomplete, eigenfunction_index, enumerate_norm,
                        shortest_vectors, spectrum)
-from .optimize import InfeasibleRegion, columns_from_matrix
+from .optimize import InfeasibleRegion, as_columns
 from .scalars import parse_rational
 from .symmetric import SymMatrix, determinant, is_positive_definite
 
@@ -120,7 +120,7 @@ def load_y(path: str):
     if any(len(row) != len(rows[0]) for row in rows):
         raise UsageError(f"vector file {path!r}: rows have unequal lengths "
                          f"{[len(row) for row in rows]}")
-    return columns_from_matrix(rows)
+    return as_columns(zip(*rows))
 
 
 def _finite_float(text: str) -> float:
@@ -188,6 +188,9 @@ def _embeddedness_line(emb) -> str:
 
 
 def _exhaustive_is_cheap(y) -> bool:
+    """True iff the box of the n columns of least L1 norm holds at most 2 10^5
+    angle vectors: the box `embeddedness` walks if those columns are
+    independent, a lower bound on it otherwise."""
     cols = list(y)
     n = len(cols[0])
     bounds = sorted(sum(abs(v) for v in c) for c in cols)[:n]
@@ -266,23 +269,21 @@ def cmd_construct(args) -> int:
             res = pythagorean_family(PythagoreanParams(
                 triple=(p, q, r), r1=args.r1, r2=args.r2,
                 phi1=args.phi1, psi1=args.psi1, phi2=args.phi2, psi2=args.psi2))
+            homogeneous = is_homogeneous(res.gram)
             text = cio.emit((res.gram, res.q, res.y),
                             metadata={"construction": "pythagorean",
                                       "triple": list(args.triple),
-                                      "homogeneous": is_homogeneous(res.gram)})
+                                      "homogeneous": homogeneous})
             code = _write_or_print(text, args.output)
             if code == EXIT_VERIFIED:
-                print(f"classes N = 12, sphere dimension = 23, "
-                      f"homogeneous = {is_homogeneous(res.gram)}")
+                print(f"classes N = 12, sphere dimension = 23, homogeneous = {homogeneous}")
             return code
-        elif args.what == "bryant":
+        else:  # bryant: the table and argparse admit only the four routes
             m, n = args.mn
             rho_scaled = (_rational_flag("--rho-scaled", args.rho_scaled)
                           if args.rho_scaled is not None else None)
             data = bryant_2torus(Bryant2TorusParams(m=m, n=n, rho=args.rho,
                                                     rho_scaled=rho_scaled))
-        else:  # pragma: no cover
-            raise UsageError(f"unknown construction {args.what!r}")
     except cio.CertificateFormatError:
         raise  # a malformed --gram file: exit 65, not a failed construction
     except (ConstructionError, InfeasibleRegion, ValueError, TypeError) as exc:
@@ -350,8 +351,8 @@ def cmd_reduce(args) -> int:
     if isinstance(cert, int):
         return cert
     if not isinstance(cert, MatrixData):
-        print("error: reduce expects a homogeneous certificate", file=sys.stderr)
-        return EXIT_FALSIFIED
+        raise UsageError(f"{args.path!r} holds a certificate of kind \"general\"; "
+                         f"reduce takes kind \"homogeneous\"")
     try:
         reduced = reduce_target_dimension(cert)
     except UnverifiedCertificate as exc:

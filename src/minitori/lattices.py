@@ -79,7 +79,7 @@ FOUR_PI_SQ = 4 * math.pi * math.pi
 
 DEFAULT_BOX_BOUND = 10**6
 
-FLOAT_TOL = 1e-9  # float Grams: a norm shell's default slack is FLOAT_TOL * max(1, target)
+FLOAT_TOL = 1e-9  # float Grams: a norm shell's slack is FLOAT_TOL * max(1, target)
 
 _CLUSTER = 10**9  # float Grams: values within relative 1/_CLUSTER share a spectrum line
 
@@ -118,9 +118,9 @@ def _integer_gram(q: SymMatrix) -> tuple[list[list[int]], int]:
     Float entries are lifted exactly (binary floats are dyadic rationals).
     """
     if q.regime == "rational":
-        grid = [[Fraction(x) for x in row] for row in q.entries]
+        grid = q.entries
     elif q.regime == "float":
-        grid = [[Fraction(float(x)) for x in row] for row in q.entries]
+        grid = [[Fraction(x) for x in row] for row in q.entries]
     else:
         raise TypeError("enumeration over algebraic Gram matrices is not supported; "
                         "verify certificates instead")
@@ -336,22 +336,21 @@ def _lines(counts: dict[int, int], den: int, cluster: bool) -> list[tuple[Fracti
     return [(Fraction(v, den), c) for v, c in lines]
 
 
-def _shell(q: SymMatrix, target: Fraction, den: int, float_tol: float) -> tuple[int, int]:
+def _shell(q: SymMatrix, target: Fraction, den: int) -> tuple[int, int]:
     """Bounds on v^t M v (M = den * Q) for v^t Q v = target.
 
     Exact for rational Q; for float Q the comparison allows an absolute
-    slack of float_tol * max(1, target).
+    slack of FLOAT_TOL * max(1, target).
     """
-    slack = Fraction(float_tol) * max(1, target) if q.regime == "float" else 0
+    slack = Fraction(FLOAT_TOL) * max(1, target) if q.regime == "float" else 0
     return math.ceil((target - slack) * den), math.floor((target + slack) * den)
 
 
-def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND,
-                   float_tol: float = FLOAT_TOL) -> NormClassList:
+def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND) -> NormClassList:
     """All +/- classes of integer vectors with v^t Q v = target.
 
     Exact for rational Q.  For float Q the comparison allows an absolute
-    slack of float_tol * max(1, target).
+    slack of FLOAT_TOL * max(1, target).
     """
     if is_positive_definite(q) is not True:
         raise ValueError("Gram matrix must be positive definite")
@@ -362,7 +361,7 @@ def enumerate_norm(q: SymMatrix, target: Rat, box_bound: int = DEFAULT_BOX_BOUND
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        _fincke_pohst(m, *_shell(q, target, den, float_tol), box_bound, found)
+        _fincke_pohst(m, *_shell(q, target, den), box_bound, found)
     except EnumerationIncomplete:
         complete = False
     return NormClassList(target=target, classes=tuple(found), complete=complete)
@@ -379,12 +378,12 @@ def shortest_vectors(q: SymMatrix, box_bound: int = DEFAULT_BOX_BOUND) -> tuple[
     if is_positive_definite(q) is not True:
         raise ValueError("Gram matrix must be positive definite")
     m, den = _integer_gram(q)
-    upper = _shell(q, Fraction(min(m[i][i] for i in range(q.n)), den), den, FLOAT_TOL)[1]
+    upper = _shell(q, Fraction(min(m[i][i] for i in range(q.n)), den), den)[1]
     found = _fincke_pohst(m, 1, upper, box_bound, [])
     values = [sum(v[i] * sum(m[i][j] * v[j] for j in range(q.n)) for i in range(q.n))
               for v in found]
     best = Fraction(min(values), den)
-    lower, upper = _shell(q, best, den, FLOAT_TOL)
+    lower, upper = _shell(q, best, den)
     classes = tuple(v for v, val in zip(found, values) if lower <= val <= upper)
     return best, NormClassList(target=best, classes=classes)
 

@@ -65,13 +65,6 @@ def as_columns(y) -> Columns:
     return cols
 
 
-def columns_from_matrix(rows: Sequence[Sequence[int]]) -> Columns:
-    """Columns of an n x N integer matrix given by rows."""
-    n = len(rows)
-    nn = len(rows[0])
-    return tuple(tuple(int(rows[i][j]) for i in range(n)) for j in range(nn))
-
-
 class AffineSliceW(NamedTuple):
     """Slice of the PD cone: Q0 + span{Q1..Qs}, all passing through Y.
 

@@ -13,7 +13,7 @@ denominator, in lowest terms, so field arithmetic runs in integers: products
 are integer convolutions reduced modulo the primitive minimal polynomial
 (each reduction step scales by its leading coefficient L), rational operands
 only rescale the numerators, and the inverse is one Gauss-Jordan pass on the
-integer multiplication matrix.
+integer multiplication matrix.  Every product runs one loop, `_convolve_into`.
 
 The package's one exact elimination kernel is here, beside the field
 arithmetic it runs on: `pivot`, one step x <- (p x - f y) / d, whose
@@ -48,12 +48,12 @@ by interval Horner over the generator's isolating interval, which is bisected
 until the sign is unambiguous.  The field holds that interval as integer
 numerators a < b over one denominator d; a halving evaluates the minimal
 polynomial once at (a + b) / 2d and doubles the other endpoint and d, and
-the evaluation runs in integers over d.  Every integer interval is the
-rational one times a positive integer, so each decision, and so the
-narrowing, is that of exact rational interval arithmetic, and `interval`
-reports the same reduced Fractions.  A nonzero element of the field cannot
-vanish at the generator (the minimal polynomial is irreducible), so the loop
-terminates.
+the evaluation runs in integers over d (`_halve`, which `refine_root`
+repeats).  Every integer interval is the rational one times a positive
+integer, so each decision, and so the narrowing, is that of exact rational
+interval arithmetic, and `interval` reports the same reduced Fractions.  A
+nonzero element of the field cannot vanish at the generator (the minimal
+polynomial is irreducible), so the loop terminates.
 """
 
 from __future__ import annotations
@@ -129,12 +129,18 @@ def poly_content_primitive(p: Sequence[Rat]) -> tuple[Fraction, tuple[int, ...]]
     return content, prim
 
 
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
+def _convolve_into(c: list[int], p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """c += p q, and c, for integer coefficient lists (low to high) with
+    len(c) > deg(p q): the package's one convolution loop; zeros of p are skipped."""
     for i, x in enumerate(p):
-        for j, y in enumerate(q, i):
-            out[j] += x * y
-    return out
+        if x:
+            for j, y in enumerate(q, i):
+                c[j] += x * y
+    return c
+
+
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    return _convolve_into([0] * (len(p) + len(q) - 1), p, q)
 
 
 def poly_sub(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -293,7 +299,8 @@ def isolate_real_roots(p) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def refine_root(p, lo: Rat, hi: Rat, width: Rat) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of p until hi - lo <= width.
+    """Bisect an isolating interval of p until hi - lo <= width (> 0); a root
+    at lo or at a midpoint returns (root, root).
 
     The endpoints are integer numerators over one denominator, doubled at
     each halving; the returned Fractions are in lowest terms.
@@ -308,16 +315,22 @@ def refine_root(p, lo: Rat, hi: Rat, width: Rat) -> tuple[Fraction, Fraction]:
         return lo, lo
     lo_positive = flo > 0
     wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * den:
-        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
-        fm = _homogeneous_value(p, mid, den)
-        if fm == 0:
-            return Fraction(mid, den), Fraction(mid, den)
-        if (fm > 0) == lo_positive:
-            a = mid
-        else:
-            b = mid
+    while (b - a) * wd > wn * den:  # a midpoint root leaves a = b, width 0
+        a, b, den = _halve(p, a, b, den, lo_positive)
     return Fraction(a, den), Fraction(b, den)
+
+
+def _halve(p: Sequence[int], a: int, b: int, den: int, lo_positive: bool) -> tuple[int, int, int]:
+    """The package's one halving step: of (a/den, b/den), a sign change of p
+    with the sign lo_positive at a, the half over 2 den that keeps it, by the
+    sign of p at the midpoint mid = a + b over 2 den; (mid, mid) if a root."""
+    mid = a + b
+    fm = _homogeneous_value(p, mid, 2 * den)
+    if fm == 0:
+        return mid, mid, 2 * den
+    if (fm > 0) == lo_positive:
+        return mid, 2 * b, 2 * den
+    return 2 * a, mid, 2 * den
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +619,11 @@ class AlgebraicField:
         return Fraction(self._a, self._d), Fraction(self._b, self._d)
 
     def refine(self) -> None:
-        """Halve the isolating interval, preserving the sign change.
-
-        The midpoint is (a + b) / 2d; the sign of the minpoly there is that of
-        (2d)^deg minpoly((a + b) / 2d), an integer.
-        """
-        a, b = self._a, self._b
-        mid = a + b
-        fm = _homogeneous_value(self.minpoly, mid, 2 * self._d)
-        if fm == 0:
-            # cannot happen for an irreducible minpoly of degree >= 2
+        """Halve the isolating interval, preserving the sign change (`_halve`)."""
+        a, b, d = _halve(self.minpoly, self._a, self._b, self._d, self._lo_positive)
+        if a == b:  # cannot happen for an irreducible minpoly of degree >= 2
             raise ArithmeticError("rational root of an irreducible polynomial")
-        if (fm > 0) == self._lo_positive:
-            self._a, self._b = mid, 2 * b
-        else:
-            self._a, self._b = 2 * a, mid
-        self._d *= 2
+        self._a, self._b, self._d = a, b, d
 
     def generator(self) -> "AlgebraicScalar":
         return _element(self, [0, 1] + [0] * (self.degree - 2), 1)
@@ -806,12 +808,7 @@ class AlgebraicScalar:
     def __mul__(self, other):
         if isinstance(other, AlgebraicScalar):
             self._same_field(other)
-            a, b = self.num, other.num
-            c = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        c[j] += x * y
+            c = poly_mul(self.num, other.num)
             s = _reduce_mod(self.field.minpoly, c)
             return _element(self.field, c, self.den * other.den * s)
         pq = _rational_parts(other)
@@ -1056,10 +1053,7 @@ def convolution_sum(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]],
         return [sum(u[0] * v[0] for u, v in zip(us, vs))], 1
     c = [0] * (len(us[0]) + len(vs[0]) - 1)
     for u, v in zip(us, vs):
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v, i):
-                    c[j] += x * y
+        _convolve_into(c, u, v)
     return c, _reduce_mod(field.minpoly, c)
 
 

@@ -3,10 +3,12 @@ coordinates, and exact linear algebra on row lists.
 
 The space Sym_n carries <S, T> = tr(S T).  Matrices are stored densely and
 immutably; the entry regime is one of ``rational`` (Fraction), ``algebraic``
-(elements of one shared field) or ``float``.  Everything is plain Python: a
-float `inverse` or `determinant` is the exact one of the float entries lifted
-to Fractions, rounded once, and the float positive definiteness test is a
-pivoted LDL^t with a tolerance.
+(elements of one shared field) or ``float``; the constructor reads each
+entry once and lifts it into the regime once, keeping Fractions and field
+elements as they are.  Everything is plain Python: a float `inverse` or
+`determinant` is the exact one of the float entries lifted to Fractions,
+rounded once, and the float positive definiteness test is a pivoted LDL^t
+with a tolerance.
 
 Sym_n has one coordinate map, S -> (S_ik)_{i <= k} row by row: `SymMatrix.upper`
 reads it, `SymMatrix.from_upper` builds a matrix from it, and `rank_one_rows`
@@ -98,50 +100,33 @@ class SymMatrix:
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         n = len(rows)
         ent = []
-        regime = "rational"
         field = None
-        for i in range(n):
-            if len(rows[i]) != n:
+        floats = False
+        for row in rows:
+            if len(row) != n:
                 raise ValueError("matrix is not square")
-            row = []
-            for j in range(n):
-                x = rows[i][j]
-                if isinstance(x, AlgebraicScalar):
-                    regime = "algebraic"
+            out = []
+            for x in row:
+                if isinstance(x, (int, Fraction)):
+                    pass
+                elif isinstance(x, AlgebraicScalar):
                     field = x.field
                 elif isinstance(x, float):
-                    if regime != "algebraic":
-                        regime = "float"
-                elif isinstance(x, (int, Fraction)):
-                    pass
+                    floats = True
                 elif isinstance(x, numbers.Integral):  # another Integral type (an int64, say)
-                    x = Fraction(int(x))
+                    x = int(x)
                 elif isinstance(x, numbers.Real):
-                    x = float(x)
-                    if regime != "algebraic":
-                        regime = "float"
+                    x, floats = float(x), True
                 else:
                     raise TypeError(f"unsupported entry type {type(x)}")
-                row.append(x)
-            ent.append(row)
-        if regime == "algebraic":
-            if field is None:
-                raise AssertionError
-            for i in range(n):
-                for j in range(n):
-                    x = ent[i][j]
-                    if isinstance(x, float):
-                        raise TypeError("cannot mix float and algebraic entries")
-                    if not isinstance(x, AlgebraicScalar):
-                        ent[i][j] = field.from_rational(x)
-        elif regime == "float":
-            for i in range(n):
-                for j in range(n):
-                    ent[i][j] = float(ent[i][j])
-        else:
-            for i in range(n):
-                for j in range(n):
-                    ent[i][j] = Fraction(ent[i][j])
+                out.append(x)
+            ent.append(out)
+        if field is not None and floats:
+            raise TypeError("cannot mix float and algebraic entries")
+        regime, kept, lift = (("algebraic", AlgebraicScalar, field.from_rational)
+                              if field is not None else ("float", float, float) if floats
+                              else ("rational", Fraction, Fraction))
+        ent = [[x if type(x) is kept else lift(x) for x in row] for row in ent]
         for i in range(n):
             for j in range(i + 1, n):
                 if ent[i][j] != ent[j][i]:

@@ -1,8 +1,10 @@
 """Direct tests of certificate verification, embeddedness and reduction."""
 
+import math
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -18,7 +20,7 @@ from minitori.constructions import (CATALOG_IDS, PythagoreanParams, RationalPipe
 from minitori.io import emit, parse
 from minitori.lattices import enumerate_norm
 from minitori.scalars import AlgebraicField, AlgebraicScalar, sqrt_field
-from minitori.symmetric import SymMatrix, rank, trace_inner
+from minitori.symmetric import SymMatrix, determinant, rank, trace_inner
 
 EPS = Fraction(1, 10**12)
 STANDARD_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -110,6 +112,33 @@ class TestEmbeddedness:
         # at most 23^3 = 12,167 points (below 2 * 10^4)
         assume(rank(y) == len(y[0]))
         assert embeddedness(y, exhaustive=True) == recursive_embeddedness(y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n + 1),
+        st.tuples(*[st.integers(-10**6, 10**6)] * n))), st.data())
+    def test_the_search_does_not_depend_on_the_column_order(self, case, data):
+        # spanning small columns (a box of at most 23^3 angle vectors) and one
+        # column of up to 10^6 per entry: walked first, its box would hold up
+        # to ~10^7 times as many.  Every order must give the same status and
+        # witness, that of the recursive oracle where its first box is small
+        small, big = case
+        n = len(big)
+        assume(rank(small) == n)
+        y = small + [big]
+        want = embeddedness(y, exhaustive=True)
+        for _ in range(3):
+            order = data.draw(st.permutations(y))
+            assert embeddedness(order, exhaustive=True) == want
+            first = next(picks for picks in combinations(range(len(order)), n)
+                         if determinant([order[p] for p in picks]) != 0)
+            if math.prod(2 * sum(map(abs, order[p])) - 1 for p in first) <= 2 * 10**4:
+                assert recursive_embeddedness(order) == want
+
+    def test_a_large_column_is_not_walked(self):
+        # the box through (10^6, 2) has ~4 10^6 points; the least box has 9
+        for y in permutations(((10**6, 2), (2, 0), (0, 2))):
+            assert embeddedness(y, exhaustive=True) == ("not_embedded", (Fraction(1, 2), 0))
 
 
 class TestReduceTargetDimension:

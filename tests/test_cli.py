@@ -450,6 +450,19 @@ def test_reduce_of_a_falsified_certificate_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_reduce_of_a_general_certificate_is_a_usage_error(tmp_path, capsys):
+    # the default Pythagorean member is homogeneous, but its file is of kind
+    # "general": reduce does not take it, and nothing was falsified
+    path = tmp_path / "py.json"
+    assert main(["construct", "pythagorean", "--triple", "3", "4", "5", "-o", str(path)]) == 0
+    assert "homogeneous = True" in capsys.readouterr().out
+    assert main(["reduce", str(path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert '"general"' in err and '"homogeneous"' in err
+
+
 def test_reduce_lets_an_unexpected_error_propagate(tmp_path, monkeypatch):
     # only an unverified certificate exits 1; any other error is a bug, and a
     # catch-all made it read as a falsified certificate

@@ -59,3 +59,11 @@ def test_scan_finds_the_imported_packages():
 def test_package_imports_no_dataclasses(path):
     # dataclasses pulls in inspect, ast, dis and tokenize at every start of the CLI
     assert "dataclasses" not in top_level_imports(path.read_text())
+
+
+def test_the_sympy_oracle_imports_nothing_from_the_package():
+    # the oracle checks the package's certificates, so it must share none of its code
+    source = (Path(__file__).parent / "sympy_oracle.py").read_text()
+    assert "minitori" not in top_level_imports(source)
+    assert not any(isinstance(node, ast.ImportFrom) and node.level
+                   for node in ast.walk(ast.parse(source)))
